@@ -492,13 +492,6 @@ def _aligned_labels(mapping: dict[str, int], channel_names: list[str]) -> list[i
     return [mapping[n] for n in channel_names]
 
 
-def _val_slice(train_set: D.WindowedRegressionSet, val_fraction: float) -> tuple[D.WindowedRegressionSet, D.WindowedRegressionSet]:
-    """(fit, val) carve used by the trainer: chronological tail, >= 1 sample."""
-    n = train_set.n_samples
-    n_val = max(1, int(n * val_fraction)) if val_fraction > 0.0 else 0
-    return train_set.subset(range(n - n_val)), train_set.subset(range(n - n_val, n))
-
-
 def _build_for(cfg: RunConfig, wset: D.WindowedRegressionSet, section: dict,
                labels: list[int] | None) -> M.Model:
     m = section
@@ -643,7 +636,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if which == "test":
         chosen = test_set
     else:
-        fit_set, val_set = _val_slice(train_set, cfg.doc["train"]["val_fraction"])
+        fit_set, val_set = R.validation_carve(train_set, cfg.doc["train"]["val_fraction"])
         chosen = val_set if which == "val" else fit_set
 
     model = M.load_checkpoint(cfg.eval_checkpoint_path())

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -113,7 +114,10 @@ class WindowedRegressionSet:
 
     ``inputs[s]`` is (N-1, T) covering steps t-T+1..t in dataset channel
     order with the target series removed; ``targets[s]`` is the target at
-    step t; ``times[s]`` is that step's stamp.
+    step t; ``times[s]`` is that step's stamp.  As built by
+    :func:`make_windows` from gap-free data, ``inputs`` is a read-only
+    view of one copy of the channel rows, and chronological subsets are
+    views of it too.
     """
 
     inputs: np.ndarray  # (S, N-1, T)
@@ -142,7 +146,13 @@ class WindowedRegressionSet:
         return self.inputs.shape[1]
 
     def subset(self, indices: Sequence[int]) -> "WindowedRegressionSet":
-        idx = np.asarray(list(indices), dtype=int)
+        """Samples at ``indices``; a ``range`` of in-bounds, increasing
+        indices is taken as a basic slice, so the result is a view."""
+        if (isinstance(indices, range) and indices.step > 0
+                and 0 <= indices.start and indices.stop <= self.n_samples):
+            idx = slice(indices.start, indices.stop, indices.step)
+        else:
+            idx = np.asarray(list(indices), dtype=int)
         return WindowedRegressionSet(
             self.inputs[idx], self.targets[idx], self.times[idx],
             self.channel_names, self.target_name, self.window, self.stats,
@@ -371,7 +381,9 @@ def make_windows(data: TimeSeriesDataset, target: str, window: int) -> WindowedR
     Inputs are the non-target series over steps t-window+1..t; the label
     is the target series at t.  Steps where any series is missing break
     the timeline into segments, each contributing max(0, len-window+1)
-    samples.
+    samples.  The non-target rows are copied once, as a (C, L) block;
+    on gap-free data ``inputs`` is a read-only view of that block, and
+    data with gaps gathers its usable windows into a fresh array.
     """
     if window < 1:
         raise DataError(f"window must be >= 1, got {window}")
@@ -380,23 +392,22 @@ def make_windows(data: TimeSeriesDataset, target: str, window: int) -> WindowedR
     p = data.index_of(target)
     channel_idx = [i for i in range(data.n_series) if i != p]
     channel_names = [data.names[i] for i in channel_idx]
-    usable = data.mask.all(axis=0)
-    inputs: list[np.ndarray] = []
-    targets: list[float] = []
-    times: list[float] = []
-    for seg_start, seg_len in _missing_runs(~usable):
-        # runs of True in `usable` are runs of False in its negation
-        for t in range(seg_start + window - 1, seg_start + seg_len):
-            block = data.values[channel_idx, t - window + 1 : t + 1]
-            inputs.append(block.copy())
-            targets.append(float(data.values[p, t]))
-            times.append(float(data.times[t]))
-    if not inputs:
+    block = data.values[channel_idx]
+    windows = sliding_window_view(block, window, axis=1).transpose(1, 0, 2)  # (L-T+1, C, T)
+    missing = np.concatenate([[0], np.cumsum(~data.mask.all(axis=0))])
+    starts = np.flatnonzero(missing[window:] == missing[:-window])
+    if starts.size == 0:
         raise DataError(f"no fully-observed stretch of {window} steps; cannot window")
+    if starts[-1] - starts[0] + 1 == starts.size:
+        # one unbroken run (all gap-free data): a basic slice stays a view
+        inputs = windows[starts[0] : starts[-1] + 1]
+    else:
+        inputs = windows[starts]
+    ends = starts + window - 1
     return WindowedRegressionSet(
-        inputs=np.stack(inputs),
-        targets=np.array(targets),
-        times=np.array(times),
+        inputs=inputs,
+        targets=data.values[p, ends],
+        times=data.times[ends],
         channel_names=channel_names,
         target_name=target,
         window=window,
@@ -417,7 +428,6 @@ def split(wset: WindowedRegressionSet, spec: SplitSpec | None = None) -> tuple[W
     if n_train < 1 or n_train >= s:
         raise DataError(f"degenerate split: {n_train} train of {s} total")
     if spec.mode == "chronological":
-        order = np.arange(s)
-    else:
-        order = np.random.default_rng(spec.seed).permutation(s)
+        return wset.subset(range(n_train)), wset.subset(range(n_train, s))
+    order = np.random.default_rng(spec.seed).permutation(s)
     return wset.subset(order[:n_train]), wset.subset(order[n_train:])

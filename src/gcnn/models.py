@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .layers import (
     ClusteringCoeffLayer,
     Conv1DLayer,
@@ -356,7 +356,10 @@ def load_checkpoint(path: str | Path) -> Model:
         entry = stored.pop(name)
         if tuple(entry["shape"]) != t.shape:
             raise ShapeError(f"parameter {name!r} shape {entry['shape']} does not match {t.shape}")
-        t.data = np.array(entry["values"], dtype=np.float64).reshape(t.shape)
+        values = np.array(entry["values"], dtype=np.float64).reshape(t.shape)
+        if not np.isfinite(values).all():
+            raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
+        t.data = values
     if stored:
         raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
     return model

@@ -1,8 +1,9 @@
 """Normalized-cut spectral clustering of time series.
 
 Pipeline: absolute-correlation similarity graph -> Laplacians -> dense
-symmetric eigendecomposition (cyclic Jacobi) -> k-means on the embedding
-rows.  Includes exhaustive small-graph oracles used by the test suite.
+symmetric eigendecomposition (LAPACK, via ``np.linalg.eigh``) -> k-means
+on the embedding rows.  Includes exhaustive small-graph oracles used by
+the test suite.
 
 Cut/volume arithmetic uses correctly-rounded summation (math.fsum), so
 the reported values are independent of iteration order: degrees are
@@ -186,14 +187,13 @@ def laplacians(g: SimilarityGraph) -> tuple[np.ndarray, np.ndarray]:
     return lap, l_sym
 
 
-def sym_eig(
-    a: np.ndarray, max_sweeps: int = 100, dense_limit: int = DENSE_EIG_LIMIT
-) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(a: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Sign
     convention: each eigenvector's largest-magnitude component is
-    positive (first occurrence on magnitude ties).
+    positive (first occurrence on magnitude ties).  A LAPACK failure to
+    converge is raised as :class:`ConvergenceError`.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -203,57 +203,12 @@ def sym_eig(
         raise ShapeError(f"matrix size {n} exceeds the dense eigensolver limit {dense_limit}")
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-10:
         raise ValueError("eigensolver input is not symmetric within 1e-10")
-
-    b = a.copy()
-    v = np.eye(n)
-    scale = max(1.0, float(np.sqrt((a * a).sum())))
-    tol = 1e-14 * scale
-
-    def off_norm() -> float:
-        off = b - np.diag(np.diag(b))
-        return float(np.sqrt((off * off).sum()))
-
-    converged = n == 1 or off_norm() <= tol
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = b[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (b[q, q] - b[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                bp, bq = b[:, p].copy(), b[:, q].copy()
-                b[:, p] = c * bp - s * bq
-                b[:, q] = s * bp + c * bq
-                bp, bq = b[p, :].copy(), b[q, :].copy()
-                b[p, :] = c * bp - s * bq
-                b[q, :] = s * bp + c * bq
-                # rotated elements are zero by construction; pin them to
-                # kill rounding residue that stalls the sweep count
-                b[p, q] = 0.0
-                b[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        converged = off_norm() <= tol
-    if not converged:
-        raise ConvergenceError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
-
-    eigenvalues = np.diag(b).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
-    for j in range(n):
-        lead = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[lead, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceError(f"symmetric eigensolver failed: {e}") from e
+    lead = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(n)] < 0.0, -1.0, 1.0)
     return eigenvalues, vectors
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "EvalReport",
     "mse_loss",
     "srmse",
+    "validation_carve",
     "train",
     "evaluate",
     "linear_baseline",
@@ -134,6 +135,16 @@ def _predict_all(model: Model, wset: WindowedRegressionSet) -> np.ndarray:
         return np.array([model.forward(Tensor(x)).item() for x in wset.inputs])
 
 
+def validation_carve(
+    train_set: WindowedRegressionSet, val_fraction: float
+) -> tuple[WindowedRegressionSet, WindowedRegressionSet]:
+    """(fit, val): the validation set is the chronological tail holding
+    ``val_fraction`` of the samples, at least one; empty at fraction 0."""
+    n = train_set.n_samples
+    n_val = max(1, int(n * val_fraction)) if val_fraction > 0.0 else 0
+    return train_set.subset(range(n - n_val)), train_set.subset(range(n - n_val, n))
+
+
 def train(
     model: Model,
     train_set: WindowedRegressionSet,
@@ -142,24 +153,23 @@ def train(
 ) -> TrainResult:
     """Minibatch SGD; returns the best-on-validation parameters.
 
-    The validation set is the chronological tail of ``train_set``
-    (``val_fraction`` of it, at least one sample).  Per epoch the history
-    records the running train SRMSE (accumulated from minibatch
-    predictions as the parameters move), a fresh validation SRMSE, and
-    the mean squared error.  Training aborts with the epoch number if the
-    loss leaves fp64 range.
+    The validation set is the chronological tail of ``train_set`` cut by
+    :func:`validation_carve`; it must hold at least two distinct targets,
+    or its SRMSE is undefined and no epoch could be selected.  Per epoch
+    the history records the running train SRMSE (accumulated from
+    minibatch predictions as the parameters move), a fresh validation
+    SRMSE, and the mean squared error.  Training aborts with the epoch
+    number if the loss or the gradient norm leaves fp64 range.
     """
     config = config or TrainConfig()
-    n = train_set.n_samples
-    if config.val_fraction > 0.0:
-        n_val = max(1, int(n * config.val_fraction))
-    else:
-        n_val = 0
-    n_fit = n - n_val
+    fit_set, val_set = validation_carve(train_set, config.val_fraction)
+    n, n_fit, n_val = train_set.n_samples, fit_set.n_samples, val_set.n_samples
     if n_fit < 1:
         raise DataError(f"validation carve-out leaves no training samples ({n} total)")
-    fit_set = train_set.subset(range(n_fit))
-    val_set = train_set.subset(range(n_fit, n)) if n_val else None
+    if n_val and np.ptp(val_set.targets) == 0.0:
+        raise DataError(
+            f"validation tail of {n_val} of {n} training samples needs at least 2 distinct "
+            "targets to score SRMSE; supply more samples or a larger val_fraction")
 
     params = model.named_params()
     tensors = [t for _, t in params]
@@ -186,6 +196,8 @@ def train(
             grads = T.backward(loss, leaves=tensors)
             gs = [grads[t] for t in tensors]
             gnorm = math.sqrt(sum(float((g * g).sum()) for g in gs))
+            if not math.isfinite(gnorm):
+                raise NumericalError(f"training diverged: non-finite gradient at epoch {epoch}")
             scale = config.clip_norm / gnorm if gnorm > config.clip_norm else 1.0
             for t, v, g in zip(tensors, velocity, gs):
                 if config.momentum > 0.0:
@@ -195,7 +207,7 @@ def train(
                 else:
                     t.data -= config.learning_rate * (g * scale)
         train_srmse, _, _ = srmse(epoch_preds, fit_set.targets)
-        if val_set is not None:
+        if n_val:
             val_srmse, _, _ = srmse(_predict_all(model, val_set), val_set.targets)
         else:
             val_srmse = train_srmse

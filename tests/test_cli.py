@@ -266,6 +266,20 @@ def test_eval_missing_checkpoint_exits_2(series_csv, tmp_path):
     assert run("eval", cfg) == 2
 
 
+def test_eval_non_finite_checkpoint_exits_4(series_csv, tmp_path):
+    spec = M.ModelSpec(input_channels=12, input_width=8, stage_channels=(6, 6),
+                       pool_window=2, pool_stride=2, pool_before=(2,), dense_units=(4, 1))
+    ckpt = tmp_path / "doctored.json"
+    M.save_checkpoint(M.build_model(spec, seed=0), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["params"][0]["values"][0] = float("nan")  # json writes it as NaN, and reads it back
+    ckpt.write_text(json.dumps(doc))
+
+    config = base_config(series_csv, tmp_path / "out")
+    config["eval"] = {"checkpoint": str(ckpt)}
+    assert run("eval", write_config(tmp_path / "run.yaml", config)) == 4
+
+
 def test_eval_mean_predictor_checkpoint_scores_exactly_one(series_csv, tmp_path):
     # replicate the command's data pipeline to find the test-slice mean
     raw = load_csv(series_csv)

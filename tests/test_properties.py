@@ -1,0 +1,153 @@
+"""Property tests: windowing against a per-step reference, chronological
+splits against index-based subsets, and the symmetric eigensolver's
+contract on random matrices with and without repeated eigenvalues."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from gcnn.data import SplitSpec, TimeSeriesDataset, _missing_runs, make_windows, split
+from gcnn.errors import DataError
+from gcnn.spectral import sym_eig
+
+SETTINGS = settings(max_examples=80, deadline=None)
+
+
+def reference_windows(data, target, window):
+    """The original per-step windowing loop: one copied window per step
+    whose trailing ``window`` steps are all observed."""
+    p = data.index_of(target)
+    channel_idx = [i for i in range(data.n_series) if i != p]
+    usable = data.mask.all(axis=0)
+    inputs, targets, times = [], [], []
+    for seg_start, seg_len in _missing_runs(~usable):
+        # runs of True in `usable` are runs of False in its negation
+        for t in range(seg_start + window - 1, seg_start + seg_len):
+            block = data.values[channel_idx, t - window + 1 : t + 1]
+            inputs.append(block.copy())
+            targets.append(float(data.values[p, t]))
+            times.append(float(data.times[t]))
+    if not inputs:
+        raise DataError("no fully-observed stretch")
+    return np.stack(inputs), np.array(targets), np.array(times)
+
+
+@st.composite
+def windowing_cases(draw, gaps=True):
+    n_series = draw(st.integers(2, 5))
+    length = draw(st.integers(1, 40))
+    window = draw(st.integers(1, length))
+    if gaps:
+        mask = draw(hnp.arrays(bool, (n_series, length), elements=st.booleans()))
+    else:
+        mask = np.ones((n_series, length), dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.where(mask, rng.standard_normal((n_series, length)), np.nan)
+    data = TimeSeriesDataset(
+        names=[f"s{i}" for i in range(n_series)],
+        times=np.arange(length, dtype=float) * 2.0 + 5.0,
+        values=values,
+        mask=mask,
+    )
+    target = f"s{draw(st.integers(0, n_series - 1))}"
+    return data, target, window
+
+
+def base_array(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@SETTINGS
+@given(windowing_cases())
+def test_make_windows_matches_per_step_reference(case):
+    data, target, window = case
+    try:
+        expected = reference_windows(data, target, window)
+    except DataError:
+        with pytest.raises(DataError, match="fully-observed"):
+            make_windows(data, target, window)
+        return
+    wset = make_windows(data, target, window)
+    for got, want in zip((wset.inputs, wset.targets, wset.times), expected):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@SETTINGS
+@given(windowing_cases())
+def test_make_windows_ignores_later_writes_to_the_dataset(case):
+    data, target, window = case
+    try:
+        wset = make_windows(data, target, window)
+    except DataError:
+        return
+    before = [a.copy() for a in (wset.inputs, wset.targets, wset.times)]
+    data.values[...] = 999.0
+    data.times[...] = -1.0
+    for got, want in zip((wset.inputs, wset.targets, wset.times), before):
+        np.testing.assert_array_equal(got, want)
+
+
+@SETTINGS
+@given(windowing_cases(gaps=False))
+def test_gap_free_inputs_are_a_read_only_view_of_one_channel_block(case):
+    data, target, window = case
+    wset = make_windows(data, target, window)
+    assert not wset.inputs.flags.writeable
+    block = base_array(wset.inputs)
+    assert block.shape == (data.n_series - 1, data.n_steps)
+    assert not np.shares_memory(block, data.values)
+
+
+@SETTINGS
+@given(windowing_cases(gaps=False), st.floats(0.05, 0.95))
+def test_chronological_split_equals_index_subsets(case, fraction):
+    data, target, window = case
+    wset = make_windows(data, target, window)
+    n_train = int(wset.n_samples * fraction)
+    if not 1 <= n_train < wset.n_samples:
+        with pytest.raises(DataError):
+            split(wset, SplitSpec(fraction))
+        return
+    train, test = split(wset, SplitSpec(fraction))
+    for part, idx in ((train, list(range(n_train))), (test, list(range(n_train, wset.n_samples)))):
+        want = wset.subset(idx)
+        np.testing.assert_array_equal(part.inputs, want.inputs)
+        np.testing.assert_array_equal(part.targets, want.targets)
+        np.testing.assert_array_equal(part.times, want.times)
+        assert np.shares_memory(part.inputs, wset.inputs)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # a few distinct values, so eigenvalues repeat
+        palette = rng.standard_normal(draw(st.integers(1, 3)))
+        lam = rng.choice(palette, size=n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * lam) @ q.T
+    else:
+        a = rng.standard_normal((n, n))
+    return (a + a.T) / 2.0
+
+
+@SETTINGS
+@given(symmetric_matrices())
+def test_sym_eig_contract(a):
+    n = a.shape[0]
+    lam, vec = sym_eig(a)
+    scale = max(1.0, np.abs(a).max())
+    assert lam.shape == (n,) and vec.shape == (n, n)
+    assert np.all(np.diff(lam) >= 0.0)
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(a), atol=1e-10 * scale)
+    np.testing.assert_allclose(vec.T @ vec, np.eye(n), atol=1e-10)
+    np.testing.assert_allclose((vec * lam) @ vec.T, a, atol=1e-10 * scale)
+    for j in range(n):
+        lead = np.argmax(np.abs(vec[:, j]))
+        assert vec[lead, j] > 0.0

@@ -1,6 +1,6 @@
 """Spectral clustering: similarity construction, cut arithmetic against
-independent evaluators, the Jacobi eigensolver against numpy.linalg.eigh,
-and clustering against exhaustive small-graph enumeration."""
+independent evaluators, the dense eigensolver's order, sign and size
+contract, and clustering against exhaustive small-graph enumeration."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gcnn.errors import DataError, NumericalError, ShapeError
+from gcnn.errors import ConvergenceError, DataError, NumericalError, ShapeError
 from gcnn.spectral import (
     GroupAssignment,
     SimilarityGraph,
@@ -275,6 +275,10 @@ class TestSymEig:
     def test_size_cap(self):
         with pytest.raises(ShapeError, match="limit"):
             sym_eig(np.eye(5), dense_limit=4)
+
+    def test_lapack_failure_is_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            sym_eig(np.full((3, 3), np.nan))
 
 
 class TestKMeans:

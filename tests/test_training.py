@@ -1,6 +1,7 @@
 """Trainer: loss/SRMSE arithmetic against hand values, optimization
 behavior, checkpoint selection, reproducibility, and baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -288,6 +289,39 @@ class TestLinearBaseline:
         wset = linear_task(samples=10)
         with pytest.raises(ConfigError):
             linear_baseline(wset, wset, ridge_lambda=-1.0)
+
+
+class TestSilentFailureGuards:
+    def test_one_sample_validation_tail_is_rejected_with_counts(self):
+        # 17 samples at val_fraction 0.1 leave a 1-sample tail: SRMSE is
+        # NaN every epoch and no epoch could ever be selected
+        wset = linear_task(samples=17)
+        with pytest.raises(DataError, match="1 of 17"):
+            train(linear_model(3, 4), wset, TrainConfig(epochs=2, learning_rate=0.01))
+
+    def test_constant_validation_targets_are_rejected(self):
+        wset = linear_task(samples=30)
+        wset.targets[-3:] = 0.5
+        with pytest.raises(DataError, match="3 of 30"):
+            train(linear_model(3, 4), wset, TrainConfig(epochs=2, learning_rate=0.01))
+
+    def test_no_validation_tail_still_trains(self):
+        wset = linear_task(samples=17)
+        result = train(linear_model(3, 4), wset, TrainConfig(epochs=2, val_fraction=0.0))
+        assert result.best_epoch >= 1
+
+    def test_non_finite_gradient_raises_before_any_update(self):
+        # inputs and targets near 1e80 keep the loss finite (~1e160) while
+        # the squared gradient norm overflows
+        wset = linear_task(samples=30)
+        big = dataclasses.replace(wset, inputs=wset.inputs * 1e80, targets=wset.targets * 1e80)
+        model = linear_model(3, 4, seed=2)
+        before = [t.data.copy() for _, t in model.named_params()]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="gradient at epoch 1"):
+            train(model, big, TrainConfig(epochs=3, learning_rate=0.01, seed=0))
+        for (_, t), b in zip(model.named_params(), before):
+            np.testing.assert_array_equal(t.data, b)
 
 
 class TestExports:
