@@ -683,11 +683,14 @@ def cmd_compare(cfg: RunConfig) -> int:
             results["linear"][target] = R.linear_baseline(train_set, test_set, 0.0).srmse
             results["ridge"][target] = R.linear_baseline(
                 train_set, test_set, cfg.doc["compare"]["ridge_penalty"]).srmse
+            assignments: dict[int, S.GroupAssignment] = {}  # by k: cluster once per target
             for cand in candidates:
                 labels = None
                 if cand["model"]["grouping"] == "explicit":
-                    _, assignment, _ = _cluster_inputs(prep, target, cand["model"]["groups"], cfg.seed)
-                    labels = assignment.labels
+                    k = cand["model"]["groups"]
+                    if k not in assignments:
+                        assignments[k] = _cluster_inputs(prep, target, k, cfg.seed)[1]
+                    labels = assignments[k].labels
                 model = _build_for(cfg, wset, cand["model"], labels)
                 fitted = R.train(model, train_set, cfg.train_config())
                 results[cand["name"]][target] = R.evaluate(fitted.model, test_set).srmse

@@ -1,11 +1,11 @@
 """Network layers: plain/grouped/recurrent convolutions, the trainable
 clustering-coefficient layer, pooling, flatten, and dense heads.
 
-All layers consume and produce channels x width tensors except
-:class:`FlattenLayer` (emits a column vector) and :class:`DenseLayer`
-(column vector to column vector).  Parameters are created from a caller
-supplied ``numpy.random.Generator`` so identical seeds give identical
-models.
+All layers consume and produce (..., channels, width) batches, channel
+axis -2, except :class:`FlattenLayer` (emits (features, batch), one column
+per sample) and :class:`DenseLayer` (columns to columns).  Parameters are
+created from a caller supplied ``numpy.random.Generator`` so identical
+seeds give identical models.
 """
 
 from __future__ import annotations
@@ -166,13 +166,13 @@ class GroupedConv1DLayer(Layer):
         return cls(in_channels, groups, activation=activation, padding=padding)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[0] != self.in_channels:
-            raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[0]}")
+        if x.shape[-2] != self.in_channels:
+            raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-2]}")
         outs = []
         for g in self.groups:
             xg = T.gather_rows(x, list(g.members))
             outs.append(T.conv1d(xg, g.kernels, g.bias, padding=self.padding))
-        return T.activation(T.concat(outs, axis=0), self.activation)
+        return T.activation(T.concat(outs, axis=-2), self.activation)
 
     def named_params(self):
         out = []
@@ -250,15 +250,15 @@ class ClusteringCoeffLayer(Layer):
         return T.softmax_rows(self.logits)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[0] != self.n_variables:
-            raise ShapeError(f"expected {self.n_variables} variables, got {x.shape[0]} channels")
+        if x.shape[-2] != self.n_variables:
+            raise ShapeError(f"expected {self.n_variables} variables, got {x.shape[-2]} channels")
         u = self.coefficients()
         outs = []
         for k in range(self.n_groups):
             conv = T.channelwise_conv1d(x, self.kernels[k], padding=self.padding)
             scaled = T.rowscale(conv, T.take_column(u, k))
             outs.append(scaled + self.biases[k])
-        return T.activation(T.concat(outs, axis=0), self.activation)
+        return T.activation(T.concat(outs, axis=-2), self.activation)
 
     def named_params(self):
         out = [("logits", self.logits)]
@@ -269,7 +269,7 @@ class ClusteringCoeffLayer(Layer):
 
 
 class DenseLayer(Layer):
-    """Fully-connected map on column vectors."""
+    """Fully-connected map on (features, batch) matrices, one column per sample."""
 
     def __init__(
         self,
@@ -286,8 +286,8 @@ class DenseLayer(Layer):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape != (self.in_features, 1):
-            raise ShapeError(f"dense layer expects ({self.in_features}, 1), got {x.shape}")
+        if x.ndim != 2 or x.shape[0] != self.in_features:
+            raise ShapeError(f"dense layer expects ({self.in_features}, batch), got {x.shape}")
         pre = (self.weight @ x) + T.reshape(self.bias, (self.out_features, 1))
         return T.activation(pre, self.activation)
 
@@ -307,10 +307,11 @@ class MaxPool1DLayer(Layer):
 
 
 class FlattenLayer(Layer):
-    """Channels x width to a column vector, row-major."""
+    """(..., channels, width) to one row-major column per sample."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.reshape(x, (x.size, 1))
+        features = x.shape[-2] * x.shape[-1]
+        return T.transpose(T.reshape(x, (x.size // features, features)))
 
 
 class Sequential(Layer):
@@ -349,12 +350,12 @@ class GroupedBlockLayer(Layer):
         self.subnets = list(subnets)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[0] != self.in_channels:
-            raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[0]}")
+        if x.shape[-2] != self.in_channels:
+            raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-2]}")
         outs = []
         for members, net in zip(self.member_lists, self.subnets):
             outs.append(net.forward(T.gather_rows(x, list(members))))
-        return T.concat(outs, axis=0)
+        return T.concat(outs, axis=-2)
 
     def named_params(self):
         out = []
@@ -383,7 +384,7 @@ def toy_grouped_dense_forward(
     group j; ``b1``/``w2`` are (K,) and ``b2`` is a scalar.
 
     h_j = act(sum_i u[i,j] * <x_i, w1[j,i]> + b1[j]);
-    y   = out_act(sum_j h_j * w2[j] + b2), returned as a 0-d tensor.
+    y   = out_act(sum_j h_j * w2[j] + b2), returned as a one-element tensor.
     """
     n, d = x.shape
     k = u.shape[1]

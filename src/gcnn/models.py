@@ -153,13 +153,10 @@ class Model:
         self.seed = seed
 
     def forward(self, x: Tensor) -> Tensor:
+        """(B, C, W) windows to (1, B) predictions; one (C, W) window gives (1, 1)."""
         for layer in self.layers:
             x = layer.forward(x)
         return x
-
-    def predict(self, x: Tensor) -> float:
-        with T.no_grad():
-            return self.forward(x).item()
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         out = []

@@ -10,7 +10,8 @@ Conventions:
 * everything is float64; construction rejects NaN/Inf so non-finite
   values can only arise from arithmetic (where divergence guards can
   observe them through :meth:`Tensor.is_finite`);
-* 1-D signals are laid out channels x width;
+* 1-D signals are laid out (..., channels, width): leading axes are
+  batch axes, and one (channels, width) sample is the case with none;
 * evaluation is single-threaded per graph, and separate graphs may run
   concurrently (the only shared state is the per-context autograd
   switch).
@@ -47,6 +48,7 @@ __all__ = [
     "sum_all",
     "mean_all",
     "reshape",
+    "transpose",
     "concat",
     "gather_rows",
     "take_column",
@@ -263,65 +265,59 @@ def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tenso
 # elementwise arithmetic
 
 
-def _as_scalar_operand(b) -> np.ndarray | None:
-    """Return a 0-d array for scalar-like operands, else None."""
-    if isinstance(b, Tensor):
-        return b.data.reshape(()) if b.size == 1 else None
-    if isinstance(b, (int, float, np.integer, np.floating)):
-        return np.float64(b)
-    raise TypeError(f"unsupported operand type: {type(b).__name__}")
+# op -> (forward, d/da times g, d/db times g)
+_ELEMENTWISE_OPS = {
+    "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient of the broadcast result back down to ``shape``."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, d in enumerate(shape) if d == 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def elementwise(op: str, a: Tensor, b) -> Tensor:
-    """Pointwise ``a op b`` where ``b`` is a same-shape tensor or a scalar.
+    """Pointwise ``a op b`` under numpy broadcasting.
 
-    Scalars may be Python numbers or single-element tensors; the result
-    always has ``a``'s shape.  Mismatched shapes raise :class:`ShapeError`.
+    ``b`` is a tensor or a Python/numpy number; shapes that do not
+    broadcast raise :class:`ShapeError`.
     """
-    if op not in ("add", "sub", "mul", "div"):
+    if op not in _ELEMENTWISE_OPS:
         raise ValueError(f"unknown elementwise op {op!r}")
     if not isinstance(a, Tensor):
         raise TypeError("first operand must be a Tensor")
-
-    if isinstance(b, Tensor) and b.shape == a.shape and b.size != 1:
-        ad, bd = a.data, b.data
-        if op == "add":
-            data = ad + bd
-            rule = lambda: lambda g: (g, g)
-        elif op == "sub":
-            data = ad - bd
-            rule = lambda: lambda g: (g, -g)
-        elif op == "mul":
-            data = ad * bd
-            rule = lambda: lambda g: (g * bd, g * ad)
-        else:
-            data = ad / bd
-            rule = lambda: lambda g: (g / bd, -g * ad / (bd * bd))
-        return _record(data, (a, b), rule)
-
-    b0 = _as_scalar_operand(b)
-    if b0 is None:
-        raise ShapeError(f"elementwise {op}: shapes {a.shape} and {b.shape} do not match")
-    ad = a.data
-    b_shape = b.shape if isinstance(b, Tensor) else None
-
-    def scalar_grad(arr):
-        return arr.sum().reshape(b_shape) if b_shape is not None else None
-
-    if op == "add":
-        data = ad + b0
-        rule = lambda: lambda g: (g, scalar_grad(g))
-    elif op == "sub":
-        data = ad - b0
-        rule = lambda: lambda g: (g, scalar_grad(-g))
-    elif op == "mul":
-        data = ad * b0
-        rule = lambda: lambda g: (g * b0, scalar_grad(g * ad))
+    if isinstance(b, Tensor):
+        parents, bd = (a, b), b.data
+    elif isinstance(b, (int, float, np.integer, np.floating)):
+        parents, bd = (a,), np.float64(b)
     else:
-        data = ad / b0
-        rule = lambda: lambda g: (g / b0, scalar_grad(-g * ad / (b0 * b0)))
-    parents = (a, b) if isinstance(b, Tensor) else (a,)
-    return _record(data, parents, rule)
+        raise TypeError(f"unsupported operand type: {type(b).__name__}")
+    try:
+        np.broadcast_shapes(a.shape, bd.shape)
+    except ValueError:
+        raise ShapeError(f"elementwise {op}: shapes {a.shape} and {bd.shape} do not broadcast") from None
+    fn, da, db = _ELEMENTWISE_OPS[op]
+    ad = a.data
+
+    def rule_factory():
+        need_a = a.requires_grad
+        need_b = len(parents) == 2 and b.requires_grad
+
+        def rule(g):
+            ga = _unbroadcast(da(g, ad, bd), a.shape) if need_a else None
+            gb = _unbroadcast(db(g, ad, bd), bd.shape) if need_b else None
+            return ga, gb
+
+        return rule
+
+    return _record(fn(ad, bd), parents, rule_factory)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -383,16 +379,17 @@ def _padding_amounts(padding: str, kw: int) -> tuple[int, int]:
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same") -> Tensor:
-    """Sliding inner product of a channels x width signal, stride 1.
+    """Sliding inner product over the width of a (..., C, W) signal, stride 1.
 
     ``kernels`` is (out_channels, in_channels, kernel_width); output width
     is preserved under "same" padding and shrinks by kernel_width - 1
     under "valid".  The orientation is cross-correlation: the kernel is
-    applied as stored, without flipping.
+    applied as stored, without flipping.  The contraction is one matmul
+    of the flattened kernels with the unfolded windows (im2col).
     """
-    if x.ndim != 2 or kernels.ndim != 3:
-        raise ShapeError(f"conv1d needs (C,W) input and (O,C,kw) kernels, got {x.shape}, {kernels.shape}")
-    cin, width = x.shape
+    if x.ndim < 2 or kernels.ndim != 3:
+        raise ShapeError(f"conv1d needs (...,C,W) input and (O,C,kw) kernels, got {x.shape}, {kernels.shape}")
+    cin, width = x.shape[-2:]
     cout, kcin, kw = kernels.shape
     if kcin != cin:
         raise ShapeError(f"conv1d channel mismatch: input has {cin}, kernels expect {kcin}")
@@ -402,11 +399,12 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same") -> T
     if kw > width + pl + pr:
         raise ShapeError(f"kernel width {kw} exceeds padded input width {width + pl + pr}")
 
-    xp = np.pad(x.data, ((0, 0), (pl, pr)))
-    windows = sliding_window_view(xp, kw, axis=1)  # (cin, wout, kw)
-    kd = kernels.data
-    data = np.einsum("iwk,oik->ow", windows, kd) + bias.data[:, None]
-    wout = data.shape[1]
+    xp = np.pad(x.data, ((0, 0),) * (x.ndim - 1) + ((pl, pr),))
+    wout = xp.shape[-1] - kw + 1
+    # row i*kw + t of each sample's column matrix is channel i shifted by t
+    cols = np.swapaxes(sliding_window_view(xp, kw, axis=-1), -1, -2).reshape(*x.shape[:-2], cin * kw, wout)
+    k2 = kernels.data.reshape(cout, cin * kw)
+    data = k2 @ cols + bias.data[:, None]
 
     def rule_factory():
         need_x = x.requires_grad
@@ -415,15 +413,17 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same") -> T
 
         def rule(g):
             gx = gk = gb = None
+            summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)  # batch and width
             if need_b:
-                gb = g.sum(axis=1)
+                gb = g.sum(axis=summed)
             if need_k:
-                gk = np.einsum("ow,iwk->oik", g, windows)
+                gk = np.tensordot(g, cols, axes=(summed, summed)).reshape(kernels.shape)
             if need_x:
+                gcols = (k2.T @ g).reshape(*xp.shape[:-1], kw, wout)
                 gxp = np.zeros_like(xp)
                 for dt in range(kw):
-                    gxp[:, dt : dt + wout] += np.einsum("ow,oi->iw", g, kd[:, :, dt])
-                gx = gxp[:, pl : pl + width]
+                    gxp[..., dt : dt + wout] += gcols[..., dt, :]
+                gx = gxp[..., pl : pl + width]
             return gx, gk, gb
 
         return rule
@@ -432,24 +432,24 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same") -> T
 
 
 def channelwise_conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
-    """Convolve every channel of ``x`` with one shared 1-D kernel.
+    """Convolve every channel of a (..., C, W) ``x`` with one shared kernel.
 
     ``kernel`` is a flat (kw,) tensor applied independently (and
     identically) to each row; no cross-channel mixing happens.
     """
-    if x.ndim != 2 or kernel.ndim != 1:
-        raise ShapeError(f"channelwise_conv1d needs (C,W) input and (kw,) kernel, got {x.shape}, {kernel.shape}")
-    cin, width = x.shape
+    if x.ndim < 2 or kernel.ndim != 1:
+        raise ShapeError(f"channelwise_conv1d needs (...,C,W) input and (kw,) kernel, got {x.shape}, {kernel.shape}")
+    width = x.shape[-1]
     kw = kernel.shape[0]
     pl, pr = _padding_amounts(padding, kw)
     if kw > width + pl + pr:
         raise ShapeError(f"kernel width {kw} exceeds padded input width {width + pl + pr}")
 
-    xp = np.pad(x.data, ((0, 0), (pl, pr)))
-    windows = sliding_window_view(xp, kw, axis=1)
+    xp = np.pad(x.data, ((0, 0),) * (x.ndim - 1) + ((pl, pr),))
+    windows = sliding_window_view(xp, kw, axis=-1)  # (..., C, wout, kw)
     kd = kernel.data
     data = windows @ kd
-    wout = data.shape[1]
+    wout = data.shape[-1]
 
     def rule_factory():
         need_x = x.requires_grad
@@ -458,12 +458,12 @@ def channelwise_conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tens
         def rule(g):
             gx = gk = None
             if need_k:
-                gk = np.einsum("cw,cwk->k", g, windows)
+                gk = np.tensordot(g, windows, axes=g.ndim)
             if need_x:
                 gxp = np.zeros_like(xp)
                 for dt in range(kw):
-                    gxp[:, dt : dt + wout] += g * kd[dt]
-                gx = gxp[:, pl : pl + width]
+                    gxp[..., dt : dt + wout] += g * kd[dt]
+                gx = gxp[..., pl : pl + width]
             return gx, gk
 
         return rule
@@ -472,26 +472,25 @@ def channelwise_conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tens
 
 
 def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Per-channel windowed maximum; gradient goes to the first argmax."""
+    """Per-channel windowed maximum of a (..., C, W) signal; gradient goes to the first argmax."""
     if window <= 0 or stride <= 0:
         raise ValueError(f"window and stride must be positive, got {window}, {stride}")
-    if x.ndim != 2:
-        raise ShapeError(f"maxpool1d needs a (C,W) input, got {x.shape}")
-    channels, width = x.shape
+    if x.ndim < 2:
+        raise ShapeError(f"maxpool1d needs a (...,C,W) input, got {x.shape}")
+    width = x.shape[-1]
     if window > width:
         raise ShapeError(f"pooling window {window} exceeds input width {width}")
 
-    wins = sliding_window_view(x.data, window, axis=1)[:, ::stride, :]
-    data = wins.max(axis=2)
-    arg = wins.argmax(axis=2)  # first occurrence on ties
-    wout = data.shape[1]
-    cols = np.arange(wout) * stride + arg
-    rows = np.broadcast_to(np.arange(channels)[:, None], (channels, wout))
+    wins = sliding_window_view(x.data, window, axis=-1)[..., ::stride, :]
+    data = wins.max(axis=-1)
+    arg = wins.argmax(axis=-1)  # first occurrence on ties
+    span = stride * (data.shape[-1] - 1) + 1
 
     def rule_factory():
         def rule(g):
-            gx = np.zeros((channels, width))
-            np.add.at(gx, (rows, cols), g)
+            gx = np.zeros(x.shape)
+            for t in range(window):  # overlapping windows add up across offsets
+                gx[..., t : t + span : stride] += np.where(arg == t, g, 0.0)
             return (gx,)
 
         return rule
@@ -549,6 +548,13 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(x.data.reshape(shape), (x,), lambda: lambda g: (g.reshape(old),))
 
 
+def transpose(x: Tensor) -> Tensor:
+    """Swap the two axes of a 2-D tensor."""
+    if x.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
+    return _record(x.data.T, (x,), lambda: lambda g: (g.T,))
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; gradient splits back to each operand."""
     if not tensors:
@@ -570,21 +576,21 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select entries (1-D) or rows (n-D) by index, preserving order."""
-    idx = [int(i) for i in indices]
-    if not idx:
+    """Select entries (1-D) or rows (axis -2 of n-D) by index, preserving order."""
+    idx = np.array([int(i) for i in indices], dtype=np.intp)
+    if not idx.size:
         raise ValueError("gather_rows needs at least one index")
-    n = x.shape[0]
-    if any(i < 0 or i >= n for i in idx):
-        raise IndexError(f"gather index out of range for leading dimension {n}")
-    data = x.data[idx]
-    shape = x.shape
-    idx_arr = np.asarray(idx)
+    axis = max(x.ndim - 2, 0)
+    n = x.shape[axis]
+    if idx.min() < 0 or idx.max() >= n:
+        raise IndexError(f"gather index out of range for row dimension {n}")
+    where = (slice(None),) * axis + (idx,)
+    data = x.data[where]
 
     def rule_factory():
         def rule(g):
-            gx = np.zeros(shape)
-            np.add.at(gx, idx_arr, g)
+            gx = np.zeros(x.shape)
+            np.add.at(gx, where, g)
             return (gx,)
 
         return rule
@@ -614,23 +620,10 @@ def take_column(x: Tensor, j: int) -> Tensor:
 
 
 def rowscale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale row ``i`` of a (C,W) tensor by ``s[i]``."""
-    if x.ndim != 2 or s.ndim != 1 or s.shape[0] != x.shape[0]:
-        raise ShapeError(f"rowscale needs (C,W) and (C,), got {x.shape} and {s.shape}")
-    xd, sd = x.data, s.data
-    data = xd * sd[:, None]
-
-    def rule_factory():
-        need_x, need_s = x.requires_grad, s.requires_grad
-
-        def rule(g):
-            gx = g * sd[:, None] if need_x else None
-            gs = (g * xd).sum(axis=1) if need_s else None
-            return gx, gs
-
-        return rule
-
-    return _record(data, (x, s), rule_factory)
+    """Scale row ``i`` (axis -2) of a (..., C, W) tensor by ``s[i]``."""
+    if x.ndim < 2 or s.ndim != 1 or s.shape[0] != x.shape[-2]:
+        raise ShapeError(f"rowscale needs (...,C,W) and (C,), got {x.shape} and {s.shape}")
+    return mul(x, reshape(s, (s.shape[0], 1)))
 
 
 def softmax_rows(z: Tensor) -> Tensor:

@@ -125,14 +125,17 @@ def srmse(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float, f
     return value, rmse, se
 
 
-def _forward_batch(model: Model, inputs: np.ndarray) -> Tensor:
-    outs = [T.reshape(model.forward(Tensor(x)), (1,)) for x in inputs]
-    return T.concat(outs, axis=0)
+# samples per forward pass at prediction time: bounds the activations
+# held at once, which a whole evaluation set would multiply
+PREDICT_CHUNK = 32
 
 
 def _predict_all(model: Model, wset: WindowedRegressionSet) -> np.ndarray:
     with T.no_grad():
-        return np.array([model.forward(Tensor(x)).item() for x in wset.inputs])
+        return np.concatenate([
+            model.forward(Tensor(wset.inputs[lo : lo + PREDICT_CHUNK])).data[0]
+            for lo in range(0, wset.n_samples, PREDICT_CHUNK)
+        ])
 
 
 def validation_carve(
@@ -187,11 +190,11 @@ def train(
         sq_err_total = 0.0
         for lo in range(0, n_fit, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            preds = _forward_batch(model, fit_set.inputs[idx])
-            loss = mse_loss(preds, Tensor(fit_set.targets[idx]))
+            preds = model.forward(Tensor(fit_set.inputs[idx]))
+            loss = mse_loss(preds, Tensor(fit_set.targets[idx][None, :]))
             if not loss.is_finite():
                 raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
-            epoch_preds[idx] = preds.data
+            epoch_preds[idx] = preds.data[0]
             sq_err_total += loss.item() * len(idx)
             grads = T.backward(loss, leaves=tensors)
             gs = [grads[t] for t in tensors]
@@ -225,7 +228,8 @@ def train(
 
 
 def evaluate(model: Model, wset: WindowedRegressionSet, model_id: str = "") -> EvalReport:
-    """SRMSE/RMSE of the model on a sample set (read-only)."""
+    """SRMSE/RMSE of the model on a sample set (read-only); the windows
+    go through the model as (B, C, W) batches of :data:`PREDICT_CHUNK`."""
     if wset.n_samples == 0:
         raise DataError("cannot evaluate on an empty set")
     preds = _predict_all(model, wset)

@@ -369,6 +369,32 @@ def test_compare_preserves_partial_results_when_a_member_fails(series_csv, tmp_p
     assert [line.split(",")[0] for line in rows[2:]] == ["linear", "ridge"]
 
 
+def test_compare_clusters_each_target_once_per_group_count(series_csv, tmp_path, monkeypatch):
+    calls = []
+    real = cli.S.spectral_cluster
+
+    def counting(graph, k, **kw):
+        calls.append(k)
+        return real(graph, k, **kw)
+
+    monkeypatch.setattr(cli.S, "spectral_cluster", counting)
+    doc = base_config(series_csv, tmp_path / "out")
+    doc["train"]["epochs"] = 1
+    explicit = {"grouping": "explicit", "groups": 3, "stage_channels": [6], "dense_units": [4, 1]}
+    doc["compare"] = {
+        "targets": ["target"],
+        "candidates": [
+            {"name": "narrow", "model": explicit},
+            {"name": "wide", "model": {**explicit, "stage_channels": [12]}},
+        ],
+    }
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("compare", cfg) == 0
+    assert calls == [3]
+    report = json.loads((tmp_path / "out" / "compare.json").read_text())
+    assert set(report["results"]["narrow"]) == set(report["results"]["wide"]) == {"target"}
+
+
 def test_compare_candidate_name_clash_rejected(series_csv, tmp_path):
     doc = base_config(series_csv, tmp_path / "out")
     doc["compare"] = {"candidates": [{"name": "linear", "model": {}}]}

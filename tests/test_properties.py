@@ -1,6 +1,8 @@
 """Property tests: windowing against a per-step reference, chronological
-splits against index-based subsets, and the symmetric eigensolver's
-contract on random matrices with and without repeated eigenvalues."""
+splits against index-based subsets, the symmetric eigensolver's
+contract on random matrices with and without repeated eigenvalues,
+batched model passes against per-sample ones, and memberships on the
+simplex."""
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcnn.data import SplitSpec, TimeSeriesDataset, _missing_runs, make_windows, split
+from gcnn.data import SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, make_windows, split
 from gcnn.errors import DataError
+from gcnn.models import ModelSpec, build_model
 from gcnn.spectral import sym_eig
+from gcnn.tensor import Tensor, backward, no_grad
+from gcnn.training import PREDICT_CHUNK, evaluate, mse_loss
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -151,3 +156,68 @@ def test_sym_eig_contract(a):
     for j in range(n):
         lead = np.argmax(np.abs(vec[:, j]))
         assert vec[lead, j] > 0.0
+
+
+# one small network per grouping mode, plus a recurrent grouped stack
+TINY = dict(input_channels=4, input_width=8, stage_channels=(6, 6), pool_before=(2,),
+            pool_window=2, pool_stride=2, dense_units=(5, 1))
+MODEL_SPECS = {
+    "none": ModelSpec(**TINY),
+    "explicit": ModelSpec(**TINY, grouping="explicit", groups=2),
+    "coeff": ModelSpec(**TINY, grouping="coeff", groups=2),
+    "rcnn": ModelSpec(**TINY, grouping="explicit", groups=2, recurrent=True, iterations=2),
+}
+
+
+def tiny_model(mode, seed):
+    spec = MODEL_SPECS[mode]
+    assignment = [1, 2, 2, 1] if spec.grouping == "explicit" else None
+    return build_model(spec, assignment, seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(MODEL_SPECS)), st.integers(1, 2 * PREDICT_CHUNK + 9), st.integers(0, 2**32 - 1))
+def test_batched_forward_equals_stacked_per_sample_forwards(mode, n, seed):
+    model = tiny_model(mode, seed % 1000)
+    x = np.random.default_rng(seed).standard_normal((n, 4, 8))
+    with no_grad():
+        per_sample = np.array([model.forward(Tensor(xi)).item() for xi in x])
+        batched = model.forward(Tensor(x))
+    assert batched.shape == (1, n)
+    np.testing.assert_allclose(batched.data[0], per_sample, rtol=0, atol=1e-12)
+    wset = WindowedRegressionSet(x, np.arange(n, dtype=float), np.arange(n, dtype=float),
+                                 [f"s{i}" for i in range(4)], "t", 8)
+    np.testing.assert_allclose(evaluate(model, wset).predictions, per_sample, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(MODEL_SPECS)), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_batch_mse_gradient_is_the_mean_of_per_sample_gradients(mode, n, seed):
+    model = tiny_model(mode, seed % 1000)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 4, 8))
+    y = rng.standard_normal(n)
+    params = [t for _, t in model.named_params()]
+    grads = backward(mse_loss(model.forward(Tensor(x)), Tensor(y[None, :])), leaves=params)
+    batch = [grads[t].copy() for t in params]
+    mean = [np.zeros_like(t.data) for t in params]
+    for xi, yi in zip(x, y):
+        grads = backward(mse_loss(model.forward(Tensor(xi)), Tensor([[yi]])), leaves=params)
+        for acc, t in zip(mean, params):
+            acc += grads[t] / n
+    for got, want in zip(batch, mean):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_coefficients_rows_stay_on_the_simplex(n, k, data):
+    spec = ModelSpec(input_channels=n, input_width=4, grouping="coeff", groups=k,
+                     stage_channels=(k,), pool_before=(), dense_units=(1,))
+    model = build_model(spec, seed=0)
+    logits = data.draw(hnp.arrays(float, (n, k), elements=st.floats(-1e300, 1e300)))
+    model.coeff_layer().logits.data = logits
+    u = model.coefficients()
+    assert u.shape == (n, k)
+    assert np.isfinite(u).all() and (u >= 0.0).all() and (u <= 1.0).all()
+    np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-12)
