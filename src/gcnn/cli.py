@@ -524,6 +524,13 @@ def _vanilla_twin(spec: M.ModelSpec) -> int:
     return M.count_params(M.build_model(plain, seed=0))
 
 
+def _require_shrinkage(n_params: int, vanilla: int) -> None:
+    """Explicit grouping exists to cut parameters; refuse a model it does not shrink."""
+    if n_params >= vanilla:
+        raise ConfigError(
+            f"explicit grouping must shrink the parameter count: {n_params} grouped, {vanilla} ungrouped")
+
+
 def _plan_lines(spec: M.ModelSpec, n_params: int, vanilla: int | None) -> list[str]:
     lines = [
         f"widths {spec.layer_widths()}",
@@ -592,7 +599,7 @@ def cmd_train(cfg: RunConfig) -> int:
     n_params = M.count_params(model)
     vanilla = _vanilla_twin(model.spec) if cfg.grouping != "none" else None
     if cfg.grouping == "explicit":
-        assert n_params < vanilla, "grouping must shrink the parameter count"
+        _require_shrinkage(n_params, vanilla)
 
     print(f"config {cfg.config_hash[:12]}")
     for line in _plan_lines(model.spec, n_params, vanilla):
@@ -728,7 +735,7 @@ def cmd_param_count(cfg: RunConfig) -> int:
     n_params = M.count_params(model)
     vanilla = _vanilla_twin(spec) if spec.grouping != "none" else None
     if spec.grouping == "explicit":
-        assert n_params < vanilla, "grouping must shrink the parameter count"
+        _require_shrinkage(n_params, vanilla)
     lines = _plan_lines(spec, n_params, vanilla)
     path = _write_csv(cfg, "params.txt", "\n".join(lines) + "\n")
     print(f"config {cfg.config_hash[:12]}")

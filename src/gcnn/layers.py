@@ -3,9 +3,10 @@ clustering-coefficient layer, pooling, flatten, and dense heads.
 
 All layers consume and produce (..., channels, width) batches, channel
 axis -2, except :class:`FlattenLayer` (emits (features, batch), one column
-per sample) and :class:`DenseLayer` (columns to columns).  Parameters are
-created from a caller supplied ``numpy.random.Generator`` so identical
-seeds give identical models.
+per sample) and :class:`DenseLayer` (columns to columns).  A grouped
+stage is one op over contiguous channel blocks.  Parameters are created
+from a caller supplied ``numpy.random.Generator`` so identical seeds
+give identical models.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ class ConvGroup:
 class GroupedConv1DLayer(Layer):
     """Grouped convolution: each group convolves only its member channels.
 
-    Group outputs are concatenated in group order, so output channels are
-    laid out group-major.  Member lists must partition the input channels.
+    One gather puts the members in group order (none when already in
+    order), then one :func:`tensor.grouped_conv1d` runs every group and
+    lays the outputs out group-major.  Members must partition the inputs.
     """
 
     def __init__(self, in_channels: int, groups: Sequence[ConvGroup], activation: str = "relu", padding: str = "same"):
@@ -143,6 +145,8 @@ class GroupedConv1DLayer(Layer):
         self.activation = activation
         self.padding = padding
         self.out_channels = sum(g.kernels.shape[0] for g in groups)
+        order = [ch for g in groups for ch in g.members]
+        self.order = None if order == list(range(in_channels)) else order
 
     @classmethod
     def create(
@@ -168,11 +172,10 @@ class GroupedConv1DLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-2]}")
-        outs = []
-        for g in self.groups:
-            xg = T.gather_rows(x, list(g.members))
-            outs.append(T.conv1d(xg, g.kernels, g.bias, padding=self.padding))
-        return T.activation(T.concat(outs, axis=-2), self.activation)
+        if self.order is not None:
+            x = T.gather_rows(x, self.order)
+        out = T.grouped_conv1d(x, [g.kernels for g in self.groups], [g.bias for g in self.groups], self.padding)
+        return T.activation(out, self.activation)
 
     def named_params(self):
         out = []
@@ -242,8 +245,8 @@ class ClusteringCoeffLayer(Layer):
         self.padding = padding
         # near-uniform membership with broken symmetry
         self.logits = Tensor(rng.uniform(-0.01, 0.01, size=(n_variables, n_groups)), requires_grad=True)
-        self.kernels = [init_uniform_fanin(rng, (kernel_width,), kernel_width) for _ in range(n_groups)]
-        self.biases = [Tensor(0.0, requires_grad=True) for _ in range(n_groups)]
+        self.kernels = init_uniform_fanin(rng, (n_groups, kernel_width), kernel_width)
+        self.bias = Tensor(np.zeros(n_groups), requires_grad=True)
 
     def coefficients(self) -> Tensor:
         """Row-stochastic membership matrix U (N x K)."""
@@ -252,20 +255,14 @@ class ClusteringCoeffLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.n_variables:
             raise ShapeError(f"expected {self.n_variables} variables, got {x.shape[-2]} channels")
-        u = self.coefficients()
-        outs = []
-        for k in range(self.n_groups):
-            conv = T.channelwise_conv1d(x, self.kernels[k], padding=self.padding)
-            scaled = T.rowscale(conv, T.take_column(u, k))
-            outs.append(scaled + self.biases[k])
-        return T.activation(T.concat(outs, axis=-2), self.activation)
+        k, n = self.n_groups, self.n_variables
+        conv = T.channelwise_conv1d(x, self.kernels, padding=self.padding)  # (..., K, N, W)
+        scaled = conv * T.reshape(T.transpose(self.coefficients()), (k, n, 1))
+        pre = scaled + T.reshape(self.bias, (k, 1, 1))
+        return T.activation(T.reshape(pre, (*x.shape[:-2], k * n, pre.shape[-1])), self.activation)
 
     def named_params(self):
-        out = [("logits", self.logits)]
-        for k in range(self.n_groups):
-            out.append((f"g{k:02d}.kernel", self.kernels[k]))
-            out.append((f"g{k:02d}.bias", self.biases[k]))
-        return out
+        return [("logits", self.logits), ("kernels", self.kernels), ("bias", self.bias)]
 
 
 class DenseLayer(Layer):

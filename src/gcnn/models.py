@@ -43,7 +43,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "gcnn.checkpoint/1"
+CHECKPOINT_FORMAT = "gcnn.checkpoint/2"
 
 GROUPING_MODES = ("none", "explicit", "coeff")
 

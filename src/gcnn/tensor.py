@@ -41,6 +41,7 @@ __all__ = [
     "neg",
     "matmul",
     "conv1d",
+    "grouped_conv1d",
     "channelwise_conv1d",
     "maxpool1d",
     "activation",
@@ -384,17 +385,39 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same") -> T
     ``kernels`` is (out_channels, in_channels, kernel_width); output width
     is preserved under "same" padding and shrinks by kernel_width - 1
     under "valid".  The orientation is cross-correlation: the kernel is
-    applied as stored, without flipping.  The contraction is one matmul
-    of the flattened kernels with the unfolded windows (im2col).
+    applied as stored, without flipping.  This is the one-group case of
+    :func:`grouped_conv1d`.
     """
-    if x.ndim < 2 or kernels.ndim != 3:
-        raise ShapeError(f"conv1d needs (...,C,W) input and (O,C,kw) kernels, got {x.shape}, {kernels.shape}")
+    return grouped_conv1d(x, [kernels], [bias], padding)
+
+
+def grouped_conv1d(
+    x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], padding: str = "same"
+) -> Tensor:
+    """Grouped convolution of a (..., C, W) signal as one op, stride 1.
+
+    Group g has (O_g, C_g, kw) ``kernels[g]`` and (O_g,) ``biases[g]`` and
+    reads the next C_g input channels, so the groups cover contiguous
+    channel blocks in order.  Group outputs are stacked group-major.
+    The input is padded and unfolded once (im2col); each group is one
+    matmul of its flattened kernels with its block of column rows.
+    """
+    if not kernels or len(kernels) != len(biases):
+        raise ShapeError(f"grouped_conv1d needs one bias per kernel, got {len(kernels)} and {len(biases)}")
+    if x.ndim < 2 or any(k.ndim != 3 for k in kernels):
+        raise ShapeError(
+            f"conv1d needs (...,C,W) input and (O,C,kw) kernels, got {x.shape}, {[k.shape for k in kernels]}"
+        )
     cin, width = x.shape[-2:]
-    cout, kcin, kw = kernels.shape
+    kw = kernels[0].shape[2]
+    if any(k.shape[2] != kw for k in kernels):
+        raise ShapeError(f"grouped kernels must share one width, got {[k.shape[2] for k in kernels]}")
+    kcin = sum(k.shape[1] for k in kernels)
     if kcin != cin:
         raise ShapeError(f"conv1d channel mismatch: input has {cin}, kernels expect {kcin}")
-    if bias.shape != (cout,):
-        raise ShapeError(f"conv1d bias must have shape ({cout},), got {bias.shape}")
+    for k, b in zip(kernels, biases):
+        if b.shape != (k.shape[0],):
+            raise ShapeError(f"conv1d bias must have shape ({k.shape[0]},), got {b.shape}")
     pl, pr = _padding_amounts(padding, kw)
     if kw > width + pl + pr:
         raise ShapeError(f"kernel width {kw} exceeds padded input width {width + pl + pr}")
@@ -403,53 +426,71 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same") -> T
     wout = xp.shape[-1] - kw + 1
     # row i*kw + t of each sample's column matrix is channel i shifted by t
     cols = np.swapaxes(sliding_window_view(xp, kw, axis=-1), -1, -2).reshape(*x.shape[:-2], cin * kw, wout)
-    k2 = kernels.data.reshape(cout, cin * kw)
-    data = k2 @ cols + bias.data[:, None]
+    # (output rows, column rows, flattened kernels) per group
+    blocks = []
+    o0 = c0 = 0
+    for k in kernels:
+        o, c, _ = k.shape
+        blocks.append((slice(o0, o0 + o), slice(c0 * kw, (c0 + c) * kw), k.data.reshape(o, c * kw)))
+        o0, c0 = o0 + o, c0 + c
+    data = np.empty((*x.shape[:-2], o0, wout))
+    for rows, crows, k2 in blocks:
+        np.matmul(k2, cols[..., crows, :], out=data[..., rows, :])
+    data += np.concatenate([b.data for b in biases])[:, None]
 
     def rule_factory():
         need_x = x.requires_grad
-        need_k = kernels.requires_grad
-        need_b = bias.requires_grad
+        need_k = [k.requires_grad for k in kernels]
+        need_b = [b.requires_grad for b in biases]
 
         def rule(g):
-            gx = gk = gb = None
             summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)  # batch and width
-            if need_b:
-                gb = g.sum(axis=summed)
-            if need_k:
-                gk = np.tensordot(g, cols, axes=(summed, summed)).reshape(kernels.shape)
+            gks, gbs = [], []
+            gcols = np.empty(cols.shape) if need_x else None
+            for (rows, crows, k2), k, nk, nb in zip(blocks, kernels, need_k, need_b):
+                gg = g[..., rows, :]
+                gbs.append(gg.sum(axis=summed) if nb else None)
+                gks.append(np.tensordot(gg, cols[..., crows, :], axes=(summed, summed)).reshape(k.shape) if nk else None)
+                if need_x:
+                    np.matmul(k2.T, gg, out=gcols[..., crows, :])
+            gx = None
             if need_x:
-                gcols = (k2.T @ g).reshape(*xp.shape[:-1], kw, wout)
+                gcols = gcols.reshape(*xp.shape[:-1], kw, wout)
                 gxp = np.zeros_like(xp)
                 for dt in range(kw):
                     gxp[..., dt : dt + wout] += gcols[..., dt, :]
                 gx = gxp[..., pl : pl + width]
-            return gx, gk, gb
+            return (gx, *gks, *gbs)
 
         return rule
 
-    return _record(data, (x, kernels, bias), rule_factory)
+    return _record(data, (x, *kernels, *biases), rule_factory)
 
 
 def channelwise_conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
-    """Convolve every channel of a (..., C, W) ``x`` with one shared kernel.
+    """Convolve every channel of a (..., C, W) ``x`` with shared kernels.
 
-    ``kernel`` is a flat (kw,) tensor applied independently (and
-    identically) to each row; no cross-channel mixing happens.
+    ``kernel`` is a stack of K (K, kw) kernels, each applied independently
+    (and identically) to every row, giving (..., K, C, Wout); no
+    cross-channel mixing happens.  A flat (kw,) kernel is the same with
+    the K axis dropped: (..., C, Wout).
     """
-    if x.ndim < 2 or kernel.ndim != 1:
-        raise ShapeError(f"channelwise_conv1d needs (...,C,W) input and (kw,) kernel, got {x.shape}, {kernel.shape}")
-    width = x.shape[-1]
-    kw = kernel.shape[0]
+    if x.ndim < 2 or kernel.ndim not in (1, 2):
+        raise ShapeError(
+            f"channelwise_conv1d needs (...,C,W) input and (kw,) or (K,kw) kernels, got {x.shape}, {kernel.shape}"
+        )
+    cin, width = x.shape[-2:]
+    kw = kernel.shape[-1]
     pl, pr = _padding_amounts(padding, kw)
     if kw > width + pl + pr:
         raise ShapeError(f"kernel width {kw} exceeds padded input width {width + pl + pr}")
 
     xp = np.pad(x.data, ((0, 0),) * (x.ndim - 1) + ((pl, pr),))
     windows = sliding_window_view(xp, kw, axis=-1)  # (..., C, wout, kw)
-    kd = kernel.data
-    data = windows @ kd
-    wout = data.shape[-1]
+    kd = kernel.data.reshape(-1, kw)  # (K, kw); K = 1 for a flat kernel
+    stacked = np.moveaxis(windows @ kd.T, -1, -3)  # (..., K, C, wout)
+    wout = stacked.shape[-1]
+    data = stacked.reshape(*x.shape[:-2], *kernel.shape[:-1], cin, wout)
 
     def rule_factory():
         need_x = x.requires_grad
@@ -457,12 +498,15 @@ def channelwise_conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tens
 
         def rule(g):
             gx = gk = None
+            gs = np.moveaxis(g.reshape(stacked.shape), -3, -1)  # (..., C, wout, K)
             if need_k:
-                gk = np.tensordot(g, windows, axes=g.ndim)
+                lead = tuple(range(gs.ndim - 1))
+                gk = np.tensordot(gs, windows, axes=(lead, lead)).reshape(kernel.shape)
             if need_x:
+                gwin = gs @ kd  # (..., C, wout, kw)
                 gxp = np.zeros_like(xp)
                 for dt in range(kw):
-                    gxp[..., dt : dt + wout] += g * kd[dt]
+                    gxp[..., dt : dt + wout] += gwin[..., dt]
                 gx = gxp[..., pl : pl + width]
             return gx, gk
 

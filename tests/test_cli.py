@@ -226,6 +226,23 @@ def test_train_divergence_exits_4(series_csv, tmp_path):
     assert run("train", cfg, "--override", "train.learning_rate=1e40") == 4
 
 
+def test_train_explicit_grouping_that_does_not_shrink_exits_2(series_csv, tmp_path, capsys):
+    # a 1/11 split with kernel width 1: the 11-channel group's lift conv
+    # costs what the ungrouped stage saves, so both models count 199
+    names = [n for n in load_csv(series_csv).names if n != "target"]
+    assignment = tmp_path / "assignment.csv"
+    assignment.write_text("series_name,group_id\n" + "".join(
+        f"{name},{1 if i == 0 else 2}\n" for i, name in enumerate(names)))
+    doc = base_config(series_csv, tmp_path / "out", grouping="explicit", groups=2, family="rcnn",
+                      stage_channels=[12, 2], kernel_width=1, pool_before=[], dense_units=[1])
+    doc["train"]["assignment"] = str(assignment)
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("train", cfg) == 2
+    err = capsys.readouterr().err
+    assert "199 grouped" in err and "199 ungrouped" in err
+    assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+
 # -- eval ------------------------------------------------------------------
 
 

@@ -199,9 +199,9 @@ class TestClusteringCoeffLayer:
 
     def test_single_group_is_plain_channelwise_conv(self):
         layer = ClusteringCoeffLayer(4, 1, activation="linear", rng=np.random.default_rng(34))
-        layer.biases[0].data[()] = 0.0
+        layer.bias.data[0] = 0.0
         x = Tensor(np.random.default_rng(35).standard_normal((4, 7)))
-        expected = T.channelwise_conv1d(x, layer.kernels[0], padding="same")
+        expected = T.channelwise_conv1d(x, Tensor(layer.kernels.data[0]), padding="same")
         np.testing.assert_array_equal(layer.forward(x).data, expected.data)
 
     def test_uniform_logits_give_equal_shares(self):
@@ -214,8 +214,8 @@ class TestClusteringCoeffLayer:
         # row-wise by u[:, k]
         layer = ClusteringCoeffLayer(3, 2, kernel_width=3, activation="linear", rng=np.random.default_rng(37))
         for k in range(2):
-            layer.kernels[k].data[:] = [0.0, 1.0, 0.0]
-            layer.biases[k].data[()] = 0.0
+            layer.kernels.data[k] = [0.0, 1.0, 0.0]
+            layer.bias.data[k] = 0.0
         x = np.random.default_rng(38).standard_normal((3, 5))
         out = layer.forward(Tensor(x))
         u = layer.coefficients().data
@@ -238,6 +238,32 @@ class TestClusteringCoeffLayer:
 
         leaves = [t for _, t in layer.named_params()]
         assert grad_check(f, leaves) < 1e-5
+
+
+class TestTapeSize:
+    """A grouped stage records a fixed number of ops, whatever the group count."""
+
+    @staticmethod
+    def step_tape_entries(layer, channels):
+        x = Tensor(np.random.default_rng(50).standard_normal((4, channels, 9)))
+        y = layer.forward(x)
+        loss = T.mean_all(y * y)
+        return len(T.GradTape.from_root(loss).entries)
+
+    def test_grouped_conv_tape_does_not_grow_with_groups(self):
+        counts = []
+        for k in (2, 7):
+            # every group takes every k-th channel, so the gather is needed
+            members = [list(range(g, 14, k)) for g in range(k)]
+            layer = GroupedConv1DLayer.create(14, members, out_per_group=3, rng=np.random.default_rng(51))
+            counts.append(self.step_tape_entries(layer, 14))
+        assert counts[0] == counts[1]
+
+    def test_coeff_tape_does_not_grow_with_groups(self):
+        counts = [
+            self.step_tape_entries(ClusteringCoeffLayer(6, k, rng=np.random.default_rng(52)), 6) for k in (2, 7)
+        ]
+        assert counts[0] == counts[1]
 
 
 class TestToyGroupedDense:

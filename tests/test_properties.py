@@ -1,8 +1,8 @@
 """Property tests: windowing against a per-step reference, chronological
 splits against index-based subsets, the symmetric eigensolver's
 contract on random matrices with and without repeated eigenvalues,
-batched model passes against per-sample ones, and memberships on the
-simplex."""
+batched model passes against per-sample ones, memberships on the
+simplex, and grouped convolution against a per-group reference."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcnn.data import SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, make_windows, split
+from gcnn import tensor as T
 from gcnn.errors import DataError
+from gcnn.layers import ConvGroup, GroupedConv1DLayer
 from gcnn.models import ModelSpec, build_model
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
@@ -221,3 +223,80 @@ def test_coefficients_rows_stay_on_the_simplex(n, k, data):
     assert u.shape == (n, k)
     assert np.isfinite(u).all() and (u >= 0.0).all() and (u <= 1.0).all()
     np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+# -- grouped convolution ---------------------------------------------------
+
+
+def per_group_reference(x, kernels, biases, padding):
+    """Slice each group's channel block, convolve it alone, stack the outputs."""
+    outs, c0 = [], 0
+    for k, b in zip(kernels, biases):
+        c = k.shape[1]
+        block = T.gather_rows(x, range(c0, c0 + c))
+        outs.append(T.conv1d(block, k, b, padding))
+        c0 += c
+    return T.concat(outs, axis=-2)
+
+
+@st.composite
+def grouped_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    outs = draw(st.lists(st.integers(1, 3), min_size=len(sizes), max_size=len(sizes)))
+    kw = draw(st.integers(1, 4))
+    padding = draw(st.sampled_from(["same", "valid"]))
+    width = draw(st.integers(kw, kw + 5))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    return sizes, outs, kw, padding, width, batch, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(grouped_cases())
+def test_grouped_conv1d_equals_per_group_reference(case):
+    sizes, outs, kw, padding, width, batch, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((*batch, sum(sizes), width)), requires_grad=True)
+    kernels = [Tensor(rng.standard_normal((o, c, kw)), requires_grad=True) for o, c in zip(outs, sizes)]
+    biases = [Tensor(rng.standard_normal(o), requires_grad=True) for o in outs]
+    weights = rng.standard_normal((*batch, sum(outs), width - (kw - 1 if padding == "valid" else 0)))
+    leaves = [x, *kernels, *biases]
+
+    got = T.grouped_conv1d(x, kernels, biases, padding)
+    want = per_group_reference(x, kernels, biases, padding)
+    assert got.shape == want.shape == weights.shape
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+    g_got = backward(T.sum_all(got * Tensor(weights)), leaves=leaves)
+    g_want = backward(T.sum_all(want * Tensor(weights)), leaves=leaves)
+    for leaf in leaves:
+        np.testing.assert_allclose(g_got[leaf], g_want[leaf], rtol=1e-10, atol=1e-12)
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_grouped_layer_is_invariant_to_relabelling_channels(sizes, kw, seed):
+    rng = np.random.default_rng(seed)
+    c = sum(sizes)
+    members = np.split(rng.permutation(c), np.cumsum(sizes)[:-1])
+    layer = GroupedConv1DLayer.create(c, members, out_per_group=2, kernel_width=kw, rng=rng)
+    pi = rng.permutation(c)  # channel i is called pi[i] in the relabelled layer
+    relabelled = GroupedConv1DLayer(
+        c, [ConvGroup(tuple(int(pi[ch]) for ch in g.members), g.kernels, g.bias) for g in layer.groups])
+    x = rng.standard_normal((3, c, 6))
+    x_relabelled = np.empty_like(x)
+    x_relabelled[:, pi, :] = x
+    with no_grad():
+        np.testing.assert_array_equal(
+            relabelled.forward(Tensor(x_relabelled)).data, layer.forward(Tensor(x)).data)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(1, 4), st.sampled_from(["same", "valid"]),
+       st.sampled_from([(), (2,), (2, 3)]), st.integers(0, 2**32 - 1))
+def test_stacked_channelwise_conv_rows_equal_single_kernel_convs(k, kw, padding, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((*batch, 3, kw + 4)))
+    stack = rng.standard_normal((k, kw))
+    out = T.channelwise_conv1d(x, Tensor(stack), padding)
+    for j in range(k):
+        single = T.channelwise_conv1d(x, Tensor(stack[j]), padding)
+        np.testing.assert_allclose(out.data[..., j, :, :], single.data, rtol=0, atol=1e-12)
