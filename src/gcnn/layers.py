@@ -4,7 +4,11 @@ clustering-coefficient layer, pooling, flatten, and dense heads.
 All layers consume and produce (..., channels, width) batches, channel
 axis -2, except :class:`FlattenLayer` (emits (features, batch), one column
 per sample) and :class:`DenseLayer` (columns to columns).  A grouped
-stage is one op over contiguous channel blocks.  Parameters are created
+stage is one op over contiguous channel blocks.  A recurrent grouped
+stage is a :class:`RecurrentConvLayer` around a grouped convolution, so
+each iteration is one :func:`tensor.grouped_conv1d`; a grouped lift in
+front of it widens each group to the stage's width, and a group already
+that wide passes through the lift unchanged.  Parameters are created
 from a caller supplied ``numpy.random.Generator`` so identical seeds
 give identical models.
 """
@@ -30,8 +34,6 @@ __all__ = [
     "DenseLayer",
     "MaxPool1DLayer",
     "FlattenLayer",
-    "Sequential",
-    "GroupedBlockLayer",
     "init_uniform_fanin",
     "validate_partition",
     "toy_grouped_dense_forward",
@@ -117,24 +119,40 @@ class Conv1DLayer(Layer):
 
 @dataclass
 class ConvGroup:
-    """One group of a grouped convolution: member channels + parameters."""
+    """One group of a grouped convolution: member channels + parameters.
+
+    A group without kernels and bias passes its members through unchanged.
+    """
 
     members: tuple[int, ...]
-    kernels: Tensor  # (Gout, len(members), kw)
-    bias: Tensor  # (Gout,)
+    kernels: Tensor | None  # (Gout, len(members), kw)
+    bias: Tensor | None  # (Gout,)
+
+    @classmethod
+    def create(
+        cls, rng: np.random.Generator, members: Sequence[int], out_channels: int, kernel_width: int
+    ) -> "ConvGroup":
+        """Fan-in uniform kernels and zero biases for ``members``."""
+        members = tuple(int(ch) for ch in members)
+        fan_in = len(members) * kernel_width
+        kernels = init_uniform_fanin(rng, (out_channels, len(members), kernel_width), fan_in)
+        return cls(members, kernels, Tensor(np.zeros(out_channels), requires_grad=True))
 
 
 class GroupedConv1DLayer(Layer):
     """Grouped convolution: each group convolves only its member channels.
 
-    One gather puts the members in group order (none when already in
-    order), then one :func:`tensor.grouped_conv1d` runs every group and
-    lays the outputs out group-major.  Members must partition the inputs.
+    One gather puts the convolved groups' members in group order (none
+    when already in order), then one :func:`tensor.grouped_conv1d` runs
+    every such group.  When some groups pass through, one ``concat`` of
+    the convolution output with the input and one gather lay the outputs
+    out group-major.  Members must partition the inputs.
     """
 
     def __init__(self, in_channels: int, groups: Sequence[ConvGroup], activation: str = "relu", padding: str = "same"):
         validate_partition([g.members for g in groups], in_channels)
-        for g in groups:
+        conv = [g for g in groups if g.kernels is not None]
+        for g in conv:
             gout, gin, _ = g.kernels.shape
             if gin != len(g.members):
                 raise ShapeError(f"group expects {gin} channels but lists {len(g.members)} members")
@@ -144,9 +162,20 @@ class GroupedConv1DLayer(Layer):
         self.groups = list(groups)
         self.activation = activation
         self.padding = padding
-        self.out_channels = sum(g.kernels.shape[0] for g in groups)
-        order = [ch for g in groups for ch in g.members]
+        self.kernels = [g.kernels for g in conv]
+        self.biases = [g.bias for g in conv]
+        order = [ch for g in conv for ch in g.members]
         self.order = None if order == list(range(in_channels)) else order
+        # group-major output rows, as rows of concat([conv output, input])
+        n_conv, row, layout = sum(k.shape[0] for k in self.kernels), 0, []
+        for g in groups:
+            if g.kernels is None:
+                layout += [n_conv + ch for ch in g.members]
+            else:
+                layout += range(row, row + g.kernels.shape[0])
+                row += g.kernels.shape[0]
+        self.out_channels = len(layout)
+        self.layout = None if len(conv) == len(groups) else layout
 
     @classmethod
     def create(
@@ -160,28 +189,27 @@ class GroupedConv1DLayer(Layer):
         rng: np.random.Generator | None = None,
     ) -> "GroupedConv1DLayer":
         rng = rng or np.random.default_rng()
-        groups = []
-        for members in member_lists:
-            members = tuple(int(ch) for ch in members)
-            fan_in = len(members) * kernel_width
-            kernels = init_uniform_fanin(rng, (out_per_group, len(members), kernel_width), fan_in)
-            bias = Tensor(np.zeros(out_per_group), requires_grad=True)
-            groups.append(ConvGroup(members, kernels, bias))
+        groups = [ConvGroup.create(rng, members, out_per_group, kernel_width) for members in member_lists]
         return cls(in_channels, groups, activation=activation, padding=padding)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-2]}")
-        if self.order is not None:
-            x = T.gather_rows(x, self.order)
-        out = T.grouped_conv1d(x, [g.kernels for g in self.groups], [g.bias for g in self.groups], self.padding)
-        return T.activation(out, self.activation)
+        rows = x
+        if self.kernels:
+            xs = x if self.order is None else T.gather_rows(x, self.order)
+            out = T.activation(T.grouped_conv1d(xs, self.kernels, self.biases, self.padding), self.activation)
+            if self.layout is None:
+                return out
+            rows = T.concat([out, x], axis=-2)
+        return T.gather_rows(rows, self.layout)
 
     def named_params(self):
         out = []
         for k, g in enumerate(self.groups):
-            out.append((f"g{k:02d}.kernels", g.kernels))
-            out.append((f"g{k:02d}.bias", g.bias))
+            if g.kernels is not None:
+                out.append((f"g{k:02d}.kernels", g.kernels))
+                out.append((f"g{k:02d}.bias", g.bias))
         return out
 
 
@@ -190,10 +218,11 @@ class RecurrentConvLayer(Layer):
 
     z_1 = sigma(W * x + b); z_m = sigma(W * (x + z_{m-1}) + b).  The skip
     sum forces matching channel counts and width-preserving padding, so
-    the inner convolution must map C -> C with "same" padding.
+    the inner convolution, plain or grouped, must map C -> C with "same"
+    padding.
     """
 
-    def __init__(self, inner: Conv1DLayer, iterations: int):
+    def __init__(self, inner: Conv1DLayer | GroupedConv1DLayer, iterations: int):
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         if inner.in_channels != inner.out_channels:
@@ -311,57 +340,6 @@ class FlattenLayer(Layer):
         return T.transpose(T.reshape(x, (x.size // features, features)))
 
 
-class Sequential(Layer):
-    """Compose layers front to back."""
-
-    def __init__(self, layers: Sequence[Layer]):
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def named_params(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.named_params():
-                out.append((f"s{i:02d}.{name}", t))
-        return out
-
-
-class GroupedBlockLayer(Layer):
-    """Run an independent sub-stack per channel group and concatenate.
-
-    Generalizes grouped convolution to whole per-group pipelines (used
-    for recurrent grouped stages).  Member lists must partition the input
-    channels; outputs are concatenated in group order.
-    """
-
-    def __init__(self, in_channels: int, member_lists: Sequence[Sequence[int]], subnets: Sequence[Layer]):
-        validate_partition(member_lists, in_channels)
-        if len(member_lists) != len(subnets):
-            raise ShapeError("need exactly one subnet per group")
-        self.in_channels = in_channels
-        self.member_lists = [tuple(int(ch) for ch in m) for m in member_lists]
-        self.subnets = list(subnets)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-2] != self.in_channels:
-            raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[-2]}")
-        outs = []
-        for members, net in zip(self.member_lists, self.subnets):
-            outs.append(net.forward(T.gather_rows(x, list(members))))
-        return T.concat(outs, axis=-2)
-
-    def named_params(self):
-        out = []
-        for k, net in enumerate(self.subnets):
-            for name, t in net.named_params():
-                out.append((f"g{k:02d}.{name}", t))
-        return out
-
-
 def toy_grouped_dense_forward(
     x: Tensor,
     u: Tensor,
@@ -391,14 +369,9 @@ def toy_grouped_dense_forward(
         raise ShapeError(f"w1 must be ({k * n}, {d}), got {w1.shape}")
     if b1.shape != (k,) or w2.shape != (k,):
         raise ShapeError("b1 and w2 must have one entry per group")
-    ones = Tensor(np.ones((d, 1)))
-    y_pre = None
-    for j in range(k):
-        wj = T.gather_rows(w1, range(j * n, (j + 1) * n))  # (N, d)
-        inner = (x * wj) @ ones  # (N, 1): per-variable inner products
-        scaled = T.rowscale(inner, T.take_column(u, j))
-        h_pre = T.sum_all(scaled) + T.gather_rows(b1, [j])
-        h = T.activation(h_pre, hidden_activation)
-        term = h * T.gather_rows(w2, [j])
-        y_pre = term if y_pre is None else y_pre + term
-    return T.activation(y_pre + b2, output_activation)
+    # w1[j*N + i] * x_i * u[i, j], summed over i and the window by ones
+    weighted = T.reshape(w1, (k, n, d)) * x * T.reshape(T.transpose(u), (k, n, 1))
+    h_pre = T.reshape(weighted, (k, n * d)) @ Tensor(np.ones((n * d, 1))) + T.reshape(b1, (k, 1))
+    h = T.activation(h_pre, hidden_activation)  # (K, 1)
+    y_pre = T.reshape(T.transpose(h) @ T.reshape(w2, (k, 1)), (1,)) + b2
+    return T.activation(y_pre, output_activation)

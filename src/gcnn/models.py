@@ -20,14 +20,13 @@ from .errors import ConfigError, NumericalError, ShapeError
 from .layers import (
     ClusteringCoeffLayer,
     Conv1DLayer,
+    ConvGroup,
     DenseLayer,
     FlattenLayer,
-    GroupedBlockLayer,
     GroupedConv1DLayer,
     Layer,
     MaxPool1DLayer,
     RecurrentConvLayer,
-    Sequential,
 )
 from .tensor import Tensor
 
@@ -43,7 +42,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "gcnn.checkpoint/2"
+CHECKPOINT_FORMAT = "gcnn.checkpoint/3"
 
 GROUPING_MODES = ("none", "explicit", "coeff")
 
@@ -57,8 +56,10 @@ class ModelSpec:
     1-based stage indices preceded by a pooling layer.  In recurrent
     mode every stage except the last is an unrolled recurrent conv;
     stages whose input channel count differs from their output are
-    realized as a 1x-width-preserving lift convolution followed by the
+    realized as a width-preserving lift convolution followed by the
     recurrent block (the recursion's skip sum needs matching channels).
+    In grouped modes the lift and the recurrence are grouped too, and a
+    group whose input is already as wide as its output gets no lift.
     """
 
     input_channels: int
@@ -93,6 +94,8 @@ class ModelSpec:
             raise ConfigError("ungrouped spec must declare groups=1")
         if not self.stage_channels:
             raise ConfigError("need at least one conv stage")
+        if min(self.stage_channels) < 1:
+            raise ConfigError(f"stage channels must be >= 1, got {list(self.stage_channels)}")
         if self.grouping != "none":
             for ch in self.stage_channels:
                 if ch % self.groups != 0:
@@ -101,12 +104,16 @@ class ModelSpec:
                 raise ConfigError("more groups than input channels")
         if self.kernel_width < 1:
             raise ConfigError(f"kernel width must be >= 1, got {self.kernel_width}")
+        if self.pool_window < 1 or self.pool_stride < 1:
+            raise ConfigError(f"pool window and stride must be >= 1, got {self.pool_window} and {self.pool_stride}")
         if any(s < 1 or s > len(self.stage_channels) for s in self.pool_before):
             raise ConfigError(f"pool placements {self.pool_before} outside stage range")
         if len(set(self.pool_before)) != len(self.pool_before):
             raise ConfigError("duplicate pool placement")
         if not self.dense_units:
             raise ConfigError("need at least one dense unit count")
+        if min(self.dense_units) < 1:
+            raise ConfigError(f"dense units must be >= 1, got {list(self.dense_units)}")
         if self.recurrent and self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.hidden_activation not in T.ACTIVATION_KINDS:
@@ -197,16 +204,37 @@ def _contiguous_member_lists(n_groups: int, per_group: int) -> list[list[int]]:
     return [list(range(g * per_group, (g + 1) * per_group)) for g in range(n_groups)]
 
 
-def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Generator) -> Layer:
+def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Generator) -> list[Layer]:
     """Recurrent conv stage; lift channels first when cin != cout."""
     rcl = RecurrentConvLayer(
         Conv1DLayer(cout, cout, spec.kernel_width, spec.hidden_activation, "same", rng),
         spec.iterations,
     )
     if cin == cout:
-        return rcl
-    lift = Conv1DLayer(cin, cout, spec.kernel_width, spec.hidden_activation, "same", rng)
-    return Sequential([lift, rcl])
+        return [rcl]
+    return [Conv1DLayer(cin, cout, spec.kernel_width, spec.hidden_activation, "same", rng), rcl]
+
+
+def _grouped_recurrent_stage(
+    cin: int, member_lists: list[list[int]], per_group: int, spec: ModelSpec, rng: np.random.Generator
+) -> list[Layer]:
+    """Grouped lift (only for groups not already ``per_group`` wide, and
+    none when the input is already in place) then the recurrence over
+    contiguous ``per_group`` blocks.  Each group draws its inner kernels,
+    then its lift kernels, before the next group."""
+    inner, lift = [], []
+    for g, members in enumerate(member_lists):
+        block = range(g * per_group, (g + 1) * per_group)
+        inner.append(ConvGroup.create(rng, block, per_group, spec.kernel_width))
+        if len(members) == per_group:
+            lift.append(ConvGroup(tuple(members), None, None))
+        else:
+            lift.append(ConvGroup.create(rng, members, per_group, spec.kernel_width))
+    act = spec.hidden_activation
+    rcl = RecurrentConvLayer(GroupedConv1DLayer(len(inner) * per_group, inner, act, "same"), spec.iterations)
+    if member_lists == _contiguous_member_lists(len(member_lists), per_group):
+        return [rcl]
+    return [GroupedConv1DLayer(cin, lift, act, "same"), rcl]
 
 
 def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int = 0) -> Model:
@@ -236,7 +264,7 @@ def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int 
             if s in spec.pool_before:
                 layers.append(MaxPool1DLayer(spec.pool_window, spec.pool_stride))
             if spec.recurrent and s < n_stages:
-                layers.append(_recurrent_stage(cin, ch, spec, rng))
+                layers += _recurrent_stage(cin, ch, spec, rng)
             else:
                 layers.append(Conv1DLayer(cin, ch, spec.kernel_width, spec.hidden_activation, "same", rng))
             cin = ch
@@ -258,10 +286,7 @@ def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int 
             if s in spec.pool_before:
                 layers.append(MaxPool1DLayer(spec.pool_window, spec.pool_stride))
             if spec.recurrent and s < n_stages:
-                subnets = [
-                    _recurrent_stage(len(members), per_group, spec, rng) for members in member_lists
-                ]
-                layers.append(GroupedBlockLayer(cin, member_lists, subnets))
+                layers += _grouped_recurrent_stage(cin, member_lists, per_group, spec, rng)
             else:
                 layers.append(
                     GroupedConv1DLayer.create(

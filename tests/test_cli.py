@@ -297,6 +297,20 @@ def test_eval_non_finite_checkpoint_exits_4(series_csv, tmp_path):
     assert run("eval", write_config(tmp_path / "run.yaml", config)) == 4
 
 
+def test_eval_format_2_checkpoint_exits_2(series_csv, tmp_path):
+    spec = M.ModelSpec(input_channels=12, input_width=8, stage_channels=(6, 6),
+                       pool_window=2, pool_stride=2, pool_before=(2,), dense_units=(4, 1))
+    ckpt = tmp_path / "old.json"
+    M.save_checkpoint(M.build_model(spec, seed=0), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["format"] = "gcnn.checkpoint/2"
+    ckpt.write_text(json.dumps(doc))
+
+    config = base_config(series_csv, tmp_path / "out")
+    config["eval"] = {"checkpoint": str(ckpt)}
+    assert run("eval", write_config(tmp_path / "run.yaml", config)) == 2
+
+
 def test_eval_mean_predictor_checkpoint_scores_exactly_one(series_csv, tmp_path):
     # replicate the command's data pipeline to find the test-slice mean
     raw = load_csv(series_csv)
@@ -442,6 +456,16 @@ def test_param_count_grouped_preset_shrinks(tmp_path):
 def test_param_count_without_geometry_exits_2(tmp_path):
     cfg = write_config(tmp_path / "run.yaml", {"model": {"stage_channels": [8]}})
     assert run("param-count", cfg, "--out", str(tmp_path / "out")) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pool_stride", 0), ("pool_window", 0), ("stage_channels", [-4, 4]), ("dense_units", [-2, 1])])
+def test_param_count_non_positive_size_exits_2(tmp_path, capsys, key, value):
+    model = {"input_channels": 4, "input_width": 16, "stage_channels": [4, 4], "pool_before": [2],
+             "pool_window": 4, "pool_stride": 4, "dense_units": [2, 1], key: value}
+    cfg = write_config(tmp_path / "run.yaml", {"model": model, "out": str(tmp_path / "out")})
+    assert run("param-count", cfg) == 2
+    assert ">= 1" in capsys.readouterr().err
 
 
 # -- config plumbing ---------------------------------------------------------

@@ -12,15 +12,14 @@ from gcnn.layers import (
     ConvGroup,
     DenseLayer,
     FlattenLayer,
-    GroupedBlockLayer,
     GroupedConv1DLayer,
     MaxPool1DLayer,
     RecurrentConvLayer,
-    Sequential,
     init_uniform_fanin,
     toy_grouped_dense_forward,
     validate_partition,
 )
+from gcnn.models import ModelSpec, build_model
 from gcnn.tensor import Tensor, backward, grad_check
 
 
@@ -265,6 +264,36 @@ class TestTapeSize:
         ]
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("grouping, sizes", [
+        ("explicit", {2: [7, 7], 7: [2] * 7}),  # every group is lifted to 4 channels
+        ("explicit", {2: [4, 10], 7: [4, 1, 1, 2, 2, 2, 2]}),  # the first group passes through
+        ("coeff", {2: None, 7: None}),
+    ])
+    def test_recurrent_grouped_tape_does_not_grow_with_groups(self, grouping, sizes):
+        # recurrent stages at 4 and 8 channels per group, then a plain grouped stage
+        counts = []
+        for k in (2, 7):
+            spec = ModelSpec(input_channels=14, input_width=9, grouping=grouping, groups=k,
+                             stage_channels=(4 * k, 8 * k, 4 * k), pool_before=(), dense_units=(1,),
+                             recurrent=True, iterations=3)
+            assignment = None
+            if sizes[k] is not None:
+                labels = np.repeat(np.arange(1, k + 1), sizes[k])
+                assignment = [int(g) for g in np.random.default_rng(53).permutation(labels)]
+            counts.append(self.step_tape_entries(build_model(spec, assignment, seed=54), 14))
+        assert counts[0] == counts[1]
+
+    def test_toy_grouped_dense_tape_does_not_grow_with_groups(self):
+        counts = []
+        for k in (2, 7):
+            rng = np.random.default_rng(55)
+            x = Tensor(rng.standard_normal((4, 5)))
+            params = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for shape in ((4, k), (4 * k, 5), (k,), (k,), ())]
+            y = toy_grouped_dense_forward(x, *params)
+            counts.append(len(T.GradTape.from_root(T.mean_all(y * y)).entries))
+        assert counts[0] == counts[1]
+
 
 class TestToyGroupedDense:
     def setup_method(self):
@@ -340,34 +369,40 @@ class TestDenseAndShapes:
         out = MaxPool1DLayer(4, 4).forward(Tensor(np.arange(16.0).reshape(2, 8)))
         assert out.shape == (2, 2)
 
-    def test_sequential_composition_and_params(self):
-        rng = np.random.default_rng(62)
-        seq = Sequential([Conv1DLayer(2, 3, 3, rng=rng), MaxPool1DLayer(2, 2)])
-        out = seq.forward(Tensor(np.random.default_rng(63).standard_normal((2, 8))))
-        assert out.shape == (3, 4)
-        assert [n for n, _ in seq.named_params()] == ["s00.kernels", "s00.bias"]
 
+class TestGroupedRecurrentStage:
+    """A grouped lift with a pass-through group, then a recurrence whose
+    every iteration is one grouped convolution."""
 
-class TestGroupedBlockLayer:
-    def test_per_group_subnets(self):
-        rng = np.random.default_rng(70)
-        subnets = [Conv1DLayer(2, 3, 3, rng=rng), Conv1DLayer(2, 3, 3, rng=rng)]
-        block = GroupedBlockLayer(4, [[0, 1], [2, 3]], subnets)
-        out = block.forward(Tensor(np.random.default_rng(71).standard_normal((4, 6))))
-        assert out.shape == (6, 6)
+    @staticmethod
+    def make_stage(rng):
+        # group 0 = channels (3, 0), already 2 wide, passes through; group 1 =
+        # channel 1 and group 2 = channels (4, 2, 5) are lifted to 2 channels
+        lift = GroupedConv1DLayer(6, [
+            ConvGroup((3, 0), None, None),
+            ConvGroup.create(rng, (1,), 2, 3),
+            ConvGroup.create(rng, (4, 2, 5), 2, 3),
+        ], activation="tanh")
+        inner = make_grouped(rng, 6, [[0, 1], [2, 3], [4, 5]], out_per_group=2, activation="tanh")
+        return lift, RecurrentConvLayer(inner, iterations=3)
 
-    def test_isolation(self):
-        rng = np.random.default_rng(72)
-        subnets = [Conv1DLayer(1, 2, 3, activation="tanh", rng=rng) for _ in range(2)]
-        block = GroupedBlockLayer(2, [[0], [1]], subnets)
-        base = np.random.default_rng(73).standard_normal((2, 6))
+    def test_pass_through_group_is_gathered_unchanged(self):
+        lift, _ = self.make_stage(np.random.default_rng(70))
+        x = np.random.default_rng(71).standard_normal((2, 6, 7))
+        out = lift.forward(Tensor(x))
+        assert out.shape == (2, 6, 7) and lift.out_channels == 6
+        np.testing.assert_array_equal(out.data[:, :2], x[:, [3, 0]])
+        assert [n for n, _ in lift.named_params()] == ["g01.kernels", "g01.bias", "g02.kernels", "g02.bias"]
+
+    @pytest.mark.parametrize("group, channels", [(0, [3, 0]), (1, [1]), (2, [4, 2, 5])])
+    def test_isolation(self, group, channels):
+        # bumping one group's inputs leaves every other group's outputs bit-identical
+        lift, rcl = self.make_stage(np.random.default_rng(72))
+        base = np.random.default_rng(73).standard_normal((3, 6, 8))
         bumped = base.copy()
-        bumped[0] += 1.0
-        out_a = block.forward(Tensor(base))
-        out_b = block.forward(Tensor(bumped))
-        np.testing.assert_array_equal(out_a.data[2:], out_b.data[2:])
-
-    def test_subnet_count_mismatch(self):
-        rng = np.random.default_rng(74)
-        with pytest.raises(ShapeError):
-            GroupedBlockLayer(2, [[0], [1]], [Conv1DLayer(1, 1, 3, rng=rng)])
+        bumped[:, channels] += 1.0
+        out_a = rcl.forward(lift.forward(Tensor(base))).data
+        out_b = rcl.forward(lift.forward(Tensor(bumped))).data
+        others = [ch for ch in range(6) if ch // 2 != group]
+        np.testing.assert_array_equal(out_a[:, others], out_b[:, others])
+        assert np.any(out_a[:, 2 * group : 2 * group + 2] != out_b[:, 2 * group : 2 * group + 2])

@@ -2,19 +2,20 @@
 splits against index-based subsets, the symmetric eigensolver's
 contract on random matrices with and without repeated eigenvalues,
 batched model passes against per-sample ones, memberships on the
-simplex, and grouped convolution against a per-group reference."""
+simplex, and grouped convolution and recurrent grouped stages against
+per-group references."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcnn.data import SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, make_windows, split
 from gcnn import tensor as T
 from gcnn.errors import DataError
-from gcnn.layers import ConvGroup, GroupedConv1DLayer
-from gcnn.models import ModelSpec, build_model
+from gcnn.layers import Conv1DLayer, ConvGroup, GroupedConv1DLayer, RecurrentConvLayer
+from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
 from gcnn.training import PREDICT_CHUNK, evaluate, mse_loss
@@ -160,7 +161,7 @@ def test_sym_eig_contract(a):
         assert vec[lead, j] > 0.0
 
 
-# one small network per grouping mode, plus a recurrent grouped stack
+# one small network per grouping mode, plus recurrent grouped stacks
 TINY = dict(input_channels=4, input_width=8, stage_channels=(6, 6), pool_before=(2,),
             pool_window=2, pool_stride=2, dense_units=(5, 1))
 MODEL_SPECS = {
@@ -168,12 +169,17 @@ MODEL_SPECS = {
     "explicit": ModelSpec(**TINY, grouping="explicit", groups=2),
     "coeff": ModelSpec(**TINY, grouping="coeff", groups=2),
     "rcnn": ModelSpec(**TINY, grouping="explicit", groups=2, recurrent=True, iterations=2),
+    "rcnn-coeff": ModelSpec(**TINY, grouping="coeff", groups=2, recurrent=True, iterations=2),
+    "rcnn-mixed": ModelSpec(**TINY, grouping="explicit", groups=2, recurrent=True, iterations=3),
 }
 
 
 def tiny_model(mode, seed):
     spec = MODEL_SPECS[mode]
-    assignment = [1, 2, 2, 1] if spec.grouping == "explicit" else None
+    assignment = None
+    if spec.grouping == "explicit":
+        # rcnn-mixed: group 1 (channels 0, 2, 3) is already 3 wide and passes through the lift
+        assignment = [1, 2, 1, 1] if mode == "rcnn-mixed" else [1, 2, 2, 1]
     return build_model(spec, assignment, seed=seed)
 
 
@@ -300,3 +306,63 @@ def test_stacked_channelwise_conv_rows_equal_single_kernel_convs(k, kw, padding,
     for j in range(k):
         single = T.channelwise_conv1d(x, Tensor(stack[j]), padding)
         np.testing.assert_allclose(out.data[..., j, :, :], single.data, rtol=0, atol=1e-12)
+
+
+# -- recurrent grouped stages ----------------------------------------------
+
+
+def per_group_recurrent_reference(x, stage, member_lists, per_group, spec):
+    """Gather each group's members, lift them unless already ``per_group``
+    wide, recur with a plain conv, and stack; parameters are the stage's."""
+    lift, inner = (stage[0], stage[1].inner) if len(stage) == 2 else (None, stage[0].inner)
+    outs = []
+    for g, members in enumerate(member_lists):
+        z = T.gather_rows(x, members)
+        if len(members) != per_group:
+            conv = Conv1DLayer(len(members), per_group, spec.kernel_width, spec.hidden_activation)
+            conv.kernels, conv.bias = lift.groups[g].kernels, lift.groups[g].bias
+            z = conv.forward(z)
+        cell = Conv1DLayer(per_group, per_group, spec.kernel_width, spec.hidden_activation)
+        cell.kernels, cell.bias = inner.groups[g].kernels, inner.groups[g].bias
+        outs.append(RecurrentConvLayer(cell, spec.iterations).forward(z))
+    return T.concat(outs, axis=-2)
+
+
+@st.composite
+def recurrent_stage_cases(draw):
+    per_group = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))  # a size equal to per_group passes through
+    shuffle = draw(st.booleans())
+    iterations = draw(st.integers(1, 3))
+    kw = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 7))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    return per_group, sizes, shuffle, iterations, kw, width, batch, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(recurrent_stage_cases())
+@example((2, [2, 1, 3], True, 2, 3, 6, (3,), 0))
+def test_recurrent_grouped_stage_equals_per_group_reference(case):
+    per_group, sizes, shuffle, iterations, kw, width, batch, seed = case
+    rng = np.random.default_rng(seed)
+    c = sum(sizes)
+    channels = rng.permutation(c) if shuffle else np.arange(c)
+    member_lists = [[int(ch) for ch in m] for m in np.split(channels, np.cumsum(sizes)[:-1])]
+    spec = ModelSpec(input_channels=c, input_width=width, kernel_width=kw, iterations=iterations,
+                     hidden_activation="tanh")
+    stage = _grouped_recurrent_stage(c, member_lists, per_group, spec, rng)
+    x = Tensor(rng.standard_normal((*batch, c, width)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((*batch, per_group * len(sizes), width)))
+    leaves = [x] + [t for layer in stage for _, t in layer.named_params()]
+
+    got = x
+    for layer in stage:
+        got = layer.forward(got)
+    want = per_group_recurrent_reference(x, stage, member_lists, per_group, spec)
+    assert got.shape == want.shape == weights.shape
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+    g_got = backward(T.sum_all(got * weights), leaves=leaves)
+    g_want = backward(T.sum_all(want * weights), leaves=leaves)
+    for leaf in leaves:
+        np.testing.assert_allclose(g_got[leaf], g_want[leaf], rtol=1e-10, atol=1e-12)
