@@ -9,8 +9,10 @@ a runnable :class:`Model`.  Builds are pure functions of
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "gcnn.checkpoint/3"
+CHECKPOINT_FORMAT = "gcnn.checkpoint/4"
 
 GROUPING_MODES = ("none", "explicit", "coeff")
 
@@ -143,11 +145,26 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"model spec must be a mapping, got {type(d).__name__}")
+        fields = cls.__dataclass_fields__.values()
+        extra = set(d) - {f.name for f in fields}
         if extra:
             raise ConfigError(f"unknown model spec keys: {sorted(extra)}")
+        missing = [f.name for f in fields if f.name not in d and f.default is MISSING]
+        if missing:
+            raise ConfigError(f"model spec lacks required keys: {missing}")
+        for f in fields:
+            if f.name in d and not _has_type(d[f.name], f.type):
+                raise ConfigError(f"model spec key {f.name!r} must be {f.type}, got {d[f.name]!r}")
         return cls(**d)
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a decoded JSON value fits a ModelSpec field annotation."""
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    return type(value) is {"int": int, "str": str, "bool": bool}[annotation]
 
 
 class Model:
@@ -340,11 +357,12 @@ def preset(name: str, **overrides) -> ModelSpec:
 
 
 def save_checkpoint(model: Model, path: str | Path, meta: dict | None = None) -> None:
-    """Write the model (spec echo, seed, all parameters) as JSON.
+    """Write the model (spec echo, seed, all parameters) as one JSON document.
 
-    Values are serialized row-major through repr, which round-trips
-    fp64 exactly, so save/load/save is byte-stable.  ``meta`` is an
-    optional provenance block stored verbatim and ignored on load.
+    Each parameter's ``f8`` is the base64 of its row-major little-endian
+    float64 bytes, so a load restores every bit and save/load/save is
+    byte-stable.  ``meta`` is an optional provenance block stored verbatim
+    and ignored on load.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -352,7 +370,7 @@ def save_checkpoint(model: Model, path: str | Path, meta: dict | None = None) ->
         "seed": model.seed,
         "assignment": model.assignment,
         "params": [
-            {"name": name, "shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+            {"name": name, "shape": list(t.shape), "f8": _encode_f8(t.data)}
             for name, t in model.named_params()
         ],
     }
@@ -361,27 +379,66 @@ def save_checkpoint(model: Model, path: str | Path, meta: dict | None = None) ->
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def _encode_f8(values: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_f8(name: str, entry: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """One stored parameter as an owned, writable float64 array of ``shape``."""
+    if entry.get("shape") != list(shape):
+        raise ShapeError(f"parameter {name!r} shape {entry.get('shape')} does not match {shape}")
+    payload = entry.get("f8")
+    if not isinstance(payload, str):
+        raise ConfigError(f"parameter {name!r} has no base64 'f8' payload")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as e:
+        raise ConfigError(f"parameter {name!r} payload is not valid base64: {e}") from e
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise ShapeError(f"parameter {name!r} payload holds {len(raw)} bytes, shape {shape} needs {nbytes}")
+    values = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
+    return values
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"checkpoint is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"unsupported checkpoint format {doc.get('format')!r}")
-    spec = ModelSpec.from_dict(doc["spec"])
-    model = build_model(spec, doc.get("assignment"), seed=doc.get("seed", 0))
-    stored = {p["name"]: p for p in doc["params"]}
+    for key in ("spec", "params"):
+        if key not in doc:
+            raise ConfigError(f"checkpoint has no {key!r} key")
+    seed, assignment, params = doc.get("seed", 0), doc.get("assignment"), doc["params"]
+    if not _is_count(seed):
+        raise ConfigError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+    if assignment is not None and not (isinstance(assignment, list) and all(map(_is_count, assignment))):
+        raise ConfigError("checkpoint assignment must be a list of integer labels")
+    if not isinstance(params, list):
+        raise ConfigError(f"checkpoint params must be a list, got {type(params).__name__}")
+    stored: dict[str, dict] = {}
+    for entry in params:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ConfigError("every checkpoint parameter needs a string 'name'")
+        if entry["name"] in stored:
+            raise ConfigError(f"checkpoint parameter {entry['name']!r} appears twice")
+        stored[entry["name"]] = entry
+    model = build_model(ModelSpec.from_dict(doc["spec"]), assignment, seed=seed)
     for name, t in model.named_params():
         if name not in stored:
             raise ConfigError(f"checkpoint is missing parameter {name!r}")
-        entry = stored.pop(name)
-        if tuple(entry["shape"]) != t.shape:
-            raise ShapeError(f"parameter {name!r} shape {entry['shape']} does not match {t.shape}")
-        values = np.array(entry["values"], dtype=np.float64).reshape(t.shape)
-        if not np.isfinite(values).all():
-            raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
-        t.data = values
+        t.data = _decode_f8(name, stored.pop(name), t.shape)
     if stored:
         raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
     return model

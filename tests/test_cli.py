@@ -5,6 +5,7 @@ can be asserted directly.  Training configs are kept tiny; the whole
 file should stay well under a minute.
 """
 
+import base64
 import json
 from pathlib import Path
 
@@ -283,32 +284,66 @@ def test_eval_missing_checkpoint_exits_2(series_csv, tmp_path):
     assert run("eval", cfg) == 2
 
 
-def test_eval_non_finite_checkpoint_exits_4(series_csv, tmp_path):
+def eval_doctored(series_csv, tmp_path, doctor) -> int:
+    """Exit code of `gcnn eval` on a checkpoint whose JSON document
+    ``doctor`` rewrote."""
     spec = M.ModelSpec(input_channels=12, input_width=8, stage_channels=(6, 6),
                        pool_window=2, pool_stride=2, pool_before=(2,), dense_units=(4, 1))
     ckpt = tmp_path / "doctored.json"
     M.save_checkpoint(M.build_model(spec, seed=0), ckpt)
-    doc = json.loads(ckpt.read_text())
-    doc["params"][0]["values"][0] = float("nan")  # json writes it as NaN, and reads it back
-    ckpt.write_text(json.dumps(doc))
+    ckpt.write_text(json.dumps(doctor(json.loads(ckpt.read_text()))))
 
     config = base_config(series_csv, tmp_path / "out")
     config["eval"] = {"checkpoint": str(ckpt)}
-    assert run("eval", write_config(tmp_path / "run.yaml", config)) == 4
+    return run("eval", write_config(tmp_path / "run.yaml", config))
+
+
+def first_payload(edit):
+    """Doctor that passes the first parameter's raw <f8 bytes through ``edit``."""
+    def doctor(doc):
+        entry = doc["params"][0]
+        entry["f8"] = base64.b64encode(edit(base64.b64decode(entry["f8"]))).decode("ascii")
+        return doc
+    return doctor
+
+
+def first_value(value):
+    return first_payload(lambda raw: np.array([value], "<f8").tobytes() + raw[8:])
+
+
+def test_eval_undoctored_checkpoint_exits_0(series_csv, tmp_path):
+    # the control for the doctored cases below
+    assert eval_doctored(series_csv, tmp_path, lambda doc: doc) == 0
+
+
+def test_eval_non_finite_checkpoint_exits_4(series_csv, tmp_path):
+    assert eval_doctored(series_csv, tmp_path, first_value(float("nan"))) == 4
+
+
+def test_eval_infinite_checkpoint_exits_4(series_csv, tmp_path):
+    assert eval_doctored(series_csv, tmp_path, first_value(float("inf"))) == 4
 
 
 def test_eval_format_2_checkpoint_exits_2(series_csv, tmp_path):
-    spec = M.ModelSpec(input_channels=12, input_width=8, stage_channels=(6, 6),
-                       pool_window=2, pool_stride=2, pool_before=(2,), dense_units=(4, 1))
-    ckpt = tmp_path / "old.json"
-    M.save_checkpoint(M.build_model(spec, seed=0), ckpt)
-    doc = json.loads(ckpt.read_text())
-    doc["format"] = "gcnn.checkpoint/2"
-    ckpt.write_text(json.dumps(doc))
+    for old in ("gcnn.checkpoint/1", "gcnn.checkpoint/2", "gcnn.checkpoint/3"):
+        assert eval_doctored(series_csv, tmp_path, lambda doc: {**doc, "format": old}) == 2
 
-    config = base_config(series_csv, tmp_path / "out")
-    config["eval"] = {"checkpoint": str(ckpt)}
-    assert run("eval", write_config(tmp_path / "run.yaml", config)) == 2
+
+@pytest.mark.parametrize("doctor", [
+    lambda doc: {**doc, "params": [{**doc["params"][0], "f8": "!!!!"}] + doc["params"][1:]},
+    first_payload(lambda raw: raw[:-8]),
+    first_payload(lambda raw: raw + bytes(8)),
+    lambda doc: [doc],
+    lambda doc: {k: v for k, v in doc.items() if k != "spec"},
+    lambda doc: {k: v for k, v in doc.items() if k != "params"},
+    lambda doc: {**doc, "params": {p["name"]: p for p in doc["params"]}},
+    lambda doc: {**doc, "params": [{k: v for k, v in p.items() if k != "name"} for p in doc["params"]]},
+    lambda doc: {**doc, "seed": 1.5},
+    lambda doc: {**doc, "params": doc["params"] + doc["params"][:1]},
+], ids=["bad-base64", "payload-short", "payload-long", "array", "no-spec", "no-params",
+        "params-not-list", "nameless-param", "float-seed", "duplicate-param"])
+def test_eval_malformed_checkpoint_exits_2(series_csv, tmp_path, doctor):
+    assert eval_doctored(series_csv, tmp_path, doctor) == 2
 
 
 def test_eval_mean_predictor_checkpoint_scores_exactly_one(series_csv, tmp_path):

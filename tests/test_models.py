@@ -1,10 +1,17 @@
 """Model assembly: preset geometries, parameter counts, grouping
 degeneracies, and checkpoint round-trips."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gcnn.errors import ConfigError, ShapeError
+from gcnn.data import WindowedRegressionSet
+from gcnn.errors import ConfigError, NumericalError, ShapeError
 from gcnn.layers import (
     ClusteringCoeffLayer,
     Conv1DLayer,
@@ -23,6 +30,7 @@ from gcnn.models import (
     save_checkpoint,
 )
 from gcnn.tensor import Tensor
+from gcnn.training import TrainConfig, train
 
 SMALL = ModelSpec(
     input_channels=6,
@@ -320,22 +328,32 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_previous_format_rejected(self, tmp_path):
-        # format 2 named recurrent parameters per group sub-stack; refuse it whole
-        import json
-
+        # formats 1-3 stored values as JSON numbers, and 2 named recurrent
+        # parameters per group sub-stack; refuse them whole
         spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2, "recurrent": True})
         path = tmp_path / "model.json"
         save_checkpoint(build_model(spec, assignment=balanced_assignment(6, 2), seed=16), path)
         doc = json.loads(path.read_text())
-        doc["format"] = "gcnn.checkpoint/2"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="format"):
-            load_checkpoint(path)
+        for old in ("gcnn.checkpoint/1", "gcnn.checkpoint/2", "gcnn.checkpoint/3"):
+            doc["format"] = old
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match="format"):
+                load_checkpoint(path)
 
     def test_truncated_json_rejected(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"format": "gcnn.checkpoint/1", "spec": {')
         with pytest.raises(ConfigError, match="JSON"):
+            load_checkpoint(path)
+
+    def test_non_integer_assignment_rejected(self, tmp_path):
+        spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2})
+        path = tmp_path / "model.json"
+        save_checkpoint(build_model(spec, assignment=balanced_assignment(6, 2), seed=22), path)
+        doc = json.loads(path.read_text())
+        doc["assignment"] = [float(label) for label in doc["assignment"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="assignment"):
             load_checkpoint(path)
 
     def test_missing_param_rejected(self, tmp_path):
@@ -349,3 +367,105 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="missing"):
             load_checkpoint(path)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        model = build_model(ModelSpec(**{**SMALL.to_dict(), "grouping": "coeff", "groups": 2}), seed=17)
+        for _, t in model.named_params():
+            t.data += 0.1
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(model, first, meta={"config": "abc"})
+        save_checkpoint(load_checkpoint(first), second, meta={"config": "abc"})
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_params_are_owned_writable_float64(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(build_model(SMALL, seed=18), path)
+        model = load_checkpoint(path)
+        loaded = [t.data for _, t in model.named_params()]
+        before = [data.copy() for data in loaded]
+        for data in loaded:
+            assert data.dtype == np.float64 and data.dtype.isnative
+            assert data.flags.owndata and data.flags.writeable and data.flags.c_contiguous
+        rng = np.random.default_rng(19)
+        wset = WindowedRegressionSet(
+            inputs=rng.standard_normal((24, 6, 8)), targets=rng.standard_normal(24),
+            times=np.arange(24.0), channel_names=[f"c{i}" for i in range(6)], target_name="y", window=8)
+        train(model, wset, TrainConfig(epochs=1, batch_size=8, seed=0))
+        # the SGD step moved the loaded arrays themselves
+        assert all(np.any(data != old) for data, old in zip(loaded, before))
+
+    def test_bad_base64_rejected(self, tmp_path):
+        def garble(doc):
+            doc["params"][0]["f8"] = "!!!!"
+            return doc
+
+        with pytest.raises(ConfigError, match="base64"):
+            load_checkpoint(checkpoint_doc(tmp_path, garble))
+
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(8)], ids=["short", "long"])
+    def test_payload_length_mismatch_rejected(self, tmp_path, edit):
+        with pytest.raises(ShapeError, match="bytes"):
+            load_checkpoint(checkpoint_doc(tmp_path, first_payload(edit)))
+
+    def test_infinite_payload_rejected(self, tmp_path):
+        poison = first_payload(lambda raw: np.array([np.inf], "<f8").tobytes() + raw[8:])
+        with pytest.raises(NumericalError, match="non-finite"):
+            load_checkpoint(checkpoint_doc(tmp_path, poison))
+
+    @pytest.mark.parametrize("doctor, problem", [
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "spec"}, "'spec'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "'params'"),
+        (lambda doc: {**doc, "params": {p["name"]: p for p in doc["params"]}}, "params must be a list"),
+        (lambda doc: {**doc, "params": [{k: v for k, v in p.items() if k != "name"} for p in doc["params"]]},
+         "'name'"),
+        (lambda doc: {**doc, "seed": 1.5}, "seed"),
+        (lambda doc: {**doc, "seed": -1}, "seed"),
+        (lambda doc: {**doc, "params": doc["params"] + doc["params"][:1]}, "twice"),
+        (lambda doc: {**doc, "spec": [doc["spec"]]}, "mapping"),
+        (lambda doc: {**doc, "spec": {k: v for k, v in doc["spec"].items() if k != "input_width"}}, "input_width"),
+        (lambda doc: {**doc, "spec": {**doc["spec"], "input_channels": "6"}}, "input_channels"),
+        (lambda doc: {**doc, "spec": {**doc["spec"], "stage_channels": [8, 8.5]}}, "stage_channels"),
+    ], ids=["array", "no-spec", "no-params", "params-not-list", "nameless-param", "float-seed", "negative-seed",
+            "duplicate", "spec-not-mapping", "spec-field-missing", "spec-field-str", "spec-field-float"])
+    def test_malformed_document_rejected(self, tmp_path, doctor, problem):
+        with pytest.raises(ConfigError, match=problem):
+            load_checkpoint(checkpoint_doc(tmp_path, doctor))
+
+
+def checkpoint_doc(tmp_path, doctor):
+    """Save a fresh SMALL model, let ``doctor`` rewrite its JSON document,
+    and return the rewritten file's path."""
+    path = tmp_path / "doctored.json"
+    save_checkpoint(build_model(SMALL, seed=20), path)
+    path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+    return path
+
+
+def first_payload(edit):
+    """Doctor that passes the first parameter's raw <f8 bytes through ``edit``."""
+    def doctor(doc):
+        entry = doc["params"][0]
+        entry["f8"] = base64.b64encode(edit(base64.b64decode(entry["f8"]))).decode("ascii")
+        return doc
+    return doctor
+
+
+TINY = ModelSpec(input_channels=2, input_width=4, stage_channels=(2,), pool_before=(), dense_units=(1,))
+TINY_SIZE = count_params(build_model(TINY))
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, TINY_SIZE, elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.resize(np.array(EXTREMES), TINY_SIZE))
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, flat):
+    model = build_model(TINY, seed=21)
+    offset = 0
+    for _, t in model.named_params():
+        t.data = flat[offset : offset + t.size].reshape(t.shape)
+        offset += t.size
+    path = tmp_path_factory.getbasetemp() / "roundtrip.json"
+    save_checkpoint(model, path)
+    for (_, saved), (_, loaded) in zip(model.named_params(), load_checkpoint(path).named_params()):
+        np.testing.assert_array_equal(loaded.data.view("<u8"), saved.data.view("<u8"))
