@@ -27,7 +27,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,101 +63,69 @@ _MODEL_DEFAULTS: dict = {
     "input_width": None,
 }
 
-_DATA_DEFAULTS: dict = {"path": None, "target": None, "window": None, "max_gap": D.DEFAULT_MAX_GAP}
-_SPLIT_DEFAULTS: dict = {"train_fraction": 0.9, "mode": "chronological"}
-_TRAIN_DEFAULTS: dict = {
-    "epochs": 200,
-    "batch_size": 16,
-    "learning_rate": 1e-3,
-    "momentum": 0.0,
-    "val_fraction": 0.1,
-    "clip_norm": 10.0,
-    "assignment": None,
+# the split and train sections are the fields of the dataclasses they
+# build; seed is top-level, and train also names the assignment file
+_SPLIT_SCHEMA = {f.name: (f.type, f.default) for f in fields(D.SplitSpec) if f.name != "seed"}
+_TRAIN_SCHEMA = {f.name: (f.type, f.default) for f in fields(R.TrainConfig) if f.name != "seed"}
+_TRAIN_SCHEMA["assignment"] = ("str | None", None)
+_DATA_SCHEMA = {
+    "path": ("str | None", None),
+    "target": ("str | None", None),
+    "window": ("int | None", None),
+    "max_gap": ("int", D.DEFAULT_MAX_GAP),
 }
-_EVAL_DEFAULTS: dict = {"checkpoint": None, "split": "test"}
+_EVAL_SCHEMA = {"checkpoint": ("str | None", None), "split": ("str", "test")}
 _COMPARE_DEFAULTS: dict = {"repeats": 3, "ridge_penalty": 1.0, "targets": None, "candidates": []}
+# config annotation of each model key: ModelSpec's, except that the
+# geometry may wait for the data and family stands in for ``recurrent``
+_MODEL_TYPES = {f.name: f.type for f in fields(M.ModelSpec)} | {
+    "preset": "str | None",
+    "family": "str",
+    "input_channels": "int | None",
+    "input_width": "int | None",
+}
 
 # reserved row names in compare summaries
 _BASELINES = ("linear", "ridge")
 
 
-def _type_name(v) -> str:
-    return type(v).__name__
-
-
-def _as_int(path: str, v) -> int:
-    # bool is an int subclass; reject it explicitly
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}: expected an integer, got {_type_name(v)}")
-    return v
-
-
-def _as_float(path: str, v) -> float:
-    # YAML 1.1 leaves bare exponents like 1e-3 as strings; the schema
-    # knows this field is numeric, so finish the parse here
-    if isinstance(v, str):
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"{path}: expected a number, got {v!r}") from None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {_type_name(v)}")
-    return float(v)
-
-
-def _as_str(path: str, v) -> str:
-    if not isinstance(v, str) or not v:
-        raise ConfigError(f"{path}: expected a non-empty string, got {v!r}")
-    return v
-
-
-def _as_int_list(path: str, v) -> list[int]:
-    if not isinstance(v, list):
-        raise ConfigError(f"{path}: expected a list of integers, got {_type_name(v)}")
-    return [_as_int(f"{path}[{i}]", x) for i, x in enumerate(v)]
-
-
-def _reject_unknown(section: dict, known, where: str) -> None:
+def _mapping(section, where: str, known) -> dict:
+    """A config section as a dict ({} for None), refusing unknown keys."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(section).__name__}")
     extra = sorted(set(section) - set(known))
     if extra:
         raise ConfigError(f"{where}.{extra[0]}: unknown setting")
+    return section
 
 
-def _resolve_model(section: dict, where: str = "model") -> dict:
+def _resolve_section(section, schema: dict, where: str) -> dict:
+    section = _mapping(section, where, schema)
+    return {key: M.check_setting(f"{where}.{key}", section.get(key, default), annotation)
+            for key, (annotation, default) in schema.items()}
+
+
+def _resolve_model(section, where: str = "model") -> dict:
     """Merge a model section over its preset (or the defaults).
 
     Returns a fully-populated dict in config vocabulary: ``family`` is
     cnn/rcnn, geometry keys may stay None until data supplies them.
     """
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {_type_name(section)}")
-    _reject_unknown(section, _MODEL_DEFAULTS, where)
-    preset_name = section.get("preset")
+    section = _mapping(section, where, _MODEL_DEFAULTS)
+    preset_name = M.check_setting(f"{where}.preset", section.get("preset"), "str | None")
     if preset_name is not None:
-        spec = M.preset(_as_str(f"{where}.preset", preset_name))
-        base = spec.to_dict()
+        base = M.preset(preset_name).to_dict()
         base["family"] = "rcnn" if base.pop("recurrent") else "cnn"
     else:
-        base = {k: v for k, v in _MODEL_DEFAULTS.items() if k != "preset"}
-    for key, value in section.items():
-        if key != "preset":
-            base[key] = value
-
-    out: dict = {"preset": preset_name}
-    out["family"] = _as_str(f"{where}.family", base["family"])
+        base = dict(_MODEL_DEFAULTS)
+    base.update(section, preset=preset_name)
+    out = {key: M.check_setting(f"{where}.{key}", base[key], _MODEL_TYPES[key]) for key in _MODEL_DEFAULTS}
     if out["family"] not in ("cnn", "rcnn"):
         raise ConfigError(f"{where}.family: must be cnn or rcnn, got {out['family']!r}")
-    out["grouping"] = _as_str(f"{where}.grouping", base["grouping"])
     if out["grouping"] not in M.GROUPING_MODES:
         raise ConfigError(f"{where}.grouping: must be one of {M.GROUPING_MODES}, got {out['grouping']!r}")
-    for key in ("groups", "iterations", "kernel_width", "pool_window", "pool_stride"):
-        out[key] = _as_int(f"{where}.{key}", base[key])
-    for key in ("stage_channels", "pool_before", "dense_units"):
-        out[key] = _as_int_list(f"{where}.{key}", list(base[key]))
-    for key in ("hidden_activation", "output_activation"):
-        out[key] = _as_str(f"{where}.{key}", base[key])
-    for key in ("input_channels", "input_width"):
-        out[key] = None if base[key] is None else _as_int(f"{where}.{key}", base[key])
     if out["grouping"] == "explicit" and out["groups"] < 2:
         raise ConfigError(f"{where}.groups: explicit grouping needs at least 2 groups")
     if out["family"] == "rcnn" and out["iterations"] < 1:
@@ -165,43 +133,18 @@ def _resolve_model(section: dict, where: str = "model") -> dict:
     return out
 
 
-def _resolve_section(section, defaults: dict, where: str, floats, strs) -> dict:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {_type_name(section)}")
-    _reject_unknown(section, defaults, where)
-    out = dict(defaults)
-    out.update(section)
-    for key, value in out.items():
-        path = f"{where}.{key}"
-        if value is None and defaults[key] is None:
-            continue
-        if key in floats:
-            out[key] = _as_float(path, value)
-        elif key in strs:
-            out[key] = _as_str(path, value)
-        else:
-            out[key] = _as_int(path, value)
-    return out
-
-
 def _resolve_compare(section, where: str = "compare") -> dict:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {_type_name(section)}")
-    _reject_unknown(section, _COMPARE_DEFAULTS, where)
-    out = dict(_COMPARE_DEFAULTS)
-    out.update(section)
-    out["repeats"] = _as_int(f"{where}.repeats", out["repeats"])
-    out["ridge_penalty"] = _as_float(f"{where}.ridge_penalty", out["ridge_penalty"])
+    out = {**_COMPARE_DEFAULTS, **_mapping(section, where, _COMPARE_DEFAULTS)}
+    out["repeats"] = M.check_setting(f"{where}.repeats", out["repeats"], "int")
+    out["ridge_penalty"] = M.check_setting(f"{where}.ridge_penalty", out["ridge_penalty"], "float")
     if out["repeats"] < 1:
         raise ConfigError(f"{where}.repeats: must be >= 1, got {out['repeats']}")
+    if not out["ridge_penalty"] >= 0.0:
+        raise ConfigError(f"{where}.ridge_penalty: must be >= 0, got {out['ridge_penalty']}")
     if out["targets"] is not None:
         if not isinstance(out["targets"], list) or not out["targets"]:
             raise ConfigError(f"{where}.targets: expected a non-empty list of series names")
-        out["targets"] = [_as_str(f"{where}.targets[{i}]", t) for i, t in enumerate(out["targets"])]
+        out["targets"] = [M.check_setting(f"{where}.targets[{i}]", t, "str") for i, t in enumerate(out["targets"])]
     if not isinstance(out["candidates"], list):
         raise ConfigError(f"{where}.candidates: expected a list")
     resolved = []
@@ -210,12 +153,12 @@ def _resolve_compare(section, where: str = "compare") -> dict:
         here = f"{where}.candidates[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{here}: expected a mapping with name and model")
-        _reject_unknown(entry, ("name", "model"), here)
-        name = _as_str(f"{here}.name", entry.get("name"))
+        _mapping(entry, here, ("name", "model"))
+        name = M.check_setting(f"{here}.name", entry.get("name"), "str")
         if name in seen:
             raise ConfigError(f"{here}.name: {name!r} already taken (linear/ridge are reserved)")
         seen.add(name)
-        resolved.append({"name": name, "model": _resolve_model(entry.get("model") or {}, f"{here}.model")})
+        resolved.append({"name": name, "model": _resolve_model(entry.get("model"), f"{here}.model")})
     out["candidates"] = resolved
     return out
 
@@ -226,13 +169,16 @@ class RunConfig:
 
     ``doc`` is the canonical tree the config hash is computed over; the
     output directory lives outside it so relocating a run's artifacts
-    does not change their content.
+    does not change their content.  ``split`` and ``train`` are the
+    range-checked objects the split and train sections build.
     """
 
     command: str
     doc: dict
     config_hash: str
     out_dir: Path
+    split: D.SplitSpec
+    train: R.TrainConfig
 
     @classmethod
     def load(
@@ -253,7 +199,7 @@ class RunConfig:
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
-            raise ConfigError(f"config: expected a mapping at the top level, got {_type_name(raw)}")
+            raise ConfigError(f"config: expected a mapping at the top level, got {type(raw).__name__}")
         for item in overrides or []:
             _apply_override(raw, item)
         if seed is not None:
@@ -266,27 +212,25 @@ class RunConfig:
     def resolve(cls, command: str, raw: dict) -> "RunConfig":
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
-        _reject_unknown(raw, _TOP_KEYS, "config")
+        _mapping(raw, "config", _TOP_KEYS)
         doc = {
-            "data": _resolve_section(raw.get("data"), _DATA_DEFAULTS, "data",
-                                     floats=(), strs=("path", "target")),
-            "split": _resolve_section(raw.get("split"), _SPLIT_DEFAULTS, "split",
-                                      floats=("train_fraction",), strs=("mode",)),
-            "model": _resolve_model(raw.get("model") or {}),
-            "train": _resolve_section(raw.get("train"), _TRAIN_DEFAULTS, "train",
-                                      floats=("learning_rate", "momentum", "val_fraction", "clip_norm"),
-                                      strs=("assignment",)),
-            "eval": _resolve_section(raw.get("eval"), _EVAL_DEFAULTS, "eval",
-                                     floats=(), strs=("checkpoint", "split")),
+            "data": _resolve_section(raw.get("data"), _DATA_SCHEMA, "data"),
+            "split": _resolve_section(raw.get("split"), _SPLIT_SCHEMA, "split"),
+            "model": _resolve_model(raw.get("model")),
+            "train": _resolve_section(raw.get("train"), _TRAIN_SCHEMA, "train"),
+            "eval": _resolve_section(raw.get("eval"), _EVAL_SCHEMA, "eval"),
             "compare": _resolve_compare(raw.get("compare")),
-            "seed": _as_int("seed", raw.get("seed", 0)),
+            "seed": M.check_setting("seed", raw.get("seed", 0), "int"),
         }
-        if doc["split"]["mode"] not in ("chronological", "shuffled"):
-            raise ConfigError(f"split.mode: must be chronological or shuffled, got {doc['split']['mode']!r}")
+        # range checks live in the dataclasses; they run here, for every
+        # command, before any data is read or any artifact written
+        split = _build(D.SplitSpec, "split", **doc["split"], seed=doc["seed"])
+        train = _build(R.TrainConfig, "train", **{k: v for k, v in doc["train"].items() if k != "assignment"},
+                       seed=doc["seed"])
         if doc["eval"]["split"] not in ("test", "val", "train"):
             raise ConfigError(f"eval.split: must be test, val or train, got {doc['eval']['split']!r}")
-        out_dir = raw.get("out", "out")
-        cfg = cls(command, doc, _hash_doc(doc), Path(_as_str("out", out_dir)))
+        out_dir = Path(M.check_setting("out", raw.get("out", "out"), "str"))
+        cfg = cls(command, doc, _hash_doc(doc), out_dir, split, train)
         cfg._validate_for_command()
         return cfg
 
@@ -318,17 +262,9 @@ class RunConfig:
     def grouping(self) -> str:
         return self.doc["model"]["grouping"]
 
-    def split_spec(self) -> D.SplitSpec:
-        s = self.doc["split"]
-        return D.SplitSpec(train_fraction=s["train_fraction"], mode=s["mode"], seed=self.seed)
-
     def train_config(self) -> R.TrainConfig:
-        t = self.doc["train"]
-        return R.TrainConfig(
-            epochs=t["epochs"], batch_size=t["batch_size"], learning_rate=t["learning_rate"],
-            momentum=t["momentum"], seed=self.seed, val_fraction=t["val_fraction"],
-            clip_norm=t["clip_norm"],
-        )
+        """The resolved train section; perfbench reads it through this name."""
+        return self.train
 
     def model_spec(self, section: dict | None = None,
                    input_channels: int | None = None, input_width: int | None = None) -> M.ModelSpec:
@@ -340,22 +276,8 @@ class RunConfig:
             raise ConfigError("model.input_channels: required here (set it or name a preset)")
         if iw is None:
             raise ConfigError("model.input_width: required here (set data.window or name a preset)")
-        spec = M.ModelSpec(
-            input_channels=ic,
-            input_width=iw,
-            grouping=m["grouping"],
-            groups=m["groups"],
-            stage_channels=tuple(m["stage_channels"]),
-            kernel_width=m["kernel_width"],
-            pool_window=m["pool_window"],
-            pool_stride=m["pool_stride"],
-            pool_before=tuple(m["pool_before"]),
-            dense_units=tuple(m["dense_units"]),
-            recurrent=m["family"] == "rcnn",
-            iterations=m["iterations"],
-            hidden_activation=m["hidden_activation"],
-            output_activation=m["output_activation"],
-        )
+        named = {f.name: m[f.name] for f in fields(M.ModelSpec) if f.name in m}
+        spec = M.ModelSpec(**{**named, "input_channels": ic, "input_width": iw, "recurrent": m["family"] == "rcnn"})
         spec.validate()
         return spec
 
@@ -378,7 +300,6 @@ class RunConfig:
         if self.window is None and cmd != "ingest":
             raise ConfigError("data.window: required (or name a preset that sets the width)")
         if self.window is not None:
-            _as_int("data.window", self.window)
             if self.window < 1:
                 raise ConfigError(f"data.window: must be >= 1, got {self.window}")
             preset_width = self.doc["model"]["input_width"]
@@ -395,11 +316,20 @@ class RunConfig:
             self._require_file(self.doc["train"]["assignment"], "train.assignment")
         if cmd == "eval":
             self._require_file(self.eval_checkpoint_path(), "eval.checkpoint")
-            if self.doc["eval"]["split"] == "val" and self.doc["train"]["val_fraction"] == 0.0:
+            if self.doc["eval"]["split"] == "val" and self.train.val_fraction == 0.0:
                 raise ConfigError("eval.split: no validation slice when train.val_fraction is 0")
 
     def eval_checkpoint_path(self) -> str:
         return self.doc["eval"]["checkpoint"] or str(self.out_dir / "checkpoint.json")
+
+
+def _build(cls, where: str, **kw):
+    """The dataclass a config section sets up; its range errors, which
+    start with the field name, gain the section's name."""
+    try:
+        return cls(**kw)
+    except ConfigError as e:
+        raise ConfigError(f"{where}.{e}") from None
 
 
 def _apply_override(doc: dict, item: str) -> None:
@@ -442,7 +372,7 @@ def _prepare(cfg: RunConfig) -> Prepared:
     repaired, report = D.repair_gaps(raw, max_gap=cfg.doc["data"]["max_gap"])
     # training range = leading fraction of the time axis; scaling and the
     # similarity graph must not see the evaluation tail
-    train_steps = min(repaired.n_steps, max(2, int(repaired.n_steps * cfg.doc["split"]["train_fraction"])))
+    train_steps = min(repaired.n_steps, max(2, int(repaired.n_steps * cfg.split.train_fraction)))
     scaled, stats, flat = D.standardize(repaired, train_steps)
     dropped = list(report.dropped) + [(name, "constant over the training range") for name in flat]
     return Prepared(scaled, stats, train_steps, list(report.filled), dropped)
@@ -466,15 +396,20 @@ def _cluster_inputs(prep: Prepared, target: str, k: int, seed: int) -> tuple[lis
 
 def _read_assignment(path: Path) -> dict[str, int]:
     mapping: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#") or s == "series_name,group_id":
             continue
         name, sep, label = s.rpartition(",")
+        name = name.strip()
         if not sep or not name:
             raise DataError(f"{path}:{line_no}: expected series_name,group_id")
+        if name in first_line:
+            raise DataError(f"{path}:{line_no}: series {name!r} already assigned on line {first_line[name]}")
+        first_line[name] = line_no
         try:
-            mapping[name.strip()] = int(label)
+            mapping[name] = int(label)
         except ValueError:
             raise DataError(f"{path}:{line_no}: group id {label!r} is not an integer") from None
     if not mapping:
@@ -589,7 +524,7 @@ def cmd_cluster(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
     wset = D.make_windows(prep.dataset, cfg.target, cfg.window)
-    train_set, test_set = D.split(wset, cfg.split_spec())
+    train_set, test_set = D.split(wset, cfg.split)
 
     labels = None
     if cfg.grouping == "explicit":
@@ -605,7 +540,7 @@ def cmd_train(cfg: RunConfig) -> int:
     for line in _plan_lines(model.spec, n_params, vanilla):
         print(line)
 
-    result = R.train(model, train_set, cfg.train_config())
+    result = R.train(model, train_set, cfg.train)
     ckpt_path = cfg.out_dir / "checkpoint.json"
     M.save_checkpoint(result.model, ckpt_path, meta={"config": cfg.config_hash})
     history_path = _write_csv(cfg, "history.csv", R.history_csv(result.history))
@@ -638,12 +573,12 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
     wset = D.make_windows(prep.dataset, cfg.target, cfg.window)
-    train_set, test_set = D.split(wset, cfg.split_spec())
+    train_set, test_set = D.split(wset, cfg.split)
     which = cfg.doc["eval"]["split"]
     if which == "test":
         chosen = test_set
     else:
-        fit_set, val_set = R.validation_carve(train_set, cfg.doc["train"]["val_fraction"])
+        fit_set, val_set = R.validation_carve(train_set, cfg.train.val_fraction)
         chosen = val_set if which == "val" else fit_set
 
     model = M.load_checkpoint(cfg.eval_checkpoint_path())
@@ -686,7 +621,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     try:
         for target in picks:
             wset = D.make_windows(prep.dataset, target, cfg.window)
-            train_set, test_set = D.split(wset, cfg.split_spec())
+            train_set, test_set = D.split(wset, cfg.split)
             results["linear"][target] = R.linear_baseline(train_set, test_set, 0.0).srmse
             results["ridge"][target] = R.linear_baseline(
                 train_set, test_set, cfg.doc["compare"]["ridge_penalty"]).srmse
@@ -699,7 +634,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                         assignments[k] = _cluster_inputs(prep, target, k, cfg.seed)[1]
                     labels = assignments[k].labels
                 model = _build_for(cfg, wset, cand["model"], labels)
-                fitted = R.train(model, train_set, cfg.train_config())
+                fitted = R.train(model, train_set, cfg.train)
                 results[cand["name"]][target] = R.evaluate(fitted.model, test_set).srmse
     finally:
         # a failing member keeps whatever finished before it

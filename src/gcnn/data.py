@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "TimeSeriesDataset",
@@ -183,17 +184,21 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise DataError(f"train fraction must be in (0, 1), got {self.train_fraction}")
+            raise ConfigError(f"train_fraction: must be in (0, 1), got {self.train_fraction}")
         if self.mode not in ("chronological", "shuffled"):
-            raise DataError(f"unknown split mode {self.mode!r}")
+            raise ConfigError(f"mode: must be chronological or shuffled, got {self.mode!r}")
 
 
 def _parse_time(token: str, line_no: int) -> float:
     token = token.strip()
     try:
-        return float(token)
+        stamp = float(token)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(stamp):
+            raise DataError(f"line {line_no}: time stamp {token!r} is not finite")
+        return stamp
     try:
         return float(datetime.date.fromisoformat(token).toordinal())
     except ValueError:
@@ -219,11 +224,13 @@ def loads_csv(text: str) -> TimeSeriesDataset:
         raise DataError("need a time column plus at least 2 series columns")
     names = header[1:]
     times: list[float] = []
+    line_nos: list[int] = []
     columns: list[list[float]] = [[] for _ in names]
     mask_cols: list[list[bool]] = [[] for _ in names]
     for line_no, row in rows[1:]:
         if not row or all(not cell.strip() for cell in row):
             continue
+        line_nos.append(line_no)
         if len(row) != len(header):
             raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
         stamp = _parse_time(row[0], line_no)
@@ -244,12 +251,16 @@ def loads_csv(text: str) -> TimeSeriesDataset:
                 mask_cols[i].append(True)
     if not times:
         raise DataError("no data rows")
-    return TimeSeriesDataset(
-        names=names,
-        times=np.array(times),
-        values=np.array(columns),
-        mask=np.array(mask_cols),
-    )
+    values, mask = np.array(columns), np.array(mask_cols)
+    # float() also reads nan and inf; refuse them as present values (empty
+    # cells are the missing ones).  One vectorized pass per series keeps
+    # the temporaries small next to the parse's own peak.
+    for i, name in enumerate(names):
+        bad = mask[i] & ~np.isfinite(values[i])
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise DataError(f"line {line_nos[t]}: series {name!r} holds non-finite value {float(values[i, t])!r}")
+    return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
 
 
 def load_csv(path: str | Path) -> TimeSeriesDataset:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,24 +147,45 @@ class ModelSpec:
     def from_dict(cls, d: dict) -> "ModelSpec":
         if not isinstance(d, dict):
             raise ConfigError(f"model spec must be a mapping, got {type(d).__name__}")
-        fields = cls.__dataclass_fields__.values()
-        extra = set(d) - {f.name for f in fields}
+        types = {f.name: f.type for f in fields(cls)}
+        extra = set(d) - set(types)
         if extra:
             raise ConfigError(f"unknown model spec keys: {sorted(extra)}")
-        missing = [f.name for f in fields if f.name not in d and f.default is MISSING]
+        missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
         if missing:
             raise ConfigError(f"model spec lacks required keys: {missing}")
-        for f in fields:
-            if f.name in d and not _has_type(d[f.name], f.type):
-                raise ConfigError(f"model spec key {f.name!r} must be {f.type}, got {d[f.name]!r}")
-        return cls(**d)
+        return cls(**{k: check_setting(f"spec.{k}", v, types[k]) for k, v in d.items()})
 
 
-def _has_type(value, annotation: str) -> bool:
-    """Whether a decoded JSON value fits a ModelSpec field annotation."""
+_EXPECTED = {"int": "an integer", "float": "a number", "str": "a non-empty string", "bool": "true or false"}
+
+
+def check_setting(path: str, value, annotation: str):
+    """``value`` checked against a dataclass field annotation, or a
+    ConfigError naming ``path``.
+
+    ``X | None`` admits None.  ``float`` takes integers, and strings
+    YAML 1.1 leaves unparsed (bare exponents like ``1e-3``), and returns
+    a float.  ``tuple[int, ...]`` takes a list or tuple of integers and
+    returns a list.  bool is never an integer.
+    """
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
     if annotation == "tuple[int, ...]":
-        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
-    return type(value) is {"int": int, "str": str, "bool": bool}[annotation]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list of integers, got {type(value).__name__}")
+        return [check_setting(f"{path}[{i}]", v, "int") for i, v in enumerate(value)]
+    if annotation == "float" and isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+    kinds = {"int": int, "float": (int, float), "str": str, "bool": bool}[annotation]
+    if isinstance(value, bool) != (annotation == "bool") or not isinstance(value, kinds) or value == "":
+        raise ConfigError(f"{path}: expected {_EXPECTED[annotation]}, got {value!r}")
+    return float(value) if annotation == "float" else value
 
 
 class Model:

@@ -141,37 +141,34 @@ def _check_assignment(g: SimilarityGraph, assignment: GroupAssignment) -> None:
         raise ShapeError(f"assignment covers {len(assignment.labels)} vertices, graph has {g.n}")
 
 
+def _boundary(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Every w_ij with i in group k and j outside it, flattened."""
+    return w[np.ix_(labels == k, labels != k)].ravel()
+
+
 def cut_value(g: SimilarityGraph, assignment: GroupAssignment) -> float:
     """Half the total boundary weight summed over groups.
 
     cut = 1/2 * sum_k link(A_k, complement of A_k), where link adds every
-    w_ij with i inside and j outside the group.
+    w_ij with i inside and j outside the group.  One fsum over every
+    boundary weight rounds once.
     """
     _check_assignment(g, assignment)
-    w = g.weights
     labels = np.asarray(assignment.labels)
-    terms = []
-    for k in range(1, assignment.k + 1):
-        inside = np.flatnonzero(labels == k)
-        outside = np.flatnonzero(labels != k)
-        terms.extend(w[i, j] for i in inside for j in outside)
-    return 0.5 * math.fsum(terms)
+    ks = range(1, assignment.k + 1)
+    return 0.5 * math.fsum(np.concatenate([_boundary(g.weights, labels, k) for k in ks]))
 
 
 def ncut_value(g: SimilarityGraph, assignment: GroupAssignment) -> float:
     """Normalized cut: 1/2 * sum_k link(A_k, outside) / vol(A_k)."""
     _check_assignment(g, assignment)
-    w = g.weights
     labels = np.asarray(assignment.labels)
     ratios = []
     for k in range(1, assignment.k + 1):
-        inside = np.flatnonzero(labels == k)
-        outside = np.flatnonzero(labels != k)
-        vol = math.fsum(g.degrees[i] for i in inside)
+        vol = math.fsum(g.degrees[labels == k])
         if vol <= 0.0:
             raise NumericalError(f"group {k} has zero volume")
-        link = math.fsum(w[i, j] for i in inside for j in outside)
-        ratios.append(link / vol)
+        ratios.append(math.fsum(_boundary(g.weights, labels, k)) / vol)
     return 0.5 * math.fsum(ratios)
 
 

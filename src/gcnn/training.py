@@ -49,19 +49,20 @@ class TrainConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate < 0.0:
+        # each test is written so that NaN fails it
+        if not self.epochs >= 1:
+            raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
+        if not self.batch_size >= 1:
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        if not self.learning_rate >= 0.0:
             # zero is allowed: a no-op run is the cheapest sanity check
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"learning_rate: must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(f"momentum: must be in [0, 1), got {self.momentum}")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError(f"validation fraction must be in [0, 1), got {self.val_fraction}")
-        if self.clip_norm <= 0.0:
-            raise ConfigError(f"clip norm must be > 0, got {self.clip_norm}")
+            raise ConfigError(f"val_fraction: must be in [0, 1), got {self.val_fraction}")
+        if not self.clip_norm > 0.0:
+            raise ConfigError(f"clip_norm: must be > 0, got {self.clip_norm}")
 
 
 @dataclass

@@ -554,3 +554,94 @@ def test_every_artifact_names_the_config_hash(series_csv, tmp_path):
         assert (out / name).read_text().splitlines()[0] == stamp
     checkpoint = json.loads((out / "checkpoint.json").read_text())
     assert checkpoint["meta"]["config"] == stamp.split()[-1]
+
+
+# -- settings schema ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["ingest", "cluster", "train", "eval", "compare"])
+@pytest.mark.parametrize("section, key, value", [
+    ("split", "train_fraction", 1.5),
+    ("split", "train_fraction", 0.0),
+    ("split", "train_fraction", -1.0),
+    ("train", "val_fraction", 1.5),
+    ("train", "val_fraction", -0.5),
+    ("train", "epochs", 0),
+    ("train", "batch_size", 0),
+    ("train", "learning_rate", float("nan")),
+    ("compare", "ridge_penalty", -1.0),
+])
+def test_out_of_range_setting_exits_2_at_load(series_csv, tmp_path, capsys, command, section, key, value):
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(series_csv)  # exists; never read
+    doc["eval"] = {"split": "val", "checkpoint": str(series_csv)}
+    doc["compare"] = {"repeats": 1, "candidates": [{"name": "net", "model": doc["model"]}]}
+    doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run(command, cfg) == 2
+    assert f"{section}.{key}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_hash_is_pinned():
+    """The hash of one fixed config; a schema change that moves it would
+    change the stamp on every artifact."""
+    raw = {
+        "data": {"path": "levels.csv", "target": "station_07", "window": 64},
+        "split": {"train_fraction": 0.8, "mode": "shuffled"},
+        "model": {"grouping": "explicit", "groups": 5, "family": "rcnn", "input_channels": 87,
+                  "input_width": 64, "stage_channels": [30, 15], "pool_before": [2], "dense_units": [32, 1]},
+        "train": {"epochs": 50, "batch_size": 32, "learning_rate": "1e-3", "assignment": "assignment.csv"},
+        "eval": {"split": "val"},
+        "compare": {"repeats": 2, "candidates": [{"name": "wide", "model": {"preset": "water-cnn-grouped"}}]},
+        "seed": 7,
+    }
+    cfg = cli.RunConfig.resolve("param-count", raw)
+    assert cfg.config_hash == "160aba7b9d9acec2e9990d5d81e059c8a2b9dee1b6f9d7672daee49e612fc9fb"
+    assert cfg.train_config().learning_rate == 1e-3
+    assert (cfg.split.train_fraction, cfg.split.mode, cfg.split.seed) == (0.8, "shuffled", 7)
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("epochs", 2.0, "an integer"), ("epochs", True, "an integer"), ("learning_rate", "fast", "a number"),
+    ("momentum", [0.5], "a number"), ("assignment", "", "a non-empty string")])
+def test_mistyped_train_setting_exits_2(series_csv, tmp_path, capsys, key, value, expected):
+    doc = base_config(series_csv, tmp_path / "out")
+    doc["train"][key] = value
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("ingest", cfg) == 2
+    assert f"train.{key}: expected {expected}" in capsys.readouterr().err
+
+
+# -- input checks --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["ingest", "train"])
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_csv_cell_exits_3(series_csv, tmp_path, capsys, command, token):
+    lines = series_csv.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[5].split(",")
+    cells[2] = token
+    lines[5] = ",".join(cells)
+    poisoned = tmp_path / "poisoned.csv"
+    poisoned.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "run.yaml", base_config(poisoned, tmp_path / "out"))
+    assert run(command, cfg) == 3
+    assert f"line 6: series {header[2]!r} holds non-finite value" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_duplicate_series_in_assignment_exits_3(series_csv, tmp_path, capsys):
+    doc = cluster_config(series_csv, tmp_path)
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("cluster", cfg) == 0
+    table = tmp_path / "out" / "assignment.csv"
+    lines = table.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines, start=1) if line.startswith("g1s"))
+    name = lines[first - 1].rpartition(",")[0]
+    table.write_text("\n".join(lines + [f"{name},2"]) + "\n")
+    doc["train"]["assignment"] = str(table)
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("train", cfg) == 3
+    assert f":{len(lines) + 1}: series {name!r} already assigned on line {first}" in capsys.readouterr().err

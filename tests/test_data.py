@@ -15,7 +15,7 @@ from gcnn.data import (
     split,
     standardize,
 )
-from gcnn.errors import DataError
+from gcnn.errors import ConfigError, DataError
 
 
 def dataset(values, names=None, mask=None, times=None):
@@ -61,6 +61,16 @@ class TestLoadCsv:
     def test_bad_value_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
             loads_csv("time,a,b\n0,oops,2\n")
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_reports_line_and_series(self, token):
+        with pytest.raises(DataError, match="line 4: series 'b' holds non-finite"):
+            loads_csv(f"time,a,b\n0,1,2\n# comment\n1,3,{token}\n2,,{token}\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_time_stamp_rejected(self, token):
+        with pytest.raises(DataError, match="line 3: time stamp .* is not finite"):
+            loads_csv(f"time,a,b\n0,1,2\n{token},3,4\n")
 
     def test_needs_two_series(self):
         with pytest.raises(DataError):
@@ -298,7 +308,7 @@ class TestSplit:
             split(wset, SplitSpec(0.4))  # floor(2 * 0.4) = 0 train samples
 
     def test_fraction_bounds(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SplitSpec(1.0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SplitSpec(0.0)

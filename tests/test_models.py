@@ -23,6 +23,7 @@ from gcnn.layers import (
 )
 from gcnn.models import (
     ModelSpec,
+    check_setting,
     build_model,
     count_params,
     load_checkpoint,
@@ -469,3 +470,22 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, flat):
     save_checkpoint(model, path)
     for (_, saved), (_, loaded) in zip(model.named_params(), load_checkpoint(path).named_params()):
         np.testing.assert_array_equal(loaded.data.view("<u8"), saved.data.view("<u8"))
+
+
+@pytest.mark.parametrize("value, annotation, expected", [
+    (3, "int", 3), (None, "int | None", None), (2, "float", 2.0), ("1e-3", "float", 1e-3),
+    ("run", "str", "run"), (False, "bool", False), ((1, 2), "tuple[int, ...]", [1, 2]), ([], "tuple[int, ...]", []),
+])
+def test_check_setting_accepts_and_normalises(value, annotation, expected):
+    got = check_setting("x", value, annotation)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("value, annotation", [
+    (True, "int"), (1.0, "int"), (None, "int"), ("1", "int"), (False, "float"), ("fast", "float"),
+    ("", "str"), (3, "str"), (1, "bool"), ("1, 2", "tuple[int, ...]"), ([1, 2.5], "tuple[int, ...]"),
+    ([True], "tuple[int, ...]"),
+])
+def test_check_setting_rejects_with_path(value, annotation):
+    with pytest.raises(ConfigError, match=r"^sec\.key(\[\d\])?: expected"):
+        check_setting("sec.key", value, annotation)
