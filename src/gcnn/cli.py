@@ -293,12 +293,10 @@ class RunConfig:
 
     def _validate_for_command(self) -> None:
         cmd = self.command
-        if cmd == "param-count":
-            self.model_spec()
-            return
-        self._require_file(self.data_path, "data.path")
-        if self.window is None and cmd != "ingest":
-            raise ConfigError("data.window: required (or name a preset that sets the width)")
+        if cmd != "param-count":
+            self._require_file(self.data_path, "data.path")
+            if self.window is None and cmd != "ingest":
+                raise ConfigError("data.window: required (or name a preset that sets the width)")
         if self.window is not None:
             if self.window < 1:
                 raise ConfigError(f"data.window: must be >= 1, got {self.window}")
@@ -306,6 +304,9 @@ class RunConfig:
             dw = self.doc["data"]["window"]
             if dw is not None and preset_width is not None and dw != preset_width:
                 raise ConfigError(f"data.window: {dw} does not match the model input width {preset_width}")
+        if cmd == "param-count":
+            self.model_spec(input_width=self.window)
+            return
         if self.doc["data"]["max_gap"] < 0:
             raise ConfigError(f"data.max_gap: must be >= 0, got {self.doc['data']['max_gap']}")
         if cmd in ("cluster", "train", "eval") and self.target is None:
@@ -427,14 +428,14 @@ def _aligned_labels(mapping: dict[str, int], channel_names: list[str]) -> list[i
     return [mapping[n] for n in channel_names]
 
 
-def _build_for(cfg: RunConfig, wset: D.WindowedRegressionSet, section: dict,
-               labels: list[int] | None) -> M.Model:
-    m = section
-    if m["input_channels"] is not None and m["input_channels"] != wset.n_channels:
-        raise ShapeError(
-            f"model expects {m['input_channels']} input channels, dataset provides {wset.n_channels}")
-    spec = cfg.model_spec(m, input_channels=wset.n_channels, input_width=wset.window)
-    return M.build_model(spec, labels, seed=cfg.seed)
+def _spec_for(cfg: RunConfig, section: dict, n_channels: int) -> M.ModelSpec:
+    """The model a config section describes, over ``n_channels`` input
+    series and ``cfg.window`` steps."""
+    if section["input_channels"] is not None and section["input_channels"] != n_channels:
+        raise ShapeError(f"model expects {section['input_channels']} input channels, dataset provides {n_channels}")
+    if section["input_width"] is not None and section["input_width"] != cfg.window:
+        raise ShapeError(f"model expects {section['input_width']}-step windows, data.window is {cfg.window}")
+    return cfg.model_spec(section, input_channels=n_channels, input_width=cfg.window)
 
 
 # -- artifact helpers -----------------------------------------------------
@@ -530,7 +531,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.grouping == "explicit":
         mapping = _read_assignment(Path(cfg.doc["train"]["assignment"]))
         labels = _aligned_labels(mapping, wset.channel_names)
-    model = _build_for(cfg, wset, cfg.model, labels)
+    model = M.build_model(_spec_for(cfg, cfg.model, wset.n_channels), labels, seed=cfg.seed)
     n_params = M.count_params(model)
     vanilla = _vanilla_twin(model.spec) if cfg.grouping != "none" else None
     if cfg.grouping == "explicit":
@@ -614,8 +615,16 @@ def _pick_targets(cfg: RunConfig, names: list[str]) -> list[str]:
 
 def cmd_compare(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
-    picks = _pick_targets(cfg, prep.dataset.names)
     candidates = cfg.doc["compare"]["candidates"]
+    # every candidate's geometry is checked before the first baseline
+    # writes anything; each target leaves the other series as inputs
+    specs = []
+    for i, cand in enumerate(candidates):
+        try:
+            specs.append(_spec_for(cfg, cand["model"], prep.dataset.n_series - 1))
+        except (ConfigError, ShapeError) as e:
+            raise ConfigError(f"compare.candidates[{i}].model: {e}") from None
+    picks = _pick_targets(cfg, prep.dataset.names)
     order = list(_BASELINES) + [c["name"] for c in candidates]
     results: dict[str, dict[str, float]] = {name: {} for name in order}
     try:
@@ -626,14 +635,13 @@ def cmd_compare(cfg: RunConfig) -> int:
             results["ridge"][target] = R.linear_baseline(
                 train_set, test_set, cfg.doc["compare"]["ridge_penalty"]).srmse
             assignments: dict[int, S.GroupAssignment] = {}  # by k: cluster once per target
-            for cand in candidates:
+            for cand, spec in zip(candidates, specs):
                 labels = None
-                if cand["model"]["grouping"] == "explicit":
-                    k = cand["model"]["groups"]
-                    if k not in assignments:
-                        assignments[k] = _cluster_inputs(prep, target, k, cfg.seed)[1]
-                    labels = assignments[k].labels
-                model = _build_for(cfg, wset, cand["model"], labels)
+                if spec.grouping == "explicit":
+                    if spec.groups not in assignments:
+                        assignments[spec.groups] = _cluster_inputs(prep, target, spec.groups, cfg.seed)[1]
+                    labels = assignments[spec.groups].labels
+                model = M.build_model(spec, labels, seed=cfg.seed)
                 fitted = R.train(model, train_set, cfg.train)
                 results[cand["name"]][target] = R.evaluate(fitted.model, test_set).srmse
     finally:
@@ -661,7 +669,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_param_count(cfg: RunConfig) -> int:
-    spec = cfg.model_spec()
+    spec = cfg.model_spec(input_width=cfg.window)
     labels = None
     if spec.grouping == "explicit":
         # any valid partition gives the same count; round-robin is always valid

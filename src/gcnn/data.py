@@ -267,9 +267,9 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
     return loads_csv(Path(path).read_text())
 
 
-def dumps_csv(data: TimeSeriesDataset, time_name: str = "time") -> str:
+def dumps_csv(data: TimeSeriesDataset) -> str:
     """Render the wide format back out; repr round-trips fp64 exactly."""
-    lines = [",".join([time_name] + data.names)]
+    lines = [",".join(["time"] + data.names)]
     for t in range(data.n_steps):
         cells = [repr(float(data.times[t]))]
         for i in range(data.n_series):
@@ -278,8 +278,8 @@ def dumps_csv(data: TimeSeriesDataset, time_name: str = "time") -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_csv(data: TimeSeriesDataset, path: str | Path, time_name: str = "time") -> None:
-    Path(path).write_text(dumps_csv(data, time_name))
+def save_csv(data: TimeSeriesDataset, path: str | Path) -> None:
+    Path(path).write_text(dumps_csv(data))
 
 
 def _missing_runs(present: np.ndarray) -> list[tuple[int, int]]:

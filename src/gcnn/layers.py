@@ -83,7 +83,7 @@ class Layer:
 
 
 class Conv1DLayer(Layer):
-    """1-D convolution (stride 1) followed by an activation."""
+    """Width-preserving 1-D convolution followed by an activation."""
 
     def __init__(
         self,
@@ -91,27 +91,23 @@ class Conv1DLayer(Layer):
         out_channels: int,
         kernel_width: int = 3,
         activation: str = "relu",
-        padding: str = "same",
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         if kernel_width < 1:
             raise ShapeError(f"kernel width must be >= 1, got {kernel_width}")
         if activation not in T.ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind {activation!r}")
-        if padding not in T.PADDING_MODES:
-            raise ValueError(f"unknown padding mode {padding!r}")
-        rng = rng or np.random.default_rng()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_width = kernel_width
         self.activation = activation
-        self.padding = padding
         fan_in = in_channels * kernel_width
         self.kernels = init_uniform_fanin(rng, (out_channels, in_channels, kernel_width), fan_in)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.activation(T.conv1d(x, self.kernels, self.bias, padding=self.padding), self.activation)
+        return T.activation(T.conv1d(x, self.kernels, self.bias), self.activation)
 
     def named_params(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
@@ -149,7 +145,7 @@ class GroupedConv1DLayer(Layer):
     out group-major.  Members must partition the inputs.
     """
 
-    def __init__(self, in_channels: int, groups: Sequence[ConvGroup], activation: str = "relu", padding: str = "same"):
+    def __init__(self, in_channels: int, groups: Sequence[ConvGroup], activation: str = "relu"):
         validate_partition([g.members for g in groups], in_channels)
         conv = [g for g in groups if g.kernels is not None]
         for g in conv:
@@ -161,7 +157,6 @@ class GroupedConv1DLayer(Layer):
         self.in_channels = in_channels
         self.groups = list(groups)
         self.activation = activation
-        self.padding = padding
         self.kernels = [g.kernels for g in conv]
         self.biases = [g.bias for g in conv]
         order = [ch for g in conv for ch in g.members]
@@ -185,12 +180,11 @@ class GroupedConv1DLayer(Layer):
         out_per_group: int,
         kernel_width: int = 3,
         activation: str = "relu",
-        padding: str = "same",
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ) -> "GroupedConv1DLayer":
-        rng = rng or np.random.default_rng()
         groups = [ConvGroup.create(rng, members, out_per_group, kernel_width) for members in member_lists]
-        return cls(in_channels, groups, activation=activation, padding=padding)
+        return cls(in_channels, groups, activation=activation)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.in_channels:
@@ -198,7 +192,7 @@ class GroupedConv1DLayer(Layer):
         rows = x
         if self.kernels:
             xs = x if self.order is None else T.gather_rows(x, self.order)
-            out = T.activation(T.grouped_conv1d(xs, self.kernels, self.biases, self.padding), self.activation)
+            out = T.activation(T.grouped_conv1d(xs, self.kernels, self.biases), self.activation)
             if self.layout is None:
                 return out
             rows = T.concat([out, x], axis=-2)
@@ -217,9 +211,8 @@ class RecurrentConvLayer(Layer):
     """Unrolled recurrent convolution with a single shared parameter set.
 
     z_1 = sigma(W * x + b); z_m = sigma(W * (x + z_{m-1}) + b).  The skip
-    sum forces matching channel counts and width-preserving padding, so
-    the inner convolution, plain or grouped, must map C -> C with "same"
-    padding.
+    sum needs matching shapes; every convolution keeps its width, so the
+    inner convolution, plain or grouped, must only map C -> C channels.
     """
 
     def __init__(self, inner: Conv1DLayer | GroupedConv1DLayer, iterations: int):
@@ -229,8 +222,6 @@ class RecurrentConvLayer(Layer):
             raise ShapeError(
                 f"recurrent conv needs matching channels, got {inner.in_channels} -> {inner.out_channels}"
             )
-        if inner.padding != "same":
-            raise ShapeError("recurrent conv requires width-preserving (same) padding")
         self.inner = inner
         self.iterations = iterations
 
@@ -261,17 +252,15 @@ class ClusteringCoeffLayer(Layer):
         n_groups: int,
         kernel_width: int = 3,
         activation: str = "relu",
-        padding: str = "same",
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         if n_groups < 1:
             raise ValueError(f"need at least one group, got {n_groups}")
-        rng = rng or np.random.default_rng()
         self.n_variables = n_variables
         self.n_groups = n_groups
         self.kernel_width = kernel_width
         self.activation = activation
-        self.padding = padding
         # near-uniform membership with broken symmetry
         self.logits = Tensor(rng.uniform(-0.01, 0.01, size=(n_variables, n_groups)), requires_grad=True)
         self.kernels = init_uniform_fanin(rng, (n_groups, kernel_width), kernel_width)
@@ -285,7 +274,7 @@ class ClusteringCoeffLayer(Layer):
         if x.shape[-2] != self.n_variables:
             raise ShapeError(f"expected {self.n_variables} variables, got {x.shape[-2]} channels")
         k, n = self.n_groups, self.n_variables
-        conv = T.channelwise_conv1d(x, self.kernels, padding=self.padding)  # (..., K, N, W)
+        conv = T.channelwise_conv1d(x, self.kernels)  # (..., K, N, W)
         scaled = conv * T.reshape(T.transpose(self.coefficients()), (k, n, 1))
         pre = scaled + T.reshape(self.bias, (k, 1, 1))
         return T.activation(T.reshape(pre, (*x.shape[:-2], k * n, pre.shape[-1])), self.activation)
@@ -302,9 +291,9 @@ class DenseLayer(Layer):
         in_features: int,
         out_features: int,
         activation: str = "linear",
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
-        rng = rng or np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
         self.activation = activation

@@ -245,12 +245,12 @@ def _contiguous_member_lists(n_groups: int, per_group: int) -> list[list[int]]:
 def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Generator) -> list[Layer]:
     """Recurrent conv stage; lift channels first when cin != cout."""
     rcl = RecurrentConvLayer(
-        Conv1DLayer(cout, cout, spec.kernel_width, spec.hidden_activation, "same", rng),
+        Conv1DLayer(cout, cout, spec.kernel_width, spec.hidden_activation, rng=rng),
         spec.iterations,
     )
     if cin == cout:
         return [rcl]
-    return [Conv1DLayer(cin, cout, spec.kernel_width, spec.hidden_activation, "same", rng), rcl]
+    return [Conv1DLayer(cin, cout, spec.kernel_width, spec.hidden_activation, rng=rng), rcl]
 
 
 def _grouped_recurrent_stage(
@@ -269,10 +269,10 @@ def _grouped_recurrent_stage(
         else:
             lift.append(ConvGroup.create(rng, members, per_group, spec.kernel_width))
     act = spec.hidden_activation
-    rcl = RecurrentConvLayer(GroupedConv1DLayer(len(inner) * per_group, inner, act, "same"), spec.iterations)
+    rcl = RecurrentConvLayer(GroupedConv1DLayer(len(inner) * per_group, inner, act), spec.iterations)
     if member_lists == _contiguous_member_lists(len(member_lists), per_group):
         return [rcl]
-    return [GroupedConv1DLayer(cin, lift, act, "same"), rcl]
+    return [GroupedConv1DLayer(cin, lift, act), rcl]
 
 
 def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int = 0) -> Model:
@@ -304,15 +304,13 @@ def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int 
             if spec.recurrent and s < n_stages:
                 layers += _recurrent_stage(cin, ch, spec, rng)
             else:
-                layers.append(Conv1DLayer(cin, ch, spec.kernel_width, spec.hidden_activation, "same", rng))
+                layers.append(Conv1DLayer(cin, ch, spec.kernel_width, spec.hidden_activation, rng=rng))
             cin = ch
     else:
         k = spec.groups
         if spec.grouping == "coeff":
             layers.append(
-                ClusteringCoeffLayer(
-                    spec.input_channels, k, spec.kernel_width, spec.hidden_activation, "same", rng
-                )
+                ClusteringCoeffLayer(spec.input_channels, k, spec.kernel_width, spec.hidden_activation, rng=rng)
             )
             member_lists = _contiguous_member_lists(k, spec.input_channels)
             cin = k * spec.input_channels
@@ -329,7 +327,7 @@ def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int 
                 layers.append(
                     GroupedConv1DLayer.create(
                         cin, member_lists, per_group, spec.kernel_width,
-                        spec.hidden_activation, "same", rng,
+                        spec.hidden_activation, rng=rng,
                     )
                 )
             member_lists = _contiguous_member_lists(k, per_group)
@@ -341,7 +339,7 @@ def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int 
     for i, units in enumerate(spec.dense_units):
         last = i == len(spec.dense_units) - 1
         act = spec.output_activation if last else spec.hidden_activation
-        layers.append(DenseLayer(features, units, act, rng))
+        layers.append(DenseLayer(features, units, act, rng=rng))
         features = units
 
     return Model(spec, layers, list(assignment) if assignment is not None else None, seed)

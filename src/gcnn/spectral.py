@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 DENSE_EIG_LIMIT = 2048
+# Lloyd iterations before k-means stops without converging
+KMEANS_MAX_ITER = 300
 
 
 @dataclass
@@ -209,7 +211,7 @@ def sym_eig(a: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> tuple[np.ndarr
     return eigenvalues, vectors
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> GroupAssignment:
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> GroupAssignment:
     """Lloyd's algorithm with greedy farthest-point seeding.
 
     The first center is drawn from the seeded generator; each further
@@ -234,7 +236,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Gr
         centers[c] = points[int(np.argmax(d2))]
 
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         for c in range(k):

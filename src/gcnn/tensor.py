@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 ACTIVATION_KINDS = ("relu", "tanh", "linear")
-PADDING_MODES = ("same", "valid")
 
 _grad_enabled: ContextVar[bool] = ContextVar("gcnn_grad_enabled", default=True)
 
@@ -370,31 +369,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution and pooling
 
 
-def _padding_amounts(padding: str, kw: int) -> tuple[int, int]:
-    if padding == "same":
-        left = (kw - 1) // 2
-        return left, kw - 1 - left
-    if padding == "valid":
-        return 0, 0
-    raise ValueError(f"unknown padding mode {padding!r}")
+def _unfold(x: np.ndarray, kw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Same-pad the width of a (..., C, W) array and view its windows.
+
+    (kw - 1) // 2 zeros go on the left and the rest on the right, so
+    there are exactly W windows.  Returns the padded array and its
+    (..., C, W, kw) sliding-window view.
+    """
+    left = (kw - 1) // 2
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 1) + ((left, kw - 1 - left),))
+    return xp, sliding_window_view(xp, kw, axis=-1)
 
 
-def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, padding: str = "same") -> Tensor:
-    """Sliding inner product over the width of a (..., C, W) signal, stride 1.
+def _fold(g: np.ndarray, xp: np.ndarray, kw: int) -> np.ndarray:
+    """Adjoint of :func:`_unfold` (col2im): add the (..., C, kw, W)
+    window gradient ``g`` back onto the padded input and crop the pad."""
+    width = g.shape[-1]
+    gxp = np.zeros_like(xp)
+    for dt in range(kw):
+        gxp[..., dt : dt + width] += g[..., dt, :]
+    left = (kw - 1) // 2
+    return gxp[..., left : left + width]
 
-    ``kernels`` is (out_channels, in_channels, kernel_width); output width
-    is preserved under "same" padding and shrinks by kernel_width - 1
-    under "valid".  The orientation is cross-correlation: the kernel is
+
+def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Sliding inner product over the width of a (..., C, W) signal.
+
+    ``kernels`` is (out_channels, in_channels, kernel_width).  Every
+    convolution is stride 1 with same padding, so the output keeps the
+    input's width.  The orientation is cross-correlation: the kernel is
     applied as stored, without flipping.  This is the one-group case of
     :func:`grouped_conv1d`.
     """
-    return grouped_conv1d(x, [kernels], [bias], padding)
+    return grouped_conv1d(x, [kernels], [bias])
 
 
-def grouped_conv1d(
-    x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], padding: str = "same"
-) -> Tensor:
-    """Grouped convolution of a (..., C, W) signal as one op, stride 1.
+def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """Grouped convolution of a (..., C, W) signal as one op.
 
     Group g has (O_g, C_g, kw) ``kernels[g]`` and (O_g,) ``biases[g]`` and
     reads the next C_g input channels, so the groups cover contiguous
@@ -418,14 +429,10 @@ def grouped_conv1d(
     for k, b in zip(kernels, biases):
         if b.shape != (k.shape[0],):
             raise ShapeError(f"conv1d bias must have shape ({k.shape[0]},), got {b.shape}")
-    pl, pr = _padding_amounts(padding, kw)
-    if kw > width + pl + pr:
-        raise ShapeError(f"kernel width {kw} exceeds padded input width {width + pl + pr}")
 
-    xp = np.pad(x.data, ((0, 0),) * (x.ndim - 1) + ((pl, pr),))
-    wout = xp.shape[-1] - kw + 1
+    xp, windows = _unfold(x.data, kw)
     # row i*kw + t of each sample's column matrix is channel i shifted by t
-    cols = np.swapaxes(sliding_window_view(xp, kw, axis=-1), -1, -2).reshape(*x.shape[:-2], cin * kw, wout)
+    cols = np.swapaxes(windows, -1, -2).reshape(*x.shape[:-2], cin * kw, width)
     # (output rows, column rows, flattened kernels) per group
     blocks = []
     o0 = c0 = 0
@@ -433,7 +440,7 @@ def grouped_conv1d(
         o, c, _ = k.shape
         blocks.append((slice(o0, o0 + o), slice(c0 * kw, (c0 + c) * kw), k.data.reshape(o, c * kw)))
         o0, c0 = o0 + o, c0 + c
-    data = np.empty((*x.shape[:-2], o0, wout))
+    data = np.empty((*x.shape[:-2], o0, width))
     for rows, crows, k2 in blocks:
         np.matmul(k2, cols[..., crows, :], out=data[..., rows, :])
     data += np.concatenate([b.data for b in biases])[:, None]
@@ -453,13 +460,7 @@ def grouped_conv1d(
                 gks.append(np.tensordot(gg, cols[..., crows, :], axes=(summed, summed)).reshape(k.shape) if nk else None)
                 if need_x:
                     np.matmul(k2.T, gg, out=gcols[..., crows, :])
-            gx = None
-            if need_x:
-                gcols = gcols.reshape(*xp.shape[:-1], kw, wout)
-                gxp = np.zeros_like(xp)
-                for dt in range(kw):
-                    gxp[..., dt : dt + wout] += gcols[..., dt, :]
-                gx = gxp[..., pl : pl + width]
+            gx = _fold(gcols.reshape(*x.shape[:-1], kw, width), xp, kw) if need_x else None
             return (gx, *gks, *gbs)
 
         return rule
@@ -467,52 +468,39 @@ def grouped_conv1d(
     return _record(data, (x, *kernels, *biases), rule_factory)
 
 
-def channelwise_conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
+def channelwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Convolve every channel of a (..., C, W) ``x`` with shared kernels.
 
-    ``kernel`` is a stack of K (K, kw) kernels, each applied independently
-    (and identically) to every row, giving (..., K, C, Wout); no
-    cross-channel mixing happens.  A flat (kw,) kernel is the same with
-    the K axis dropped: (..., C, Wout).
+    ``kernels`` is a stack of K (K, kw) kernels, each applied
+    independently (and identically) to every row, giving (..., K, C, W);
+    no cross-channel mixing happens.
     """
-    if x.ndim < 2 or kernel.ndim not in (1, 2):
+    if x.ndim < 2 or kernels.ndim != 2:
         raise ShapeError(
-            f"channelwise_conv1d needs (...,C,W) input and (kw,) or (K,kw) kernels, got {x.shape}, {kernel.shape}"
+            f"channelwise_conv1d needs (...,C,W) input and (K,kw) kernels, got {x.shape}, {kernels.shape}"
         )
-    cin, width = x.shape[-2:]
-    kw = kernel.shape[-1]
-    pl, pr = _padding_amounts(padding, kw)
-    if kw > width + pl + pr:
-        raise ShapeError(f"kernel width {kw} exceeds padded input width {width + pl + pr}")
-
-    xp = np.pad(x.data, ((0, 0),) * (x.ndim - 1) + ((pl, pr),))
-    windows = sliding_window_view(xp, kw, axis=-1)  # (..., C, wout, kw)
-    kd = kernel.data.reshape(-1, kw)  # (K, kw); K = 1 for a flat kernel
-    stacked = np.moveaxis(windows @ kd.T, -1, -3)  # (..., K, C, wout)
-    wout = stacked.shape[-1]
-    data = stacked.reshape(*x.shape[:-2], *kernel.shape[:-1], cin, wout)
+    kw = kernels.shape[1]
+    xp, windows = _unfold(x.data, kw)  # windows: (..., C, W, kw)
+    kd = kernels.data
+    data = np.moveaxis(windows @ kd.T, -1, -3)  # (..., K, C, W)
 
     def rule_factory():
         need_x = x.requires_grad
-        need_k = kernel.requires_grad
+        need_k = kernels.requires_grad
 
         def rule(g):
             gx = gk = None
-            gs = np.moveaxis(g.reshape(stacked.shape), -3, -1)  # (..., C, wout, K)
+            gs = np.moveaxis(g, -3, -1)  # (..., C, W, K)
             if need_k:
                 lead = tuple(range(gs.ndim - 1))
-                gk = np.tensordot(gs, windows, axes=(lead, lead)).reshape(kernel.shape)
+                gk = np.tensordot(gs, windows, axes=(lead, lead))
             if need_x:
-                gwin = gs @ kd  # (..., C, wout, kw)
-                gxp = np.zeros_like(xp)
-                for dt in range(kw):
-                    gxp[..., dt : dt + wout] += gwin[..., dt]
-                gx = gxp[..., pl : pl + width]
+                gx = _fold(np.swapaxes(gs @ kd, -1, -2), xp, kw)
             return gx, gk
 
         return rule
 
-    return _record(data, (x, kernel), rule_factory)
+    return _record(data, (x, kernels), rule_factory)
 
 
 def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:

@@ -69,8 +69,8 @@ def conv_instance(rng):
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     kw = int(rng.integers(1, 4))
     width = int(rng.integers(kw, kw + 5))
-    padding = "same" if rng.integers(2) else "valid"
-    layer = Conv1DLayer(cin, cout, kw, activation="tanh", padding=padding, rng=rng)
+    rng.integers(2)  # discarded draw; keeps the instances that follow as they were
+    layer = Conv1DLayer(cin, cout, kw, activation="tanh", rng=rng)
     x = Tensor(rng.standard_normal((cin, width)), requires_grad=True)
     w = Tensor(rng.standard_normal(layer.forward(x).shape))
     leaves = [x] + [t for _, t in layer.named_params()]
@@ -103,7 +103,7 @@ def rcl_instance(rng, iterations):
     c = int(rng.integers(1, 4))
     kw = int(rng.integers(1, 4))
     width = int(rng.integers(3, 7))
-    inner = Conv1DLayer(c, c, kw, activation="tanh", padding="same", rng=rng)
+    inner = Conv1DLayer(c, c, kw, activation="tanh", rng=rng)
     layer = RecurrentConvLayer(inner, iterations)
     x = Tensor(rng.standard_normal((c, width)), requires_grad=True)
     w = Tensor(rng.standard_normal((c, width)))
@@ -119,9 +119,9 @@ def grouped_instance(rng):
     members = [order[a:b] for a, b in zip([0] + cuts, cuts + [cin])]
     kw = int(rng.integers(1, 4))
     width = int(rng.integers(kw, kw + 4))
-    layer = GroupedConv1DLayer.create(
-        cin, members, out_per_group=int(rng.integers(1, 3)), kernel_width=kw,
-        activation="tanh", padding="same" if rng.integers(2) else "valid", rng=rng)
+    out_per_group = int(rng.integers(1, 3))
+    rng.integers(2)  # discarded draw; keeps the instances that follow as they were
+    layer = GroupedConv1DLayer.create(cin, members, out_per_group, kw, activation="tanh", rng=rng)
     x = Tensor(rng.standard_normal((cin, width)), requires_grad=True)
     w = Tensor(rng.standard_normal(layer.forward(x).shape))
     leaves = [x] + [t for _, t in layer.named_params()]

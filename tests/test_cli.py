@@ -468,6 +468,21 @@ def test_compare_candidate_name_clash_rejected(series_csv, tmp_path):
     assert run("compare", cfg) == 2
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"kernel_width": 0}, "kernel width must be >= 1"),
+    ({"preset": "water-cnn"}, "model expects 87 input channels"),
+    ({"input_width": 16}, "model expects 16-step windows"),
+], ids=["kernel_width", "channels", "width"])
+def test_compare_bad_candidate_exits_2_before_any_output(series_csv, tmp_path, capsys, model, message):
+    doc = base_config(series_csv, tmp_path / "out")
+    doc["compare"] = {"targets": ["target"], "candidates": [
+        {"name": "ok", "model": doc["model"]}, {"name": "bad", "model": {**doc["model"], **model}}]}
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("compare", cfg) == 2
+    assert f"compare.candidates[1].model: {message}" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 # -- param-count -------------------------------------------------------------
 
 
@@ -491,6 +506,22 @@ def test_param_count_grouped_preset_shrinks(tmp_path):
 def test_param_count_without_geometry_exits_2(tmp_path):
     cfg = write_config(tmp_path / "run.yaml", {"model": {"stage_channels": [8]}})
     assert run("param-count", cfg, "--out", str(tmp_path / "out")) == 2
+
+
+def test_param_count_reads_data_window(tmp_path, capsys):
+    doc = {"data": {"window": 64}, "model": {"input_channels": 87, "stage_channels": [8, 8], "pool_before": [2]},
+           "out": str(tmp_path / "out")}
+    assert run("param-count", write_config(tmp_path / "run.yaml", doc)) == 0
+    assert "widths [64, 16]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window, message", [(32, "does not match the model input width 64"), (0, ">= 1")],
+                         ids=["mismatch", "non_positive"])
+def test_param_count_checks_data_window_like_other_commands(tmp_path, capsys, window, message):
+    doc = {"data": {"window": window}, "model": {"preset": "water-cnn"}, "out": str(tmp_path / "out")}
+    assert run("param-count", write_config(tmp_path / "run.yaml", doc)) == 2
+    err = capsys.readouterr().err
+    assert "data.window: " in err and message in err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -24,7 +24,7 @@ from gcnn.tensor import Tensor, backward, grad_check
 
 
 def make_grouped(rng, cin, member_lists, out_per_group, kw=3, activation="relu"):
-    return GroupedConv1DLayer.create(cin, member_lists, out_per_group, kw, activation, "same", rng)
+    return GroupedConv1DLayer.create(cin, member_lists, out_per_group, kw, activation, rng=rng)
 
 
 class TestConv1DLayer:
@@ -46,6 +46,18 @@ class TestConv1DLayer:
     def test_bias_starts_at_zero(self):
         layer = Conv1DLayer(2, 3, 3, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(layer.bias.data, np.zeros(3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Conv1DLayer(2, 2, 3),
+    lambda: GroupedConv1DLayer.create(2, [[0], [1]], 1),
+    lambda: ClusteringCoeffLayer(2, 2),
+    lambda: DenseLayer(2, 1),
+], ids=["conv", "grouped", "coeff", "dense"])
+def test_layers_need_a_generator(build):
+    # an unseeded layer would break "same spec and seed, same model"
+    with pytest.raises(TypeError, match="rng"):
+        build()
 
 
 class TestPartitionValidation:
@@ -158,11 +170,6 @@ class TestRecurrentConvLayer:
         with pytest.raises(ShapeError, match="matching channels"):
             RecurrentConvLayer(inner, iterations=2)
 
-    def test_valid_padding_rejected(self):
-        inner = Conv1DLayer(3, 3, 3, padding="valid", rng=np.random.default_rng(2))
-        with pytest.raises(ShapeError, match="same"):
-            RecurrentConvLayer(inner, iterations=2)
-
     def test_shared_parameter_gradient(self):
         # one parameter set drives all unrolled applications; the recorded
         # gradient must match finite differences through the whole recursion
@@ -200,8 +207,8 @@ class TestClusteringCoeffLayer:
         layer = ClusteringCoeffLayer(4, 1, activation="linear", rng=np.random.default_rng(34))
         layer.bias.data[0] = 0.0
         x = Tensor(np.random.default_rng(35).standard_normal((4, 7)))
-        expected = T.channelwise_conv1d(x, Tensor(layer.kernels.data[0]), padding="same")
-        np.testing.assert_array_equal(layer.forward(x).data, expected.data)
+        expected = T.channelwise_conv1d(x, Tensor(layer.kernels.data))  # (1, 4, 7)
+        np.testing.assert_array_equal(layer.forward(x).data, expected.data[0])
 
     def test_uniform_logits_give_equal_shares(self):
         layer = ClusteringCoeffLayer(3, 4, rng=np.random.default_rng(36))

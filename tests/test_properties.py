@@ -234,13 +234,13 @@ def test_coefficients_rows_stay_on_the_simplex(n, k, data):
 # -- grouped convolution ---------------------------------------------------
 
 
-def per_group_reference(x, kernels, biases, padding):
+def per_group_reference(x, kernels, biases):
     """Slice each group's channel block, convolve it alone, stack the outputs."""
     outs, c0 = [], 0
     for k, b in zip(kernels, biases):
         c = k.shape[1]
         block = T.gather_rows(x, range(c0, c0 + c))
-        outs.append(T.conv1d(block, k, b, padding))
+        outs.append(T.conv1d(block, k, b))
         c0 += c
     return T.concat(outs, axis=-2)
 
@@ -250,25 +250,24 @@ def grouped_cases(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     outs = draw(st.lists(st.integers(1, 3), min_size=len(sizes), max_size=len(sizes)))
     kw = draw(st.integers(1, 4))
-    padding = draw(st.sampled_from(["same", "valid"]))
     width = draw(st.integers(kw, kw + 5))
     batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
-    return sizes, outs, kw, padding, width, batch, draw(st.integers(0, 2**32 - 1))
+    return sizes, outs, kw, width, batch, draw(st.integers(0, 2**32 - 1))
 
 
 @SETTINGS
 @given(grouped_cases())
 def test_grouped_conv1d_equals_per_group_reference(case):
-    sizes, outs, kw, padding, width, batch, seed = case
+    sizes, outs, kw, width, batch, seed = case
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((*batch, sum(sizes), width)), requires_grad=True)
     kernels = [Tensor(rng.standard_normal((o, c, kw)), requires_grad=True) for o, c in zip(outs, sizes)]
     biases = [Tensor(rng.standard_normal(o), requires_grad=True) for o in outs]
-    weights = rng.standard_normal((*batch, sum(outs), width - (kw - 1 if padding == "valid" else 0)))
+    weights = rng.standard_normal((*batch, sum(outs), width))
     leaves = [x, *kernels, *biases]
 
-    got = T.grouped_conv1d(x, kernels, biases, padding)
-    want = per_group_reference(x, kernels, biases, padding)
+    got = T.grouped_conv1d(x, kernels, biases)
+    want = per_group_reference(x, kernels, biases)
     assert got.shape == want.shape == weights.shape
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
     g_got = backward(T.sum_all(got * Tensor(weights)), leaves=leaves)
@@ -296,16 +295,58 @@ def test_grouped_layer_is_invariant_to_relabelling_channels(sizes, kw, seed):
 
 
 @SETTINGS
-@given(st.integers(1, 5), st.integers(1, 4), st.sampled_from(["same", "valid"]),
-       st.sampled_from([(), (2,), (2, 3)]), st.integers(0, 2**32 - 1))
-def test_stacked_channelwise_conv_rows_equal_single_kernel_convs(k, kw, padding, batch, seed):
+@given(st.integers(1, 5), st.integers(1, 4), st.sampled_from([(), (2,), (2, 3)]), st.integers(0, 2**32 - 1))
+def test_stacked_channelwise_conv_rows_equal_single_kernel_convs(k, kw, batch, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((*batch, 3, kw + 4)))
     stack = rng.standard_normal((k, kw))
-    out = T.channelwise_conv1d(x, Tensor(stack), padding)
+    out = T.channelwise_conv1d(x, Tensor(stack))
     for j in range(k):
-        single = T.channelwise_conv1d(x, Tensor(stack[j]), padding)
-        np.testing.assert_allclose(out.data[..., j, :, :], single.data, rtol=0, atol=1e-12)
+        single = T.channelwise_conv1d(x, Tensor(stack[j : j + 1]))
+        np.testing.assert_allclose(out.data[..., j, :, :], single.data[..., 0, :, :], rtol=0, atol=1e-12)
+
+
+def correlate_same(signal, kernel):
+    """Zero-pad one row by (kw - 1) // 2 on the left and the rest on the
+    right, then take the kernel's inner product at every offset."""
+    kw = len(kernel)
+    left = (kw - 1) // 2
+    padded = np.concatenate([np.zeros(left), signal, np.zeros(kw - 1 - left)])
+    return np.array([padded[t : t + kw] @ kernel for t in range(len(signal))])
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.data())
+def test_convolutions_keep_the_width_of_inputs_narrower_than_the_kernel(kw, data):
+    # water-cnn's last stage convolves width 1 with kw = 3
+    width = data.draw(st.integers(1, kw + 2), label="width")
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_normal((sum(sizes), width))
+    kernels = [rng.standard_normal((2, c, kw)) for c in sizes]
+    biases = [rng.standard_normal(2) for _ in sizes]
+    stack = rng.standard_normal((3, kw))
+
+    got = T.grouped_conv1d(Tensor(x), [Tensor(k) for k in kernels], [Tensor(b) for b in biases])
+    blocks = np.split(x, np.cumsum(sizes)[:-1])
+    want = [[sum(correlate_same(row, k[o, i]) for i, row in enumerate(block)) + b[o] for o in range(2)]
+            for block, k, b in zip(blocks, kernels, biases)]
+    assert got.shape == (2 * len(sizes), width)
+    np.testing.assert_allclose(got.data, np.reshape(want, got.shape), rtol=0, atol=1e-12)
+
+    got = T.channelwise_conv1d(Tensor(x), Tensor(stack))
+    want = [[correlate_same(row, kern) for row in x] for kern in stack]
+    assert got.shape == (3, sum(sizes), width)
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
+    leaves = [Tensor(a, requires_grad=True) for a in (x, stack, *kernels, *biases)]
+    xt, st_, ks, bs = leaves[0], leaves[1], leaves[2 : 2 + len(sizes)], leaves[2 + len(sizes) :]
+    w1, w2 = Tensor(rng.standard_normal((2 * len(sizes), width))), Tensor(rng.standard_normal(got.shape))
+
+    def loss():
+        return T.sum_all(T.grouped_conv1d(xt, ks, bs) * w1) + T.sum_all(T.channelwise_conv1d(xt, st_) * w2)
+
+    assert T.grad_check(loss, leaves) < 1e-6
 
 
 # -- recurrent grouped stages ----------------------------------------------
@@ -315,14 +356,15 @@ def per_group_recurrent_reference(x, stage, member_lists, per_group, spec):
     """Gather each group's members, lift them unless already ``per_group``
     wide, recur with a plain conv, and stack; parameters are the stage's."""
     lift, inner = (stage[0], stage[1].inner) if len(stage) == 2 else (None, stage[0].inner)
+    rng = np.random.default_rng(0)  # initial values only; the stage's replace them
     outs = []
     for g, members in enumerate(member_lists):
         z = T.gather_rows(x, members)
         if len(members) != per_group:
-            conv = Conv1DLayer(len(members), per_group, spec.kernel_width, spec.hidden_activation)
+            conv = Conv1DLayer(len(members), per_group, spec.kernel_width, spec.hidden_activation, rng=rng)
             conv.kernels, conv.bias = lift.groups[g].kernels, lift.groups[g].bias
             z = conv.forward(z)
-        cell = Conv1DLayer(per_group, per_group, spec.kernel_width, spec.hidden_activation)
+        cell = Conv1DLayer(per_group, per_group, spec.kernel_width, spec.hidden_activation, rng=rng)
         cell.kernels, cell.bias = inner.groups[g].kernels, inner.groups[g].bias
         outs.append(RecurrentConvLayer(cell, spec.iterations).forward(z))
     return T.concat(outs, axis=-2)

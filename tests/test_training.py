@@ -40,7 +40,7 @@ def linear_model(channels, window, seed=0):
     spec = ModelSpec(input_channels=channels, input_width=window, stage_channels=(1,),
                      pool_before=(), kernel_width=1, dense_units=(1,))
     rng = np.random.default_rng(seed)
-    layers = [FlattenLayer(), DenseLayer(channels * window, 1, "linear", rng)]
+    layers = [FlattenLayer(), DenseLayer(channels * window, 1, "linear", rng=rng)]
     return Model(spec, layers, None, seed)
 
 
