@@ -24,10 +24,11 @@ failure (divergence, singular systems, non-convergence).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,31 +44,19 @@ COMMANDS = ("ingest", "cluster", "train", "eval", "compare", "param-count")
 
 _TOP_KEYS = ("data", "split", "model", "train", "eval", "compare", "seed", "out")
 
-# model keys a config may set; geometry defaults are desk-scale, not the
-# full-size presets, so a bare config trains something in minutes
-_MODEL_DEFAULTS: dict = {
-    "preset": None,
-    "family": "cnn",
-    "grouping": "none",
-    "groups": 1,
-    "iterations": 2,
-    "stage_channels": [32, 32],
-    "kernel_width": 3,
-    "pool_window": 4,
-    "pool_stride": 4,
-    "pool_before": [],
-    "dense_units": [16, 1],
-    "hidden_activation": "relu",
-    "output_activation": "linear",
-    "input_channels": None,
-    "input_width": None,
-}
-
-# the split and train sections are the fields of the dataclasses they
-# build; seed is top-level, and train also names the assignment file
+# the model, split and train sections are the fields of the dataclasses
+# they build; seed is top-level, train also names the assignment file,
+# and model also names a preset (whose fields replace these defaults),
+# takes family for ``recurrent`` and lets the geometry wait for the data
 _SPLIT_SCHEMA = {f.name: (f.type, f.default) for f in fields(D.SplitSpec) if f.name != "seed"}
 _TRAIN_SCHEMA = {f.name: (f.type, f.default) for f in fields(R.TrainConfig) if f.name != "seed"}
 _TRAIN_SCHEMA["assignment"] = ("str | None", None)
+_MODEL_SCHEMA = {f.name: (f.type, f.default) for f in fields(M.ModelSpec) if f.name != "recurrent"} | {
+    "preset": ("str | None", None),
+    "family": ("str", "cnn"),
+    "input_channels": ("int | None", None),
+    "input_width": ("int | None", None),
+}
 _DATA_SCHEMA = {
     "path": ("str | None", None),
     "target": ("str | None", None),
@@ -76,14 +65,6 @@ _DATA_SCHEMA = {
 }
 _EVAL_SCHEMA = {"checkpoint": ("str | None", None), "split": ("str", "test")}
 _COMPARE_DEFAULTS: dict = {"repeats": 3, "ridge_penalty": 1.0, "targets": None, "candidates": []}
-# config annotation of each model key: ModelSpec's, except that the
-# geometry may wait for the data and family stands in for ``recurrent``
-_MODEL_TYPES = {f.name: f.type for f in fields(M.ModelSpec)} | {
-    "preset": "str | None",
-    "family": "str",
-    "input_channels": "int | None",
-    "input_width": "int | None",
-}
 
 # reserved row names in compare summaries
 _BASELINES = ("linear", "ridge")
@@ -113,15 +94,14 @@ def _resolve_model(section, where: str = "model") -> dict:
     Returns a fully-populated dict in config vocabulary: ``family`` is
     cnn/rcnn, geometry keys may stay None until data supplies them.
     """
-    section = _mapping(section, where, _MODEL_DEFAULTS)
+    section = _mapping(section, where, _MODEL_SCHEMA)
+    schema = _MODEL_SCHEMA
     preset_name = M.check_setting(f"{where}.preset", section.get("preset"), "str | None")
     if preset_name is not None:
         base = M.preset(preset_name).to_dict()
         base["family"] = "rcnn" if base.pop("recurrent") else "cnn"
-    else:
-        base = dict(_MODEL_DEFAULTS)
-    base.update(section, preset=preset_name)
-    out = {key: M.check_setting(f"{where}.{key}", base[key], _MODEL_TYPES[key]) for key in _MODEL_DEFAULTS}
+        schema = {key: (annotation, base.get(key, default)) for key, (annotation, default) in schema.items()}
+    out = _resolve_section(section, schema, where)
     if out["family"] not in ("cnn", "rcnn"):
         raise ConfigError(f"{where}.family: must be cnn or rcnn, got {out['family']!r}")
     if out["grouping"] not in M.GROUPING_MODES:
@@ -145,6 +125,9 @@ def _resolve_compare(section, where: str = "compare") -> dict:
         if not isinstance(out["targets"], list) or not out["targets"]:
             raise ConfigError(f"{where}.targets: expected a non-empty list of series names")
         out["targets"] = [M.check_setting(f"{where}.targets[{i}]", t, "str") for i, t in enumerate(out["targets"])]
+        for i, t in enumerate(out["targets"]):
+            if t in out["targets"][:i]:
+                raise ConfigError(f"{where}.targets[{i}]: {t!r} is already listed")
     if not isinstance(out["candidates"], list):
         raise ConfigError(f"{where}.candidates: expected a list")
     resolved = []
@@ -266,21 +249,6 @@ class RunConfig:
         """The resolved train section; perfbench reads it through this name."""
         return self.train
 
-    def model_spec(self, section: dict | None = None,
-                   input_channels: int | None = None, input_width: int | None = None) -> M.ModelSpec:
-        """Build and validate a ModelSpec, filling geometry from the data."""
-        m = section if section is not None else self.doc["model"]
-        ic = m["input_channels"] if m["input_channels"] is not None else input_channels
-        iw = m["input_width"] if m["input_width"] is not None else input_width
-        if ic is None:
-            raise ConfigError("model.input_channels: required here (set it or name a preset)")
-        if iw is None:
-            raise ConfigError("model.input_width: required here (set data.window or name a preset)")
-        named = {f.name: m[f.name] for f in fields(M.ModelSpec) if f.name in m}
-        spec = M.ModelSpec(**{**named, "input_channels": ic, "input_width": iw, "recurrent": m["family"] == "rcnn"})
-        spec.validate()
-        return spec
-
     # -- validation -----------------------------------------------------
 
     def _require_file(self, path_value: str | None, field: str) -> Path:
@@ -305,7 +273,7 @@ class RunConfig:
             if dw is not None and preset_width is not None and dw != preset_width:
                 raise ConfigError(f"data.window: {dw} does not match the model input width {preset_width}")
         if cmd == "param-count":
-            self.model_spec(input_width=self.window)
+            _spec_for(self, self.model)
             return
         if self.doc["data"]["max_gap"] < 0:
             raise ConfigError(f"data.max_gap: must be >= 0, got {self.doc['data']['max_gap']}")
@@ -428,14 +396,42 @@ def _aligned_labels(mapping: dict[str, int], channel_names: list[str]) -> list[i
     return [mapping[n] for n in channel_names]
 
 
-def _spec_for(cfg: RunConfig, section: dict, n_channels: int) -> M.ModelSpec:
-    """The model a config section describes, over ``n_channels`` input
-    series and ``cfg.window`` steps."""
-    if section["input_channels"] is not None and section["input_channels"] != n_channels:
-        raise ShapeError(f"model expects {section['input_channels']} input channels, dataset provides {n_channels}")
-    if section["input_width"] is not None and section["input_width"] != cfg.window:
-        raise ShapeError(f"model expects {section['input_width']}-step windows, data.window is {cfg.window}")
-    return cfg.model_spec(section, input_channels=n_channels, input_width=cfg.window)
+def _check_geometry(what: str, channels: int | None, width: int | None,
+                    n_channels: int | None, window: int | None) -> None:
+    """A model's input geometry against the data's; None matches anything."""
+    if None not in (channels, n_channels) and channels != n_channels:
+        raise ShapeError(f"{what} expects {channels} input channels, dataset provides {n_channels}")
+    if None not in (width, window) and width != window:
+        raise ShapeError(f"{what} expects {width}-step windows, data.window is {window}")
+
+
+def _spec_for(cfg: RunConfig, section: dict, n_channels: int | None = None) -> M.ModelSpec:
+    """The model a resolved model section describes, over ``n_channels``
+    input series (without data, the section's own) and ``cfg.window`` steps."""
+    _check_geometry("model", section["input_channels"], section["input_width"], n_channels, cfg.window)
+    channels = section["input_channels"] if n_channels is None else n_channels
+    if channels is None:
+        raise ConfigError("model.input_channels: required here (set it or name a preset)")
+    if cfg.window is None:
+        raise ConfigError("model.input_width: required here (set data.window or name a preset)")
+    named = {f.name: section[f.name] for f in fields(M.ModelSpec) if f.name in section}
+    return M.ModelSpec(**{**named, "input_channels": channels, "input_width": cfg.window,
+                          "recurrent": section["family"] == "rcnn"})
+
+
+def _counted_model(spec: M.ModelSpec, labels: list[int] | None, seed: int) -> tuple[M.Model, int, int | None]:
+    """The built model, its parameter count and, when it is grouped, the
+    count of the same geometry without grouping.  Explicit grouping exists
+    to cut parameters, so a model it does not shrink is refused."""
+    model = M.build_model(spec, labels, seed=seed)
+    n_params = M.count_params(model)
+    if spec.grouping == "none":
+        return model, n_params, None
+    vanilla = M.count_params(M.build_model(replace(spec, grouping="none", groups=1)))
+    if spec.grouping == "explicit" and n_params >= vanilla:
+        raise ConfigError(
+            f"explicit grouping must shrink the parameter count: {n_params} grouped, {vanilla} ungrouped")
+    return model, n_params, vanilla
 
 
 # -- artifact helpers -----------------------------------------------------
@@ -452,19 +448,6 @@ def _write_csv(cfg: RunConfig, name: str, body: str) -> Path:
     path = cfg.out_dir / name
     path.write_text(f"# config {cfg.config_hash}\n{body}")
     return path
-
-
-def _vanilla_twin(spec: M.ModelSpec) -> int:
-    """Parameter count of the same geometry without any grouping."""
-    plain = M.ModelSpec(**{**spec.to_dict(), "grouping": "none", "groups": 1})
-    return M.count_params(M.build_model(plain, seed=0))
-
-
-def _require_shrinkage(n_params: int, vanilla: int) -> None:
-    """Explicit grouping exists to cut parameters; refuse a model it does not shrink."""
-    if n_params >= vanilla:
-        raise ConfigError(
-            f"explicit grouping must shrink the parameter count: {n_params} grouped, {vanilla} ungrouped")
 
 
 def _plan_lines(spec: M.ModelSpec, n_params: int, vanilla: int | None) -> list[str]:
@@ -531,11 +514,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.grouping == "explicit":
         mapping = _read_assignment(Path(cfg.doc["train"]["assignment"]))
         labels = _aligned_labels(mapping, wset.channel_names)
-    model = M.build_model(_spec_for(cfg, cfg.model, wset.n_channels), labels, seed=cfg.seed)
-    n_params = M.count_params(model)
-    vanilla = _vanilla_twin(model.spec) if cfg.grouping != "none" else None
-    if cfg.grouping == "explicit":
-        _require_shrinkage(n_params, vanilla)
+    model, n_params, vanilla = _counted_model(_spec_for(cfg, cfg.model, wset.n_channels), labels, cfg.seed)
 
     print(f"config {cfg.config_hash[:12]}")
     for line in _plan_lines(model.spec, n_params, vanilla):
@@ -583,11 +562,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         chosen = val_set if which == "val" else fit_set
 
     model = M.load_checkpoint(cfg.eval_checkpoint_path())
-    spec = model.spec
-    if (spec.input_channels, spec.input_width) != (wset.n_channels, wset.window):
-        raise ShapeError(
-            f"checkpoint expects {spec.input_channels}x{spec.input_width} windows, "
-            f"dataset provides {wset.n_channels}x{wset.window}")
+    _check_geometry("checkpoint", model.spec.input_channels, model.spec.input_width, wset.n_channels, wset.window)
 
     report = R.evaluate(model, chosen, model_id=cfg.config_hash[:12])
     report_path = _write_json(cfg, "eval.json", {"split": which, **report.to_dict()})
@@ -613,6 +588,15 @@ def _pick_targets(cfg: RunConfig, names: list[str]) -> list[str]:
     return [names[i] for i in picked]
 
 
+@contextlib.contextmanager
+def _candidate(i: int):
+    """Name compare candidate ``i`` in its model's config and shape errors."""
+    try:
+        yield
+    except (ConfigError, ShapeError) as e:
+        raise ConfigError(f"compare.candidates[{i}].model: {e}") from None
+
+
 def cmd_compare(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
     candidates = cfg.doc["compare"]["candidates"]
@@ -620,10 +604,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     # writes anything; each target leaves the other series as inputs
     specs = []
     for i, cand in enumerate(candidates):
-        try:
+        with _candidate(i):
             specs.append(_spec_for(cfg, cand["model"], prep.dataset.n_series - 1))
-        except (ConfigError, ShapeError) as e:
-            raise ConfigError(f"compare.candidates[{i}].model: {e}") from None
     picks = _pick_targets(cfg, prep.dataset.names)
     order = list(_BASELINES) + [c["name"] for c in candidates]
     results: dict[str, dict[str, float]] = {name: {} for name in order}
@@ -635,13 +617,14 @@ def cmd_compare(cfg: RunConfig) -> int:
             results["ridge"][target] = R.linear_baseline(
                 train_set, test_set, cfg.doc["compare"]["ridge_penalty"]).srmse
             assignments: dict[int, S.GroupAssignment] = {}  # by k: cluster once per target
-            for cand, spec in zip(candidates, specs):
+            for i, (cand, spec) in enumerate(zip(candidates, specs)):
                 labels = None
                 if spec.grouping == "explicit":
                     if spec.groups not in assignments:
                         assignments[spec.groups] = _cluster_inputs(prep, target, spec.groups, cfg.seed)[1]
                     labels = assignments[spec.groups].labels
-                model = M.build_model(spec, labels, seed=cfg.seed)
+                with _candidate(i):
+                    model = _counted_model(spec, labels, cfg.seed)[0]
                 fitted = R.train(model, train_set, cfg.train)
                 results[cand["name"]][target] = R.evaluate(fitted.model, test_set).srmse
     finally:
@@ -669,16 +652,14 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_param_count(cfg: RunConfig) -> int:
-    spec = cfg.model_spec(input_width=cfg.window)
+    spec = _spec_for(cfg, cfg.model)
     labels = None
     if spec.grouping == "explicit":
-        # any valid partition gives the same count; round-robin is always valid
+        # without data there is no clustering, so the count is for
+        # round-robin groups; other partitions can count more, since in
+        # rcnn a group exactly as wide as its stage share skips the lift
         labels = [i % spec.groups + 1 for i in range(spec.input_channels)]
-    model = M.build_model(spec, labels, seed=cfg.seed)
-    n_params = M.count_params(model)
-    vanilla = _vanilla_twin(spec) if spec.grouping != "none" else None
-    if spec.grouping == "explicit":
-        _require_shrinkage(n_params, vanilla)
+    _, n_params, vanilla = _counted_model(spec, labels, cfg.seed)
     lines = _plan_lines(spec, n_params, vanilla)
     path = _write_csv(cfg, "params.txt", "\n".join(lines) + "\n")
     print(f"config {cfg.config_hash[:12]}")

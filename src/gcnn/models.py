@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +62,22 @@ class ModelSpec:
     recurrent block (the recursion's skip sum needs matching channels).
     In grouped modes the lift and the recurrence are grouped too, and a
     group whose input is already as wide as its output gets no lift.
+
+    The fields and defaults are also the config file's ``model`` section;
+    the defaults are desk-scale, so a bare config trains in minutes.  A
+    spec is checked when it is made: an invalid one raises ConfigError.
     """
 
     input_channels: int
     input_width: int
     grouping: str = "none"
     groups: int = 1
-    stage_channels: tuple[int, ...] = (500, 500, 500, 500)
+    stage_channels: tuple[int, ...] = (32, 32)
     kernel_width: int = 3
     pool_window: int = 4
     pool_stride: int = 4
-    pool_before: tuple[int, ...] = (2, 3, 4)
-    dense_units: tuple[int, ...] = (100, 1)
+    pool_before: tuple[int, ...] = ()
+    dense_units: tuple[int, ...] = (16, 1)
     recurrent: bool = False
     iterations: int = 2
     hidden_activation: str = "relu"
@@ -84,8 +88,6 @@ class ModelSpec:
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
         object.__setattr__(self, "pool_before", tuple(int(s) for s in self.pool_before))
         object.__setattr__(self, "dense_units", tuple(int(u) for u in self.dense_units))
-
-    def validate(self) -> None:
         if self.input_channels < 1 or self.input_width < 1:
             raise ConfigError(f"input geometry must be positive, got {self.input_channels}x{self.input_width}")
         if self.grouping not in GROUPING_MODES:
@@ -276,12 +278,11 @@ def _grouped_recurrent_stage(
 
 
 def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int = 0) -> Model:
-    """Assemble an initialized model from a validated spec.
+    """Assemble an initialized model from a spec.
 
     ``assignment`` (1-based group label per input channel) is required
     for explicit grouping and rejected otherwise.
     """
-    spec.validate()
     if spec.grouping == "explicit":
         if assignment is None:
             raise ConfigError("explicit grouping requires a group assignment")
@@ -354,8 +355,10 @@ PRESETS: dict[str, ModelSpec] = {}
 
 
 def _register_presets() -> None:
-    water = dict(input_channels=87, input_width=64, stage_channels=(500,) * 4, dense_units=(100, 1))
-    drone = dict(input_channels=147, input_width=64, stage_channels=(750,) * 4, dense_units=(200, 1))
+    water = dict(input_channels=87, input_width=64, stage_channels=(500,) * 4, pool_before=(2, 3, 4),
+                 dense_units=(100, 1))
+    drone = dict(input_channels=147, input_width=64, stage_channels=(750,) * 4, pool_before=(2, 3, 4),
+                 dense_units=(200, 1))
     for name, base, k in (("water", water, 5), ("drone", drone, 15)):
         for arch, recurrent in (("cnn", False), ("rcnn", True)):
             stem = f"{name}-{arch}"
@@ -367,12 +370,11 @@ def _register_presets() -> None:
 _register_presets()
 
 
-def preset(name: str, **overrides) -> ModelSpec:
-    """Named architecture, optionally with field overrides."""
+def preset(name: str) -> ModelSpec:
+    """Named architecture."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    spec = PRESETS[name]
-    return replace(spec, **overrides) if overrides else spec
+    return PRESETS[name]
 
 
 def save_checkpoint(model: Model, path: str | Path, meta: dict | None = None) -> None:

@@ -204,12 +204,9 @@ def train(
                 raise NumericalError(f"training diverged: non-finite gradient at epoch {epoch}")
             scale = config.clip_norm / gnorm if gnorm > config.clip_norm else 1.0
             for t, v, g in zip(tensors, velocity, gs):
-                if config.momentum > 0.0:
-                    v *= config.momentum
-                    v += g * scale
-                    t.data -= config.learning_rate * v
-                else:
-                    t.data -= config.learning_rate * (g * scale)
+                v *= config.momentum
+                v += g * scale
+                t.data -= config.learning_rate * v
         train_srmse, _, _ = srmse(epoch_preds, fit_set.targets)
         if n_val:
             val_srmse, _, _ = srmse(_predict_all(model, val_set), val_set.targets)

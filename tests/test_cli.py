@@ -483,7 +483,44 @@ def test_compare_bad_candidate_exits_2_before_any_output(series_csv, tmp_path, c
     assert list((tmp_path / "out").iterdir()) == []
 
 
+# 12 inputs in 2 groups, stages [12, 2] at kernel width 1: unless the
+# groups are 6 and 6, the rcnn lifts cost what grouping saves
+NON_SHRINKING = {"grouping": "explicit", "groups": 2, "family": "rcnn", "stage_channels": [12, 2],
+                 "kernel_width": 1, "pool_before": [], "dense_units": [1]}
+
+
+def test_compare_explicit_candidate_that_does_not_shrink_exits_2(series_csv, tmp_path, capsys):
+    # clustering splits the three planted groups of four 4/8, and the
+    # rule train applies holds for every candidate too
+    doc = base_config(series_csv, tmp_path / "out")
+    doc["compare"] = {"targets": ["target"], "candidates": [{"name": "flat", "model": NON_SHRINKING}]}
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("compare", cfg) == 2
+    assert ("compare.candidates[0].model: explicit grouping must shrink the parameter count: "
+            "199 grouped, 199 ungrouped") in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "compare.json").read_text())
+    assert report["complete"] is False
+    assert set(report["results"]["ridge"]) == {"target"} and report["results"]["flat"] == {}
+
+
+def test_compare_duplicate_target_exits_2_at_load(series_csv, tmp_path, capsys):
+    doc = base_config(series_csv, tmp_path / "out")
+    doc["compare"] = {"targets": ["target", "g1s1", "target"]}
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("compare", cfg) == 2
+    assert "compare.targets[2]: 'target' is already listed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- param-count -------------------------------------------------------------
+
+
+def test_param_count_explicit_counts_round_robin_groups(tmp_path, capsys):
+    # 6/6 groups skip both lifts (115); the 1/11 or 4/8 split train and
+    # compare may build counts 199
+    doc = {"data": {"window": 8}, "model": {**NON_SHRINKING, "input_channels": 12}, "out": str(tmp_path / "out")}
+    assert run("param-count", write_config(tmp_path / "run.yaml", doc)) == 0
+    assert "parameters 115 (ungrouped equivalent 199)" in capsys.readouterr().out
 
 
 def test_param_count_echoes_published_plan(tmp_path, capsys):

@@ -52,24 +52,21 @@ def balanced_assignment(n, k):
 class TestSpecValidation:
     def test_ungrouped_must_have_one_group(self):
         with pytest.raises(ConfigError):
-            ModelSpec(input_channels=4, input_width=8, groups=3).validate()
+            ModelSpec(input_channels=4, input_width=8, groups=3)
 
     def test_channels_must_divide(self):
-        spec = ModelSpec(input_channels=4, input_width=8, grouping="explicit", groups=3,
-                         stage_channels=(10, 10), pool_before=(2,), pool_window=2, pool_stride=2)
         with pytest.raises(ConfigError, match="divisible"):
-            spec.validate()
+            ModelSpec(input_channels=4, input_width=8, grouping="explicit", groups=3,
+                      stage_channels=(10, 10), pool_before=(2,), pool_window=2, pool_stride=2)
 
     def test_pool_out_of_range(self):
-        spec = ModelSpec(input_channels=4, input_width=8, stage_channels=(8,), pool_before=(3,))
         with pytest.raises(ConfigError):
-            spec.validate()
+            ModelSpec(input_channels=4, input_width=8, stage_channels=(8,), pool_before=(3,))
 
     def test_width_exhaustion(self):
-        spec = ModelSpec(input_channels=4, input_width=4, stage_channels=(8, 8, 8),
-                         pool_before=(2, 3), pool_window=4, pool_stride=4)
         with pytest.raises(ConfigError, match="too small"):
-            spec.validate()
+            ModelSpec(input_channels=4, input_width=4, stage_channels=(8, 8, 8),
+                      pool_before=(2, 3), pool_window=4, pool_stride=4)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -104,9 +101,17 @@ class TestPresetGeometry:
         with pytest.raises(ConfigError):
             preset("water-gan")
 
-    def test_preset_override(self):
-        spec = preset("water-cnn", input_width=32)
-        assert spec.input_width == 32
+    @pytest.mark.parametrize("name, expected", [
+        ("water-cnn", 2432701), ("water-cnn-grouped", 528301), ("water-cnn-coeff", 633156),
+        ("water-rcnn", 3183201), ("water-rcnn-grouped", 678801), ("water-rcnn-coeff", 783656),
+        ("drone-cnn", 5546651), ("drone-cnn-grouped", 512951), ("drone-cnn-coeff", 823916),
+        ("drone-rcnn", 7234901), ("drone-rcnn-grouped", 626201), ("drone-rcnn-coeff", 937166),
+    ])
+    def test_preset_parameter_count(self, name, expected):
+        # each preset states its own pooling; round-robin groups
+        spec = preset(name)
+        labels = balanced_assignment(spec.input_channels, spec.groups) if spec.grouping == "explicit" else None
+        assert count_params(build_model(spec, labels, seed=0)) == expected
 
     def test_water_vanilla_layer_stack(self):
         model = build_model(preset("water-cnn"), seed=0)
