@@ -98,18 +98,17 @@ def _resolve_model(section, where: str = "model") -> dict:
     schema = _MODEL_SCHEMA
     preset_name = M.check_setting(f"{where}.preset", section.get("preset"), "str | None")
     if preset_name is not None:
-        base = M.preset(preset_name).to_dict()
+        try:
+            base = M.preset(preset_name).to_dict()
+        except ConfigError as e:
+            raise ConfigError(f"{where}.preset: {e}") from None
         base["family"] = "rcnn" if base.pop("recurrent") else "cnn"
         schema = {key: (annotation, base.get(key, default)) for key, (annotation, default) in schema.items()}
     out = _resolve_section(section, schema, where)
     if out["family"] not in ("cnn", "rcnn"):
         raise ConfigError(f"{where}.family: must be cnn or rcnn, got {out['family']!r}")
-    if out["grouping"] not in M.GROUPING_MODES:
-        raise ConfigError(f"{where}.grouping: must be one of {M.GROUPING_MODES}, got {out['grouping']!r}")
     if out["grouping"] == "explicit" and out["groups"] < 2:
         raise ConfigError(f"{where}.groups: explicit grouping needs at least 2 groups")
-    if out["family"] == "rcnn" and out["iterations"] < 1:
-        raise ConfigError(f"{where}.iterations: rcnn needs at least 1 iteration")
     return out
 
 
@@ -272,6 +271,10 @@ class RunConfig:
             dw = self.doc["data"]["window"]
             if dw is not None and preset_width is not None and dw != preset_width:
                 raise ConfigError(f"data.window: {dw} does not match the model input width {preset_width}")
+        # ModelSpec's own checks, for every command; only the input
+        # channel count waits for the data (compare candidates are built
+        # over it, and checked, before compare writes anything)
+        _check_model(self.model, "model", self.window)
         if cmd == "param-count":
             _spec_for(self, self.model)
             return
@@ -414,9 +417,33 @@ def _spec_for(cfg: RunConfig, section: dict, n_channels: int | None = None) -> M
         raise ConfigError("model.input_channels: required here (set it or name a preset)")
     if cfg.window is None:
         raise ConfigError("model.input_width: required here (set data.window or name a preset)")
+    return _model_spec(section, channels, cfg.window)
+
+
+def _model_spec(section: dict, channels: int, width: int) -> M.ModelSpec:
     named = {f.name: section[f.name] for f in fields(M.ModelSpec) if f.name in section}
-    return M.ModelSpec(**{**named, "input_channels": channels, "input_width": cfg.window,
+    return M.ModelSpec(**{**named, "input_channels": channels, "input_width": width,
                           "recurrent": section["family"] == "rcnn"})
+
+
+def _check_model(section: dict, where: str, window: int | None) -> None:
+    """Run ModelSpec's checks on a resolved model section before any data
+    is read.  Geometry the data supplies later stands in at the least value
+    that passes: as many input channels as groups and, without a window,
+    the narrowest width that every pool fits."""
+    channels = section["input_channels"]
+    if channels is None:
+        channels = max(section["groups"], 1)
+    width = window
+    if width is None:
+        width = 1
+        for _ in section["pool_before"]:
+            width = (width - 1) * section["pool_stride"] + section["pool_window"]
+        width = max(width, 1)
+    try:
+        _model_spec(section, channels, width)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _counted_model(spec: M.ModelSpec, labels: list[int] | None, seed: int) -> tuple[M.Model, int, int | None]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -209,12 +210,14 @@ def loads_csv(text: str) -> TimeSeriesDataset:
     """Parse wide-format CSV text: time column first, one column per series.
 
     Lines whose first cell starts with ``#`` are comments (provenance
-    stamps and such) and are skipped wherever they appear.
+    stamps and such) and are skipped wherever they appear.  Faults are
+    reported in row order, the first one winning; a non-finite value is
+    reported only once every cell has parsed.
     """
-    reader = csv.reader(io.StringIO(text))
+    # the reader's buffer (4 bytes a character) is freed once the rows are read
     rows = [
         (line_no, row)
-        for line_no, row in enumerate(reader, start=1)
+        for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1)
         if not (row and row[0].lstrip().startswith("#"))
     ]
     if not rows:
@@ -223,44 +226,55 @@ def loads_csv(text: str) -> TimeSeriesDataset:
     if len(header) < 3:
         raise DataError("need a time column plus at least 2 series columns")
     names = header[1:]
-    times: list[float] = []
-    line_nos: list[int] = []
-    columns: list[list[float]] = [[] for _ in names]
-    mask_cols: list[list[bool]] = [[] for _ in names]
-    for line_no, row in rows[1:]:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        line_nos.append(line_no)
-        if len(row) != len(header):
-            raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-        stamp = _parse_time(row[0], line_no)
-        if times and stamp <= times[-1]:
-            kind = "duplicate" if stamp == times[-1] else "non-monotone"
-            raise DataError(f"line {line_no}: {kind} time stamp {row[0].strip()!r}")
-        times.append(stamp)
-        for i, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                columns[i].append(np.nan)
-                mask_cols[i].append(False)
-            else:
-                try:
-                    columns[i].append(float(cell))
-                except ValueError:
-                    raise DataError(f"line {line_no}: cannot parse value {cell!r}") from None
-                mask_cols[i].append(True)
-    if not times:
+    body = [(line_no, row) for line_no, row in rows[1:] if any(cell.strip() for cell in row)]
+    if not body:
         raise DataError("no data rows")
-    values, mask = np.array(columns), np.array(mask_cols)
+    times: list[float] = []
+    for k, (line_no, row) in enumerate(body):
+        try:
+            if len(row) != len(header):
+                raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+            stamp = _parse_time(row[0], line_no)
+            if times and stamp <= times[-1]:
+                kind = "duplicate" if stamp == times[-1] else "non-monotone"
+                raise DataError(f"line {line_no}: {kind} time stamp {row[0].strip()!r}")
+        except DataError:
+            _parse_values(body[:k], len(names))  # an unparsable value on an earlier line comes first
+            raise
+        times.append(stamp)
+    values, mask = _parse_values(body, len(names))
     # float() also reads nan and inf; refuse them as present values (empty
-    # cells are the missing ones).  One vectorized pass per series keeps
-    # the temporaries small next to the parse's own peak.
-    for i, name in enumerate(names):
-        bad = mask[i] & ~np.isfinite(values[i])
-        if bad.any():
-            t = int(np.argmax(bad))
-            raise DataError(f"line {line_nos[t]}: series {name!r} holds non-finite value {float(values[i, t])!r}")
+    # cells are the missing ones)
+    bad = mask & ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        t = int(np.argmax(bad[i]))
+        raise DataError(f"line {body[t][0]}: series {names[i]!r} holds non-finite value {float(values[i, t])!r}")
     return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
+
+
+def _parse_values(body: list[tuple[int, list[str]]], n_series: int) -> tuple[np.ndarray, np.ndarray]:
+    """Series-major (values, mask) of the value cells of rows that each
+    hold ``n_series`` of them; a cell is present when it is not blank.
+    Every present cell goes through one ``float`` pass; if that fails, a
+    second pass finds the first cell in row order that does not parse and
+    raises naming it."""
+    cells = list(map(str.strip, itertools.chain.from_iterable(row[1:] for _, row in body)))
+    present = list(map(bool, cells))
+    try:
+        parsed = np.fromiter(map(float, itertools.compress(cells, present)), dtype=np.float64)
+    except ValueError:
+        for i, cell in enumerate(cells):
+            if cell:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"line {body[i // n_series][0]}: cannot parse value {cell!r}") from None
+        raise
+    mask = np.array(present, dtype=bool).reshape(len(body), n_series)
+    values = np.full(mask.shape, np.nan)
+    values[mask] = parsed
+    return np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T)
 
 
 def load_csv(path: str | Path) -> TimeSeriesDataset:
@@ -268,13 +282,18 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
 
 
 def dumps_csv(data: TimeSeriesDataset) -> str:
-    """Render the wide format back out; repr round-trips fp64 exactly."""
+    """Render the wide format back out; repr round-trips fp64 exactly.
+
+    Rows render one at a time from one ``tolist`` of the table; only a
+    row with a missing cell goes cell by cell."""
     lines = [",".join(["time"] + data.names)]
-    for t in range(data.n_steps):
-        cells = [repr(float(data.times[t]))]
-        for i in range(data.n_series):
-            cells.append(repr(float(data.values[i, t])) if data.mask[i, t] else "")
-        lines.append(",".join(cells))
+    gappy = (~data.mask.all(axis=0)).tolist()
+    for t, (stamp, row) in enumerate(zip(data.times.tolist(), data.values.T.tolist())):
+        if gappy[t]:
+            cells = [repr(v) if ok else "" for v, ok in zip(row, data.mask[:, t].tolist())]
+            lines.append(repr(stamp) + "," + ",".join(cells))
+        else:
+            lines.append(repr(stamp) + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -284,17 +303,14 @@ def save_csv(data: TimeSeriesDataset, path: str | Path) -> None:
 
 def _missing_runs(present: np.ndarray) -> list[tuple[int, int]]:
     """(start, length) of each run of False."""
-    runs = []
-    start = None
-    for t, ok in enumerate(present):
-        if not ok and start is None:
-            start = t
-        elif ok and start is not None:
-            runs.append((start, t - start))
-            start = None
-    if start is not None:
-        runs.append((start, len(present) - start))
-    return runs
+    present = np.asarray(present, dtype=bool)
+    if present.all():  # gap-free series, most of them, skip the array set-up
+        return []
+    padded = np.ones(present.size + 2, dtype=np.int8)
+    padded[1:-1] = present
+    edges = np.diff(padded)
+    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
+    return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
 def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tuple[TimeSeriesDataset, RepairReport]:

@@ -6,6 +6,7 @@ file should stay well under a minute.
 """
 
 import base64
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 import yaml
 
 from gcnn import cli
+from gcnn import data as D
 from gcnn import models as M
 from gcnn import synth
 from gcnn.data import load_csv, make_windows, repair_gaps, save_csv, split, standardize
@@ -105,6 +107,31 @@ def test_ingest_rerun_is_byte_identical(series_csv, tmp_path):
         first = (tmp_path / "out1" / name).read_bytes()
         second = (tmp_path / "out2" / name).read_bytes()
         assert first == second
+
+
+def gappy_synth() -> D.TimeSeriesDataset:
+    """A fixed synthetic set with gaps: with data.max_gap 3, one series
+    loses its first step (dropped), one has a 5-step run (dropped) and
+    two have short runs (filled)."""
+    ds = synth.generate(synth.SynthSpec(n_groups=2, per_group=3, length=60, seed=5))
+    for row, start, length in ((0, 0, 1), (1, 10, 2), (2, 30, 5), (4, 20, 1), (4, 40, 3)):
+        ds.values[row, start : start + length] = np.nan
+        ds.mask[row, start : start + length] = False
+    return ds
+
+
+def test_ingest_output_bytes_are_pinned(tmp_path, monkeypatch):
+    """The rendered CSV and ingest's repaired dataset.csv, byte for byte;
+    a relative data.path keeps the stamped config hash fixed."""
+    monkeypatch.chdir(tmp_path)
+    text = D.dumps_csv(gappy_synth())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f52d3685f1ac82707ed3659b667b0339b1921648e8711eccc75cd89af8d726e8")
+    Path("series.csv").write_text(text)
+    cfg = write_config(Path("run.yaml"), {"data": {"path": "series.csv", "max_gap": 3}, "out": "out"})
+    assert run("ingest", cfg) == 0
+    assert hashlib.sha256(Path("out/dataset.csv").read_bytes()).hexdigest() == (
+        "fc1923e3cc3b1b1d2f5847cfcabea9a098b22a5ec1c1bd3fe98896689449bc76")
 
 
 def test_ingest_missing_data_file_is_config_error(tmp_path):
@@ -648,6 +675,43 @@ def test_out_of_range_setting_exits_2_at_load(series_csv, tmp_path, capsys, comm
     cfg = write_config(tmp_path / "run.yaml", doc)
     assert run(command, cfg) == 2
     assert f"{section}.{key}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("model, message", [
+    ({"kernel_width": 0}, "model: kernel width must be >= 1, got 0"),
+    ({"grouping": "coeff", "groups": 4}, "model: stage channels 6 not divisible into 4 groups"),
+    ({"pool_window": 9}, "model: width 8 too small for pool window 9"),
+    ({"preset": "bogus"}, "model.preset: unknown preset 'bogus'"),
+], ids=["kernel_width", "groups", "pool_window", "preset"])
+def test_invalid_model_section_exits_2_at_load(series_csv, tmp_path, capsys, command, model, message):
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(series_csv)  # exists; never read
+    doc["eval"] = {"checkpoint": str(series_csv)}
+    doc["model"].update(model)
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run(command, cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_section_without_a_window_is_checked_but_its_width_waits(series_csv, tmp_path, capsys):
+    # ingest needs no window; a pooled model is then checked at the
+    # narrowest width its pools fit
+    doc = base_config(series_csv, tmp_path / "out", pool_before=[1, 2], pool_window=5, pool_stride=3)
+    del doc["data"]["window"]
+    assert run("ingest", write_config(tmp_path / "run.yaml", doc)) == 0
+    doc["model"]["kernel_width"] = 0
+    assert run("ingest", write_config(tmp_path / "run.yaml", doc)) == 2
+    assert "model: kernel width must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_unknown_candidate_preset_names_its_path(series_csv, tmp_path, capsys):
+    doc = base_config(series_csv, tmp_path / "out")
+    doc["compare"] = {"candidates": [{"name": "net", "model": {"preset": "bogus"}}]}
+    assert run("compare", write_config(tmp_path / "run.yaml", doc)) == 2
+    assert "compare.candidates[0].model.preset: unknown preset 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

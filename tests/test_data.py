@@ -91,6 +91,80 @@ class TestLoadCsv:
         )
 
 
+# one row per DataError message loads_csv can raise, then inputs with two
+# faults: row-level faults and unparsable values are reported in row
+# order (within a row, cell count, then time stamp, then values), and a
+# non-finite value only once every cell has parsed
+PARSE_FAULTS = {
+    "empty": ("", "empty input"),
+    "comments only": ("# config abc\n#\n", "empty input"),
+    "one series": ("time,a\n0,1\n", "need a time column plus at least 2 series columns"),
+    "no rows": ("time,a,b\n\n , ,\n", "no data rows"),
+    "repeated name": ("time,a,a\n0,1,2\n", "series names must be unique"),
+    "cell count": ("time,a,b\n0,1,2\n1,2\n", "line 3: expected 3 cells, got 2"),
+    "bad stamp": ("time,a,b\n0,1,2\nnoon,3,4\n", "line 3: cannot parse time stamp 'noon'"),
+    "infinite stamp": ("time,a,b\n0,1,2\n inf ,3,4\n", "line 3: time stamp 'inf' is not finite"),
+    "duplicate stamp": ("time,a,b\n0,1,2\n0.0,3,4\n", "line 3: duplicate time stamp '0.0'"),
+    "non-monotone stamp": ("time,a,b\n5,1,2\n 3 ,3,4\n", "line 3: non-monotone time stamp '3'"),
+    "bad value": ("time,a,b\n0,1,2\n1,3, oops \n", "line 3: cannot parse value 'oops'"),
+    "non-finite value": ("time,a,b\n0,1,2\n1,3,-inf\n", "line 3: series 'b' holds non-finite value -inf"),
+    "value before count": ("time,a,b\n0,x,2\n1,2\n", "line 2: cannot parse value 'x'"),
+    "count before value": ("time,a,b\n0,1\n1,x,2\n", "line 2: expected 3 cells, got 2"),
+    "value before stamp": ("time,a,b\n0,1,x\n1,2,3\nnoon,4,5\n", "line 2: cannot parse value 'x'"),
+    "stamp before value": ("time,a,b\n0,1,2\n0,2,3\n1,x,5\n", "line 3: duplicate time stamp '0'"),
+    "value before non-monotone": ("time,a,b\n5,1,2\n6,y,3\n4,4,5\n", "line 3: cannot parse value 'y'"),
+    "count first in its row": ("time,a,b\n0,1,2\n1,x\n", "line 3: expected 3 cells, got 2"),
+    "stamp first in its row": ("time,a,b\n0,1,2\nnoon,x,y\n", "line 3: cannot parse time stamp 'noon'"),
+    "leftmost value in its row": ("time,a,b\n0,1,2\n1,x,y\n", "line 3: cannot parse value 'x'"),
+    "unparsable before non-finite": ("time,a,b\n0,nan,2\n1,2,3\n2,4,z\n", "line 4: cannot parse value 'z'"),
+    "row fault before non-finite": ("time,a,b\n0,inf,2\n1,2,3\n1,4,5\n", "line 4: duplicate time stamp '1'"),
+    "first series with non-finite": ("time,a,b\n0,1,2\n1,2,nan\n2,inf,4\n3,nan,5\n",
+                                     "line 4: series 'a' holds non-finite value inf"),
+}
+
+
+class TestParseContract:
+    @pytest.mark.parametrize("text, message", PARSE_FAULTS.values(), ids=PARSE_FAULTS.keys())
+    def test_fault_message(self, text, message):
+        with pytest.raises(DataError) as info:
+            loads_csv(text)
+        assert str(info.value) == message
+
+    def test_blank_and_comment_lines_count_toward_line_numbers(self):
+        text = "# config abc\ntime,a,b\n0,1,2\n\n# note\n , \t,\n1,3,4\n2,5,x\n"
+        with pytest.raises(DataError, match="^line 8: cannot parse value 'x'$"):
+            loads_csv(text)
+        data = loads_csv(text.replace("x", "6"))
+        np.testing.assert_array_equal(data.times, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(data.values, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+    def test_whitespace_only_cells_are_missing(self):
+        data = loads_csv("time,a,b\n0, ,2\n1,3,\t\n2, 5 ,6\n")
+        np.testing.assert_array_equal(data.mask, [[False, True, True], [True, False, True]])
+        np.testing.assert_array_equal(data.values[data.mask], [3.0, 5.0, 2.0, 6.0])
+        assert np.isnan(data.values[~data.mask]).all()
+
+    def test_quoted_cells(self):
+        data = loads_csv('"time","a,1",b\n"0","1.5",""\n1,"-2e3",4\n')
+        assert data.names == ["a,1", "b"]
+        np.testing.assert_array_equal(data.mask, [[True, True], [False, True]])
+        np.testing.assert_array_equal(data.values[0], [1.5, -2000.0])
+
+    def test_crlf_file(self):
+        lf = loads_csv("time,a,b\n0,1,\n1,3,4\n")
+        crlf = loads_csv("time,a,b\r\n0,1,\r\n1,3,4\r\n")
+        assert crlf.names == lf.names
+        np.testing.assert_array_equal(crlf.mask, lf.mask)
+        np.testing.assert_array_equal(crlf.values[crlf.mask], lf.values[lf.mask])
+        with pytest.raises(DataError, match="^line 3: cannot parse value 'x'$"):
+            loads_csv("time,a,b\r\n0,1,2\r\n1,x,4\r\n")
+
+    def test_values_are_series_major_and_contiguous(self):
+        data = loads_csv("time,a,b,c\n0,1,2,3\n1,4,,6\n")
+        np.testing.assert_array_equal(data.mask, [[True, True], [True, False], [True, True]])
+        assert data.values.flags.c_contiguous and data.mask.flags.c_contiguous
+
+
 class TestDatasetInvariants:
     def test_unique_names(self):
         with pytest.raises(DataError, match="unique"):

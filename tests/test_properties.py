@@ -1,9 +1,13 @@
 """Property tests: windowing against a per-step reference, chronological
-splits against index-based subsets, the symmetric eigensolver's
-contract on random matrices with and without repeated eigenvalues,
-batched model passes against per-sample ones, memberships on the
-simplex, and grouped convolution and recurrent grouped stages against
-per-group references."""
+splits against index-based subsets, CSV parsing against a per-cell
+reference, bit-exact CSV round trips, gap runs against a scan, the
+symmetric eigensolver's contract on random matrices with and without
+repeated eigenvalues, batched model passes against per-sample ones,
+memberships on the simplex, and grouped convolution and recurrent
+grouped stages against per-group references."""
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcnn.data import SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, make_windows, split
+from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, dumps_csv,
+                       loads_csv, make_windows, split)
 from gcnn import tensor as T
 from gcnn.errors import DataError
 from gcnn.layers import Conv1DLayer, ConvGroup, GroupedConv1DLayer, RecurrentConvLayer
@@ -128,6 +133,157 @@ def test_chronological_split_equals_index_subsets(case, fraction):
         np.testing.assert_array_equal(part.targets, want.targets)
         np.testing.assert_array_equal(part.times, want.times)
         assert np.shares_memory(part.inputs, wset.inputs)
+
+
+# -- CSV text --------------------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def gappy_datasets(draw):
+    n_series = draw(st.integers(2, 5))
+    length = draw(st.integers(1, 30))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    values = draw(hnp.arrays(np.float64, (n_series, length), elements=finite))
+    mask = draw(hnp.arrays(bool, (n_series, length), elements=st.booleans()))
+    stamps = st.floats(-1e300, 1e300) | st.sampled_from(EDGE_FLOATS[2:5])
+    times = np.sort(draw(hnp.arrays(np.float64, length, elements=stamps, unique=True)))
+    return TimeSeriesDataset(names=[f"s{i}" for i in range(n_series)], times=times,
+                             values=np.where(mask, values, np.nan), mask=mask)
+
+
+@SETTINGS
+@given(gappy_datasets())
+@example(TimeSeriesDataset(names=["a", "b"], times=np.array([-1e308, 5e-324, 1e308]),
+                           values=np.array([[-0.0, 5e-324, np.nan], EDGE_FLOATS[4:7]]),
+                           mask=np.array([[True, True, False], [True, True, True]])))
+def test_csv_round_trip_is_bit_exact(data):
+    back = loads_csv(dumps_csv(data))
+    assert back.names == data.names
+    np.testing.assert_array_equal(back.times.view(np.uint64), data.times.view(np.uint64))
+    np.testing.assert_array_equal(back.mask, data.mask)
+    np.testing.assert_array_equal(back.values[back.mask].view(np.uint64), data.values[data.mask].view(np.uint64))
+    assert np.isnan(back.values[~back.mask]).all()
+
+
+def reference_loads_csv(text):
+    """The per-cell parse loop: each row checked and each cell converted
+    in turn, so the first fault in row order is the one raised."""
+    rows = [(line_no, row) for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1)
+            if not (row and row[0].lstrip().startswith("#"))]
+    if not rows:
+        raise DataError("empty input")
+    header = [h.strip() for h in rows[0][1]]
+    if len(header) < 3:
+        raise DataError("need a time column plus at least 2 series columns")
+    names = header[1:]
+    times, line_nos = [], []
+    columns, mask_cols = [[] for _ in names], [[] for _ in names]
+    for line_no, row in rows[1:]:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        line_nos.append(line_no)
+        if len(row) != len(header):
+            raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+        stamp = _parse_time(row[0], line_no)
+        if times and stamp <= times[-1]:
+            kind = "duplicate" if stamp == times[-1] else "non-monotone"
+            raise DataError(f"line {line_no}: {kind} time stamp {row[0].strip()!r}")
+        times.append(stamp)
+        for i, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell == "":
+                columns[i].append(np.nan)
+                mask_cols[i].append(False)
+            else:
+                try:
+                    columns[i].append(float(cell))
+                except ValueError:
+                    raise DataError(f"line {line_no}: cannot parse value {cell!r}") from None
+                mask_cols[i].append(True)
+    if not times:
+        raise DataError("no data rows")
+    values, mask = np.array(columns), np.array(mask_cols)
+    for i, name in enumerate(names):
+        bad = mask[i] & ~np.isfinite(values[i])
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise DataError(f"line {line_nos[t]}: series {name!r} holds non-finite value {float(values[i, t])!r}")
+    return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
+
+
+GOOD_CELLS = ["", " ", "1", "-0.0", " 2.5e-3 ", '"4"', "5e-324", "1_0"]
+BAD_CELLS = ["nan", "-inf", "1e999", "x", '"a,b"']
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSV documents, many with one or more faults: bad, repeated or
+    decreasing stamps, wrong cell counts, unparsable and non-finite cells;
+    blank and comment lines anywhere, LF or CRLF line ends."""
+    n_series = draw(st.sampled_from([1, 2, 2, 3, 3, 3]))
+    lines = [",".join(["time"] + [f"s{i}" for i in range(n_series)])]
+    stamp = 0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " , ", ","])))
+        elif kind == "comment":
+            lines.append("# note")
+        else:
+            stamp += draw(st.sampled_from([1] * 12 + [0, -1]))
+            token = draw(st.sampled_from([f" {stamp} "] * 12 + ["noon", "inf"]))
+            width = n_series + draw(st.sampled_from([0] * 12 + [-1, 1]))
+            cells = st.sampled_from(GOOD_CELLS * 8 + BAD_CELLS)
+            lines.append(",".join([token] + draw(st.lists(cells, min_size=width, max_size=width))))
+    if draw(st.booleans()):
+        lines.insert(0, "# config abc")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def parse_outcome(parse, text):
+    """The error message, or the dataset's names, time and value bits and mask."""
+    try:
+        data = parse(text)
+    except DataError as e:
+        return str(e)
+    return (data.names, data.times.view(np.uint64).tolist(), data.mask.tolist(),
+            data.values[data.mask].view(np.uint64).tolist())
+
+
+@SETTINGS
+@given(csv_texts())
+@example("time,a,b\n0,nan,2\n1,x,3\n")
+@example("time,a,b\n0,1,x\n0,2,3\n")
+def test_loads_csv_matches_the_per_cell_reference(text):
+    assert parse_outcome(loads_csv, text) == parse_outcome(reference_loads_csv, text)
+
+
+def brute_force_runs(present):
+    runs, start = [], None
+    for t, ok in enumerate(present):
+        if not ok and start is None:
+            start = t
+        elif ok and start is not None:
+            runs.append((start, t - start))
+            start = None
+    if start is not None:
+        runs.append((start, len(present) - start))
+    return runs
+
+
+@SETTINGS
+@given(hnp.arrays(bool, st.integers(0, 40), elements=st.booleans()))
+@example(np.ones(7, dtype=bool))
+@example(np.zeros(7, dtype=bool))
+@example(np.array([True]))
+@example(np.array([False]))
+def test_missing_runs_match_a_brute_force_scan(present):
+    runs = _missing_runs(present)
+    assert runs == brute_force_runs(present)
+    assert all(type(v) is int for run in runs for v in run)
 
 
 @st.composite
