@@ -214,12 +214,7 @@ def loads_csv(text: str) -> TimeSeriesDataset:
     reported in row order, the first one winning; a non-finite value is
     reported only once every cell has parsed.
     """
-    # the reader's buffer (4 bytes a character) is freed once the rows are read
-    rows = [
-        (line_no, row)
-        for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1)
-        if not (row and row[0].lstrip().startswith("#"))
-    ]
+    rows = _records(text)
     if not rows:
         raise DataError("empty input")
     header = [h.strip() for h in rows[0][1]]
@@ -251,6 +246,20 @@ def loads_csv(text: str) -> TimeSeriesDataset:
         t = int(np.argmax(bad[i]))
         raise DataError(f"line {body[t][0]}: series {names[i]!r} holds non-finite value {float(values[i, t])!r}")
     return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
+
+
+def _records(text: str) -> list[tuple[int, list[str]]]:
+    """The non-comment CSV records, each with the line it starts on: one
+    past the line the previous record ended on, so a quoted cell that
+    spans lines moves the count on by every line it covers.  The reader's
+    buffer (4 bytes a character) is freed on return."""
+    reader = csv.reader(io.StringIO(text))
+    records, line_no = [], 1
+    for row in reader:
+        if not (row and row[0].lstrip().startswith("#")):
+            records.append((line_no, row))
+        line_no = reader.line_num + 1
+    return records
 
 
 def _parse_values(body: list[tuple[int, list[str]]], n_series: int) -> tuple[np.ndarray, np.ndarray]:

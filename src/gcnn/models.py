@@ -9,7 +9,6 @@ a runnable :class:`Model`.  Builds are pure functions of
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -44,7 +43,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "gcnn.checkpoint/4"
+CHECKPOINT_FORMAT = "gcnn.checkpoint/5"
 
 GROUPING_MODES = ("none", "explicit", "coeff")
 
@@ -378,50 +377,30 @@ def preset(name: str) -> ModelSpec:
 
 
 def save_checkpoint(model: Model, path: str | Path, meta: dict | None = None) -> None:
-    """Write the model (spec echo, seed, all parameters) as one JSON document.
+    """Write the model as one file: a JSON header line, then the raw
+    parameter bytes.
 
-    Each parameter's ``f8`` is the base64 of its row-major little-endian
-    float64 bytes, so a load restores every bit and save/load/save is
+    The header holds the spec echo, seed, assignment and one
+    ``{"name", "shape"}`` entry per parameter.  After its newline come the
+    row-major little-endian float64 bytes of every parameter, back to back
+    in header order, so a load restores every bit and save/load/save is
     byte-stable.  ``meta`` is an optional provenance block stored verbatim
     and ignored on load.
     """
-    doc = {
+    params = model.named_params()
+    header = {
         "format": CHECKPOINT_FORMAT,
         "spec": model.spec.to_dict(),
         "seed": model.seed,
         "assignment": model.assignment,
-        "params": [
-            {"name": name, "shape": list(t.shape), "f8": _encode_f8(t.data)}
-            for name, t in model.named_params()
-        ],
+        "params": [{"name": name, "shape": list(t.shape)} for name, t in params],
     }
     if meta:
-        doc["meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def _encode_f8(values: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_f8(name: str, entry: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """One stored parameter as an owned, writable float64 array of ``shape``."""
-    if entry.get("shape") != list(shape):
-        raise ShapeError(f"parameter {name!r} shape {entry.get('shape')} does not match {shape}")
-    payload = entry.get("f8")
-    if not isinstance(payload, str):
-        raise ConfigError(f"parameter {name!r} has no base64 'f8' payload")
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except ValueError as e:
-        raise ConfigError(f"parameter {name!r} payload is not valid base64: {e}") from e
-    nbytes = 8 * math.prod(shape)
-    if len(raw) != nbytes:
-        raise ShapeError(f"parameter {name!r} payload holds {len(raw)} bytes, shape {shape} needs {nbytes}")
-    values = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
-    if not np.isfinite(values).all():
-        raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
-    return values
+        header["meta"] = meta
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for _, t in params:
+            f.write(np.ascontiguousarray(t.data, dtype="<f8"))
 
 
 def _is_count(v) -> bool:
@@ -430,14 +409,15 @@ def _is_count(v) -> bool:
 
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`."""
+    head, _, body = Path(path).read_bytes().partition(b"\n")
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"checkpoint is not valid JSON: {e}") from e
+        doc = json.loads(head)
+    except ValueError as e:  # not JSON, or not even text
+        raise ConfigError(f"checkpoint header line is not valid JSON ({CHECKPOINT_FORMAT} expected): {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format {doc.get('format')!r}")
+        raise ConfigError(f"unsupported checkpoint format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
     for key in ("spec", "params"):
         if key not in doc:
             raise ConfigError(f"checkpoint has no {key!r} key")
@@ -448,18 +428,31 @@ def load_checkpoint(path: str | Path) -> Model:
         raise ConfigError("checkpoint assignment must be a list of integer labels")
     if not isinstance(params, list):
         raise ConfigError(f"checkpoint params must be a list, got {type(params).__name__}")
-    stored: dict[str, dict] = {}
+    stored: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, byte offset)
+    offset = 0
     for entry in params:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ConfigError("every checkpoint parameter needs a string 'name'")
-        if entry["name"] in stored:
-            raise ConfigError(f"checkpoint parameter {entry['name']!r} appears twice")
-        stored[entry["name"]] = entry
+        name, shape = entry["name"], entry.get("shape")
+        if name in stored:
+            raise ConfigError(f"checkpoint parameter {name!r} appears twice")
+        if not (isinstance(shape, list) and all(map(_is_count, shape))):
+            raise ConfigError(f"checkpoint parameter {name!r} shape must be a list of non-negative integers")
+        stored[name] = (tuple(shape), offset)
+        offset += 8 * math.prod(shape)
+    if len(body) != offset:
+        raise ShapeError(f"checkpoint body holds {len(body)} bytes, its parameter shapes need {offset}")
     model = build_model(ModelSpec.from_dict(doc["spec"]), assignment, seed=seed)
     for name, t in model.named_params():
         if name not in stored:
             raise ConfigError(f"checkpoint is missing parameter {name!r}")
-        t.data = _decode_f8(name, stored.pop(name), t.shape)
+        shape, start = stored.pop(name)
+        if shape != t.shape:
+            raise ShapeError(f"parameter {name!r} shape {list(shape)} does not match {t.shape}")
+        values = np.frombuffer(body, "<f8", math.prod(shape), start).reshape(shape).astype(np.float64)
+        if not np.isfinite(values).all():
+            raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
+        t.data = values
     if stored:
         raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
     return model

@@ -5,9 +5,9 @@ can be asserted directly.  Training configs are kept tiny; the whole
 file should stay well under a minute.
 """
 
-import base64
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -312,25 +312,43 @@ def test_eval_missing_checkpoint_exits_2(series_csv, tmp_path):
 
 
 def eval_doctored(series_csv, tmp_path, doctor) -> int:
-    """Exit code of `gcnn eval` on a checkpoint whose JSON document
-    ``doctor`` rewrote."""
+    """Exit code of `gcnn eval` on a checkpoint whose bytes ``doctor``
+    rewrote."""
     spec = M.ModelSpec(input_channels=12, input_width=8, stage_channels=(6, 6),
                        pool_window=2, pool_stride=2, pool_before=(2,), dense_units=(4, 1))
     ckpt = tmp_path / "doctored.json"
     M.save_checkpoint(M.build_model(spec, seed=0), ckpt)
-    ckpt.write_text(json.dumps(doctor(json.loads(ckpt.read_text()))))
+    ckpt.write_bytes(doctor(ckpt.read_bytes()))
 
     config = base_config(series_csv, tmp_path / "out")
     config["eval"] = {"checkpoint": str(ckpt)}
     return run("eval", write_config(tmp_path / "run.yaml", config))
 
 
+def split_checkpoint(raw):
+    """A checkpoint file as its header dict and its body bytes."""
+    head, _, body = raw.partition(b"\n")
+    return json.loads(head), body
+
+
+def join_checkpoint(doc, body):
+    return json.dumps(doc).encode() + b"\n" + body
+
+
+def header(edit):
+    """Doctor that passes the header through ``edit`` and keeps the body."""
+    def doctor(raw):
+        doc, body = split_checkpoint(raw)
+        return join_checkpoint(edit(doc), body)
+    return doctor
+
+
 def first_payload(edit):
     """Doctor that passes the first parameter's raw <f8 bytes through ``edit``."""
-    def doctor(doc):
-        entry = doc["params"][0]
-        entry["f8"] = base64.b64encode(edit(base64.b64decode(entry["f8"]))).decode("ascii")
-        return doc
+    def doctor(raw):
+        doc, body = split_checkpoint(raw)
+        n = 8 * math.prod(doc["params"][0]["shape"])
+        return join_checkpoint(doc, edit(body[:n]) + body[n:])
     return doctor
 
 
@@ -340,7 +358,7 @@ def first_value(value):
 
 def test_eval_undoctored_checkpoint_exits_0(series_csv, tmp_path):
     # the control for the doctored cases below
-    assert eval_doctored(series_csv, tmp_path, lambda doc: doc) == 0
+    assert eval_doctored(series_csv, tmp_path, header(lambda doc: doc)) == 0
 
 
 def test_eval_non_finite_checkpoint_exits_4(series_csv, tmp_path):
@@ -352,23 +370,29 @@ def test_eval_infinite_checkpoint_exits_4(series_csv, tmp_path):
 
 
 def test_eval_format_2_checkpoint_exits_2(series_csv, tmp_path):
-    for old in ("gcnn.checkpoint/1", "gcnn.checkpoint/2", "gcnn.checkpoint/3"):
-        assert eval_doctored(series_csv, tmp_path, lambda doc: {**doc, "format": old}) == 2
+    for old in ("gcnn.checkpoint/1", "gcnn.checkpoint/2", "gcnn.checkpoint/3", "gcnn.checkpoint/4"):
+        assert eval_doctored(series_csv, tmp_path, header(lambda doc: {**doc, "format": old})) == 2
 
 
 @pytest.mark.parametrize("doctor", [
-    lambda doc: {**doc, "params": [{**doc["params"][0], "f8": "!!!!"}] + doc["params"][1:]},
+    lambda raw: b"not json" + raw[raw.index(b"\n") :],
+    lambda raw: b"",
+    lambda raw: raw.replace(b"\n", b" ", 1),
     first_payload(lambda raw: raw[:-8]),
     first_payload(lambda raw: raw + bytes(8)),
-    lambda doc: [doc],
-    lambda doc: {k: v for k, v in doc.items() if k != "spec"},
-    lambda doc: {k: v for k, v in doc.items() if k != "params"},
-    lambda doc: {**doc, "params": {p["name"]: p for p in doc["params"]}},
-    lambda doc: {**doc, "params": [{k: v for k, v in p.items() if k != "name"} for p in doc["params"]]},
-    lambda doc: {**doc, "seed": 1.5},
-    lambda doc: {**doc, "params": doc["params"] + doc["params"][:1]},
-], ids=["bad-base64", "payload-short", "payload-long", "array", "no-spec", "no-params",
-        "params-not-list", "nameless-param", "float-seed", "duplicate-param"])
+    header(lambda doc: [doc]),
+    header(lambda doc: {k: v for k, v in doc.items() if k != "spec"}),
+    header(lambda doc: {k: v for k, v in doc.items() if k != "params"}),
+    header(lambda doc: {**doc, "params": {p["name"]: p for p in doc["params"]}}),
+    header(lambda doc: {**doc, "params": [{k: v for k, v in p.items() if k != "name"} for p in doc["params"]]}),
+    header(lambda doc: {**doc, "seed": 1.5}),
+    header(lambda doc: {**doc, "params": doc["params"] + doc["params"][:1]}),
+    lambda raw: raw[: raw.index(b"\n") // 2],
+    lambda raw: raw[: raw.index(b"\n") + 1],
+    lambda raw: raw[: len(raw) - 100],
+], ids=["header-not-json", "empty", "no-newline", "payload-short", "payload-long", "array", "no-spec", "no-params",
+        "params-not-list", "nameless-param", "float-seed", "duplicate-param", "cut-in-header", "cut-after-header",
+        "cut-in-body"])
 def test_eval_malformed_checkpoint_exits_2(series_csv, tmp_path, doctor):
     assert eval_doctored(series_csv, tmp_path, doctor) == 2
 
@@ -647,7 +671,7 @@ def test_every_artifact_names_the_config_hash(series_csv, tmp_path):
     stamp = f"# config {hashes.pop()}"
     for name in ("dataset.csv", "assignment.csv", "history.csv", "predictions.csv"):
         assert (out / name).read_text().splitlines()[0] == stamp
-    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    checkpoint, _ = split_checkpoint((out / "checkpoint.json").read_bytes())
     assert checkpoint["meta"]["config"] == stamp.split()[-1]
 
 

@@ -120,6 +120,9 @@ PARSE_FAULTS = {
     "row fault before non-finite": ("time,a,b\n0,inf,2\n1,2,3\n1,4,5\n", "line 4: duplicate time stamp '1'"),
     "first series with non-finite": ("time,a,b\n0,1,2\n1,2,nan\n2,inf,4\n3,nan,5\n",
                                      "line 4: series 'a' holds non-finite value inf"),
+    "after a multi-line cell": ('time,"a\nb",c\n0,1,2\n1,x,3\n', "line 4: cannot parse value 'x'"),
+    "after a multi-line value": ('time,a,b\n0,"1\n",2\n1,x,3\n', "line 4: cannot parse value 'x'"),
+    "in a multi-line cell": ('time,a,b\n0,1,2\n1,"x\ny",3\n2,z,4\n', "line 3: cannot parse value 'x\\ny'"),
 }
 
 

@@ -1,8 +1,8 @@
 """Model assembly: preset geometries, parameter counts, grouping
 degeneracies, and checkpoint round-trips."""
 
-import base64
 import json
+import math
 
 import numpy as np
 import pytest
@@ -296,6 +296,16 @@ class TestGroupingDegeneracies:
         assert np.any(out_a[:per_group] != out_b[:per_group])
 
 
+def first_shape(shape):
+    """Header edit that gives the first parameter ``shape`` (None drops it)."""
+    def edit(doc):
+        entry = {k: v for k, v in doc["params"][0].items() if k != "shape"}
+        if shape is not None:
+            entry["shape"] = shape
+        return {**doc, "params": [entry] + doc["params"][1:]}
+    return edit
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "coeff", "groups": 2})
@@ -334,17 +344,22 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_previous_format_rejected(self, tmp_path):
-        # formats 1-3 stored values as JSON numbers, and 2 named recurrent
-        # parameters per group sub-stack; refuse them whole
+        # formats 1-3 stored values as JSON numbers, 2 named recurrent
+        # parameters per group sub-stack, and 4 stored base64 payloads;
+        # refuse them whole
         spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2, "recurrent": True})
         path = tmp_path / "model.json"
         save_checkpoint(build_model(spec, assignment=balanced_assignment(6, 2), seed=16), path)
-        doc = json.loads(path.read_text())
-        for old in ("gcnn.checkpoint/1", "gcnn.checkpoint/2", "gcnn.checkpoint/3"):
+        doc, body = split_checkpoint(path.read_bytes())
+        for old in ("gcnn.checkpoint/1", "gcnn.checkpoint/2", "gcnn.checkpoint/3", "gcnn.checkpoint/4"):
             doc["format"] = old
-            path.write_text(json.dumps(doc))
-            with pytest.raises(ConfigError, match="format"):
+            path.write_bytes(join_checkpoint(doc, body))
+            with pytest.raises(ConfigError, match="format .*, expected 'gcnn.checkpoint/5'"):
                 load_checkpoint(path)
+        # format 4 files were one indented JSON document, whose first line is "{"
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        with pytest.raises(ConfigError, match="gcnn.checkpoint/5 expected"):
+            load_checkpoint(path)
 
     def test_truncated_json_rejected(self, tmp_path):
         path = tmp_path / "trunc.json"
@@ -356,21 +371,19 @@ class TestCheckpoints:
         spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2})
         path = tmp_path / "model.json"
         save_checkpoint(build_model(spec, assignment=balanced_assignment(6, 2), seed=22), path)
-        doc = json.loads(path.read_text())
+        doc, body = split_checkpoint(path.read_bytes())
         doc["assignment"] = [float(label) for label in doc["assignment"]]
-        path.write_text(json.dumps(doc))
+        path.write_bytes(join_checkpoint(doc, body))
         with pytest.raises(ConfigError, match="assignment"):
             load_checkpoint(path)
 
     def test_missing_param_rejected(self, tmp_path):
-        import json
-
         model = build_model(SMALL, seed=15)
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
-        doc = json.loads(path.read_text())
-        doc["params"] = doc["params"][1:]
-        path.write_text(json.dumps(doc))
+        doc, body = split_checkpoint(path.read_bytes())
+        first = doc["params"].pop(0)
+        path.write_bytes(join_checkpoint(doc, body[8 * math.prod(first["shape"]) :]))
         with pytest.raises(ConfigError, match="missing"):
             load_checkpoint(path)
 
@@ -400,13 +413,14 @@ class TestCheckpoints:
         # the SGD step moved the loaded arrays themselves
         assert all(np.any(data != old) for data, old in zip(loaded, before))
 
-    def test_bad_base64_rejected(self, tmp_path):
-        def garble(doc):
-            doc["params"][0]["f8"] = "!!!!"
-            return doc
-
-        with pytest.raises(ConfigError, match="base64"):
-            load_checkpoint(checkpoint_doc(tmp_path, garble))
+    @pytest.mark.parametrize("doctor", [
+        lambda raw: b"not json" + raw[raw.index(b"\n") :],
+        lambda raw: b"",
+        lambda raw: raw.replace(b"\n", b" ", 1),
+    ], ids=["header-not-json", "empty", "no-newline"])
+    def test_unreadable_header_rejected(self, tmp_path, doctor):
+        with pytest.raises(ConfigError, match="JSON"):
+            load_checkpoint(checkpoint_doc(tmp_path, doctor))
 
     @pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(8)], ids=["short", "long"])
     def test_payload_length_mismatch_rejected(self, tmp_path, edit):
@@ -432,28 +446,52 @@ class TestCheckpoints:
         (lambda doc: {**doc, "spec": {k: v for k, v in doc["spec"].items() if k != "input_width"}}, "input_width"),
         (lambda doc: {**doc, "spec": {**doc["spec"], "input_channels": "6"}}, "input_channels"),
         (lambda doc: {**doc, "spec": {**doc["spec"], "stage_channels": [8, 8.5]}}, "stage_channels"),
+        (first_shape(None), "shape must be a list of non-negative integers"),
+        (first_shape(6), "shape must be a list"),
+        (first_shape([6, 8.0]), "shape must be a list"),
+        (first_shape([6, -8]), "shape must be a list"),
+        (first_shape([6, True]), "shape must be a list"),
     ], ids=["array", "no-spec", "no-params", "params-not-list", "nameless-param", "float-seed", "negative-seed",
-            "duplicate", "spec-not-mapping", "spec-field-missing", "spec-field-str", "spec-field-float"])
+            "duplicate", "spec-not-mapping", "spec-field-missing", "spec-field-str", "spec-field-float",
+            "shape-missing", "shape-int", "shape-float", "shape-negative", "shape-bool"])
     def test_malformed_document_rejected(self, tmp_path, doctor, problem):
         with pytest.raises(ConfigError, match=problem):
-            load_checkpoint(checkpoint_doc(tmp_path, doctor))
+            load_checkpoint(checkpoint_doc(tmp_path, header(doctor)))
 
 
 def checkpoint_doc(tmp_path, doctor):
-    """Save a fresh SMALL model, let ``doctor`` rewrite its JSON document,
+    """Save a fresh SMALL model, let ``doctor`` rewrite the file's bytes,
     and return the rewritten file's path."""
     path = tmp_path / "doctored.json"
     save_checkpoint(build_model(SMALL, seed=20), path)
-    path.write_text(json.dumps(doctor(json.loads(path.read_text()))))
+    path.write_bytes(doctor(path.read_bytes()))
     return path
+
+
+def split_checkpoint(raw):
+    """A checkpoint file as its header dict and its body bytes."""
+    head, _, body = raw.partition(b"\n")
+    return json.loads(head), body
+
+
+def join_checkpoint(doc, body):
+    return json.dumps(doc).encode() + b"\n" + body
+
+
+def header(edit):
+    """Doctor that passes the header through ``edit`` and keeps the body."""
+    def doctor(raw):
+        doc, body = split_checkpoint(raw)
+        return join_checkpoint(edit(doc), body)
+    return doctor
 
 
 def first_payload(edit):
     """Doctor that passes the first parameter's raw <f8 bytes through ``edit``."""
-    def doctor(doc):
-        entry = doc["params"][0]
-        entry["f8"] = base64.b64encode(edit(base64.b64decode(entry["f8"]))).decode("ascii")
-        return doc
+    def doctor(raw):
+        doc, body = split_checkpoint(raw)
+        n = 8 * math.prod(doc["params"][0]["shape"])
+        return join_checkpoint(doc, edit(body[:n]) + body[n:])
     return doctor
 
 

@@ -3,8 +3,9 @@ splits against index-based subsets, CSV parsing against a per-cell
 reference, bit-exact CSV round trips, gap runs against a scan, the
 symmetric eigensolver's contract on random matrices with and without
 repeated eigenvalues, batched model passes against per-sample ones,
-memberships on the simplex, and grouped convolution and recurrent
-grouped stages against per-group references."""
+memberships on the simplex, grouped convolution and recurrent grouped
+stages against per-group references, and checkpoint loads of truncated
+or corrupted files."""
 
 import csv
 import io
@@ -18,9 +19,9 @@ from hypothesis.extra import numpy as hnp
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, dumps_csv,
                        loads_csv, make_windows, split)
 from gcnn import tensor as T
-from gcnn.errors import DataError
+from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, ConvGroup, GroupedConv1DLayer, RecurrentConvLayer
-from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model
+from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model, load_checkpoint, save_checkpoint
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
 from gcnn.training import PREDICT_CHUNK, evaluate, mse_loss
@@ -170,8 +171,12 @@ def test_csv_round_trip_is_bit_exact(data):
 def reference_loads_csv(text):
     """The per-cell parse loop: each row checked and each cell converted
     in turn, so the first fault in row order is the one raised."""
-    rows = [(line_no, row) for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1)
-            if not (row and row[0].lstrip().startswith("#"))]
+    reader = csv.reader(io.StringIO(text))
+    rows, line_no = [], 1
+    for row in reader:  # a record's line is one past where the previous one ended
+        if not (row and row[0].lstrip().startswith("#")):
+            rows.append((line_no, row))
+        line_no = reader.line_num + 1
     if not rows:
         raise DataError("empty input")
     header = [h.strip() for h in rows[0][1]]
@@ -213,7 +218,7 @@ def reference_loads_csv(text):
     return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
 
 
-GOOD_CELLS = ["", " ", "1", "-0.0", " 2.5e-3 ", '"4"', "5e-324", "1_0"]
+GOOD_CELLS = ["", " ", "1", "-0.0", " 2.5e-3 ", '"4"', "5e-324", "1_0", '"6\n"']
 BAD_CELLS = ["nan", "-inf", "1e999", "x", '"a,b"']
 
 
@@ -221,7 +226,8 @@ BAD_CELLS = ["nan", "-inf", "1e999", "x", '"a,b"']
 def csv_texts(draw):
     """Small CSV documents, many with one or more faults: bad, repeated or
     decreasing stamps, wrong cell counts, unparsable and non-finite cells;
-    blank and comment lines anywhere, LF or CRLF line ends."""
+    blank and comment lines anywhere, quoted cells that span lines, LF or
+    CRLF line ends."""
     n_series = draw(st.sampled_from([1, 2, 2, 3, 3, 3]))
     lines = [",".join(["time"] + [f"s{i}" for i in range(n_series)])]
     stamp = 0
@@ -564,3 +570,36 @@ def test_recurrent_grouped_stage_equals_per_group_reference(case):
     g_want = backward(T.sum_all(want * weights), leaves=leaves)
     for leaf in leaves:
         np.testing.assert_allclose(g_got[leaf], g_want[leaf], rtol=1e-10, atol=1e-12)
+
+
+CHECKPOINT_SPEC = ModelSpec(input_channels=4, input_width=4, stage_channels=(2,), pool_before=(), dense_units=(1,),
+                            grouping="explicit", groups=2)
+
+
+def small_checkpoint(path):
+    """Write a small explicit-grouping checkpoint to ``path``; return its bytes."""
+    save_checkpoint(build_model(CHECKPOINT_SPEC, [1, 2, 1, 2], seed=3), path, meta={"config": "abc"})
+    return path.read_bytes()
+
+
+def test_every_truncated_checkpoint_is_refused_with_a_typed_error(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    raw = small_checkpoint(path)
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        # a cut header is not JSON; a cut body is short of its shapes
+        with pytest.raises((ConfigError, ShapeError)):
+            load_checkpoint(path)
+
+
+@SETTINGS
+@given(st.data())
+def test_checkpoint_header_byte_edit_loads_or_raises_a_typed_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "edited.json"
+    raw = small_checkpoint(path)
+    at = data.draw(st.integers(0, raw.index(b"\n")))  # the newline too
+    path.write_bytes(raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1 :])
+    try:
+        load_checkpoint(path)
+    except (ConfigError, ShapeError, NumericalError):
+        pass
