@@ -35,6 +35,7 @@ import numpy as np
 import yaml
 
 from . import data as D
+from . import layers as L
 from . import models as M
 from . import spectral as S
 from . import training as R
@@ -271,10 +272,12 @@ class RunConfig:
             dw = self.doc["data"]["window"]
             if dw is not None and preset_width is not None and dw != preset_width:
                 raise ConfigError(f"data.window: {dw} does not match the model input width {preset_width}")
-        # ModelSpec's own checks, for every command; only the input
-        # channel count waits for the data (compare candidates are built
-        # over it, and checked, before compare writes anything)
+        # ModelSpec's own checks, for every command and every compare
+        # candidate; only the input channel count waits for the data
+        # (compare checks each candidate's before it writes anything)
         _check_model(self.model, "model", self.window)
+        for i, cand in enumerate(self.doc["compare"]["candidates"]):
+            _check_model(cand["model"], f"compare.candidates[{i}].model", self.window)
         if cmd == "param-count":
             _spec_for(self, self.model)
             return
@@ -427,34 +430,37 @@ def _model_spec(section: dict, channels: int, width: int) -> M.ModelSpec:
 
 
 def _check_model(section: dict, where: str, window: int | None) -> None:
-    """Run ModelSpec's checks on a resolved model section before any data
-    is read.  Geometry the data supplies later stands in at the least value
-    that passes: as many input channels as groups and, without a window,
-    the narrowest width that every pool fits."""
+    """Run ModelSpec's checks, and the width check against ``window``, on a
+    resolved model section before any data is read.  Geometry the data
+    supplies later stands in at the least value that passes: as many input
+    channels as groups and, without a width, the narrowest width that every
+    pool fits."""
     channels = section["input_channels"]
     if channels is None:
         channels = max(section["groups"], 1)
-    width = window
+    width = window if window is not None else section["input_width"]
     if width is None:
         width = 1
         for _ in section["pool_before"]:
             width = (width - 1) * section["pool_stride"] + section["pool_window"]
         width = max(width, 1)
     try:
+        _check_geometry("model", None, section["input_width"], None, window)
         _model_spec(section, channels, width)
-    except ConfigError as e:
+    except (ConfigError, ShapeError) as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
 def _counted_model(spec: M.ModelSpec, labels: list[int] | None, seed: int) -> tuple[M.Model, int, int | None]:
     """The built model, its parameter count and, when it is grouped, the
-    count of the same geometry without grouping.  Explicit grouping exists
-    to cut parameters, so a model it does not shrink is refused."""
+    count of the same geometry without grouping, built unfilled since it is
+    only counted.  Explicit grouping exists to cut parameters, so a model it
+    does not shrink is refused."""
     model = M.build_model(spec, labels, seed=seed)
     n_params = M.count_params(model)
     if spec.grouping == "none":
         return model, n_params, None
-    vanilla = M.count_params(M.build_model(replace(spec, grouping="none", groups=1)))
+    vanilla = M.count_params(M._assemble(replace(spec, grouping="none", groups=1), None, seed, L.UNFILLED))
     if spec.grouping == "explicit" and n_params >= vanilla:
         raise ConfigError(
             f"explicit grouping must shrink the parameter count: {n_params} grouped, {vanilla} ungrouped")

@@ -10,7 +10,8 @@ each iteration is one :func:`tensor.grouped_conv1d`; a grouped lift in
 front of it widens each group to the stage's width, and a group already
 that wide passes through the lift unchanged.  Parameters are created
 from a caller supplied ``numpy.random.Generator`` so identical seeds
-give identical models.
+give identical models, or, given :data:`UNFILLED` instead, shape-only,
+without a draw, for a model whose values are read in from a checkpoint.
 """
 
 from __future__ import annotations
@@ -34,18 +35,36 @@ __all__ = [
     "DenseLayer",
     "MaxPool1DLayer",
     "FlattenLayer",
+    "UNFILLED",
     "init_uniform_fanin",
     "validate_partition",
     "toy_grouped_dense_forward",
 ]
 
 
-def init_uniform_fanin(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
+#: Passed where a layer takes ``rng``: build its parameters with shapes
+#: but no values (:class:`tensor.Unfilled`), and draw nothing.
+UNFILLED = T.Unfilled(())
+
+
+def _new_param(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], bound: float = 0.0) -> Tensor:
+    """A trainable leaf: drawn uniformly from [-bound, bound], zeros (and
+    no draw) for bound 0, or unfilled when ``rng`` is :data:`UNFILLED`.
+    Every layer parameter is made here."""
+    if rng is UNFILLED:
+        values = T.Unfilled(shape)
+    elif bound:
+        values = rng.uniform(-bound, bound, size=shape)
+    else:
+        values = np.zeros(shape)
+    return Tensor(values, requires_grad=True)
+
+
+def init_uniform_fanin(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], fan_in: int) -> Tensor:
     """Weights drawn uniformly from [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return _new_param(rng, shape, 1.0 / np.sqrt(fan_in))
 
 
 def validate_partition(member_lists: Sequence[Sequence[int]], n_channels: int) -> None:
@@ -92,7 +111,7 @@ class Conv1DLayer(Layer):
         kernel_width: int = 3,
         activation: str = "relu",
         *,
-        rng: np.random.Generator,
+        rng: np.random.Generator | T.Unfilled,
     ):
         if kernel_width < 1:
             raise ShapeError(f"kernel width must be >= 1, got {kernel_width}")
@@ -104,7 +123,7 @@ class Conv1DLayer(Layer):
         self.activation = activation
         fan_in = in_channels * kernel_width
         self.kernels = init_uniform_fanin(rng, (out_channels, in_channels, kernel_width), fan_in)
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.bias = _new_param(rng, (out_channels,))
 
     def forward(self, x: Tensor) -> Tensor:
         return T.activation(T.conv1d(x, self.kernels, self.bias), self.activation)
@@ -126,13 +145,13 @@ class ConvGroup:
 
     @classmethod
     def create(
-        cls, rng: np.random.Generator, members: Sequence[int], out_channels: int, kernel_width: int
+        cls, rng: np.random.Generator | T.Unfilled, members: Sequence[int], out_channels: int, kernel_width: int
     ) -> "ConvGroup":
         """Fan-in uniform kernels and zero biases for ``members``."""
         members = tuple(int(ch) for ch in members)
         fan_in = len(members) * kernel_width
         kernels = init_uniform_fanin(rng, (out_channels, len(members), kernel_width), fan_in)
-        return cls(members, kernels, Tensor(np.zeros(out_channels), requires_grad=True))
+        return cls(members, kernels, _new_param(rng, (out_channels,)))
 
 
 class GroupedConv1DLayer(Layer):
@@ -181,7 +200,7 @@ class GroupedConv1DLayer(Layer):
         kernel_width: int = 3,
         activation: str = "relu",
         *,
-        rng: np.random.Generator,
+        rng: np.random.Generator | T.Unfilled,
     ) -> "GroupedConv1DLayer":
         groups = [ConvGroup.create(rng, members, out_per_group, kernel_width) for members in member_lists]
         return cls(in_channels, groups, activation=activation)
@@ -253,7 +272,7 @@ class ClusteringCoeffLayer(Layer):
         kernel_width: int = 3,
         activation: str = "relu",
         *,
-        rng: np.random.Generator,
+        rng: np.random.Generator | T.Unfilled,
     ):
         if n_groups < 1:
             raise ValueError(f"need at least one group, got {n_groups}")
@@ -262,9 +281,9 @@ class ClusteringCoeffLayer(Layer):
         self.kernel_width = kernel_width
         self.activation = activation
         # near-uniform membership with broken symmetry
-        self.logits = Tensor(rng.uniform(-0.01, 0.01, size=(n_variables, n_groups)), requires_grad=True)
+        self.logits = _new_param(rng, (n_variables, n_groups), 0.01)
         self.kernels = init_uniform_fanin(rng, (n_groups, kernel_width), kernel_width)
-        self.bias = Tensor(np.zeros(n_groups), requires_grad=True)
+        self.bias = _new_param(rng, (n_groups,))
 
     def coefficients(self) -> Tensor:
         """Row-stochastic membership matrix U (N x K)."""
@@ -292,13 +311,13 @@ class DenseLayer(Layer):
         out_features: int,
         activation: str = "linear",
         *,
-        rng: np.random.Generator,
+        rng: np.random.Generator | T.Unfilled,
     ):
         self.in_features = in_features
         self.out_features = out_features
         self.activation = activation
         self.weight = init_uniform_fanin(rng, (out_features, in_features), in_features)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+        self.bias = _new_param(rng, (out_features,))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[0] != self.in_features:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .layers import (
     Layer,
     MaxPool1DLayer,
     RecurrentConvLayer,
+    UNFILLED,
 )
 from .tensor import Tensor
 
@@ -243,7 +245,7 @@ def _contiguous_member_lists(n_groups: int, per_group: int) -> list[list[int]]:
     return [list(range(g * per_group, (g + 1) * per_group)) for g in range(n_groups)]
 
 
-def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Generator) -> list[Layer]:
+def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Generator | T.Unfilled) -> list[Layer]:
     """Recurrent conv stage; lift channels first when cin != cout."""
     rcl = RecurrentConvLayer(
         Conv1DLayer(cout, cout, spec.kernel_width, spec.hidden_activation, rng=rng),
@@ -255,7 +257,7 @@ def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Genera
 
 
 def _grouped_recurrent_stage(
-    cin: int, member_lists: list[list[int]], per_group: int, spec: ModelSpec, rng: np.random.Generator
+    cin: int, member_lists: list[list[int]], per_group: int, spec: ModelSpec, rng: np.random.Generator | T.Unfilled
 ) -> list[Layer]:
     """Grouped lift (only for groups not already ``per_group`` wide, and
     none when the input is already in place) then the recurrence over
@@ -282,6 +284,15 @@ def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int 
     ``assignment`` (1-based group label per input channel) is required
     for explicit grouping and rejected otherwise.
     """
+    return _assemble(spec, assignment, seed, np.random.default_rng(seed))
+
+
+def _assemble(
+    spec: ModelSpec, assignment: list[int] | None, seed: int, rng: np.random.Generator | T.Unfilled
+) -> Model:
+    """The one model builder: parameters drawn from ``rng`` in layer
+    order, or, with :data:`layers.UNFILLED`, shape-only and undrawn, for a
+    model that is only counted or that a checkpoint load fills in."""
     if spec.grouping == "explicit":
         if assignment is None:
             raise ConfigError("explicit grouping requires a group assignment")
@@ -292,7 +303,6 @@ def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int 
     elif assignment is not None:
         raise ConfigError(f"grouping mode {spec.grouping!r} does not take an assignment")
 
-    rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     n_stages = len(spec.stage_channels)
 
@@ -408,51 +418,64 @@ def _is_count(v) -> bool:
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Rebuild a model from a checkpoint written by :func:`save_checkpoint`."""
-    head, _, body = Path(path).read_bytes().partition(b"\n")
-    try:
-        doc = json.loads(head)
-    except ValueError as e:  # not JSON, or not even text
-        raise ConfigError(f"checkpoint header line is not valid JSON ({CHECKPOINT_FORMAT} expected): {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
-    for key in ("spec", "params"):
-        if key not in doc:
-            raise ConfigError(f"checkpoint has no {key!r} key")
-    seed, assignment, params = doc.get("seed", 0), doc.get("assignment"), doc["params"]
-    if not _is_count(seed):
-        raise ConfigError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
-    if assignment is not None and not (isinstance(assignment, list) and all(map(_is_count, assignment))):
-        raise ConfigError("checkpoint assignment must be a list of integer labels")
-    if not isinstance(params, list):
-        raise ConfigError(f"checkpoint params must be a list, got {type(params).__name__}")
-    stored: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, byte offset)
-    offset = 0
-    for entry in params:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise ConfigError("every checkpoint parameter needs a string 'name'")
-        name, shape = entry["name"], entry.get("shape")
-        if name in stored:
-            raise ConfigError(f"checkpoint parameter {name!r} appears twice")
-        if not (isinstance(shape, list) and all(map(_is_count, shape))):
-            raise ConfigError(f"checkpoint parameter {name!r} shape must be a list of non-negative integers")
-        stored[name] = (tuple(shape), offset)
-        offset += 8 * math.prod(shape)
-    if len(body) != offset:
-        raise ShapeError(f"checkpoint body holds {len(body)} bytes, its parameter shapes need {offset}")
-    model = build_model(ModelSpec.from_dict(doc["spec"]), assignment, seed=seed)
-    for name, t in model.named_params():
-        if name not in stored:
-            raise ConfigError(f"checkpoint is missing parameter {name!r}")
-        shape, start = stored.pop(name)
-        if shape != t.shape:
-            raise ShapeError(f"parameter {name!r} shape {list(shape)} does not match {t.shape}")
-        values = np.frombuffer(body, "<f8", math.prod(shape), start).reshape(shape).astype(np.float64)
-        if not np.isfinite(values).all():
-            raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
-        t.data = values
-    if stored:
-        raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
+    """Rebuild a model from a checkpoint written by :func:`save_checkpoint`.
+
+    The header is checked and the body's length is checked against the
+    file size before any value is read.  The model is built unfilled, then
+    each parameter is found by name in the header and its bytes are read,
+    at the place the shapes before it give, straight into one owned array.
+    """
+    with open(path, "rb") as f:
+        head = f.readline()
+        try:
+            doc = json.loads(head)
+        except ValueError as e:  # not JSON, or not even text
+            raise ConfigError(f"checkpoint header line is not valid JSON ({CHECKPOINT_FORMAT} expected): {e}") from e
+        if not isinstance(doc, dict):
+            raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
+        if doc.get("format") != CHECKPOINT_FORMAT:
+            raise ConfigError(f"unsupported checkpoint format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
+        for key in ("spec", "params"):
+            if key not in doc:
+                raise ConfigError(f"checkpoint has no {key!r} key")
+        seed, assignment, params = doc.get("seed", 0), doc.get("assignment"), doc["params"]
+        if not _is_count(seed):
+            raise ConfigError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+        if assignment is not None and not (isinstance(assignment, list) and all(map(_is_count, assignment))):
+            raise ConfigError("checkpoint assignment must be a list of integer labels")
+        if not isinstance(params, list):
+            raise ConfigError(f"checkpoint params must be a list, got {type(params).__name__}")
+        stored: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, body offset)
+        offset = 0
+        for entry in params:
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise ConfigError("every checkpoint parameter needs a string 'name'")
+            name, shape = entry["name"], entry.get("shape")
+            if name in stored:
+                raise ConfigError(f"checkpoint parameter {name!r} appears twice")
+            if not (isinstance(shape, list) and all(map(_is_count, shape))):
+                raise ConfigError(f"checkpoint parameter {name!r} shape must be a list of non-negative integers")
+            stored[name] = (tuple(shape), offset)
+            offset += 8 * math.prod(shape)
+        body = os.fstat(f.fileno()).st_size - len(head)
+        if body != offset:
+            raise ShapeError(f"checkpoint body holds {body} bytes, its parameter shapes need {offset}")
+        model = _assemble(ModelSpec.from_dict(doc["spec"]), assignment, seed, UNFILLED)
+        for name, t in model.named_params():
+            if name not in stored:
+                raise ConfigError(f"checkpoint is missing parameter {name!r}")
+            shape, start = stored.pop(name)
+            if shape != t.shape:
+                raise ShapeError(f"parameter {name!r} shape {list(shape)} does not match {t.shape}")
+            values = np.empty(shape, "<f8")
+            f.seek(len(head) + start)
+            if f.readinto(values) != values.nbytes:
+                raise ShapeError(f"checkpoint ended inside parameter {name!r}")
+            if not values.dtype.isnative:
+                values = values.astype(np.float64)
+            if not np.isfinite(values).all():
+                raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
+            t.data = values
+        if stored:
+            raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
     return model

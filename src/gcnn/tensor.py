@@ -10,6 +10,8 @@ Conventions:
 * everything is float64; construction rejects NaN/Inf so non-finite
   values can only arise from arithmetic (where divergence guards can
   observe them through :meth:`Tensor.is_finite`);
+* a leaf built on :class:`Unfilled` has a shape but no values yet: it can
+  be counted and given its ``data`` later, and any read before then raises;
 * 1-D signals are laid out (..., channels, width): leading axes are
   batch axes, and one (channels, width) sample is the case with none;
 * evaluation is single-threaded per graph, and separate graphs may run
@@ -19,6 +21,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ from .errors import ShapeError
 
 __all__ = [
     "Tensor",
+    "Unfilled",
     "GradTape",
     "no_grad",
     "elementwise",
@@ -78,6 +82,37 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+class Unfilled:
+    """Stand-in for the values of a leaf that are assigned later, such as
+    parameters a checkpoint load reads in: a shape and no storage.
+
+    It answers ``shape``, ``ndim`` and ``size``.  Any other use, a numpy
+    conversion, ufunc or function, or an array attribute, raises
+    AttributeError, so nothing computes with values that are not there.
+    """
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = tuple(shape)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def _refuse(self, *args, **kwargs):
+        raise AttributeError(f"the values of this {self.shape} tensor are not filled in yet")
+
+    __array__ = __array_ufunc__ = __array_function__ = _refuse
+
+    def __getattr__(self, name):
+        self._refuse()
+
+
 class Tensor:
     """Dense float64 array, optionally tracked for reverse-mode gradients.
 
@@ -90,10 +125,11 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_rule")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.array(data, dtype=np.float64)
+        filled = not isinstance(data, Unfilled)
+        arr = np.array(data, dtype=np.float64) if filled else data
         if any(d <= 0 for d in arr.shape):
             raise ShapeError(f"tensor dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        if filled and not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite (NaN/Inf rejected)")
         self.data = arr
         self.grad: np.ndarray | None = None

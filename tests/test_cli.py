@@ -519,19 +519,33 @@ def test_compare_candidate_name_clash_rejected(series_csv, tmp_path):
     assert run("compare", cfg) == 2
 
 
-@pytest.mark.parametrize("model, message", [
-    ({"kernel_width": 0}, "kernel width must be >= 1"),
-    ({"preset": "water-cnn"}, "model expects 87 input channels"),
-    ({"input_width": 16}, "model expects 16-step windows"),
+@pytest.mark.parametrize("model, message, at_load", [
+    ({"kernel_width": 0}, "kernel width must be >= 1", True),
+    ({"preset": "water-cnn", "input_width": 8}, "model expects 87 input channels", False),
+    ({"input_width": 16}, "model expects 16-step windows", True),
 ], ids=["kernel_width", "channels", "width"])
-def test_compare_bad_candidate_exits_2_before_any_output(series_csv, tmp_path, capsys, model, message):
+def test_compare_bad_candidate_exits_2_before_any_output(series_csv, tmp_path, capsys, model, message, at_load):
     doc = base_config(series_csv, tmp_path / "out")
     doc["compare"] = {"targets": ["target"], "candidates": [
         {"name": "ok", "model": doc["model"]}, {"name": "bad", "model": {**doc["model"], **model}}]}
     cfg = write_config(tmp_path / "run.yaml", doc)
     assert run("compare", cfg) == 2
     assert f"compare.candidates[1].model: {message}" in capsys.readouterr().err
-    assert list((tmp_path / "out").iterdir()) == []
+    # a candidate's own checks run at load, before out/ is made; its input
+    # channel count waits for the data, and out/ then stays empty
+    out = tmp_path / "out"
+    assert not out.exists() if at_load else list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_bad_compare_candidate_exits_2_at_load_for_every_command(series_csv, tmp_path, capsys, command):
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(series_csv)  # exists; never read
+    doc["eval"] = {"checkpoint": str(series_csv)}
+    doc["compare"] = {"candidates": [{"name": "net", "model": {"kernel_width": 0}}]}
+    assert run(command, write_config(tmp_path / "run.yaml", doc)) == 2
+    assert "compare.candidates[0].model: kernel width must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # 12 inputs in 2 groups, stages [12, 2] at kernel width 1: unless the
@@ -729,6 +743,15 @@ def test_model_section_without_a_window_is_checked_but_its_width_waits(series_cs
     doc["model"]["kernel_width"] = 0
     assert run("ingest", write_config(tmp_path / "run.yaml", doc)) == 2
     assert "model: kernel width must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_candidate_without_a_window_is_checked_at_its_own_width(series_csv, tmp_path, capsys):
+    doc = base_config(series_csv, tmp_path / "out")
+    del doc["data"]["window"]
+    doc["compare"] = {"candidates": [{"name": "net", "model": {"input_width": 4, "pool_before": [1], "pool_window": 5}}]}
+    assert run("ingest", write_config(tmp_path / "run.yaml", doc)) == 2
+    assert "compare.candidates[0].model: width 4 too small for pool window 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_candidate_preset_names_its_path(series_csv, tmp_path, capsys):

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gcnn import cli
+from gcnn import models as M
 from gcnn.data import WindowedRegressionSet
 from gcnn.errors import ConfigError, NumericalError, ShapeError
 from gcnn.layers import (
@@ -20,6 +22,7 @@ from gcnn.layers import (
     GroupedConv1DLayer,
     MaxPool1DLayer,
     RecurrentConvLayer,
+    UNFILLED,
 )
 from gcnn.models import (
     ModelSpec,
@@ -47,6 +50,15 @@ SMALL = ModelSpec(
 def balanced_assignment(n, k):
     """Round-robin 1-based labels: 1,2,...,k,1,2,..."""
     return [(i % k) + 1 for i in range(n)]
+
+
+# parameter totals of every preset, explicit ones on round-robin groups
+PRESET_COUNTS = {
+    "water-cnn": 2432701, "water-cnn-grouped": 528301, "water-cnn-coeff": 633156,
+    "water-rcnn": 3183201, "water-rcnn-grouped": 678801, "water-rcnn-coeff": 783656,
+    "drone-cnn": 5546651, "drone-cnn-grouped": 512951, "drone-cnn-coeff": 823916,
+    "drone-rcnn": 7234901, "drone-rcnn-grouped": 626201, "drone-rcnn-coeff": 937166,
+}
 
 
 class TestSpecValidation:
@@ -101,12 +113,7 @@ class TestPresetGeometry:
         with pytest.raises(ConfigError):
             preset("water-gan")
 
-    @pytest.mark.parametrize("name, expected", [
-        ("water-cnn", 2432701), ("water-cnn-grouped", 528301), ("water-cnn-coeff", 633156),
-        ("water-rcnn", 3183201), ("water-rcnn-grouped", 678801), ("water-rcnn-coeff", 783656),
-        ("drone-cnn", 5546651), ("drone-cnn-grouped", 512951), ("drone-cnn-coeff", 823916),
-        ("drone-rcnn", 7234901), ("drone-rcnn-grouped", 626201), ("drone-rcnn-coeff", 937166),
-    ])
+    @pytest.mark.parametrize("name, expected", PRESET_COUNTS.items())
     def test_preset_parameter_count(self, name, expected):
         # each preset states its own pooling; round-robin groups
         spec = preset(name)
@@ -413,6 +420,50 @@ class TestCheckpoints:
         # the SGD step moved the loaded arrays themselves
         assert all(np.any(data != old) for data, old in zip(loaded, before))
 
+    def test_load_and_twin_count_draw_nothing(self, tmp_path, monkeypatch):
+        # a load reads every value from the file, and an ungrouped twin is
+        # only counted: neither makes a generator to draw initial values
+        real_rng = np.random.default_rng
+        saved = {}
+        for name in ("water-cnn", "water-cnn-coeff"):
+            saved[name] = build_model(preset(name), seed=0)
+            save_checkpoint(saved[name], tmp_path / name)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew initial values")
+
+        monkeypatch.setattr(M.np.random, "default_rng", no_draw)
+        for name, model in saved.items():
+            loaded = load_checkpoint(tmp_path / name).named_params()
+            assert [n for n, _ in loaded] == [n for n, _ in model.named_params()]
+            for (_, ta), (_, tb) in zip(model.named_params(), loaded):
+                np.testing.assert_array_equal(tb.data.view("<u8"), ta.data.view("<u8"))
+
+        made = []
+        monkeypatch.setattr(M.np.random, "default_rng", lambda seed: made.append(seed) or real_rng(seed))
+        for name in ("water-cnn-grouped", "water-cnn-coeff", "water-rcnn-grouped", "water-rcnn-coeff"):
+            spec = preset(name)
+            labels = balanced_assignment(87, 5) if spec.grouping == "explicit" else None
+            made.clear()
+            _, n_params, vanilla = cli._counted_model(spec, labels, 7)
+            assert (n_params, vanilla) == (PRESET_COUNTS[name], PRESET_COUNTS[name.rsplit("-", 1)[0]])
+            assert made == [7]  # the model's own draw; its twin draws nothing
+
+    def test_params_are_found_by_name_whatever_their_header_order(self, tmp_path):
+        spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "coeff", "groups": 2})
+        model = build_model(spec, seed=23)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        doc, body = split_checkpoint(path.read_bytes())
+        sizes = [8 * math.prod(p["shape"]) for p in doc["params"]]
+        chunks = np.split(np.frombuffer(body, np.uint8), np.cumsum(sizes)[:-1])
+        # a header in reverse order, each parameter's bytes moved to match
+        doc["params"].reverse()
+        path.write_bytes(join_checkpoint(doc, b"".join(c.tobytes() for c in reversed(chunks))))
+        for (na, ta), (nb, tb) in zip(model.named_params(), load_checkpoint(path).named_params()):
+            assert na == nb
+            np.testing.assert_array_equal(tb.data.view("<u8"), ta.data.view("<u8"))
+
     @pytest.mark.parametrize("doctor", [
         lambda raw: b"not json" + raw[raw.index(b"\n") :],
         lambda raw: b"",
@@ -532,3 +583,31 @@ def test_check_setting_accepts_and_normalises(value, annotation, expected):
 def test_check_setting_rejects_with_path(value, annotation):
     with pytest.raises(ConfigError, match=r"^sec\.key(\[\d\])?: expected"):
         check_setting("sec.key", value, annotation)
+
+
+UNFILLED_SPECS = {
+    "none": SMALL,
+    "explicit": ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2}),
+    "coeff": ModelSpec(**{**SMALL.to_dict(), "grouping": "coeff", "groups": 2}),
+    "rcnn-explicit": ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2, "recurrent": True}),
+}
+
+
+@pytest.mark.parametrize("spec", UNFILLED_SPECS.values(), ids=UNFILLED_SPECS)
+def test_unfilled_model_counts_but_refuses_to_run(tmp_path, spec):
+    # built without a draw, a model has its shapes, so it counts the same;
+    # anything that reads its values raises, never a NaN or zero prediction
+    labels = balanced_assignment(6, 2) if spec.grouping == "explicit" else None
+    model = M._assemble(spec, labels, 0, UNFILLED)
+    assert count_params(model) == count_params(build_model(spec, labels, seed=0))
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((3, 6, 8)))
+    with pytest.raises(AttributeError, match="not filled in"):
+        model.forward(x)
+    wset = WindowedRegressionSet(
+        inputs=rng.standard_normal((24, 6, 8)), targets=rng.standard_normal(24),
+        times=np.arange(24.0), channel_names=[f"c{i}" for i in range(6)], target_name="y", window=8)
+    with pytest.raises(AttributeError, match="not filled in"):
+        train(model, wset, TrainConfig(epochs=1, batch_size=8, seed=0))
+    with pytest.raises(AttributeError, match="not filled in"):
+        save_checkpoint(model, tmp_path / "unfilled.json")
