@@ -384,22 +384,13 @@ def standardize(
         raise DataError(f"train range must cover 1..{data.n_steps} steps, got {train_steps}")
     if not data.mask.all():
         raise DataError("standardize requires gap-free data; run repair_gaps first")
-    keep: list[int] = []
-    dropped: list[str] = []
-    means: list[float] = []
-    stds: list[float] = []
-    for i, name in enumerate(data.names):
-        head = data.values[i, :train_steps]
-        mean, std = float(head.mean()), float(head.std())
-        if std == 0.0:
-            dropped.append(name)
-            continue
-        keep.append(i)
-        means.append(mean)
-        stds.append(std)
+    head = data.values[:, :train_steps]
+    all_means, all_stds = head.mean(axis=1), head.std(axis=1)
+    keep = np.flatnonzero(all_stds != 0.0)
+    dropped = [name for name, std in zip(data.names, all_stds) if std == 0.0]
     if len(keep) < 2:
         raise DataError(f"standardization left {len(keep)} usable series (need at least 2)")
-    mean_arr, std_arr = np.array(means), np.array(stds)
+    mean_arr, std_arr = all_means[keep], all_stds[keep]
     scaled = (data.values[keep] - mean_arr[:, None]) / std_arr[:, None]
     names = [data.names[i] for i in keep]
     out = TimeSeriesDataset(

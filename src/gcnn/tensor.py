@@ -540,7 +540,12 @@ def channelwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
 
 def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Per-channel windowed maximum of a (..., C, W) signal; gradient goes to the first argmax."""
+    """Per-channel windowed maximum of a (..., C, W) signal; gradient goes to the first argmax.
+
+    The forward pass is ``window`` strided elementwise maxima, one per
+    offset, and computes no argmax; backward finds each window's first
+    maximum from the input and the output, so a no_grad pass never does.
+    """
     if window <= 0 or stride <= 0:
         raise ValueError(f"window and stride must be positive, got {window}, {stride}")
     if x.ndim < 2:
@@ -549,16 +554,23 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
     if window > width:
         raise ShapeError(f"pooling window {window} exceeds input width {width}")
 
-    wins = sliding_window_view(x.data, window, axis=-1)[..., ::stride, :]
-    data = wins.max(axis=-1)
-    arg = wins.argmax(axis=-1)  # first occurrence on ties
-    span = stride * (data.shape[-1] - 1) + 1
+    span = stride * ((width - window) // stride) + 1  # offset t covers x[..., t : t + span : stride]
+    data = x.data[..., 0:span:stride].copy()
+    for t in range(1, window):
+        np.maximum(data, x.data[..., t : t + span : stride], out=data)
 
     def rule_factory():
         def rule(g):
             gx = np.zeros(x.shape)
+            open_ = np.ones(data.shape, dtype=bool)  # windows whose first maximum is not found yet
+            hit = np.empty(data.shape, dtype=bool)
             for t in range(window):  # overlapping windows add up across offsets
-                gx[..., t : t + span : stride] += np.where(arg == t, g, 0.0)
+                np.equal(x.data[..., t : t + span : stride], data, out=hit)
+                hit &= open_
+                open_ ^= hit
+                # for finite g, g * hit is +-0.0 off the hits, which adds nothing:
+                # a sum that starts at +0.0 is never -0.0
+                gx[..., t : t + span : stride] += g * hit
             return (gx,)
 
         return rule
@@ -574,8 +586,12 @@ def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity with a recorded derivative."""
     if kind == "relu":
         data = np.maximum(x.data, 0.0)
-        mask = x.data > 0  # subgradient 0 at the kink
-        return _record(data, (x,), lambda: lambda g: (g * mask,))
+
+        def relu_rule():
+            mask = x.data > 0  # subgradient 0 at the kink
+            return lambda g: (g * mask,)
+
+        return _record(data, (x,), relu_rule)
     if kind == "tanh":
         data = np.tanh(x.data)
         return _record(data, (x,), lambda: lambda g: (g * (1.0 - data * data),))

@@ -1,5 +1,6 @@
 """Property tests: windowing against a per-step reference, chronological
-splits against index-based subsets, CSV parsing against a per-cell
+splits against index-based subsets, standardization and max pooling
+against their original loops, CSV parsing against a per-cell
 reference, bit-exact CSV round trips, gap runs against a scan, the
 symmetric eigensolver's contract on random matrices with and without
 repeated eigenvalues, batched model passes against per-sample ones,
@@ -12,12 +13,13 @@ import io
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, dumps_csv,
-                       loads_csv, make_windows, split)
+                       loads_csv, make_windows, split, standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, ConvGroup, GroupedConv1DLayer, RecurrentConvLayer
@@ -134,6 +136,61 @@ def test_chronological_split_equals_index_subsets(case, fraction):
         np.testing.assert_array_equal(part.targets, want.targets)
         np.testing.assert_array_equal(part.times, want.times)
         assert np.shares_memory(part.inputs, wset.inputs)
+
+
+def reference_standardize(data, train_steps):
+    """The per-series statistics loop: one mean and one std per series,
+    constant series dropped, the rest scaled."""
+    keep, dropped, means, stds = [], [], [], []
+    for i, name in enumerate(data.names):
+        head = data.values[i, :train_steps]
+        mean, std = float(head.mean()), float(head.std())
+        if std == 0.0:
+            dropped.append(name)
+            continue
+        keep.append(i)
+        means.append(mean)
+        stds.append(std)
+    mean_arr, std_arr = np.array(means), np.array(stds)
+    scaled = (data.values[keep] - mean_arr[:, None]) / std_arr[:, None]
+    return [data.names[i] for i in keep], mean_arr, std_arr, scaled, dropped
+
+
+@st.composite
+def standardize_cases(draw):
+    n_series = draw(st.integers(2, 6))
+    length = draw(st.integers(1, 300))
+    train_steps = draw(st.integers(1, length))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e5]))
+    values = rng.standard_normal((n_series, length)) * scale + draw(st.floats(-1e4, 1e4))
+    for i in draw(st.lists(st.integers(0, n_series - 1), max_size=n_series)):
+        values[i, :train_steps] = values[i, 0]  # constant over the training range: dropped
+    data = TimeSeriesDataset(names=[f"s{i}" for i in range(n_series)], times=np.arange(length, dtype=float),
+                             values=values, mask=np.ones((n_series, length), dtype=bool))
+    return data, train_steps
+
+
+@SETTINGS
+@given(standardize_cases())
+@example((TimeSeriesDataset(names=["a", "b", "c"], times=np.arange(4.0),
+                            values=np.array([[2.0, 2.0, 5.0, 1.0], [0.5, -3.0, 1.0, 7.0], [-0.0, 4.0, 4.0, 9.0]]),
+                            mask=np.ones((3, 4), dtype=bool)), 1))
+@example((TimeSeriesDataset(names=["a", "b", "c"], times=np.arange(4.0),
+                            values=np.array([[2.0, 2.0, 2.0, 1.0], [0.5, -3.0, 1.0, 7.0], [-0.1, 4.0, 4.0, 9.0]]),
+                            mask=np.ones((3, 4), dtype=bool)), 3))
+def test_standardize_matches_the_per_series_reference_bit_for_bit(case):
+    data, train_steps = case
+    names, means, stds, scaled, dropped = reference_standardize(data, train_steps)
+    if len(names) < 2:
+        with pytest.raises(DataError, match=f"left {len(names)} usable series"):
+            standardize(data, train_steps)
+        return
+    out, stats, got_dropped = standardize(data, train_steps)
+    assert out.names == stats.names == names and got_dropped == dropped
+    for got, want in ((stats.mean, means), (stats.std, stds), (out.values, scaled)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view("<u8"), want.view("<u8"))
 
 
 # -- CSV text --------------------------------------------------------------
@@ -509,6 +566,70 @@ def test_convolutions_keep_the_width_of_inputs_narrower_than_the_kernel(kw, data
         return T.sum_all(T.grouped_conv1d(xt, ks, bs) * w1) + T.sum_all(T.channelwise_conv1d(xt, st_) * w2)
 
     assert T.grad_check(loss, leaves) < 1e-6
+
+
+# -- max pooling -----------------------------------------------------------
+
+
+def reference_maxpool1d(x, window, stride):
+    """Windowed maximum by a reduction over sliding windows, with the
+    argmax taken in the forward pass; returns the output and a backward
+    that sends each window's gradient to its first maximum."""
+    wins = sliding_window_view(x, window, axis=-1)[..., ::stride, :]
+    out = wins.max(axis=-1)
+    arg = wins.argmax(axis=-1)  # first occurrence on ties
+    span = stride * (out.shape[-1] - 1) + 1
+
+    def grad(g):
+        gx = np.zeros(x.shape)
+        for t in range(window):  # overlapping windows add up across offsets
+            gx[..., t : t + span : stride] += np.where(arg == t, g, 0.0)
+        return gx
+
+    return out, grad
+
+
+TIE_VALUES = [-1.0, -0.0, 0.0, 1.0, 2.0]
+
+
+@st.composite
+def pooling_cases(draw):
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    channels = draw(st.integers(1, 3))
+    window = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 5))
+    width = draw(st.integers(window, window + 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (*batch, channels, width)
+    if draw(st.booleans()):
+        x = rng.choice(TIE_VALUES, size=shape)
+    else:
+        x = np.maximum(rng.standard_normal(shape), 0.0)  # relu'd: runs of tied zeros
+    g = rng.standard_normal(shape)
+    g[rng.random(shape) < 0.3] *= 0.0  # signed zeros, as a relu's backward hands down
+    return x, window, stride, g
+
+
+@SETTINGS
+@given(pooling_cases())
+@example((np.array([[0.0, -0.0, 1.0, 1.0, -0.0, 0.0, 2.0, 2.0]]), 3, 2, np.arange(8.0) - 4))  # overlapping
+@example((np.array([[-0.0, 0.0, -1.0, 0.0, 0.0, -0.0, 1.0]]), 2, 3, np.arange(7.0) - 3))  # stride > window
+@example((np.array([[1.0, 1.0, 1.0, 0.0, 2.0, 2.0, -1.0]]), 4, 2, -np.arange(7.0)))  # (W - window) % stride != 0
+def test_maxpool1d_matches_the_sliding_window_reference_bit_for_bit(case):
+    x, window, stride, g_full = case
+    want, want_grad = reference_maxpool1d(x, window, stride)
+    g = g_full[..., : want.shape[-1]]
+    xt = Tensor(x, requires_grad=True)
+    got = T.maxpool1d(xt, window, stride)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.data.view("<u8"), want.view("<u8"))
+    backward(T.sum_all(got * Tensor(g)))
+    np.testing.assert_array_equal(xt.grad.view("<u8"), want_grad(g).view("<u8"))
+
+    with no_grad():
+        quiet = T.maxpool1d(xt, window, stride)
+    assert quiet._rule is None and quiet._parents == () and not quiet.requires_grad
+    np.testing.assert_array_equal(quiet.data.view("<u8"), got.data.view("<u8"))
 
 
 # -- recurrent grouped stages ----------------------------------------------
