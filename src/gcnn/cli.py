@@ -314,7 +314,9 @@ def _apply_override(doc: dict, item: str) -> None:
     node = doc
     parts = key.split(".")
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
+        if node.get(part) is None:  # YAML reads a section with no keys as null
+            node[part] = {}
+        node = node[part]
         if not isinstance(node, dict):
             raise ConfigError(f"override: {key!r} descends into a non-mapping")
     try:
@@ -369,7 +371,8 @@ def _cluster_inputs(prep: Prepared, target: str, k: int, seed: int) -> tuple[lis
     return names, assignment, S.ncut_value(graph, assignment)
 
 
-def _read_assignment(path: Path) -> dict[str, int]:
+def _read_assignment(path: Path, k: int) -> dict[str, int]:
+    """Series name -> group label; every label is in 1..k and every group has a series."""
     mapping: dict[str, int] = {}
     first_line: dict[str, int] = {}
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
@@ -387,8 +390,13 @@ def _read_assignment(path: Path) -> dict[str, int]:
             mapping[name] = int(label)
         except ValueError:
             raise DataError(f"{path}:{line_no}: group id {label!r} is not an integer") from None
+        if not 1 <= mapping[name] <= k:
+            raise DataError(f"{path}:{line_no}: group id {mapping[name]} outside 1..{k} (model.groups)")
     if not mapping:
         raise DataError(f"{path}: no assignments found")
+    empty = sorted(set(range(1, k + 1)) - set(mapping.values()))
+    if empty:
+        raise DataError(f"{path}: group {empty[0]} has no series (model.groups is {k})")
     return mapping
 
 
@@ -545,7 +553,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     labels = None
     if cfg.grouping == "explicit":
-        mapping = _read_assignment(Path(cfg.doc["train"]["assignment"]))
+        mapping = _read_assignment(Path(cfg.doc["train"]["assignment"]), cfg.model["groups"])
         labels = _aligned_labels(mapping, wset.channel_names)
     model, n_params, vanilla = _counted_model(_spec_for(cfg, cfg.model, wset.n_channels), labels, cfg.seed)
 

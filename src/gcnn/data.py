@@ -101,14 +101,6 @@ class StandardizeStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def of(self, name: str) -> tuple[float, float]:
-        i = self.names.index(name)
-        return float(self.mean[i]), float(self.std[i])
-
-    def destandardize(self, name: str, values: np.ndarray) -> np.ndarray:
-        mean, std = self.of(name)
-        return np.asarray(values) * std + mean
-
 
 @dataclass
 class WindowedRegressionSet:
@@ -128,7 +120,6 @@ class WindowedRegressionSet:
     channel_names: list[str]
     target_name: str
     window: int
-    stats: StandardizeStats | None = None
 
     def __post_init__(self):
         s = self.inputs.shape[0]
@@ -157,22 +148,8 @@ class WindowedRegressionSet:
             idx = np.asarray(list(indices), dtype=int)
         return WindowedRegressionSet(
             self.inputs[idx], self.targets[idx], self.times[idx],
-            self.channel_names, self.target_name, self.window, self.stats,
+            self.channel_names, self.target_name, self.window,
         )
-
-    def manifest(self) -> dict:
-        doc = {
-            "target": self.target_name,
-            "window": self.window,
-            "samples": int(self.n_samples),
-            "channels": self.channel_names,
-        }
-        if self.stats is not None:
-            doc["stats"] = {
-                name: {"mean": float(m), "std": float(s)}
-                for name, m, s in zip(self.stats.names, self.stats.mean, self.stats.std)
-            }
-        return doc
 
 
 @dataclass

@@ -38,7 +38,6 @@ __all__ = [
     "UNFILLED",
     "init_uniform_fanin",
     "validate_partition",
-    "toy_grouped_dense_forward",
 ]
 
 
@@ -96,9 +95,6 @@ class Layer:
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return []
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
 
 
 class Conv1DLayer(Layer):
@@ -346,40 +342,3 @@ class FlattenLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         features = x.shape[-2] * x.shape[-1]
         return T.transpose(T.reshape(x, (x.size // features, features)))
-
-
-def toy_grouped_dense_forward(
-    x: Tensor,
-    u: Tensor,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
-    hidden_activation: str = "tanh",
-    output_activation: str = "linear",
-) -> Tensor:
-    """Two-layer grouped dense network on N variable vectors.
-
-    ``x`` is (N, d): one window per variable.  ``u`` is the (N, K)
-    membership matrix, expected row-stochastic (not enforced, so the
-    coefficients can be perturbed freely in gradient checks).  ``w1`` is
-    (K*N, d) with row j*N + i holding the weight vector of variable i in
-    group j; ``b1``/``w2`` are (K,) and ``b2`` is a scalar.
-
-    h_j = act(sum_i u[i,j] * <x_i, w1[j,i]> + b1[j]);
-    y   = out_act(sum_j h_j * w2[j] + b2), returned as a one-element tensor.
-    """
-    n, d = x.shape
-    k = u.shape[1]
-    if u.shape[0] != n:
-        raise ShapeError(f"membership rows {u.shape[0]} do not match {n} variables")
-    if w1.shape != (k * n, d):
-        raise ShapeError(f"w1 must be ({k * n}, {d}), got {w1.shape}")
-    if b1.shape != (k,) or w2.shape != (k,):
-        raise ShapeError("b1 and w2 must have one entry per group")
-    # w1[j*N + i] * x_i * u[i, j], summed over i and the window by ones
-    weighted = T.reshape(w1, (k, n, d)) * x * T.reshape(T.transpose(u), (k, n, 1))
-    h_pre = T.reshape(weighted, (k, n * d)) @ Tensor(np.ones((n * d, 1))) + T.reshape(b1, (k, 1))
-    h = T.activation(h_pre, hidden_activation)  # (K, 1)
-    y_pre = T.reshape(T.transpose(h) @ T.reshape(w2, (k, 1)), (1,)) + b2
-    return T.activation(y_pre, output_activation)

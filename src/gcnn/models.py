@@ -435,10 +435,10 @@ def load_checkpoint(path: str | Path) -> Model:
             raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
         if doc.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
-        for key in ("spec", "params"):
+        for key in ("spec", "seed", "assignment", "params"):
             if key not in doc:
                 raise ConfigError(f"checkpoint has no {key!r} key")
-        seed, assignment, params = doc.get("seed", 0), doc.get("assignment"), doc["params"]
+        seed, assignment, params = doc["seed"], doc["assignment"], doc["params"]
         if not _is_count(seed):
             raise ConfigError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
         if assignment is not None and not (isinstance(assignment, list) and all(map(_is_count, assignment))):

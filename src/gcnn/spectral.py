@@ -2,8 +2,7 @@
 
 Pipeline: absolute-correlation similarity graph -> Laplacians -> dense
 symmetric eigendecomposition (LAPACK, via ``np.linalg.eigh``) -> k-means
-on the embedding rows.  Includes exhaustive small-graph oracles used by
-the test suite.
+on the embedding rows.
 
 Cut/volume arithmetic uses correctly-rounded summation (math.fsum), so
 the reported values are independent of iteration order: degrees are
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,18 +26,14 @@ __all__ = [
     "SimilarityGraph",
     "SpectralEmbedding",
     "GroupAssignment",
-    "BruteForceResult",
     "similarity_from_series",
-    "cut_value",
     "ncut_value",
     "laplacians",
     "sym_eig",
     "kmeans",
     "spectral_embedding",
     "spectral_cluster",
-    "brute_force_min_ncut",
     "assignment_table",
-    "embedding_table",
     "DENSE_EIG_LIMIT",
 ]
 
@@ -148,19 +143,6 @@ def _boundary(w: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return w[np.ix_(labels == k, labels != k)].ravel()
 
 
-def cut_value(g: SimilarityGraph, assignment: GroupAssignment) -> float:
-    """Half the total boundary weight summed over groups.
-
-    cut = 1/2 * sum_k link(A_k, complement of A_k), where link adds every
-    w_ij with i inside and j outside the group.  One fsum over every
-    boundary weight rounds once.
-    """
-    _check_assignment(g, assignment)
-    labels = np.asarray(assignment.labels)
-    ks = range(1, assignment.k + 1)
-    return 0.5 * math.fsum(np.concatenate([_boundary(g.weights, labels, k) for k in ks]))
-
-
 def ncut_value(g: SimilarityGraph, assignment: GroupAssignment) -> float:
     """Normalized cut: 1/2 * sum_k link(A_k, outside) / vol(A_k)."""
     _check_assignment(g, assignment)
@@ -186,7 +168,7 @@ def laplacians(g: SimilarityGraph) -> tuple[np.ndarray, np.ndarray]:
     return lap, l_sym
 
 
-def sym_eig(a: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Sign
@@ -198,8 +180,8 @@ def sym_eig(a: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT) -> tuple[np.ndarr
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ShapeError(f"eigensolver needs a square matrix, got {a.shape}")
-    if n > dense_limit:
-        raise ShapeError(f"matrix size {n} exceeds the dense eigensolver limit {dense_limit}")
+    if n > DENSE_EIG_LIMIT:
+        raise ShapeError(f"matrix size {n} exceeds the dense eigensolver limit {DENSE_EIG_LIMIT}")
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-10:
         raise ValueError("eigensolver input is not symmetric within 1e-10")
     try:
@@ -279,47 +261,6 @@ def spectral_cluster(g: SimilarityGraph, k: int, seed: int = 0) -> GroupAssignme
     return kmeans(embedding.vectors, k, seed=seed)
 
 
-@dataclass
-class BruteForceResult:
-    assignment: GroupAssignment
-    value: float
-
-
-def _partitions_into_k(n: int, k: int) -> Iterator[list[int]]:
-    """Canonical labelings (restricted growth strings) using all k labels."""
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            if used == k:
-                yield labels.copy()
-            return
-        # prune: remaining slots must be able to introduce the missing labels
-        if used + (n - i) < k:
-            return
-        for lab in range(min(used + 1, k)):
-            labels[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
-
-    yield from rec(0, 0)
-
-
-def brute_force_min_ncut(g: SimilarityGraph, k: int) -> BruteForceResult:
-    """Exact minimum Ncut by exhaustive enumeration (test oracle, N <= 10)."""
-    if g.n > 10:
-        raise ShapeError(f"brute force enumeration capped at 10 vertices, got {g.n}")
-    if not 1 <= k <= g.n:
-        raise ShapeError(f"need 1 <= K <= {g.n}, got {k}")
-    best: BruteForceResult | None = None
-    for rgs in _partitions_into_k(g.n, k):
-        assignment = GroupAssignment([lab + 1 for lab in rgs], k)
-        value = ncut_value(g, assignment)
-        if best is None or value < best.value:
-            best = BruteForceResult(assignment, value)
-    assert best is not None
-    return best
-
-
 def assignment_table(assignment: GroupAssignment, names: Sequence[str] | None = None) -> str:
     """Render `series_name,group_id` lines (header included)."""
     if names is None:
@@ -330,16 +271,3 @@ def assignment_table(assignment: GroupAssignment, names: Sequence[str] | None = 
     lines.extend(f"{name},{label}" for name, label in zip(names, assignment.labels))
     return "\n".join(lines) + "\n"
 
-
-def embedding_table(embedding: SpectralEmbedding, names: Sequence[str] | None = None) -> str:
-    """Render embedding coordinates as CSV (header included)."""
-    n, k = embedding.vectors.shape
-    if names is None:
-        names = [f"series{i}" for i in range(n)]
-    if len(names) != n:
-        raise ShapeError("name count does not match embedding size")
-    lines = ["series_name," + ",".join(f"v{j}" for j in range(k))]
-    for i, name in enumerate(names):
-        coords = ",".join(repr(float(x)) for x in embedding.vectors[i])
-        lines.append(f"{name},{coords}")
-    return "\n".join(lines) + "\n"

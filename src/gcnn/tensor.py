@@ -49,7 +49,6 @@ __all__ = [
     "channelwise_conv1d",
     "maxpool1d",
     "activation",
-    "relu",
     "sum_all",
     "mean_all",
     "reshape",
@@ -192,8 +191,8 @@ class Tensor:
         return matmul(self, other)
 
 
-def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule_factory) -> Tensor:
-    """Wrap an op result; attach the backward rule only when it can matter."""
+def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule: BackwardRule) -> Tensor:
+    """Wrap an op result; keep the backward rule only when it can matter."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -201,7 +200,7 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule_factory) -> Tens
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
-        out._rule = rule_factory()
+        out._rule = rule
     else:
         out.requires_grad = False
         out._parents = ()
@@ -342,18 +341,12 @@ def elementwise(op: str, a: Tensor, b) -> Tensor:
     fn, da, db = _ELEMENTWISE_OPS[op]
     ad = a.data
 
-    def rule_factory():
-        need_a = a.requires_grad
-        need_b = len(parents) == 2 and b.requires_grad
+    def rule(g):
+        ga = _unbroadcast(da(g, ad, bd), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(db(g, ad, bd), bd.shape) if len(parents) == 2 and b.requires_grad else None
+        return ga, gb
 
-        def rule(g):
-            ga = _unbroadcast(da(g, ad, bd), a.shape) if need_a else None
-            gb = _unbroadcast(db(g, ad, bd), bd.shape) if need_b else None
-            return ga, gb
-
-        return rule
-
-    return _record(fn(ad, bd), parents, rule_factory)
+    return _record(fn(ad, bd), parents, rule)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -373,7 +366,7 @@ def div(a: Tensor, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    return _record(-a.data, (a,), lambda: lambda g: (-g,))
+    return _record(-a.data, (a,), lambda g: (-g,))
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +381,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
 
-    def rule_factory():
-        need_a, need_b = a.requires_grad, b.requires_grad
+    def rule(g):
+        ga = g @ bd.T if a.requires_grad else None
+        gb = ad.T @ g if b.requires_grad else None
+        return ga, gb
 
-        def rule(g):
-            ga = g @ bd.T if need_a else None
-            gb = ad.T @ g if need_b else None
-            return ga, gb
-
-        return rule
-
-    return _record(ad @ bd, (a, b), rule_factory)
+    return _record(ad @ bd, (a, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -481,27 +469,22 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor
         np.matmul(k2, cols[..., crows, :], out=data[..., rows, :])
     data += np.concatenate([b.data for b in biases])[:, None]
 
-    def rule_factory():
+    def rule(g):
         need_x = x.requires_grad
-        need_k = [k.requires_grad for k in kernels]
-        need_b = [b.requires_grad for b in biases]
+        summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)  # batch and width
+        gks, gbs = [], []
+        gcols = np.empty(cols.shape) if need_x else None
+        for (rows, crows, k2), k, b in zip(blocks, kernels, biases):
+            gg = g[..., rows, :]
+            gbs.append(gg.sum(axis=summed) if b.requires_grad else None)
+            gks.append(np.tensordot(gg, cols[..., crows, :], axes=(summed, summed)).reshape(k.shape)
+                       if k.requires_grad else None)
+            if need_x:
+                np.matmul(k2.T, gg, out=gcols[..., crows, :])
+        gx = _fold(gcols.reshape(*x.shape[:-1], kw, width), xp, kw) if need_x else None
+        return (gx, *gks, *gbs)
 
-        def rule(g):
-            summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)  # batch and width
-            gks, gbs = [], []
-            gcols = np.empty(cols.shape) if need_x else None
-            for (rows, crows, k2), k, nk, nb in zip(blocks, kernels, need_k, need_b):
-                gg = g[..., rows, :]
-                gbs.append(gg.sum(axis=summed) if nb else None)
-                gks.append(np.tensordot(gg, cols[..., crows, :], axes=(summed, summed)).reshape(k.shape) if nk else None)
-                if need_x:
-                    np.matmul(k2.T, gg, out=gcols[..., crows, :])
-            gx = _fold(gcols.reshape(*x.shape[:-1], kw, width), xp, kw) if need_x else None
-            return (gx, *gks, *gbs)
-
-        return rule
-
-    return _record(data, (x, *kernels, *biases), rule_factory)
+    return _record(data, (x, *kernels, *biases), rule)
 
 
 def channelwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -520,23 +503,17 @@ def channelwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     kd = kernels.data
     data = np.moveaxis(windows @ kd.T, -1, -3)  # (..., K, C, W)
 
-    def rule_factory():
-        need_x = x.requires_grad
-        need_k = kernels.requires_grad
+    def rule(g):
+        gx = gk = None
+        gs = np.moveaxis(g, -3, -1)  # (..., C, W, K)
+        if kernels.requires_grad:
+            lead = tuple(range(gs.ndim - 1))
+            gk = np.tensordot(gs, windows, axes=(lead, lead))
+        if x.requires_grad:
+            gx = _fold(np.swapaxes(gs @ kd, -1, -2), xp, kw)
+        return gx, gk
 
-        def rule(g):
-            gx = gk = None
-            gs = np.moveaxis(g, -3, -1)  # (..., C, W, K)
-            if need_k:
-                lead = tuple(range(gs.ndim - 1))
-                gk = np.tensordot(gs, windows, axes=(lead, lead))
-            if need_x:
-                gx = _fold(np.swapaxes(gs @ kd, -1, -2), xp, kw)
-            return gx, gk
-
-        return rule
-
-    return _record(data, (x, kernels), rule_factory)
+    return _record(data, (x, kernels), rule)
 
 
 def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
@@ -559,23 +536,20 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
     for t in range(1, window):
         np.maximum(data, x.data[..., t : t + span : stride], out=data)
 
-    def rule_factory():
-        def rule(g):
-            gx = np.zeros(x.shape)
-            open_ = np.ones(data.shape, dtype=bool)  # windows whose first maximum is not found yet
-            hit = np.empty(data.shape, dtype=bool)
-            for t in range(window):  # overlapping windows add up across offsets
-                np.equal(x.data[..., t : t + span : stride], data, out=hit)
-                hit &= open_
-                open_ ^= hit
-                # for finite g, g * hit is +-0.0 off the hits, which adds nothing:
-                # a sum that starts at +0.0 is never -0.0
-                gx[..., t : t + span : stride] += g * hit
-            return (gx,)
+    def rule(g):
+        gx = np.zeros(x.shape)
+        open_ = np.ones(data.shape, dtype=bool)  # windows whose first maximum is not found yet
+        hit = np.empty(data.shape, dtype=bool)
+        for t in range(window):  # overlapping windows add up across offsets
+            np.equal(x.data[..., t : t + span : stride], data, out=hit)
+            hit &= open_
+            open_ ^= hit
+            # for finite g, g * hit is +-0.0 off the hits, which adds nothing:
+            # a sum that starts at +0.0 is never -0.0
+            gx[..., t : t + span : stride] += g * hit
+        return (gx,)
 
-        return rule
-
-    return _record(data, (x,), rule_factory)
+    return _record(data, (x,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -585,23 +559,15 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity with a recorded derivative."""
     if kind == "relu":
-        data = np.maximum(x.data, 0.0)
-
-        def relu_rule():
-            mask = x.data > 0  # subgradient 0 at the kink
-            return lambda g: (g * mask,)
-
-        return _record(data, (x,), relu_rule)
+        # the mask is built in backward, so a no_grad pass never builds it;
+        # the subgradient at the kink is 0
+        return _record(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0),))
     if kind == "tanh":
         data = np.tanh(x.data)
-        return _record(data, (x,), lambda: lambda g: (g * (1.0 - data * data),))
+        return _record(data, (x,), lambda g: (g * (1.0 - data * data),))
     if kind == "linear":
-        return _record(x.data.copy(), (x,), lambda: lambda g: (g,))
+        return _record(x.data.copy(), (x,), lambda g: (g,))
     raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def relu(x: Tensor) -> Tensor:
-    return activation(x, "relu")
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +578,14 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a 0-d tensor."""
     data = np.asarray(x.data.sum())
     shape = x.shape
-    return _record(data, (x,), lambda: lambda g: (np.full(shape, float(g)),))
+    return _record(data, (x,), lambda g: (np.full(shape, float(g)),))
 
 
 def mean_all(x: Tensor) -> Tensor:
     """Mean of all elements, as a 0-d tensor."""
     data = np.asarray(x.data.mean())
     shape, n = x.shape, x.size
-    return _record(data, (x,), lambda: lambda g: (np.full(shape, float(g) / n),))
+    return _record(data, (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -629,14 +595,14 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} (size {x.size}) to {shape}")
     old = x.shape
-    return _record(x.data.reshape(shape), (x,), lambda: lambda g: (g.reshape(old),))
+    return _record(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the two axes of a 2-D tensor."""
     if x.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
-    return _record(x.data.T, (x,), lambda: lambda g: (g.T,))
+    return _record(x.data.T, (x,), lambda g: (g.T,))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -650,13 +616,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
-    def rule_factory():
-        def rule(g):
-            return tuple(np.split(g, offsets, axis=axis))
-
-        return rule
-
-    return _record(data, tuple(tensors), rule_factory)
+    return _record(data, tuple(tensors), lambda g: tuple(np.split(g, offsets, axis=axis)))
 
 
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
@@ -671,15 +631,12 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     where = (slice(None),) * axis + (idx,)
     data = x.data[where]
 
-    def rule_factory():
-        def rule(g):
-            gx = np.zeros(x.shape)
-            np.add.at(gx, where, g)
-            return (gx,)
+    def rule(g):
+        gx = np.zeros(x.shape)
+        np.add.at(gx, where, g)
+        return (gx,)
 
-        return rule
-
-    return _record(data, (x,), rule_factory)
+    return _record(data, (x,), rule)
 
 
 def take_column(x: Tensor, j: int) -> Tensor:
@@ -692,15 +649,12 @@ def take_column(x: Tensor, j: int) -> Tensor:
     data = x.data[:, j].copy()
     shape = x.shape
 
-    def rule_factory():
-        def rule(g):
-            gx = np.zeros(shape)
-            gx[:, j] = g
-            return (gx,)
+    def rule(g):
+        gx = np.zeros(shape)
+        gx[:, j] = g
+        return (gx,)
 
-        return rule
-
-    return _record(data, (x,), rule_factory)
+    return _record(data, (x,), rule)
 
 
 def rowscale(x: Tensor, s: Tensor) -> Tensor:
@@ -719,14 +673,11 @@ def softmax_rows(z: Tensor) -> Tensor:
     e = np.exp(shifted)
     data = e / e.sum(axis=1, keepdims=True)
 
-    def rule_factory():
-        def rule(g):
-            inner = (g * data).sum(axis=1, keepdims=True)
-            return (data * (g - inner),)
+    def rule(g):
+        inner = (g * data).sum(axis=1, keepdims=True)
+        return (data * (g - inner),)
 
-        return rule
-
-    return _record(data, (z,), rule_factory)
+    return _record(data, (z,), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,10 @@ from gcnn.layers import (
     GroupedConv1DLayer,
     MaxPool1DLayer,
     RecurrentConvLayer,
-    toy_grouped_dense_forward,
 )
 from gcnn.models import ModelSpec, build_model, count_params, preset
 from gcnn.spectral import (
     SimilarityGraph,
-    brute_force_min_ncut,
     ncut_value,
     similarity_from_series,
     spectral_cluster,
@@ -46,6 +44,7 @@ from gcnn.spectral import (
 )
 from gcnn.tensor import Tensor
 from gcnn.training import TrainConfig, evaluate, srmse, train
+from oracles import brute_force_min_ncut, toy_grouped_dense_forward
 
 
 # -- criterion 1: gradient soundness ----------------------------------------

@@ -646,6 +646,19 @@ def test_override_flag_changes_one_setting(series_csv, tmp_path):
     assert len(history) == 2 + 1
 
 
+def test_override_into_an_empty_section(tmp_path):
+    # YAML reads a section with no keys as null; an override fills it like {}
+    (tmp_path / "empty.yaml").write_text("model:\n")
+    assert run("param-count", tmp_path / "empty.yaml", "--override", "model.preset=water-cnn",
+               "--out", str(tmp_path / "empty")) == 0
+    full = write_config(tmp_path / "full.yaml", {"model": {"preset": "water-cnn"}})
+    assert run("param-count", full, "--out", str(tmp_path / "full")) == 0
+    assert (tmp_path / "empty" / "params.txt").read_bytes() == (tmp_path / "full" / "params.txt").read_bytes()
+    (tmp_path / "scalar.yaml").write_text("model: 3\n")
+    assert run("param-count", tmp_path / "scalar.yaml", "--override", "model.preset=water-cnn",
+               "--out", str(tmp_path / "scalar")) == 2
+
+
 def test_seed_flag_changes_the_config_hash(series_csv, tmp_path):
     cfg = write_config(tmp_path / "run.yaml", base_config(series_csv, tmp_path / "out"))
     assert run("ingest", cfg) == 0
@@ -824,3 +837,17 @@ def test_duplicate_series_in_assignment_exits_3(series_csv, tmp_path, capsys):
     cfg = write_config(tmp_path / "run.yaml", doc)
     assert run("train", cfg) == 3
     assert f":{len(lines) + 1}: series {name!r} already assigned on line {first}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels, where", [
+    ([1, 2, 3] * 3 + [1, 2, 7], ":13: group id 7 outside 1..3 (model.groups)"),
+    ([1, 2] * 6, ": group 3 has no series (model.groups is 3)"),
+], ids=["label-out-of-range", "empty-group"])
+def test_assignment_label_fault_exits_3_and_names_the_file(series_csv, tmp_path, capsys, labels, where):
+    names = [f"g{g}s{i}" for g in (1, 2, 3) for i in (1, 2, 3, 4)]
+    table = tmp_path / "assignment.csv"
+    table.write_text("series_name,group_id\n" + "".join(f"{n},{g}\n" for n, g in zip(names, labels)))
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(table)
+    assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
+    assert f"{table}{where}" in capsys.readouterr().err

@@ -16,11 +16,11 @@ from gcnn.layers import (
     MaxPool1DLayer,
     RecurrentConvLayer,
     init_uniform_fanin,
-    toy_grouped_dense_forward,
     validate_partition,
 )
 from gcnn.models import ModelSpec, build_model
 from gcnn.tensor import Tensor, backward, grad_check
+from oracles import toy_grouped_dense_forward
 
 
 def make_grouped(rng, cin, member_lists, out_per_group, kw=3, activation="relu"):

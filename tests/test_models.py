@@ -487,6 +487,8 @@ class TestCheckpoints:
         (lambda doc: [doc], "JSON object"),
         (lambda doc: {k: v for k, v in doc.items() if k != "spec"}, "'spec'"),
         (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "'params'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "seed"}, "'seed'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "assignment"}, "'assignment'"),
         (lambda doc: {**doc, "params": {p["name"]: p for p in doc["params"]}}, "params must be a list"),
         (lambda doc: {**doc, "params": [{k: v for k, v in p.items() if k != "name"} for p in doc["params"]]},
          "'name'"),
@@ -502,7 +504,7 @@ class TestCheckpoints:
         (first_shape([6, 8.0]), "shape must be a list"),
         (first_shape([6, -8]), "shape must be a list"),
         (first_shape([6, True]), "shape must be a list"),
-    ], ids=["array", "no-spec", "no-params", "params-not-list", "nameless-param", "float-seed", "negative-seed",
+    ], ids=["array", "no-spec", "no-params", "no-seed", "no-assignment", "params-not-list", "nameless-param", "float-seed", "negative-seed",
             "duplicate", "spec-not-mapping", "spec-field-missing", "spec-field-str", "spec-field-float",
             "shape-missing", "shape-int", "shape-float", "shape-negative", "shape-bool"])
     def test_malformed_document_rejected(self, tmp_path, doctor, problem):

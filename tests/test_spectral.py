@@ -10,12 +10,10 @@ import pytest
 
 from gcnn.errors import ConvergenceError, DataError, NumericalError, ShapeError
 from gcnn.spectral import (
+    DENSE_EIG_LIMIT,
     GroupAssignment,
     SimilarityGraph,
     assignment_table,
-    brute_force_min_ncut,
-    cut_value,
-    embedding_table,
     kmeans,
     laplacians,
     ncut_value,
@@ -24,6 +22,7 @@ from gcnn.spectral import (
     spectral_embedding,
     sym_eig,
 )
+from oracles import _partitions_into_k, brute_force_min_ncut
 
 
 def oracle_ncut(w, labels, k):
@@ -128,33 +127,13 @@ class TestCutValues:
     def test_component_aligned_cut_is_zero(self):
         g = two_component_graph()
         a = GroupAssignment([1, 1, 2, 2], 2)
-        assert cut_value(g, a) == 0.0
         assert ncut_value(g, a) == 0.0
-
-    def test_single_edge_split(self):
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        g = SimilarityGraph(w)
-        assert cut_value(g, GroupAssignment([1, 2], 2)) == 1.0
 
     def test_path_graph_hand_value(self):
         # link({1}) = 1, vol({1}) = 1; link({2,3}) = 1, vol({2,3}) = 3
         g = path_graph_3()
         a = GroupAssignment([1, 2, 2], 2)
         assert ncut_value(g, a) == 0.5 * (1.0 / 1.0 + 1.0 / 3.0)
-
-    def test_cut_matches_double_sum_oracle(self):
-        rng = np.random.default_rng(5)
-        g = random_graph(rng, 6)
-        labels = [1, 2, 1, 3, 2, 3]
-        a = GroupAssignment(labels, 3)
-        expected = 0.5 * math.fsum(
-            g.weights[i, j]
-            for k in range(1, 4)
-            for i in range(6)
-            for j in range(6)
-            if labels[i] == k and labels[j] != k
-        )
-        assert cut_value(g, a) == expected
 
     def test_ncut_matches_independent_oracle_exactly(self):
         rng = np.random.default_rng(6)
@@ -274,7 +253,7 @@ class TestSymEig:
 
     def test_size_cap(self):
         with pytest.raises(ShapeError, match="limit"):
-            sym_eig(np.eye(5), dense_limit=4)
+            sym_eig(np.eye(DENSE_EIG_LIMIT + 1))
 
     def test_lapack_failure_is_convergence_error(self):
         with pytest.raises(ConvergenceError):
@@ -396,8 +375,6 @@ class TestBruteForce:
 
     def test_enumeration_counts_partitions(self):
         # Stirling numbers of the second kind: S(4,2) = 7
-        from gcnn.spectral import _partitions_into_k
-
         assert len(list(_partitions_into_k(4, 2))) == 7
         assert len(list(_partitions_into_k(5, 3))) == 25
 
@@ -422,12 +399,3 @@ class TestExports:
         a = GroupAssignment([2, 1], 2)
         text = assignment_table(a, ["flow", "level"])
         assert text == "series_name,group_id\nflow,2\nlevel,1\n"
-
-    def test_embedding_table_roundtrip(self):
-        g = random_graph(np.random.default_rng(25), 5)
-        emb = spectral_embedding(g, 2)
-        text = embedding_table(emb)
-        lines = text.strip().split("\n")
-        assert lines[0] == "series_name,v0,v1"
-        parsed = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed, emb.vectors)

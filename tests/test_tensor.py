@@ -210,7 +210,7 @@ class TestMaxPool:
 class TestActivation:
     def test_relu(self):
         x = Tensor([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(T.relu(x).data, [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(T.activation(x, "relu").data, [0.0, 0.0, 2.0])
 
     def test_tanh_range(self):
         x = Tensor(np.linspace(-100, 100, 41))
@@ -227,7 +227,7 @@ class TestActivation:
 
     def test_relu_gradient_zero_at_kink(self):
         x = Tensor([0.0], requires_grad=True)
-        grads = backward(T.sum_all(T.relu(x)), leaves=[x])
+        grads = backward(T.sum_all(T.activation(x, "relu")), leaves=[x])
         np.testing.assert_array_equal(grads[x], [0.0])
 
     def test_tanh_gradient(self):
@@ -397,7 +397,51 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [2.0])
 
 
+# every primitive whose result can land on a tape: operand shapes and a call
+TAPED_PRIMITIVES = {
+    "conv1d": ([(2, 3, 6), (4, 3, 3), (4,)], T.conv1d),
+    "channelwise_conv1d": ([(3, 6), (2, 3)], T.channelwise_conv1d),
+    "maxpool1d": ([(3, 7)], lambda x: T.maxpool1d(x, 3, 2)),
+    "matmul": ([(3, 4), (4, 2)], T.matmul),
+    "activation": ([(3, 4)], lambda x: T.activation(x, "relu")),
+    "concat": ([(2, 3), (1, 3)], lambda a, b: T.concat([a, b])),
+    "gather_rows": ([(3, 4)], lambda x: T.gather_rows(x, [2, 0, 2])),
+    "reshape": ([(3, 4)], lambda x: T.reshape(x, (4, 3))),
+    "rowscale": ([(2, 3, 4), (3,)], T.rowscale),
+    "take_column": ([(3, 4)], lambda x: T.take_column(x, 1)),
+    "softmax_rows": ([(3, 4)], T.softmax_rows),
+    "elementwise": ([(3, 4), (4,)], lambda a, b: T.elementwise("mul", a, b)),
+    "neg": ([(3, 4)], T.neg),
+    "sum_all": ([(3, 4)], T.sum_all),
+    "mean_all": ([(3, 4)], T.mean_all),
+}
+
+
+def taped_operands(shapes, requires_grad):
+    rng = np.random.default_rng(31)
+    return [Tensor(rng.standard_normal(shape), requires_grad=requires_grad) for shape in shapes]
+
+
+def assert_untaped(t):
+    assert t._rule is None and t._parents == () and not t.requires_grad
+
+
 class TestNoGrad:
+    @pytest.mark.parametrize("name", list(TAPED_PRIMITIVES))
+    def test_no_grad_forward_records_nothing_and_keeps_the_bits(self, name):
+        shapes, op = TAPED_PRIMITIVES[name]
+        taped = op(*taped_operands(shapes, True))
+        assert taped._rule is not None and taped.requires_grad
+        with no_grad():
+            out = op(*taped_operands(shapes, True))
+        assert_untaped(out)
+        assert out.data.shape == taped.data.shape and out.data.tobytes() == taped.data.tobytes()
+
+    @pytest.mark.parametrize("name", list(TAPED_PRIMITIVES))
+    def test_no_rule_when_no_parent_needs_a_gradient(self, name):
+        shapes, op = TAPED_PRIMITIVES[name]
+        assert_untaped(op(*taped_operands(shapes, False)))
+
     def test_blocks_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
