@@ -25,10 +25,9 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -393,27 +392,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution and pooling
 
 
-def _unfold(x: np.ndarray, kw: int) -> tuple[np.ndarray, np.ndarray]:
-    """Same-pad the width of a (..., C, W) array and view its windows.
-
-    (kw - 1) // 2 zeros go on the left and the rest on the right, so
-    there are exactly W windows.  Returns the padded array and its
-    (..., C, W, kw) sliding-window view.
+def _shifts(width: int, kw: int) -> Iterator[tuple[int, slice, slice]]:
+    """Yield ``(t, out_cols, src_cols)`` for each kernel tap t of a same
+    convolution over ``width`` columns: output columns ``out_cols`` read
+    input columns ``src_cols`` at tap t, and the rest of the row reads
+    padding.  (kw - 1) // 2 zeros go on the left and the rest on the
+    right, so there are exactly ``width`` windows, even when kw > width.
     """
     left = (kw - 1) // 2
-    xp = np.pad(x, ((0, 0),) * (x.ndim - 1) + ((left, kw - 1 - left),))
-    return xp, sliding_window_view(xp, kw, axis=-1)
+    for t in range(kw):
+        s = t - left  # output column j reads input column j + s
+        lo, hi = max(0, -s), min(width, width - s)
+        if lo < hi:
+            yield t, slice(lo, hi), slice(lo + s, hi + s)
 
 
-def _fold(g: np.ndarray, xp: np.ndarray, kw: int) -> np.ndarray:
-    """Adjoint of :func:`_unfold` (col2im): add the (..., C, kw, W)
-    window gradient ``g`` back onto the padded input and crop the pad."""
-    width = g.shape[-1]
-    gxp = np.zeros_like(xp)
-    for dt in range(kw):
-        gxp[..., dt : dt + width] += g[..., dt, :]
-    left = (kw - 1) // 2
-    return gxp[..., left : left + width]
+def _unfold(x: np.ndarray, kw: int) -> np.ndarray:
+    """im2col of a (A, ..., W) array: the zero-filled (A, kw, ..., W) whose
+    row [a, t] is row a shifted by tap t, made by kw strided copies."""
+    cols = np.zeros((x.shape[0], kw, *x.shape[1:]))
+    for t, out, src in _shifts(x.shape[-1], kw):
+        cols[:, t, ..., out] = x[..., src]
+    return cols
+
+
+def _fold(g: np.ndarray, gx: np.ndarray) -> None:
+    """Adjoint of :func:`_unfold` (col2im): add the taps of a (A, kw, ..., W)
+    gradient back onto the (A, ..., W) ``gx``, in tap order from zeros."""
+    gx[...] = 0.0
+    for t, out, src in _shifts(g.shape[-1], g.shape[1]):
+        gx[..., src] += g[:, t, ..., out]
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -434,8 +442,9 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor
     Group g has (O_g, C_g, kw) ``kernels[g]`` and (O_g,) ``biases[g]`` and
     reads the next C_g input channels, so the groups cover contiguous
     channel blocks in order.  Group outputs are stacked group-major.
-    The input is padded and unfolded once (im2col); each group is one
-    matmul of its flattened kernels with its block of column rows.
+    The batch lies side by side in the columns: each group is one matmul
+    of its flattened kernels with its (C_g·kw, N·W) im2col block, which
+    is built when needed (again in backward) and never kept.
     """
     if not kernels or len(kernels) != len(biases):
         raise ShapeError(f"grouped_conv1d needs one bias per kernel, got {len(kernels)} and {len(biases)}")
@@ -443,7 +452,7 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor
         raise ShapeError(
             f"conv1d needs (...,C,W) input and (O,C,kw) kernels, got {x.shape}, {[k.shape for k in kernels]}"
         )
-    cin, width = x.shape[-2:]
+    *lead, cin, width = x.shape
     kw = kernels[0].shape[2]
     if any(k.shape[2] != kw for k in kernels):
         raise ShapeError(f"grouped kernels must share one width, got {[k.shape[2] for k in kernels]}")
@@ -454,34 +463,37 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor
         if b.shape != (k.shape[0],):
             raise ShapeError(f"conv1d bias must have shape ({k.shape[0]},), got {b.shape}")
 
-    xp, windows = _unfold(x.data, kw)
-    # row i*kw + t of each sample's column matrix is channel i shifted by t
-    cols = np.swapaxes(windows, -1, -2).reshape(*x.shape[:-2], cin * kw, width)
-    # (output rows, column rows, flattened kernels) per group
+    n = math.prod(lead)
+    xc = x.data.reshape(n, cin, width).transpose(1, 0, 2)  # (C, N, W)
+    # (output rows, input channels, flattened kernels) per group
     blocks = []
     o0 = c0 = 0
     for k in kernels:
         o, c, _ = k.shape
-        blocks.append((slice(o0, o0 + o), slice(c0 * kw, (c0 + c) * kw), k.data.reshape(o, c * kw)))
+        blocks.append((slice(o0, o0 + o), slice(c0, c0 + c), k.data.reshape(o, c * kw)))
         o0, c0 = o0 + o, c0 + c
-    data = np.empty((*x.shape[:-2], o0, width))
-    for rows, crows, k2 in blocks:
-        np.matmul(k2, cols[..., crows, :], out=data[..., rows, :])
-    data += np.concatenate([b.data for b in biases])[:, None]
+
+    def block(chans):  # row i*kw + t is channel i shifted by tap t, one column per (sample, step)
+        return _unfold(xc[chans], kw).reshape(-1, n * width)
+
+    out = np.empty((o0, n * width))
+    for rows, chans, k2 in blocks:
+        np.matmul(k2, block(chans), out=out[rows])
+    out += np.concatenate([b.data for b in biases])[:, None]
+    data = np.ascontiguousarray(out.reshape(o0, n, width).transpose(1, 0, 2)).reshape(*lead, o0, width)
 
     def rule(g):
-        need_x = x.requires_grad
-        summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)  # batch and width
+        gt = g.reshape(n, o0, width).transpose(1, 0, 2).reshape(o0, n * width)  # one copy
         gks, gbs = [], []
-        gcols = np.empty(cols.shape) if need_x else None
-        for (rows, crows, k2), k, b in zip(blocks, kernels, biases):
-            gg = g[..., rows, :]
-            gbs.append(gg.sum(axis=summed) if b.requires_grad else None)
-            gks.append(np.tensordot(gg, cols[..., crows, :], axes=(summed, summed)).reshape(k.shape)
-                       if k.requires_grad else None)
-            if need_x:
-                np.matmul(k2.T, gg, out=gcols[..., crows, :])
-        gx = _fold(gcols.reshape(*x.shape[:-1], kw, width), xp, kw) if need_x else None
+        gx = np.empty(x.shape) if x.requires_grad else None
+        for (rows, chans, k2), k, b in zip(blocks, kernels, biases):
+            gg = gt[rows]
+            gbs.append(gg.sum(1) if b.requires_grad else None)
+            cols = block(chans)  # the kernel gradient's operand, then the column gradient's buffer
+            gks.append((gg @ cols.T).reshape(k.shape) if k.requires_grad else None)
+            if gx is not None:
+                np.matmul(k2.T, gg, out=cols)
+                _fold(cols.reshape(-1, kw, n, width), gx.reshape(n, cin, width).transpose(1, 0, 2)[chans])
         return (gx, *gks, *gbs)
 
     return _record(data, (x, *kernels, *biases), rule)
@@ -492,25 +504,33 @@ def channelwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
     ``kernels`` is a stack of K (K, kw) kernels, each applied
     independently (and identically) to every row, giving (..., K, C, W);
-    no cross-channel mixing happens.
+    no cross-channel mixing happens.  The rows of all samples lie side by
+    side, so the K kernels are one (K, kw) @ (kw, N·C·W) matmul.
     """
     if x.ndim < 2 or kernels.ndim != 2:
         raise ShapeError(
             f"channelwise_conv1d needs (...,C,W) input and (K,kw) kernels, got {x.shape}, {kernels.shape}"
         )
-    kw = kernels.shape[1]
-    xp, windows = _unfold(x.data, kw)  # windows: (..., C, W, kw)
+    *lead, cin, width = x.shape
+    n = math.prod(lead)
+    nk, kw = kernels.shape
     kd = kernels.data
-    data = np.moveaxis(windows @ kd.T, -1, -3)  # (..., K, C, W)
+    rows = x.data.reshape(1, n * cin, width)
+
+    def cols():  # (kw, N·C·W): tap t of every row, rows side by side
+        return _unfold(rows, kw).reshape(kw, -1)
+
+    out = kd @ cols()  # (K, N·C·W)
+    data = np.ascontiguousarray(out.reshape(nk, n, cin * width).transpose(1, 0, 2)).reshape(*lead, nk, cin, width)
 
     def rule(g):
         gx = gk = None
-        gs = np.moveaxis(g, -3, -1)  # (..., C, W, K)
+        gt = g.reshape(n, nk, cin * width).transpose(1, 0, 2).reshape(nk, -1)  # one copy
         if kernels.requires_grad:
-            lead = tuple(range(gs.ndim - 1))
-            gk = np.tensordot(gs, windows, axes=(lead, lead))
+            gk = gt @ cols().T
         if x.requires_grad:
-            gx = _fold(np.swapaxes(gs @ kd, -1, -2), xp, kw)
+            gx = np.empty(x.shape)
+            _fold((kd.T @ gt).reshape(1, kw, n * cin, width), gx.reshape(1, n * cin, width))
         return gx, gk
 
     return _record(data, (x, kernels), rule)

@@ -1,8 +1,11 @@
 """Reference implementations the tests check the package against.
 
 ``toy_grouped_dense_forward`` is the two-layer grouped dense network of
-acceptance criterion 1, and ``brute_force_min_ncut`` the exhaustive
-minimum-Ncut search of criterion 4.  Nothing in ``gcnn`` uses them.
+acceptance criterion 1, ``brute_force_min_ncut`` the exhaustive
+minimum-Ncut search of criterion 4, and ``reference_grouped_conv1d`` and
+``reference_channelwise_conv1d`` the per-sample im2col convolutions the
+engine's batch-wide ones are checked against.  Nothing in ``gcnn`` uses
+them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gcnn import tensor as T
 from gcnn.errors import ShapeError
@@ -94,3 +98,80 @@ def brute_force_min_ncut(g: SimilarityGraph, k: int) -> BruteForceResult:
             best = BruteForceResult(assignment, value)
     assert best is not None
     return best
+
+
+def _unfold(x, kw):
+    """Same-pad the width of a (..., C, W) array, (kw - 1) // 2 zeros on the
+    left and the rest on the right, and view its W windows: returns the
+    padded array and its (..., C, W, kw) sliding-window view."""
+    left = (kw - 1) // 2
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 1) + ((left, kw - 1 - left),))
+    return xp, sliding_window_view(xp, kw, axis=-1)
+
+
+def _fold(g, xp, kw):
+    """Adjoint of :func:`_unfold` (col2im): add the (..., C, kw, W) window
+    gradient ``g`` back onto the padded input and crop the pad."""
+    width = g.shape[-1]
+    gxp = np.zeros_like(xp)
+    for dt in range(kw):
+        gxp[..., dt : dt + width] += g[..., dt, :]
+    left = (kw - 1) // 2
+    return gxp[..., left : left + width]
+
+
+def reference_grouped_conv1d(x, kernels, biases):
+    """Grouped same convolution of a (..., C, W) array by a padded im2col
+    and one matmul per sample and group.
+
+    Returns the (..., O, W) output and a backward that maps the output's
+    gradient to ``(gx, kernel grads, bias grads)``.
+    """
+    cin, width = x.shape[-2:]
+    kw = kernels[0].shape[2]
+    xp, windows = _unfold(x, kw)
+    # row i*kw + t of each sample's column matrix is channel i shifted by t
+    cols = np.swapaxes(windows, -1, -2).reshape(*x.shape[:-2], cin * kw, width)
+    blocks = []
+    o0 = c0 = 0
+    for k in kernels:
+        o, c, _ = k.shape
+        blocks.append((slice(o0, o0 + o), slice(c0 * kw, (c0 + c) * kw), k.reshape(o, c * kw)))
+        o0, c0 = o0 + o, c0 + c
+    out = np.empty((*x.shape[:-2], o0, width))
+    for rows, crows, k2 in blocks:
+        np.matmul(k2, cols[..., crows, :], out=out[..., rows, :])
+    out += np.concatenate(biases)[:, None]
+
+    def grad(g):
+        summed = tuple(range(g.ndim - 2)) + (g.ndim - 1,)  # batch and width
+        gcols = np.empty(cols.shape)
+        gks, gbs = [], []
+        for (rows, crows, k2), k in zip(blocks, kernels):
+            gg = g[..., rows, :]
+            gbs.append(gg.sum(axis=summed))
+            gks.append(np.tensordot(gg, cols[..., crows, :], axes=(summed, summed)).reshape(k.shape))
+            np.matmul(k2.T, gg, out=gcols[..., crows, :])
+        return _fold(gcols.reshape(*x.shape[:-1], kw, width), xp, kw), gks, gbs
+
+    return out, grad
+
+
+def reference_channelwise_conv1d(x, kernels):
+    """Every row of a (..., C, W) array convolved with each of K (K, kw)
+    kernels by a padded window view, giving (..., K, C, W).
+
+    Returns the output and a backward that maps its gradient to
+    ``(gx, gkernels)``.
+    """
+    kw = kernels.shape[1]
+    xp, windows = _unfold(x, kw)  # windows: (..., C, W, kw)
+    out = np.moveaxis(windows @ kernels.T, -1, -3)
+
+    def grad(g):
+        gs = np.moveaxis(g, -3, -1)  # (..., C, W, K)
+        lead = tuple(range(gs.ndim - 1))
+        gk = np.tensordot(gs, windows, axes=(lead, lead))
+        return _fold(np.swapaxes(gs @ kernels, -1, -2), xp, kw), gk
+
+    return out, grad

@@ -5,13 +5,10 @@ line per criterion.  Each test is self-contained and seeded; tolerances
 are stated inline next to the asserts they protect.
 """
 
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 import yaml
 
 from gcnn import cli, synth

@@ -19,7 +19,7 @@ from gcnn.layers import (
     validate_partition,
 )
 from gcnn.models import ModelSpec, build_model
-from gcnn.tensor import Tensor, backward, grad_check
+from gcnn.tensor import Tensor, grad_check
 from oracles import toy_grouped_dense_forward
 
 

@@ -19,7 +19,6 @@ from gcnn.layers import (
     Conv1DLayer,
     DenseLayer,
     FlattenLayer,
-    GroupedConv1DLayer,
     MaxPool1DLayer,
     RecurrentConvLayer,
     UNFILLED,

@@ -5,8 +5,9 @@ reference, bit-exact CSV round trips, gap runs against a scan, the
 symmetric eigensolver's contract on random matrices with and without
 repeated eigenvalues, batched model passes against per-sample ones,
 memberships on the simplex, grouped convolution and recurrent grouped
-stages against per-group references, and checkpoint loads of truncated
-or corrupted files."""
+stages against per-group references, both convolution primitives and
+their gradients against the per-sample im2col references in
+``oracles.py``, and checkpoint loads of truncated or corrupted files."""
 
 import csv
 import io
@@ -27,6 +28,7 @@ from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model, load_c
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
 from gcnn.training import PREDICT_CHUNK, evaluate, mse_loss
+from oracles import reference_channelwise_conv1d, reference_grouped_conv1d
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -566,6 +568,75 @@ def test_convolutions_keep_the_width_of_inputs_narrower_than_the_kernel(kw, data
         return T.sum_all(T.grouped_conv1d(xt, ks, bs) * w1) + T.sum_all(T.channelwise_conv1d(xt, st_) * w2)
 
     assert T.grad_check(loss, leaves) < 1e-6
+
+
+@st.composite
+def conv_cases(draw):
+    """A (..., C, W) input with 0-2 batch axes, 1-3 groups of their own
+    sizes, kernels 1-6 wide over widths 1-9 (so kw > W occurs), and a seed."""
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="sizes")
+    outs = draw(st.lists(st.integers(1, 3), min_size=len(sizes), max_size=len(sizes)), label="outs")
+    kw = draw(st.integers(1, 6), label="kw")
+    width = draw(st.integers(1, 9), label="width")
+    return batch, sizes, outs, kw, width, draw(st.integers(0, 2**32 - 1), label="seed")
+
+
+def conv_leaves(case):
+    batch, sizes, outs, kw, width, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((*batch, sum(sizes), width))
+    kernels = [rng.standard_normal((o, c, kw)) for o, c in zip(outs, sizes)]
+    biases = [rng.standard_normal(o) for o in outs]
+    stack = rng.standard_normal((outs[0], kw))
+    return rng, x, kernels, biases, stack
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(conv_cases())
+@example(((1,), [3, 1, 2], [2, 1, 3], 6, 2, 0))  # a batch of 1, kw > W
+@example(((2, 1), [1, 4], [3, 1], 4, 1, 1))  # W = 1 under an even kw
+@example(((), [2], [1], 1, 9, 2))  # one sample, kw = 1
+def test_convolutions_match_the_per_sample_im2col_reference(case):
+    rng, x, kernels, biases, stack = conv_leaves(case)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, *kernels, *biases)]
+    xt, ks, bs = leaves[0], leaves[1 : 1 + len(kernels)], leaves[1 + len(kernels) :]
+    got = T.grouped_conv1d(xt, ks, bs)
+    want, want_grad = reference_grouped_conv1d(x, kernels, biases)
+    assert got.shape == want.shape and got.data.flags.c_contiguous
+    assert_close(got.data, want)
+    g = rng.standard_normal(want.shape)
+    grads = backward(T.sum_all(got * Tensor(g)), leaves=leaves)
+    gx, gks, gbs = want_grad(g)
+    for leaf, w in zip(leaves, (gx, *gks, *gbs)):
+        assert_close(grads[leaf], w)
+
+    xt, st_ = Tensor(x, requires_grad=True), Tensor(stack, requires_grad=True)
+    got = T.channelwise_conv1d(xt, st_)
+    want, want_grad = reference_channelwise_conv1d(x, stack)
+    assert got.shape == want.shape and got.data.flags.c_contiguous
+    assert_close(got.data, want)
+    g = rng.standard_normal(want.shape)
+    grads = backward(T.sum_all(got * Tensor(g)), leaves=[xt, st_])
+    gx, gk = want_grad(g)
+    assert_close(grads[xt], gx)
+    assert_close(grads[st_], gk)
+
+
+@SETTINGS
+@given(conv_cases())
+def test_a_sample_convolved_in_a_batch_equals_it_convolved_alone(case):
+    _, x, kernels, biases, stack = conv_leaves(case)
+    ks, bs = [Tensor(k) for k in kernels], [Tensor(b) for b in biases]
+    grouped = T.grouped_conv1d(Tensor(x), ks, bs).data
+    channelwise = T.channelwise_conv1d(Tensor(x), Tensor(stack)).data
+    for i in np.ndindex(x.shape[:-2]):
+        assert_close(grouped[i], T.grouped_conv1d(Tensor(x[i]), ks, bs).data)
+        assert_close(channelwise[i], T.channelwise_conv1d(Tensor(x[i]), Tensor(stack)).data)
 
 
 # -- max pooling -----------------------------------------------------------
