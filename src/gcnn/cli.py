@@ -176,7 +176,7 @@ class RunConfig:
         if not path.is_file():
             raise ConfigError(f"config: no such file: {config_path}")
         try:
-            raw = yaml.safe_load(path.read_text())
+            raw = yaml.safe_load(D.read_utf8(path, ConfigError))
         except yaml.YAMLError as e:
             raise ConfigError(f"config: not valid YAML: {e}") from e
         if raw is None:
@@ -375,7 +375,7 @@ def _read_assignment(path: Path, k: int) -> dict[str, int]:
     """Series name -> group label; every label is in 1..k and every group has a series."""
     mapping: dict[str, int] = {}
     first_line: dict[str, int] = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(D.read_utf8(path).splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#") or s == "series_name,group_id":
             continue
@@ -481,13 +481,13 @@ def _counted_model(spec: M.ModelSpec, labels: list[int] | None, seed: int) -> tu
 def _write_json(cfg: RunConfig, name: str, doc: dict) -> Path:
     path = cfg.out_dir / name
     payload = {"config_hash": cfg.config_hash, **doc}
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
 def _write_csv(cfg: RunConfig, name: str, body: str) -> Path:
     path = cfg.out_dir / name
-    path.write_text(f"# config {cfg.config_hash}\n{body}")
+    path.write_text(f"# config {cfg.config_hash}\n{body}", encoding="utf-8")
     return path
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, GcnnError
 
 __all__ = [
     "TimeSeriesDataset",
@@ -226,16 +226,35 @@ def loads_csv(text: str) -> TimeSeriesDataset:
 
 
 def _records(text: str) -> list[tuple[int, list[str]]]:
-    """The non-comment CSV records, each with the line it starts on: one
-    past the line the previous record ended on, so a quoted cell that
-    spans lines moves the count on by every line it covers.  The reader's
-    buffer (4 bytes a character) is freed on return."""
+    """The non-comment CSV records, each with the line it starts on.
+
+    Only quotes make CSV tokenizing depend on context.  Text with no
+    ``"`` and no carriage return is split with no state machine: each line
+    is a record of the pieces between its commas, an empty line is the
+    empty record, and a final newline ends the last record rather than
+    starting one.  These are the records ``csv.reader`` gives for such
+    text, without its limit of 131072 characters a cell.
+
+    Other text goes through ``csv.reader`` with the default dialect, the
+    only parser here of quoted cells and of carriage returns.  A record
+    starts one past the line the previous one ended on, so a quoted cell
+    that spans lines moves the count on by every line it covers.  A fault
+    the reader finds is raised as a DataError naming the line it is on."""
+    if '"' not in text and "\r" not in text:
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        return [(line_no, line.split(",") if line else [])
+                for line_no, line in enumerate(lines, start=1) if not line.lstrip().startswith("#")]
     reader = csv.reader(io.StringIO(text))
     records, line_no = [], 1
-    for row in reader:
-        if not (row and row[0].lstrip().startswith("#")):
-            records.append((line_no, row))
-        line_no = reader.line_num + 1
+    try:
+        for row in reader:
+            if not (row and row[0].lstrip().startswith("#")):
+                records.append((line_no, row))
+            line_no = reader.line_num + 1
+    except csv.Error as e:
+        raise DataError(f"line {reader.line_num}: {e}") from None
     return records
 
 
@@ -246,7 +265,7 @@ def _parse_values(body: list[tuple[int, list[str]]], n_series: int) -> tuple[np.
     second pass finds the first cell in row order that does not parse and
     raises naming it."""
     cells = list(map(str.strip, itertools.chain.from_iterable(row[1:] for _, row in body)))
-    present = list(map(bool, cells))
+    present = bytes(map(bool, cells))  # one byte a cell, read in place as the bool mask
     try:
         parsed = np.fromiter(map(float, itertools.compress(cells, present)), dtype=np.float64)
     except ValueError:
@@ -257,14 +276,38 @@ def _parse_values(body: list[tuple[int, list[str]]], n_series: int) -> tuple[np.
                 except ValueError:
                     raise DataError(f"line {body[i // n_series][0]}: cannot parse value {cell!r}") from None
         raise
-    mask = np.array(present, dtype=bool).reshape(len(body), n_series)
+    mask = np.frombuffer(present, dtype=bool).reshape(len(body), n_series)
     values = np.full(mask.shape, np.nan)
     values[mask] = parsed
-    return np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T)
+    return np.ascontiguousarray(values.T), mask.T.copy()  # a copy, so the mask is writable
+
+
+def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
+    """A UTF-8 text file read with universal newlines, as ``open`` reads
+    text: ``\\r\\n`` and a lone ``\\r`` come back as ``\\n``.  Bytes that are
+    not UTF-8 raise ``error`` naming the file and the line of the first
+    bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = _universal_newlines(raw[: e.start].decode("utf-8")).count("\n") + 1
+        raise error(f"{path}:{line}: not valid UTF-8 (byte 0x{raw[e.start]:02x})") from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    if "\r" not in text:  # the usual case, and a scan far cheaper than replacing "\r\n"
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_csv(path: str | Path) -> TimeSeriesDataset:
-    return loads_csv(Path(path).read_text())
+    """Parse a wide-format CSV file (see :func:`loads_csv`), read as UTF-8
+    with universal newlines, so the line numbers in messages are the
+    file's whatever its line ends; bytes that are not UTF-8 raise
+    DataError."""
+    return loads_csv(read_utf8(path))
 
 
 def dumps_csv(data: TimeSeriesDataset) -> str:
@@ -284,7 +327,7 @@ def dumps_csv(data: TimeSeriesDataset) -> str:
 
 
 def save_csv(data: TimeSeriesDataset, path: str | Path) -> None:
-    Path(path).write_text(dumps_csv(data))
+    Path(path).write_text(dumps_csv(data), encoding="utf-8")
 
 
 def _missing_runs(present: np.ndarray) -> list[tuple[int, int]]:

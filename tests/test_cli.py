@@ -8,12 +8,16 @@ file should stay well under a minute.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import gcnn
 from gcnn import cli
 from gcnn import data as D
 from gcnn import models as M
@@ -851,3 +855,68 @@ def test_assignment_label_fault_exits_3_and_names_the_file(series_csv, tmp_path,
     doc["train"]["assignment"] = str(table)
     assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
     assert f"{table}{where}" in capsys.readouterr().err
+
+
+# -- text encoding ---------------------------------------------------------
+
+
+def with_bad_byte(path: Path, line: int) -> None:
+    """Replace the first byte of line ``line`` of ``path`` by 0xff."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1][1:]
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_data_csv_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
+    bad = tmp_path / "series.csv"
+    bad.write_bytes(series_csv.read_bytes())
+    with_bad_byte(bad, 4)
+    assert run("ingest", write_config(tmp_path / "run.yaml", base_config(bad, tmp_path / "out"))) == 3
+    assert f"{bad}:4: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+def test_assignment_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
+    names = [f"g{g}s{i}" for g in (1, 2, 3) for i in (1, 2, 3, 4)]
+    table = tmp_path / "assignment.csv"
+    table.write_text("series_name,group_id\n" + "".join(f"{n},{g}\n" for n, g in zip(names, [1, 2, 3] * 4)))
+    with_bad_byte(table, 3)
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(table)
+    assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
+    assert f"{table}:3: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(series_csv, tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.yaml", base_config(series_csv, tmp_path / "out"))
+    cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+    line = cfg.read_bytes().count(b"\n")
+    assert run("ingest", cfg) == 2
+    assert f"{cfg}:{line}: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+def test_nul_byte_in_quoted_text_exits_3(series_csv, tmp_path, capsys):
+    lines = series_csv.read_text().splitlines()
+    lines[0] = '"time"' + lines[0][len("time"):]
+    lines[4] = lines[4].replace(",", ",\x00", 1)
+    poisoned = tmp_path / "poisoned.csv"
+    poisoned.write_text("\n".join(lines) + "\n")
+    assert run("ingest", write_config(tmp_path / "run.yaml", base_config(poisoned, tmp_path / "out"))) == 3
+    assert "error: line 5: " in capsys.readouterr().err
+
+
+def test_ingest_bytes_do_not_depend_on_the_locale(tmp_path):
+    """A series name outside ASCII reads and writes the same bytes in the
+    C locale, with UTF-8 mode off, as in UTF-8 mode."""
+    ds = synth.generate(synth.SynthSpec(n_groups=2, per_group=2, length=40, seed=3))
+    ds.names[0] = "d\u00e9bit"
+    save_csv(ds, tmp_path / "series.csv")
+    write_config(tmp_path / "run.yaml", {"data": {"path": "series.csv"}})
+    env = {**os.environ, "PYTHONPATH": str(Path(gcnn.__file__).parents[1])}
+    for out, mode in (("c", {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}),
+                      ("utf8", {"PYTHONUTF8": "1"})):
+        done = subprocess.run([sys.executable, "-m", "gcnn.cli", "ingest", "run.yaml", "--out", out],
+                              cwd=tmp_path, env={**env, **mode}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    dataset = (tmp_path / "c" / "dataset.csv").read_bytes()
+    assert "d\u00e9bit".encode() in dataset
+    assert dataset == (tmp_path / "utf8" / "dataset.csv").read_bytes()

@@ -10,6 +10,7 @@ from gcnn.data import (
     load_csv,
     loads_csv,
     make_windows,
+    read_utf8,
     repair_gaps,
     save_csv,
     split,
@@ -166,6 +167,35 @@ class TestParseContract:
         data = loads_csv("time,a,b,c\n0,1,2,3\n1,4,,6\n")
         np.testing.assert_array_equal(data.mask, [[True, True], [True, False], [True, True]])
         assert data.values.flags.c_contiguous and data.mask.flags.c_contiguous
+        assert data.mask.flags.writeable
+        assert loads_csv("time,a,b\n0,1,2\n").mask.flags.writeable
+
+    def test_reader_fault_names_its_line(self):
+        # a lone carriage return inside an unquoted cell; files never hold
+        # one here, since they are read with universal newlines
+        with pytest.raises(DataError, match="^line 2: new-line character seen in unquoted field"):
+            loads_csv("time,a,b,c\n0,1\r2,3\n")
+
+
+class TestReadUtf8:
+    def test_line_ends_are_universal_newlines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("a,d\u00e9bit\r\nb\rc\n".encode())
+        assert read_utf8(path) == "a,d\u00e9bit\nb\nc\n"
+
+    @pytest.mark.parametrize("raw, where", [
+        (b"\xff", ":1: not valid UTF-8 (byte 0xff)"),
+        (b"a\r\nb\r\xffc\n", ":3: not valid UTF-8 (byte 0xff)"),
+        (b"time,a\n0,1\n\xc3", ":3: not valid UTF-8 (byte 0xc3)"),
+    ], ids=["first-byte", "after-cr-line-ends", "truncated-sequence"])
+    def test_bad_byte_names_the_file_and_its_line(self, tmp_path, raw, where):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as info:
+            read_utf8(path)
+        assert str(info.value) == f"{path}{where}"
+        with pytest.raises(ConfigError):
+            read_utf8(path, ConfigError)
 
 
 class TestDatasetInvariants:

@@ -7,10 +7,12 @@ repeated eigenvalues, batched model passes against per-sample ones,
 memberships on the simplex, grouped convolution and recurrent grouped
 stages against per-group references, both convolution primitives and
 their gradients against the per-sample im2col references in
-``oracles.py``, and checkpoint loads of truncated or corrupted files."""
+``oracles.py``, checkpoint loads of truncated or corrupted files, and
+the quote-free CSV tokenizer against ``csv.reader``."""
 
 import csv
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, dumps_csv,
-                       loads_csv, make_windows, split, standardize)
+from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, _records,
+                       dumps_csv, loads_csv, make_windows, split, standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, ConvGroup, GroupedConv1DLayer, RecurrentConvLayer
@@ -227,15 +229,22 @@ def test_csv_round_trip_is_bit_exact(data):
     assert np.isnan(back.values[~back.mask]).all()
 
 
-def reference_loads_csv(text):
-    """The per-cell parse loop: each row checked and each cell converted
-    in turn, so the first fault in row order is the one raised."""
+def reference_records(text):
+    """``csv.reader``'s non-comment records, each with the line it starts
+    on: one past the line the previous record ended on."""
     reader = csv.reader(io.StringIO(text))
     rows, line_no = [], 1
-    for row in reader:  # a record's line is one past where the previous one ended
+    for row in reader:
         if not (row and row[0].lstrip().startswith("#")):
             rows.append((line_no, row))
         line_no = reader.line_num + 1
+    return rows
+
+
+def reference_loads_csv(text):
+    """The per-cell parse loop: each row checked and each cell converted
+    in turn, so the first fault in row order is the one raised."""
+    rows = reference_records(text)
     if not rows:
         raise DataError("empty input")
     header = [h.strip() for h in rows[0][1]]
@@ -277,8 +286,14 @@ def reference_loads_csv(text):
     return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
 
 
-GOOD_CELLS = ["", " ", "1", "-0.0", " 2.5e-3 ", '"4"', "5e-324", "1_0", '"6\n"']
-BAD_CELLS = ["nan", "-inf", "1e999", "x", '"a,b"']
+# csv.reader before Python 3.11 refuses a NUL character
+CSV_READS_NUL = sys.version_info >= (3, 11)
+# str.splitlines splits at each of these but NUL, csv.reader at none;
+# str.strip removes all but NUL, float() fewer still
+ODD_CHARS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"] + ["\x00"] * CSV_READS_NUL
+
+GOOD_CELLS = ["", " ", "1", "-0.0", " 2.5e-3 ", '"4"', "5e-324", "1_0", '"6\n"', "\x0b7\x0c", "\x1c8\u2029", "\x85"]
+BAD_CELLS = ["nan", "-inf", "1e999", "x", '"a,b"', "9\u20289", "1\x1e2"] + ["3\x004"] * CSV_READS_NUL
 
 
 @st.composite
@@ -286,26 +301,32 @@ def csv_texts(draw):
     """Small CSV documents, many with one or more faults: bad, repeated or
     decreasing stamps, wrong cell counts, unparsable and non-finite cells;
     blank and comment lines anywhere, quoted cells that span lines, LF or
-    CRLF line ends."""
+    CRLF line ends, a final one or none, and cells holding characters
+    that are line breaks to ``str.splitlines`` but not to ``csv.reader``.
+    Half the documents hold no quote, so with LF line ends they take the
+    quote-free tokenizer."""
+    pool = GOOD_CELLS * 8 + BAD_CELLS
+    if draw(st.booleans()):
+        pool = [cell for cell in pool if '"' not in cell]
     n_series = draw(st.sampled_from([1, 2, 2, 3, 3, 3]))
     lines = [",".join(["time"] + [f"s{i}" for i in range(n_series)])]
     stamp = 0
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment"]))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", " , ", ","])))
+            lines.append(draw(st.sampled_from(["", " , ", ",", "\x0c,\u2028"])))
         elif kind == "comment":
-            lines.append("# note")
+            lines.append(draw(st.sampled_from(["# note", " \t# note"])))
         else:
             stamp += draw(st.sampled_from([1] * 12 + [0, -1]))
             token = draw(st.sampled_from([f" {stamp} "] * 12 + ["noon", "inf"]))
             width = n_series + draw(st.sampled_from([0] * 12 + [-1, 1]))
-            cells = st.sampled_from(GOOD_CELLS * 8 + BAD_CELLS)
+            cells = st.sampled_from(pool)
             lines.append(",".join([token] + draw(st.lists(cells, min_size=width, max_size=width))))
     if draw(st.booleans()):
         lines.insert(0, "# config abc")
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + end
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 def parse_outcome(parse, text):
@@ -322,8 +343,31 @@ def parse_outcome(parse, text):
 @given(csv_texts())
 @example("time,a,b\n0,nan,2\n1,x,3\n")
 @example("time,a,b\n0,1,x\n0,2,3\n")
+@example("time,a,b\n\n0,1,x\n")
 def test_loads_csv_matches_the_per_cell_reference(text):
     assert parse_outcome(loads_csv, text) == parse_outcome(reference_loads_csv, text)
+
+
+@st.composite
+def quote_free_texts(draw):
+    """CSV text with no quote and no carriage return: blank lines,
+    comment lines with leading whitespace, whitespace-only cells, and
+    cells holding the characters of ODD_CHARS; a final newline or none."""
+    cell = st.text(st.sampled_from(["1", "a", "-", "#", " ", "\t", *ODD_CHARS]), max_size=4)
+    line = st.one_of(st.just(""), st.sampled_from(["#", " # note", "\t#,x", " ", ","]),
+                     st.lists(cell, min_size=1, max_size=4).map(",".join))
+    lines = draw(st.lists(line, max_size=8))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@SETTINGS
+@given(quote_free_texts())
+@example("")
+@example("\n")
+@example("a,b\n\n,\n")
+@example("a\x0bb,c\u2028\n# x\n\x85\n")
+def test_quote_free_records_match_csv_reader(text):
+    assert _records(text) == reference_records(text)
 
 
 def brute_force_runs(present):
