@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# Console-script reruns must write the same bytes.
+#
+#     bash .github/train-rerun.sh WORKDIR
+#
+# Runs the installed `gcnn` console script in WORKDIR (made if missing).
+# Two trainings of one small synth set must write the same bytes, for an
+# ungrouped model (grouped_conv1d with one group) and a coeff model with
+# two groups (channelwise_conv1d, then grouped_conv1d over two blocks);
+# the pool (window 3, stride 2: width 8 pools to 3) overlaps, so gradients
+# add up across windows; the checkpoint's first line is its JSON header,
+# and eval must load it.  Then a copy of the set whose header names two
+# series "a,b" and "q""x" (quoted CSV cells) goes through cluster and an
+# explicit train twice: the quoted names must come back from the
+# assignment cluster writes, and the reruns must match byte for byte.
+set -euo pipefail
+
+work=$1
+mkdir -p "$work"
+python -c "import sys; from gcnn import data, synth; data.save_csv(synth.generate(synth.SynthSpec(length=120, seed=5)), sys.argv[1])" "$work/synth.csv"
+model="stage_channels: [6, 6], pool_before: [2], pool_window: 3, pool_stride: 2, dense_units: [4, 1]"
+for cfg in train coeff; do
+  grouping=""
+  if [ "$cfg" = coeff ]; then grouping="grouping: coeff, groups: 2, "; fi
+  cat > "$work/$cfg.yaml" <<EOF
+data: {path: $work/synth.csv, target: target, window: 8}
+model: {$grouping$model}
+train: {epochs: 2, batch_size: 16}
+EOF
+  for run in 1 2; do
+    gcnn train "$work/$cfg.yaml" --out "$work/$cfg$run"
+  done
+  for name in checkpoint.json history.csv; do
+    cmp "$work/${cfg}1/$name" "$work/${cfg}2/$name"
+  done
+  head -n 1 "$work/${cfg}1/checkpoint.json" | python -m json.tool > /dev/null
+  gcnn eval "$work/$cfg.yaml" --out "$work/${cfg}1"
+done
+
+sed '1s/,g1s1,/,"a,b",/; 1s/,g2s1,/,"q""x",/' "$work/synth.csv" > "$work/quoted.csv"
+cat > "$work/explicit.yaml" <<EOF
+data: {path: $work/quoted.csv, target: target, window: 8}
+model: {grouping: explicit, groups: 3, $model}
+train: {epochs: 2, batch_size: 16, assignment: $work/explicit/assignment.csv}
+EOF
+# both runs write to one directory, as the config names the assignment's path
+for run in 1 2; do
+  rm -rf "$work/explicit" "$work/explicit$run"
+  gcnn cluster "$work/explicit.yaml" --out "$work/explicit"
+  gcnn train "$work/explicit.yaml" --out "$work/explicit"
+  mv "$work/explicit" "$work/explicit$run"
+done
+grep -q '^"a,b",' "$work/explicit1/assignment.csv"
+grep -q '^"q""x",' "$work/explicit1/assignment.csv"
+for name in assignment.csv checkpoint.json history.csv; do
+  cmp "$work/explicit1/$name" "$work/explicit2/$name"
+done

@@ -28,7 +28,7 @@ import contextlib
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +138,8 @@ def _resolve_compare(section, where: str = "compare") -> dict:
             raise ConfigError(f"{here}: expected a mapping with name and model")
         _mapping(entry, here, ("name", "model"))
         name = M.check_setting(f"{here}.name", entry.get("name"), "str")
+        if name.lstrip().startswith("#"):  # it heads a summary.csv row, which would read as a comment
+            raise ConfigError(f"{here}.name: {name!r} starts with #")
         if name in seen:
             raise ConfigError(f"{here}.name: {name!r} already taken (linear/ridge are reserved)")
         seen.add(name)
@@ -375,14 +377,13 @@ def _read_assignment(path: Path, k: int) -> dict[str, int]:
     """Series name -> group label; every label is in 1..k and every group has a series."""
     mapping: dict[str, int] = {}
     first_line: dict[str, int] = {}
-    for line_no, line in enumerate(D.read_utf8(path).splitlines(), start=1):
-        s = line.strip()
-        if not s or s.startswith("#") or s == "series_name,group_id":
+    for line_no, row in D._records(D.read_utf8(path)):
+        cells = [cell.strip() for cell in row]
+        if cells in ([], [""], ["series_name", "group_id"]):
             continue
-        name, sep, label = s.rpartition(",")
-        name = name.strip()
-        if not sep or not name:
+        if len(cells) != 2 or not cells[0]:
             raise DataError(f"{path}:{line_no}: expected series_name,group_id")
+        name, label = cells
         if name in first_line:
             raise DataError(f"{path}:{line_no}: series {name!r} already assigned on line {first_line[name]}")
         first_line[name] = line_no
@@ -532,7 +533,8 @@ def cmd_cluster(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
     k = cfg.model["groups"]
     names, assignment, ncut = _cluster_inputs(prep, cfg.target, k, cfg.seed)
-    table_path = _write_csv(cfg, "assignment.csv", S.assignment_table(assignment, names))
+    table_path = _write_csv(cfg, "assignment.csv",
+                            D.dumps_table(["series_name", "group_id"], zip(names, assignment.labels)))
     report_path = _write_json(cfg, "cluster.json", {
         "target": cfg.target,
         "k": k,
@@ -564,7 +566,8 @@ def cmd_train(cfg: RunConfig) -> int:
     result = R.train(model, train_set, cfg.train)
     ckpt_path = cfg.out_dir / "checkpoint.json"
     M.save_checkpoint(result.model, ckpt_path, meta={"config": cfg.config_hash})
-    history_path = _write_csv(cfg, "history.csv", R.history_csv(result.history))
+    history_path = _write_csv(cfg, "history.csv", D.dumps_table(
+        [f.name for f in fields(R.HistoryEntry)], map(astuple, result.history)))
     report = {
         "target": cfg.target,
         "parameters": n_params,
@@ -580,11 +583,9 @@ def cmd_train(cfg: RunConfig) -> int:
     paths = [ckpt_path, history_path]
     coeffs = result.model.coefficients()
     if coeffs is not None:
-        header = "series_name," + ",".join(f"u{j + 1}" for j in range(coeffs.shape[1]))
-        rows = [header]
-        for name, row in zip(wset.channel_names, coeffs):
-            rows.append(name + "," + ",".join(repr(float(u)) for u in row))
-        paths.append(_write_csv(cfg, "coefficients.csv", "\n".join(rows) + "\n"))
+        header = ["series_name", *(f"u{j + 1}" for j in range(coeffs.shape[1]))]
+        rows = ([name, *row] for name, row in zip(wset.channel_names, coeffs.tolist()))
+        paths.append(_write_csv(cfg, "coefficients.csv", D.dumps_table(header, rows)))
     paths.append(_write_json(cfg, "train.json", report))
     print(f"best epoch {result.best_epoch} val srmse {result.best_val_srmse!r}")
     print("wrote " + " ".join(str(p) for p in paths))
@@ -607,7 +608,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     report = R.evaluate(model, chosen, model_id=cfg.config_hash[:12])
     report_path = _write_json(cfg, "eval.json", {"split": which, **report.to_dict()})
-    pred_path = _write_csv(cfg, "predictions.csv", R.predictions_csv(report))
+    pred_path = _write_csv(cfg, "predictions.csv", D.dumps_table(
+        ["t", "target", "prediction"], zip(report.times, report.targets, report.predictions)))
     print(f"config {cfg.config_hash[:12]}")
     print(f"{which} srmse {report.srmse!r} (rmse {report.rmse!r}) over {len(report.targets)} samples")
     print(f"wrote {report_path} {pred_path}")
@@ -671,14 +673,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     finally:
         # a failing member keeps whatever finished before it
         complete = all(len(results[name]) == len(picks) for name in order)
-        lines = ["model,mean_srmse,std_srmse,repeats"]
+        rows = []
         for name in order:
             scores = [results[name][t] for t in picks if t in results[name]]
-            if scores:
-                mean = float(np.mean(scores))
-                std = float(np.std(scores))  # population spread across picks
-                lines.append(f"{name},{mean!r},{std!r},{len(scores)}")
-        summary_path = _write_csv(cfg, "summary.csv", "\n".join(lines) + "\n")
+            if scores:  # std is the population spread across picks
+                rows.append((name, np.mean(scores), np.std(scores), len(scores)))
+        summary = D.dumps_table(["model", "mean_srmse", "std_srmse", "repeats"], rows)
+        summary_path = _write_csv(cfg, "summary.csv", summary)
         detail_path = _write_json(cfg, "compare.json", {
             "targets": picks,
             "ridge_penalty": cfg.doc["compare"]["ridge_penalty"],
@@ -686,8 +687,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             "results": results,
         })
     print(f"config {cfg.config_hash[:12]}")
-    for line in lines:
-        print(line)
+    print(summary, end="")
     print(f"wrote {summary_path} {detail_path}")
     return 0
 

@@ -8,14 +8,16 @@ stored as NaN so accidental use fails loudly downstream.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,6 +33,7 @@ __all__ = [
     "load_csv",
     "loads_csv",
     "save_csv",
+    "dumps_table",
     "repair_gaps",
     "standardize",
     "make_windows",
@@ -198,6 +201,10 @@ def loads_csv(text: str) -> TimeSeriesDataset:
     if len(header) < 3:
         raise DataError("need a time column plus at least 2 series columns")
     names = header[1:]
+    for column, name in enumerate(names, start=2):  # a name heads its row in assignment.csv
+        if not name or name.startswith("#"):
+            why = "starts with #, which marks a comment" if name else "is empty"
+            raise DataError(f"line {rows[0][0]}: column {column}: series name {name!r} {why}")
     body = [(line_no, row) for line_no, row in rows[1:] if any(cell.strip() for cell in row)]
     if not body:
         raise DataError("no data rows")
@@ -284,10 +291,10 @@ def _parse_values(body: list[tuple[int, list[str]]], n_series: int) -> tuple[np.
 
 def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
     """A UTF-8 text file read with universal newlines, as ``open`` reads
-    text: ``\\r\\n`` and a lone ``\\r`` come back as ``\\n``.  Bytes that are
-    not UTF-8 raise ``error`` naming the file and the line of the first
-    bad byte."""
-    raw = Path(path).read_bytes()
+    text: ``\\r\\n`` and a lone ``\\r`` come back as ``\\n``.  A leading
+    UTF-8 byte-order mark is dropped.  Bytes that are not UTF-8 raise
+    ``error`` naming the file and the line of the first bad byte."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -310,12 +317,31 @@ def load_csv(path: str | Path) -> TimeSeriesDataset:
     return loads_csv(read_utf8(path))
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"' if any(c in value for c in ',"\n\r') else value
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    return repr(float(value))
+
+
+def dumps_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of a header and rows, each line ending in ``\\n``.  Text
+    holding a comma, a quote, a ``\\n`` or a ``\\r`` is quoted, its quotes
+    doubled (RFC 4180); other text is written as it is.  Integers are
+    written in decimal, other numbers by ``repr`` of their float, which
+    round-trips fp64.  :func:`loads_csv`'s tokenizer reads every cell back
+    as written."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
+
+
 def dumps_csv(data: TimeSeriesDataset) -> str:
     """Render the wide format back out; repr round-trips fp64 exactly.
 
-    Rows render one at a time from one ``tolist`` of the table; only a
-    row with a missing cell goes cell by cell."""
-    lines = [",".join(["time"] + data.names)]
+    The header goes through :func:`dumps_table`'s cell rule.  Value rows
+    render one at a time from one ``tolist`` of the table; only a row
+    with a missing cell goes cell by cell."""
+    lines = [",".join(map(_cell, ["time", *data.names]))]
     gappy = (~data.mask.all(axis=0)).tolist()
     for t, (stamp, row) in enumerate(zip(data.times.tolist(), data.values.T.tolist())):
         if gappy[t]:

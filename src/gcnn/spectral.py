@@ -33,7 +33,6 @@ __all__ = [
     "kmeans",
     "spectral_embedding",
     "spectral_cluster",
-    "assignment_table",
     "DENSE_EIG_LIMIT",
 ]
 
@@ -259,15 +258,4 @@ def spectral_cluster(g: SimilarityGraph, k: int, seed: int = 0) -> GroupAssignme
         raise ShapeError(f"need 2 <= K <= {g.n}, got {k}")
     embedding = spectral_embedding(g, k)
     return kmeans(embedding.vectors, k, seed=seed)
-
-
-def assignment_table(assignment: GroupAssignment, names: Sequence[str] | None = None) -> str:
-    """Render `series_name,group_id` lines (header included)."""
-    if names is None:
-        names = [f"series{i}" for i in range(len(assignment.labels))]
-    if len(names) != len(assignment.labels):
-        raise ShapeError("name count does not match assignment length")
-    lines = ["series_name,group_id"]
-    lines.extend(f"{name},{label}" for name, label in zip(names, assignment.labels))
-    return "\n".join(lines) + "\n"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "train",
     "evaluate",
     "linear_baseline",
-    "history_csv",
-    "predictions_csv",
 ]
 
 
@@ -273,18 +271,3 @@ def linear_baseline(
     return EvalReport(value, rmse, se, preds, test_set.targets.copy(), test_set.times.copy(),
                       test_set.target_name, model_id)
 
-
-def history_csv(history: Sequence[HistoryEntry]) -> str:
-    """Render the training history as CSV."""
-    lines = ["epoch,train_srmse,val_srmse,loss"]
-    for h in history:
-        lines.append(f"{h.epoch},{repr(h.train_srmse)},{repr(h.val_srmse)},{repr(h.loss)}")
-    return "\n".join(lines) + "\n"
-
-
-def predictions_csv(report: EvalReport) -> str:
-    """Render per-sample predictions as CSV."""
-    lines = ["t,target,prediction"]
-    for t, target, pred in zip(report.times, report.targets, report.predictions):
-        lines.append(f"{repr(float(t))},{repr(float(target))},{repr(float(pred))}")
-    return "\n".join(lines) + "\n"

@@ -523,6 +523,15 @@ def test_compare_candidate_name_clash_rejected(series_csv, tmp_path):
     assert run("compare", cfg) == 2
 
 
+def test_compare_candidate_name_that_reads_as_a_comment_exits_2(series_csv, tmp_path, capsys):
+    """A candidate's name heads its summary.csv row, where # marks a comment."""
+    doc = base_config(series_csv, tmp_path / "out")
+    doc["compare"] = {"candidates": [{"name": " #net", "model": {}}]}
+    assert run("compare", write_config(tmp_path / "run.yaml", doc)) == 2
+    assert "compare.candidates[0].name: ' #net' starts with #" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("model, message, at_load", [
     ({"kernel_width": 0}, "kernel width must be >= 1", True),
     ({"preset": "water-cnn", "input_width": 8}, "model expects 87 input channels", False),
@@ -855,6 +864,47 @@ def test_assignment_label_fault_exits_3_and_names_the_file(series_csv, tmp_path,
     doc["train"]["assignment"] = str(table)
     assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
     assert f"{table}{where}" in capsys.readouterr().err
+
+
+def test_names_that_need_quotes_pass_every_command(tmp_path):
+    """Series names holding a comma, a quote and a form feed are written
+    quoted where they must be and read back by every command."""
+    ds = synth.generate(synth.SynthSpec(n_groups=3, per_group=4, length=120, seed=7))
+    renamed = {"g1s1": "g1\x0cs1", "g2s1": "a,b", "g3s1": 'q"x'}
+    ds.names = [renamed.get(name, name) for name in ds.names]
+    save_csv(ds, tmp_path / "series.csv")
+    doc = cluster_config(tmp_path / "series.csv", tmp_path)
+    doc["train"]["assignment"] = str(tmp_path / "out" / "assignment.csv")
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    for command in ("ingest", "cluster", "train", "eval"):
+        assert run(command, cfg) == 0, command
+    assert load_csv(tmp_path / "out" / "dataset.csv").names == ds.names
+    table = (tmp_path / "out" / "assignment.csv").read_text()
+    assert '\n"a,b",' in table and '\n"q""x",' in table and "\ng1\x0cs1," in table
+
+
+def test_assignment_with_byte_order_mark_reads(series_csv, tmp_path):
+    names = [f"g{g}s{i}" for g in (1, 2, 3) for i in (1, 2, 3, 4)]
+    table = tmp_path / "assignment.csv"
+    table.write_bytes(b"\xef\xbb\xbf" + ("series_name,group_id\n" + "".join(
+        f"{n},{g}\n" for n, g in zip(names, [1, 2, 3] * 4))).encode())
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(table)
+    assert run("train", write_config(tmp_path / "run.yaml", doc)) == 0
+
+
+@pytest.mark.parametrize("row", ["g3s4,1,3", ",3", "g3s4", '"g3s4,3'])
+def test_assignment_row_that_is_not_two_cells_exits_3(series_csv, tmp_path, capsys, row):
+    """A name with an unquoted comma, as older versions wrote it, makes a
+    row of three cells."""
+    names = [f"g{g}s{i}" for g in (1, 2, 3) for i in (1, 2, 3, 4)]
+    table = tmp_path / "assignment.csv"
+    table.write_text("# config abc\nseries_name,group_id\n"
+                     + "".join(f"{n},{g}\n" for n, g in zip(names[:-1], [1, 2, 3] * 4)) + row + "\n")
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(table)
+    assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
+    assert f"{table}:14: expected series_name,group_id" in capsys.readouterr().err
 
 
 # -- text encoding ---------------------------------------------------------

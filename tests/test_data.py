@@ -1,5 +1,6 @@
-"""Data pipeline: CSV parsing and round-trips, gap repair policy,
-training-range standardization, windowing counts, and splits."""
+"""Data pipeline: CSV parsing and round-trips, the table writer's bytes,
+gap repair policy, training-range standardization, windowing counts, and
+splits."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gcnn.data import (
     SplitSpec,
     TimeSeriesDataset,
+    dumps_table,
     load_csv,
     loads_csv,
     make_windows,
@@ -102,6 +104,8 @@ PARSE_FAULTS = {
     "one series": ("time,a\n0,1\n", "need a time column plus at least 2 series columns"),
     "no rows": ("time,a,b\n\n , ,\n", "no data rows"),
     "repeated name": ("time,a,a\n0,1,2\n", "series names must be unique"),
+    "empty name": ("# config abc\ntime,a, \n0,1,2\n", "line 2: column 3: series name '' is empty"),
+    "comment name": ('time,"#c",b\n0,1,2\n', "line 1: column 2: series name '#c' starts with #, which marks a comment"),
     "cell count": ("time,a,b\n0,1,2\n1,2\n", "line 3: expected 3 cells, got 2"),
     "bad stamp": ("time,a,b\n0,1,2\nnoon,3,4\n", "line 3: cannot parse time stamp 'noon'"),
     "infinite stamp": ("time,a,b\n0,1,2\n inf ,3,4\n", "line 3: time stamp 'inf' is not finite"),
@@ -177,11 +181,49 @@ class TestParseContract:
             loads_csv("time,a,b,c\n0,1\r2,3\n")
 
 
+class TestDumpsTable:
+    def test_assignment_bytes(self):
+        assert dumps_table(["series_name", "group_id"], [["flow", 2], ["level", 1]]) == (
+            "series_name,group_id\nflow,2\nlevel,1\n")
+
+    def test_history_bytes(self):
+        text = dumps_table(["epoch", "train_srmse", "val_srmse", "loss"], [(1, 0.5, 0.625, 0.25)])
+        assert text == "epoch,train_srmse,val_srmse,loss\n1,0.5,0.625,0.25\n"
+
+    def test_prediction_bytes_from_numpy_scalars(self):
+        rows = zip(np.array([10.0, 11.0]), np.array([1.0, 3.0]), np.array([1.5, 2.5]))
+        assert dumps_table(["t", "target", "prediction"], rows).split("\n")[1] == "10.0,1.0,1.5"
+        assert dumps_table(["n"], [[np.int64(3)], [True]]) == "n\n3\n1\n"
+
+    def test_text_is_quoted_only_when_it_must_be(self):
+        cells = ["a,b", 'q"x', "l\nm", "c\rr", "g1\x0cs1", " pad ", ""]
+        assert dumps_table(["name"], [[cell] for cell in cells]) == (
+            'name\n"a,b"\n"q""x"\n"l\nm"\n"c\rr"\ng1\x0cs1\n pad \n\n')
+
+    def test_names_that_need_quotes_read_back(self, tmp_path):
+        original = dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], names=["a,b", 'q"x', "g1\x0cs1"])
+        save_csv(original, tmp_path / "data.csv")
+        assert load_csv(tmp_path / "data.csv").names == original.names
+
+
 class TestReadUtf8:
     def test_line_ends_are_universal_newlines(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes("a,d\u00e9bit\r\nb\rc\n".encode())
         assert read_utf8(path) == "a,d\u00e9bit\nb\nc\n"
+
+    def test_byte_order_mark_reads_as_nothing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf# exported\ntime,a,b\n0,1,2\n")
+        assert read_utf8(path) == "# exported\ntime,a,b\n0,1,2\n"
+        assert load_csv(path).names == ["a", "b"]
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbftime,a,b\n0,1,\xff\n")
+        with pytest.raises(DataError) as info:
+            read_utf8(path)
+        assert str(info.value) == f"{path}:2: not valid UTF-8 (byte 0xff)"
 
     @pytest.mark.parametrize("raw, where", [
         (b"\xff", ":1: not valid UTF-8 (byte 0xff)"),

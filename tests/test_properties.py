@@ -7,8 +7,9 @@ repeated eigenvalues, batched model passes against per-sample ones,
 memberships on the simplex, grouped convolution and recurrent grouped
 stages against per-group references, both convolution primitives and
 their gradients against the per-sample im2col references in
-``oracles.py``, checkpoint loads of truncated or corrupted files, and
-the quote-free CSV tokenizer against ``csv.reader``."""
+``oracles.py``, checkpoint loads of truncated or corrupted files, the
+quote-free CSV tokenizer against ``csv.reader``, and tables written by
+``dumps_table`` read back cell for cell."""
 
 import csv
 import io
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, _records,
-                       dumps_csv, loads_csv, make_windows, split, standardize)
+                       dumps_csv, dumps_table, loads_csv, make_windows, split, standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, ConvGroup, GroupedConv1DLayer, RecurrentConvLayer
@@ -251,6 +252,12 @@ def reference_loads_csv(text):
     if len(header) < 3:
         raise DataError("need a time column plus at least 2 series columns")
     names = header[1:]
+    for i, name in enumerate(names):
+        if name == "":
+            raise DataError(f"line {rows[0][0]}: column {i + 2}: series name '' is empty")
+        if name[0] == "#":
+            raise DataError(f"line {rows[0][0]}: column {i + 2}: series name {name!r} starts with #, "
+                            "which marks a comment")
     times, line_nos = [], []
     columns, mask_cols = [[] for _ in names], [[] for _ in names]
     for line_no, row in rows[1:]:
@@ -298,8 +305,9 @@ BAD_CELLS = ["nan", "-inf", "1e999", "x", '"a,b"', "9\u20289", "1\x1e2"] + ["3\x
 
 @st.composite
 def csv_texts(draw):
-    """Small CSV documents, many with one or more faults: bad, repeated or
-    decreasing stamps, wrong cell counts, unparsable and non-finite cells;
+    """Small CSV documents, many with one or more faults: empty or
+    comment-like series names, bad, repeated or decreasing stamps, wrong
+    cell counts, unparsable and non-finite cells;
     blank and comment lines anywhere, quoted cells that span lines, LF or
     CRLF line ends, a final one or none, and cells holding characters
     that are line breaks to ``str.splitlines`` but not to ``csv.reader``.
@@ -309,7 +317,8 @@ def csv_texts(draw):
     if draw(st.booleans()):
         pool = [cell for cell in pool if '"' not in cell]
     n_series = draw(st.sampled_from([1, 2, 2, 3, 3, 3]))
-    lines = [",".join(["time"] + [f"s{i}" for i in range(n_series)])]
+    names = st.sampled_from(["s{}"] * 30 + ["", " ", " #s{}", '"#s{}"'])
+    lines = [",".join(["time"] + [draw(names).format(i) for i in range(n_series)])]
     stamp = 0
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment"]))
@@ -368,6 +377,37 @@ def quote_free_texts(draw):
 @example("a\x0bb,c\u2028\n# x\n\x85\n")
 def test_quote_free_records_match_csv_reader(text):
     assert _records(text) == reference_records(text)
+
+
+TABLE_TEXT = st.text(st.sampled_from([",", "#", '"', "\n", "\r", "\x0c", "\u2028", " ", "a", "B"]), max_size=6)
+TABLE_CELLS = st.one_of(TABLE_TEXT, st.integers(-10**20, 10**20), st.floats(allow_nan=False, width=64))
+
+
+def reads_back(cell, written):
+    """Whether a cell read as ``cell`` is the one ``written``: text as it
+    is, an integer in decimal, a float with the same bits."""
+    if isinstance(written, str):
+        return cell == written
+    if isinstance(written, int):
+        return int(cell) == written
+    return np.float64(float(cell)).view(np.uint64) == np.float64(written).view(np.uint64)
+
+
+def heads_a_record(row):
+    """A row the tokenizer keeps: not blank, and not read as a comment."""
+    first = row[0] if isinstance(row[0], str) else ""
+    return not first.lstrip().startswith("#") and (len(row) > 1 or row[0] != "")
+
+
+@SETTINGS
+@given(st.lists(st.lists(TABLE_CELLS, min_size=1, max_size=4).filter(heads_a_record), min_size=1, max_size=6))
+@example([["time", "a,b", 'q"x', "g1\x0cs1"], [0.0, -0.0, 5e-324, 1e308], [" ", "", 7, "\r\n"]])
+def test_tables_read_back_cell_for_cell(table):
+    header, *rows = table
+    records = _records(dumps_table(header, rows))
+    assert [len(row) for _, row in records] == [len(row) for row in table]
+    for (_, cells), written in zip(records, table):
+        assert all(reads_back(cell, value) for cell, value in zip(cells, written))
 
 
 def brute_force_runs(present):

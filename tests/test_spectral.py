@@ -13,7 +13,6 @@ from gcnn.spectral import (
     DENSE_EIG_LIMIT,
     GroupAssignment,
     SimilarityGraph,
-    assignment_table,
     kmeans,
     laplacians,
     ncut_value,
@@ -393,9 +392,3 @@ class TestBruteForce:
         with pytest.raises(ShapeError, match="10"):
             brute_force_min_ncut(SimilarityGraph(w), 2)
 
-
-class TestExports:
-    def test_assignment_table(self):
-        a = GroupAssignment([2, 1], 2)
-        text = assignment_table(a, ["flow", "level"])
-        assert text == "series_name,group_id\nflow,2\nlevel,1\n"

@@ -15,13 +15,10 @@ from gcnn.models import Model, ModelSpec, build_model
 from gcnn.synth import SynthSpec, generate
 from gcnn.tensor import Tensor, grad_check
 from gcnn.training import (
-    EvalReport,
     TrainConfig,
     evaluate,
-    history_csv,
     linear_baseline,
     mse_loss,
-    predictions_csv,
     srmse,
     train,
 )
@@ -323,23 +320,3 @@ class TestSilentFailureGuards:
         for (_, t), b in zip(model.named_params(), before):
             np.testing.assert_array_equal(t.data, b)
 
-
-class TestExports:
-    def test_history_csv(self):
-        from gcnn.training import HistoryEntry
-
-        text = history_csv([HistoryEntry(1, 0.5, 0.625, 0.25)])
-        assert text == "epoch,train_srmse,val_srmse,loss\n1,0.5,0.625,0.25\n"
-
-    def test_predictions_csv_roundtrip(self):
-        report = EvalReport(
-            srmse=0.5, rmse=1.0, se=2.0,
-            predictions=np.array([1.5, 2.5]),
-            targets=np.array([1.0, 3.0]),
-            times=np.array([10.0, 11.0]),
-            target_name="y",
-        )
-        text = predictions_csv(report)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,target,prediction"
-        assert lines[1] == "10.0,1.0,1.5"
