@@ -22,6 +22,7 @@ from .errors import (
     ConvergenceError,
     DataError,
     GcnnError,
+    GraphConsumedError,
     NumericalError,
     ShapeError,
 )
@@ -78,5 +79,6 @@ __all__ = [
     "DataError",
     "NumericalError",
     "ConvergenceError",
+    "GraphConsumedError",
     "__version__",
 ]

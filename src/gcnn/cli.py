@@ -377,7 +377,12 @@ def _read_assignment(path: Path, k: int) -> dict[str, int]:
     """Series name -> group label; every label is in 1..k and every group has a series."""
     mapping: dict[str, int] = {}
     first_line: dict[str, int] = {}
-    for line_no, row in D._records(D.read_utf8(path)):
+    text = D.read_utf8(path)
+    try:
+        records = D._records(text)
+    except DataError as e:  # a fault csv.reader found, as "line N: ..."
+        raise DataError(f"{path}:{str(e).removeprefix('line ')}") from None
+    for line_no, row in records:
         cells = [cell.strip() for cell in row]
         if cells in ([], [""], ["series_name", "group_id"]):
             continue

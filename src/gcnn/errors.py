@@ -27,3 +27,7 @@ class NumericalError(GcnnError, RuntimeError):
 
 class ConvergenceError(NumericalError):
     """An iterative solver hit its iteration cap before converging."""
+
+
+class GraphConsumedError(GcnnError, RuntimeError):
+    """A backward pass reached a graph an earlier backward pass consumed."""

@@ -46,7 +46,7 @@ __all__ = [
 UNFILLED = T.Unfilled(())
 
 
-def _new_param(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], bound: float = 0.0) -> Tensor:
+def _new_param(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], bound: float = 0.0) -> T.Parameter:
     """A trainable leaf: drawn uniformly from [-bound, bound], zeros (and
     no draw) for bound 0, or unfilled when ``rng`` is :data:`UNFILLED`.
     Every layer parameter is made here."""
@@ -56,10 +56,10 @@ def _new_param(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], bo
         values = rng.uniform(-bound, bound, size=shape)
     else:
         values = np.zeros(shape)
-    return Tensor(values, requires_grad=True)
+    return T.Parameter(values)
 
 
-def init_uniform_fanin(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], fan_in: int) -> Tensor:
+def init_uniform_fanin(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], fan_in: int) -> T.Parameter:
     """Weights drawn uniformly from [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")

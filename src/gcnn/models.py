@@ -192,13 +192,30 @@ def check_setting(path: str, value, annotation: str):
 
 
 class Model:
-    """A runnable layer stack plus the spec and seed that produced it."""
+    """A runnable layer stack plus the spec and seed that produced it.
+
+    ``vector`` is one contiguous float64 array that holds every parameter,
+    in :meth:`named_params` order, and each parameter is a view into it.
+    A model built unfilled has a :class:`tensor.Unfilled` vector, which
+    counts but holds nothing, until a checkpoint load fills it.
+    """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], assignment: list[int] | None, seed: int):
         self.spec = spec
         self.layers = layers
         self.assignment = assignment
         self.seed = seed
+        params = [t for _, t in self.named_params()]
+        self._spans, start = [], 0  # (start, stop, shape) of each parameter in the vector
+        for t in params:
+            self._spans.append((start, start + t.size, t.shape))
+            start += t.size
+        if any(isinstance(t.data, T.Unfilled) for t in params):
+            self.vector = T.Unfilled((start,))
+            return
+        self.vector = np.empty(start)
+        for t, view in zip(params, self.param_views(self.vector)):
+            t.attach(view)
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, C, W) windows to (1, B) predictions; one (C, W) window gives (1, 1)."""
@@ -212,6 +229,11 @@ class Model:
             for name, t in layer.named_params():
                 out.append((f"L{i:02d}.{name}", t))
         return out
+
+    def param_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat``, laid out like ``vector``, as one view per parameter,
+        shaped like it, in :meth:`named_params` order."""
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._spans]
 
     def coeff_layer(self) -> ClusteringCoeffLayer | None:
         for layer in self.layers:
@@ -357,7 +379,7 @@ def _assemble(
 
 def count_params(model: Model) -> int:
     """Exact number of trainable scalars, biases and logits included."""
-    return sum(t.size for _, t in model.named_params())
+    return model.vector.size
 
 
 PRESETS: dict[str, ModelSpec] = {}
@@ -393,9 +415,9 @@ def save_checkpoint(model: Model, path: str | Path, meta: dict | None = None) ->
     The header holds the spec echo, seed, assignment and one
     ``{"name", "shape"}`` entry per parameter.  After its newline come the
     row-major little-endian float64 bytes of every parameter, back to back
-    in header order, so a load restores every bit and save/load/save is
-    byte-stable.  ``meta`` is an optional provenance block stored verbatim
-    and ignored on load.
+    in header order: the model's parameter vector, written at once.  So a
+    load restores every bit and save/load/save is byte-stable.  ``meta`` is
+    an optional provenance block stored verbatim and ignored on load.
     """
     params = model.named_params()
     header = {
@@ -409,8 +431,7 @@ def save_checkpoint(model: Model, path: str | Path, meta: dict | None = None) ->
         header["meta"] = meta
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for _, t in params:
-            f.write(np.ascontiguousarray(t.data, dtype="<f8"))
+        f.write(np.ascontiguousarray(model.vector, dtype="<f8"))
 
 
 def _is_count(v) -> bool:
@@ -421,9 +442,11 @@ def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`.
 
     The header is checked and the body's length is checked against the
-    file size before any value is read.  The model is built unfilled, then
-    each parameter is found by name in the header and its bytes are read,
-    at the place the shapes before it give, straight into one owned array.
+    file size before any value is read.  The model is built unfilled and
+    its parameter vector allocated; then each parameter is found by name
+    in the header, and its bytes are read, at the place the shapes before
+    it give, straight into its own view of the vector.  A parameter holds
+    that view only once its values are read and checked.
     """
     with open(path, "rb") as f:
         head = f.readline()
@@ -461,21 +484,22 @@ def load_checkpoint(path: str | Path) -> Model:
         if body != offset:
             raise ShapeError(f"checkpoint body holds {body} bytes, its parameter shapes need {offset}")
         model = _assemble(ModelSpec.from_dict(doc["spec"]), assignment, seed, UNFILLED)
-        for name, t in model.named_params():
+        model.vector = np.empty(model.vector.size)
+        swap = not np.dtype("<f8").isnative
+        for (name, t), values in zip(model.named_params(), model.param_views(model.vector)):
             if name not in stored:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
             shape, start = stored.pop(name)
             if shape != t.shape:
                 raise ShapeError(f"parameter {name!r} shape {list(shape)} does not match {t.shape}")
-            values = np.empty(shape, "<f8")
             f.seek(len(head) + start)
             if f.readinto(values) != values.nbytes:
                 raise ShapeError(f"checkpoint ended inside parameter {name!r}")
-            if not values.dtype.isnative:
-                values = values.astype(np.float64)
+            if swap:
+                values.byteswap(inplace=True)
             if not np.isfinite(values).all():
                 raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
-            t.data = values
+            t.attach(values)
         if stored:
             raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
     return model

@@ -12,6 +12,12 @@ Conventions:
   observe them through :meth:`Tensor.is_finite`);
 * a leaf built on :class:`Unfilled` has a shape but no values yet: it can
   be counted and given its ``data`` later, and any read before then raises;
+* a :class:`Parameter` keeps its values in one array once it has them,
+  so it can be a view into a larger buffer such as a model's parameter
+  vector;
+* :func:`backward` consumes the graph it sweeps, freeing each saved
+  activation as it passes; a second sweep through it raises
+  :class:`GraphConsumedError`;
 * 1-D signals are laid out (..., channels, width): leading axes are
   batch axes, and one (channels, width) sample is the case with none;
 * evaluation is single-threaded per graph, and separate graphs may run
@@ -25,15 +31,16 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import GraphConsumedError, ShapeError
 
 __all__ = [
     "Tensor",
     "Unfilled",
+    "Parameter",
     "GradTape",
     "no_grad",
     "elementwise",
@@ -190,6 +197,39 @@ class Tensor:
         return matmul(self, other)
 
 
+class Parameter(Tensor):
+    """A trainable leaf whose values stay in one array once it has them.
+
+    Assigning ``data`` writes the new values into the array the parameter
+    holds, so a parameter that is a view into a larger buffer stays one.
+    Only an unfilled parameter takes the array it is given.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
+
+    def __setattr__(self, name, value):
+        held = getattr(self, "data", None) if name == "data" else None
+        if not isinstance(held, np.ndarray):
+            object.__setattr__(self, name, value)
+        elif value is not held:
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != held.shape:
+                raise ShapeError(f"cannot assign {value.shape} values to a {held.shape} parameter")
+            np.copyto(held, value)
+
+    def attach(self, storage: np.ndarray) -> None:
+        """Keep the values in ``storage``, an array of this parameter's
+        shape, from now on; the current values, if any, are copied in."""
+        if storage.shape != self.shape:
+            raise ShapeError(f"cannot keep a {self.shape} parameter in a {storage.shape} array")
+        if isinstance(self.data, np.ndarray):
+            np.copyto(storage, self.data)
+        object.__setattr__(self, "data", storage)
+
+
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule: BackwardRule) -> Tensor:
     """Wrap an op result; keep the backward rule only when it can matter."""
     out = Tensor.__new__(Tensor)
@@ -246,50 +286,88 @@ class GradTape:
         return cls(entries)
 
     def backward(
-        self, root: Tensor, leaves: Sequence[Tensor] | None = None
+        self, root: Tensor, leaves: Sequence[Tensor] | Mapping[Tensor, np.ndarray] | None = None
     ) -> dict[Tensor, np.ndarray]:
         """Accumulate gradients from ``root`` down to the trainable leaves.
 
         Returns a map keyed by leaf tensor; requested ``leaves`` that the
-        graph never touched get zero gradients.  Leaf ``.grad`` fields are
-        overwritten (no accumulation across calls).
+        graph never touched get zero gradients.  ``leaves`` may map each
+        requested leaf to an array of its shape, which its gradient is
+        written into; every other leaf gradient is an array of its own.
+        Leaf ``.grad`` fields are overwritten (no accumulation across calls).
+
+        The sweep consumes the tape: once an entry has propagated, its rule
+        is dropped and its result keeps no rule and no operands, so every
+        saved activation is freed as soon as no entry still to come needs
+        it.  An intermediate gradient is copied only when a second
+        contribution is added to it.
         """
-        grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+        into = leaves if isinstance(leaves, Mapping) else {}
+        grads: dict[int, np.ndarray] = {}
+        owned: set[int] = set()  # keys whose gradient array this sweep may add into
         found: dict[int, Tensor] = {}
-        if root._rule is None and root.requires_grad:
-            found[id(root)] = root
-        for entry in reversed(self.entries):
-            g = grads.pop(id(entry.result), None)
+
+        def give(node: Tensor, g: np.ndarray) -> None:
+            key = id(node)
+            acc = grads.get(key)
+            if acc is None:
+                if node._rule is None:  # a leaf: its own array, or the caller's
+                    found[key] = node
+                    dest = into.get(node)
+                    if dest is None:
+                        g = np.array(g)
+                    else:
+                        np.copyto(dest, g)
+                        g = dest
+                    owned.add(key)
+                grads[key] = g  # an intermediate's may be shared: rules hand out views
+            elif key in owned:
+                acc += g
+            else:
+                grads[key] = acc + g
+                owned.add(key)
+
+        if root.requires_grad:
+            give(root, np.ones_like(root.data))
+        entries = self.entries
+        while entries:
+            entry = entries.pop()
+            node = entry.result
+            node._rule, node._parents = _consumed, ()
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
-            parent_grads = entry.rule(g)
-            for parent, pg in zip(entry.parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                if acc is None:
-                    # own the buffer: rules may hand back shared/aliased views
-                    grads[id(parent)] = np.array(pg)
-                else:
-                    acc += pg
-                if parent._rule is None:
-                    found[id(parent)] = parent
+            for parent, pg in zip(entry.parents, entry.rule(g)):
+                if pg is not None and parent.requires_grad:
+                    give(parent, pg)
         result: dict[Tensor, np.ndarray] = {}
         for key, leaf in found.items():
-            leaf.grad = grads.get(key, np.zeros_like(leaf.data))
-            result[leaf] = leaf.grad
+            leaf.grad = result[leaf] = grads[key]
         if leaves is not None:
             for leaf in leaves:
                 if not leaf.requires_grad:
                     raise ValueError("requested leaf is not marked trainable")
                 if leaf not in result:
-                    leaf.grad = np.zeros_like(leaf.data)
-                    result[leaf] = leaf.grad
+                    dest = into.get(leaf)
+                    if dest is None:
+                        dest = np.zeros_like(leaf.data)
+                    else:
+                        dest[...] = 0.0
+                    leaf.grad = result[leaf] = dest
         return result
 
 
-def backward(loss: Tensor, leaves: Sequence[Tensor] | None = None) -> dict[Tensor, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss over its trainable leaves."""
+def _consumed(g):
+    """The rule a node keeps once a backward pass has consumed it."""
+    raise GraphConsumedError(
+        "this graph was already consumed by a backward pass; run the forward pass again to differentiate it again")
+
+
+def backward(
+    loss: Tensor, leaves: Sequence[Tensor] | Mapping[Tensor, np.ndarray] | None = None
+) -> dict[Tensor, np.ndarray]:
+    """Reverse-mode gradients of a scalar loss over its trainable leaves;
+    see :meth:`GradTape.backward`.  The graph behind ``loss`` is consumed."""
     if loss.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     return GradTape.from_root(loss).backward(loss, leaves=leaves)

@@ -29,6 +29,7 @@ __all__ = [
     "srmse",
     "validation_carve",
     "train",
+    "sgd_step",
     "evaluate",
     "linear_baseline",
 ]
@@ -173,15 +174,20 @@ def train(
             f"validation tail of {n_val} of {n} training samples needs at least 2 distinct "
             "targets to score SRMSE; supply more samples or a larger val_fraction")
 
-    params = model.named_params()
-    tensors = [t for _, t in params]
-    velocity = [np.zeros_like(t.data) for t in tensors]
+    # the step's parameter-sized buffers, made once: the gradient (also the
+    # update's scratch), the best epoch's parameters, and a velocity only
+    # when there is momentum to carry
+    params = model.vector
+    grad = np.empty_like(params)
+    spans = model.param_views(grad)
+    into = dict(zip((t for _, t in model.named_params()), spans))
+    velocity = np.zeros_like(params) if config.momentum > 0.0 else None
+    best = params.copy()
     rng = np.random.default_rng(config.seed)
 
     history: list[HistoryEntry] = []
     best_val = math.inf
     best_epoch = 0
-    best_snapshot = [t.data.copy() for t in tensors]
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_fit)
@@ -195,16 +201,10 @@ def train(
                 raise NumericalError(f"training diverged: non-finite loss at epoch {epoch}")
             epoch_preds[idx] = preds.data[0]
             sq_err_total += loss.item() * len(idx)
-            grads = T.backward(loss, leaves=tensors)
-            gs = [grads[t] for t in tensors]
-            gnorm = math.sqrt(sum(float((g * g).sum()) for g in gs))
-            if not math.isfinite(gnorm):
+            T.backward(loss, leaves=into)  # consumes the graph
+            del preds, loss
+            if not math.isfinite(sgd_step(params, grad, spans, velocity, config)):
                 raise NumericalError(f"training diverged: non-finite gradient at epoch {epoch}")
-            scale = config.clip_norm / gnorm if gnorm > config.clip_norm else 1.0
-            for t, v, g in zip(tensors, velocity, gs):
-                v *= config.momentum
-                v += g * scale
-                t.data -= config.learning_rate * v
         train_srmse, _, _ = srmse(epoch_preds, fit_set.targets)
         if n_val:
             val_srmse, _, _ = srmse(_predict_all(model, val_set), val_set.targets)
@@ -214,13 +214,43 @@ def train(
         if val_srmse < best_val:
             best_val = val_srmse
             best_epoch = epoch
-            best_snapshot = [t.data.copy() for t in tensors]
+            np.copyto(best, params)
         if epoch_hook is not None:
             epoch_hook(epoch, model)
 
-    for t, snap in zip(tensors, best_snapshot):
-        t.data = snap
+    np.copyto(params, best)
     return TrainResult(model, history, best_epoch, best_val)
+
+
+def sgd_step(
+    params: np.ndarray, grad: np.ndarray, spans: list[np.ndarray], velocity: np.ndarray | None, config: TrainConfig
+) -> float:
+    """One clipped momentum-SGD step on the flat ``params``, in place;
+    returns the gradient norm, and changes nothing when it is not finite.
+
+    ``grad`` holds the gradient, laid out like ``params``, and ``spans``
+    are its per-parameter views; it is also the update's scratch.  The
+    squared norm adds one sum per span, in order, and ``g`` is scaled only
+    when the norm exceeds ``clip_norm``, so the bits are those of a loop
+    over the parameters doing ``v = momentum * v + g * scale`` and
+    ``p -= learning_rate * v``.  ``velocity`` is None at momentum 0: the
+    step is then ``learning_rate * (g * scale)``, which differs from
+    ``0 * v + g * scale`` only in the sign of a zero, and so changes no
+    parameter that is not -0.0 (and a trained parameter never is).
+    """
+    gnorm = math.sqrt(sum(float((g * g).sum()) for g in spans))
+    if not math.isfinite(gnorm):
+        return gnorm
+    if gnorm > config.clip_norm:
+        grad *= config.clip_norm / gnorm
+    if velocity is not None:
+        velocity *= config.momentum
+        velocity += grad
+        np.multiply(velocity, config.learning_rate, out=grad)
+    else:
+        grad *= config.learning_rate
+    params -= grad
+    return gnorm
 
 
 def evaluate(model: Model, wset: WindowedRegressionSet, model_id: str = "") -> EvalReport:

@@ -2,14 +2,16 @@
 
 ``toy_grouped_dense_forward`` is the two-layer grouped dense network of
 acceptance criterion 1, ``brute_force_min_ncut`` the exhaustive
-minimum-Ncut search of criterion 4, and ``reference_grouped_conv1d`` and
+minimum-Ncut search of criterion 4, ``reference_grouped_conv1d`` and
 ``reference_channelwise_conv1d`` the per-sample im2col convolutions the
-engine's batch-wide ones are checked against.  Nothing in ``gcnn`` uses
-them.
+engine's batch-wide ones are checked against, and ``reference_sgd_step``
+the per-tensor update the flat SGD step is checked against.  Nothing in
+``gcnn`` uses them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -175,3 +177,19 @@ def reference_channelwise_conv1d(x, kernels):
         return _fold(np.swapaxes(gs @ kernels, -1, -2), xp, kw), gk
 
     return out, grad
+
+
+def reference_sgd_step(params, velocity, grads, learning_rate, momentum, clip_norm):
+    """Clipped momentum SGD as a loop over parameter arrays, each with its
+    own velocity array, all updated in place; returns the gradient norm.
+
+    The norm adds up one sum of squares per array, in order, and the
+    gradient is scaled by ``clip_norm / norm`` when the norm exceeds it.
+    """
+    gnorm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    scale = clip_norm / gnorm if gnorm > clip_norm else 1.0
+    for t, v, g in zip(params, velocity, grads):
+        v *= momentum
+        v += g * scale
+        t -= learning_rate * v
+    return gnorm

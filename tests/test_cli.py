@@ -223,6 +223,26 @@ def test_train_rerun_is_byte_identical(series_csv, tmp_path):
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("momentum, clip_norm, digests", [
+    # clip_norm 10 never clips here; 0.6 clips 5 of the 12 steps
+    (0.0, 10.0, ("cf96be2207b26c1e020428878e689bb630b72750d0e3cbb7a61244f80aec8605",
+                 "5973f3a437c6f87a247bdfcd578e0ca7cffc1ac63ebbbf2e4578e5f77baf47a9")),
+    (0.9, 0.6, ("4efb5f4ffbdc2f1a7654592df0e52fd97b9a44d77125839d57a9f7b64294837d",
+                "f37340c13339e2de6199aef4ce8217babdb2f4d7d3419610836cd5bdd414a652")),
+], ids=["momentum-0", "momentum-0.9-clipped"])
+def test_train_output_bytes_are_pinned(tmp_path, monkeypatch, momentum, clip_norm, digests):
+    """checkpoint.json and history.csv of a small train, byte for byte,
+    on both update paths; relative paths keep the config hash fixed."""
+    monkeypatch.chdir(tmp_path)
+    make_series(Path("series.csv"))
+    doc = base_config(Path("series.csv"), Path("out"))
+    doc["train"].update(momentum=momentum, clip_norm=clip_norm)
+    assert run("train", write_config(Path("run.yaml"), doc)) == 0
+    got = tuple(hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
+                for name in ("checkpoint.json", "history.csv"))
+    assert got == digests
+
+
 def test_train_explicit_needs_assignment_then_shrinks_params(series_csv, tmp_path):
     doc = cluster_config(series_csv, tmp_path)
     cfg = write_config(tmp_path / "run.yaml", doc)
@@ -905,6 +925,15 @@ def test_assignment_row_that_is_not_two_cells_exits_3(series_csv, tmp_path, caps
     doc["train"]["assignment"] = str(table)
     assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
     assert f"{table}:14: expected series_name,group_id" in capsys.readouterr().err
+
+
+def test_assignment_cell_csv_reader_refuses_exits_3_and_names_the_file(series_csv, tmp_path, capsys):
+    table = tmp_path / "assignment.csv"
+    table.write_text('series_name,group_id\n"' + "x" * 140000 + '",1\n')
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(table)
+    assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
+    assert f"error: {table}:2: field larger than field limit (131072)" in capsys.readouterr().err
 
 
 # -- text encoding ---------------------------------------------------------

@@ -32,7 +32,7 @@ from gcnn.models import (
     preset,
     save_checkpoint,
 )
-from gcnn.tensor import Tensor
+from gcnn.tensor import Tensor, Unfilled
 from gcnn.training import TrainConfig, train
 
 SMALL = ModelSpec(
@@ -211,6 +211,31 @@ class TestBuildContracts:
             not np.array_equal(ta.data, tb.data)
             for (_, ta), (_, tb) in zip(a.named_params(), b.named_params())
         )
+
+
+class TestParamVector:
+    def test_params_are_views_of_one_owned_vector_in_order(self):
+        model = build_model(ModelSpec(**{**SMALL.to_dict(), "grouping": "coeff", "groups": 2}), seed=3)
+        vector = model.vector
+        assert vector.flags.owndata and vector.size == count_params(model)
+        params = [t for _, t in model.named_params()]
+        assert all(t.data.base is vector for t in params)
+        assert np.concatenate([t.data.ravel() for t in params]).tobytes() == vector.tobytes()
+
+    def test_assigning_values_writes_them_into_the_vector(self):
+        model = build_model(SMALL, seed=3)
+        _, bias = model.named_params()[-1]
+        view = bias.data
+        bias.data = np.full(bias.shape, 2.5)
+        assert bias.data is view
+        assert model.vector[-bias.size :].tolist() == [2.5] * bias.size
+        with pytest.raises(ShapeError, match="cannot assign"):
+            bias.data = np.zeros(bias.size + 1)
+
+    def test_an_unfilled_model_holds_no_vector(self):
+        model = M._assemble(SMALL, None, 0, UNFILLED)
+        assert isinstance(model.vector, Unfilled)
+        assert count_params(model) == count_params(build_model(SMALL, seed=0))
 
 
 class TestParamCounts:
@@ -406,17 +431,21 @@ class TestCheckpoints:
         path = tmp_path / "model.json"
         save_checkpoint(build_model(SMALL, seed=18), path)
         model = load_checkpoint(path)
+        vector = model.vector
+        assert vector.dtype == np.float64 and vector.dtype.isnative
+        assert vector.flags.owndata and vector.flags.writeable and vector.flags.c_contiguous
         loaded = [t.data for _, t in model.named_params()]
         before = [data.copy() for data in loaded]
-        for data in loaded:
-            assert data.dtype == np.float64 and data.dtype.isnative
-            assert data.flags.owndata and data.flags.writeable and data.flags.c_contiguous
+        for data in loaded:  # each parameter is a view of the model's one vector
+            assert data.base is vector and data.flags.writeable and data.flags.c_contiguous
         rng = np.random.default_rng(19)
         wset = WindowedRegressionSet(
             inputs=rng.standard_normal((24, 6, 8)), targets=rng.standard_normal(24),
             times=np.arange(24.0), channel_names=[f"c{i}" for i in range(6)], target_name="y", window=8)
         train(model, wset, TrainConfig(epochs=1, batch_size=8, seed=0))
-        # the SGD step moved the loaded arrays themselves
+        # the SGD step moved the loaded arrays themselves, still views of the vector
+        assert model.vector is vector
+        assert all(t.data is data for (_, t), data in zip(model.named_params(), loaded))
         assert all(np.any(data != old) for data, old in zip(loaded, before))
 
     def test_load_and_twin_count_draw_nothing(self, tmp_path, monkeypatch):

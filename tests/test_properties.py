@@ -8,17 +8,19 @@ memberships on the simplex, grouped convolution and recurrent grouped
 stages against per-group references, both convolution primitives and
 their gradients against the per-sample im2col references in
 ``oracles.py``, checkpoint loads of truncated or corrupted files, the
-quote-free CSV tokenizer against ``csv.reader``, and tables written by
-``dumps_table`` read back cell for cell."""
+quote-free CSV tokenizer against ``csv.reader``, tables written by
+``dumps_table`` read back cell for cell, and the flat SGD step against
+the per-tensor update in ``oracles.py``."""
 
 import csv
 import io
+import math
 import sys
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,8 +32,8 @@ from gcnn.layers import Conv1DLayer, ConvGroup, GroupedConv1DLayer, RecurrentCon
 from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model, load_checkpoint, save_checkpoint
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
-from gcnn.training import PREDICT_CHUNK, evaluate, mse_loss
-from oracles import reference_channelwise_conv1d, reference_grouped_conv1d
+from gcnn.training import PREDICT_CHUNK, TrainConfig, evaluate, mse_loss, sgd_step
+from oracles import reference_channelwise_conv1d, reference_grouped_conv1d, reference_sgd_step
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -879,3 +881,57 @@ def test_checkpoint_header_byte_edit_loads_or_raises_a_typed_error(tmp_path_fact
         load_checkpoint(path)
     except (ConfigError, ShapeError, NumericalError):
         pass
+
+
+# -- the SGD step ----------------------------------------------------------
+
+
+def views_of(flat, shapes):
+    """``flat`` as consecutive views of the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+@st.composite
+def sgd_cases(draw):
+    """Parameter arrays, a few steps of gradients, and settings under
+    which the norm clips on some steps and not on others."""
+    shapes = draw(st.lists(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4), min_size=1, max_size=4))
+    # a trained parameter is never -0.0 (draws are nonzero, biases start
+    # at +0.0), and adding +0.0 turns a drawn -0.0 into +0.0
+    params = [draw(hnp.arrays(np.float64, s, elements=st.floats(-10, 10))) + 0.0 for s in shapes]
+    cell = st.sampled_from([0.0, -0.0]) | st.floats(0.1, 10) | st.floats(-10, -0.1)
+    steps = [[draw(hnp.arrays(np.float64, s, elements=cell)) * 4.0 ** i for s in shapes]
+             for i in range(draw(st.integers(2, 4)))]
+    steps = draw(st.permutations(steps))
+    norms = [math.sqrt(sum(float((g * g).sum()) for g in step)) for step in steps]
+    lo, hi = min(norms), max(norms)
+    clip_norm = lo + draw(st.floats(0.25, 0.75)) * (hi - lo)
+    assume(lo < clip_norm < hi)
+    momentum = draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    config = TrainConfig(learning_rate=draw(st.floats(1e-4, 1.0)), momentum=momentum, clip_norm=clip_norm)
+    return params, steps, config
+
+
+@SETTINGS
+@given(sgd_cases())
+def test_sgd_step_matches_the_per_tensor_update_bit_for_bit(case):
+    params, steps, config = case
+    shapes = [p.shape for p in params]
+    flat = np.concatenate([p.ravel() for p in params])
+    grad = np.empty_like(flat)
+    spans = views_of(grad, shapes)
+    velocity = np.zeros_like(flat) if config.momentum > 0.0 else None
+    ref_velocity = [np.zeros_like(p) for p in params]
+    for step in steps:
+        for span, g in zip(spans, step):
+            span[...] = g
+        got = sgd_step(flat, grad, spans, velocity, config)
+        want = reference_sgd_step(params, ref_velocity, step, config.learning_rate, config.momentum,
+                                  config.clip_norm)
+        assert got == want
+        assert [v.tobytes() for v in views_of(flat, shapes)] == [p.tobytes() for p in params]

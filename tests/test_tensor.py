@@ -1,11 +1,13 @@
 """Tensor primitives: forward values against hand-computed cases and
 gradients against central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from gcnn import tensor as T
-from gcnn.errors import ShapeError
+from gcnn.errors import GraphConsumedError, ShapeError
 from gcnn.tensor import Tensor, backward, grad_check, no_grad
 
 
@@ -395,6 +397,48 @@ class TestBackward:
         backward(T.sum_all(x * 2.0), leaves=[x])
         backward(T.sum_all(x * 2.0), leaves=[x])
         np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = T.activation(x * 3.0, "tanh")
+        loss = T.sum_all(h)
+        backward(loss, leaves=[x])
+        with pytest.raises(GraphConsumedError, match="already consumed"):
+            backward(loss, leaves=[x])
+        with pytest.raises(GraphConsumedError, match="already consumed"):
+            backward(T.sum_all(h * h), leaves=[x])  # a new graph on a consumed node
+
+    def test_backward_frees_the_saved_activations(self):
+        rng = np.random.default_rng(13)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        h = T.activation(w @ Tensor(rng.standard_normal((3, 5))), "tanh")  # its rule keeps its output
+        saved = weakref.ref(h.data)
+        loss = T.sum_all(h * h)
+        del h
+        assert saved() is not None
+        backward(loss, leaves=[w])
+        assert saved() is None
+        assert loss.item() > 0.0
+
+    def test_leaf_gradients_never_alias(self):
+        # the add rule hands one array to both operands
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        grads = backward(T.sum_all(a + b), leaves=[a, b])
+        assert grads[a] is a.grad and grads[b] is b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad[0] = 7.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_gradients_land_in_the_buffers_the_caller_maps(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        unused = Tensor([5.0], requires_grad=True)
+        flat = np.full(5, np.nan)
+        into = {a: flat[:2], b: flat[2:4], unused: flat[4:]}
+        grads = backward(T.sum_all(a * b + a), leaves=into)
+        np.testing.assert_array_equal(flat, [4.0, 5.0, 1.0, 2.0, 0.0])
+        assert all(grads[t] is into[t] and t.grad is into[t] for t in into)
 
 
 # every primitive whose result can land on a tape: operand shapes and a call

@@ -3,6 +3,7 @@ behavior, checkpoint selection, reproducibility, and baselines."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,28 @@ class TestTrain:
         train(model, wset, TrainConfig(epochs=4, learning_rate=0.01, seed=0),
               epoch_hook=lambda epoch, m: seen.append(epoch))
         assert seen == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("momentum, buffers", [(0.0, 2), (0.9, 3)], ids=["momentum-0", "momentum-0.9"])
+    def test_parameter_sized_buffers_alive_between_epochs(self, momentum, buffers):
+        # the gradient vector, the best-epoch snapshot and, with momentum
+        # only, the velocity: nothing else parameter-sized outlives a step
+        spec = ModelSpec(input_channels=3, input_width=4, stage_channels=(64,), pool_before=(),
+                         dense_units=(256, 1))
+        model = build_model(spec, seed=1)
+        vector = model.vector
+        wset = linear_task(channels=3, window=4, samples=20)
+        held = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(model, wset, TrainConfig(epochs=2, batch_size=8, momentum=momentum, seed=0),
+                  epoch_hook=lambda epoch, m: held.append(tracemalloc.get_traced_memory()[0] - base))
+        finally:
+            tracemalloc.stop()
+        assert [round(h / vector.nbytes, 1) for h in held] == [buffers] * 2
+        # trained in place: every parameter is still a view of the one vector
+        assert model.vector is vector
+        assert all(t.data.base is vector for _, t in model.named_params())
 
     def test_grouped_synthetic_improves(self):
         data = generate(SynthSpec(n_groups=2, per_group=3, length=160, seed=4))
