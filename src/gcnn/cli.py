@@ -24,7 +24,6 @@ failure (divergence, singular systems, non-convergence).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import sys
@@ -155,7 +154,9 @@ class RunConfig:
     ``doc`` is the canonical tree the config hash is computed over; the
     output directory lives outside it so relocating a run's artifacts
     does not change their content.  ``split`` and ``train`` are the
-    range-checked objects the split and train sections build.
+    range-checked objects the split and train sections build.  ``width``
+    is the input window length: ``data.window``, or else the model
+    section's ``input_width`` (None when neither is set).
     """
 
     command: str
@@ -164,6 +165,7 @@ class RunConfig:
     out_dir: Path
     split: D.SplitSpec
     train: R.TrainConfig
+    width: int | None
 
     @classmethod
     def load(
@@ -207,6 +209,8 @@ class RunConfig:
             "compare": _resolve_compare(raw.get("compare")),
             "seed": M.check_setting("seed", raw.get("seed", 0), "int"),
         }
+        if doc["seed"] < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed: must be >= 0, got {doc['seed']}")
         # range checks live in the dataclasses; they run here, for every
         # command, before any data is read or any artifact written
         split = _build(D.SplitSpec, "split", **doc["split"], seed=doc["seed"])
@@ -215,7 +219,16 @@ class RunConfig:
         if doc["eval"]["split"] not in ("test", "val", "train"):
             raise ConfigError(f"eval.split: must be test, val or train, got {doc['eval']['split']!r}")
         out_dir = Path(M.check_setting("out", raw.get("out", "out"), "str"))
-        cfg = cls(command, doc, _hash_doc(doc), out_dir, split, train)
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out: {existing} is not a directory")
+        window, width = doc["data"]["window"], doc["model"]["input_width"]
+        for key, value in (("data.window", window), ("model.input_width", width)):
+            if value is not None and value < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {value}")
+        if None not in (window, width) and window != width:
+            raise ConfigError(f"data.window: {window} does not match the model input width {width}")
+        cfg = cls(command, doc, _hash_doc(doc), out_dir, split, train, width if window is None else window)
         cfg._validate_for_command()
         return cfg
 
@@ -232,12 +245,6 @@ class RunConfig:
     @property
     def target(self) -> str:
         return self.doc["data"]["target"]
-
-    @property
-    def window(self) -> int | None:
-        """Input window length; data.window and a preset's width must agree."""
-        w = self.doc["data"]["window"]
-        return w if w is not None else self.doc["model"]["input_width"]
 
     @property
     def model(self) -> dict:
@@ -265,23 +272,21 @@ class RunConfig:
         cmd = self.command
         if cmd != "param-count":
             self._require_file(self.data_path, "data.path")
-            if self.window is None and cmd != "ingest":
+            if self.width is None and cmd != "ingest":
                 raise ConfigError("data.window: required (or name a preset that sets the width)")
-        if self.window is not None:
-            if self.window < 1:
-                raise ConfigError(f"data.window: must be >= 1, got {self.window}")
-            preset_width = self.doc["model"]["input_width"]
-            dw = self.doc["data"]["window"]
-            if dw is not None and preset_width is not None and dw != preset_width:
-                raise ConfigError(f"data.window: {dw} does not match the model input width {preset_width}")
         # ModelSpec's own checks, for every command and every compare
-        # candidate; only the input channel count waits for the data
-        # (compare checks each candidate's before it writes anything)
-        _check_model(self.model, "model", self.window)
-        for i, cand in enumerate(self.doc["compare"]["candidates"]):
-            _check_model(cand["model"], f"compare.candidates[{i}].model", self.window)
-        if cmd == "param-count":
-            _spec_for(self, self.model)
+        # candidate, before any data is read.  Geometry the data supplies
+        # later stands in at a value that passes: as many input channels as
+        # groups and, with no width set anywhere, a width every pool fits
+        # (compare checks each candidate's channels before it writes anything)
+        sections = [("model", self.model)] + [
+            (f"compare.candidates[{i}].model", c["model"]) for i, c in enumerate(self.doc["compare"]["candidates"])]
+        for where, section in sections:
+            channels = None if section["input_channels"] is not None else max(section["groups"], 1)
+            pinned = self.width is not None or section["input_width"] is not None
+            _model_spec(section, where, channels, self.width if pinned else sys.maxsize)
+        if cmd == "param-count":  # no data: the model section's own geometry must do
+            _model_spec(self.model, "model", None, self.width)
             return
         if self.doc["data"]["max_gap"] < 0:
             raise ConfigError(f"data.max_gap: must be >= 0, got {self.doc['data']['max_gap']}")
@@ -416,68 +421,47 @@ def _aligned_labels(mapping: dict[str, int], channel_names: list[str]) -> list[i
     return [mapping[n] for n in channel_names]
 
 
-def _check_geometry(what: str, channels: int | None, width: int | None,
-                    n_channels: int | None, window: int | None) -> None:
-    """A model's input geometry against the data's; None matches anything."""
-    if None not in (channels, n_channels) and channels != n_channels:
-        raise ShapeError(f"{what} expects {channels} input channels, dataset provides {n_channels}")
-    if None not in (width, window) and width != window:
-        raise ShapeError(f"{what} expects {width}-step windows, data.window is {window}")
-
-
-def _spec_for(cfg: RunConfig, section: dict, n_channels: int | None = None) -> M.ModelSpec:
-    """The model a resolved model section describes, over ``n_channels``
-    input series (without data, the section's own) and ``cfg.window`` steps."""
-    _check_geometry("model", section["input_channels"], section["input_width"], n_channels, cfg.window)
-    channels = section["input_channels"] if n_channels is None else n_channels
+def _model_spec(section: dict, where: str, channels: int | None, width: int | None) -> M.ModelSpec:
+    """The model a resolved model section describes, over the ``channels``
+    input series and ``width``-step windows the data supplies (None: the
+    section's own).  Geometry the section pins must match them; every
+    error names the section, ``where``."""
+    pinned_channels, pinned_width = section["input_channels"], section["input_width"]
+    if None not in (pinned_channels, channels) and pinned_channels != channels:
+        raise ConfigError(f"{where}: model expects {pinned_channels} input channels, dataset provides {channels}")
+    if None not in (pinned_width, width) and pinned_width != width:
+        raise ConfigError(f"{where}: model expects {pinned_width}-step windows, the run's are {width} steps")
+    channels = pinned_channels if channels is None else channels
+    width = pinned_width if width is None else width
     if channels is None:
-        raise ConfigError("model.input_channels: required here (set it or name a preset)")
-    if cfg.window is None:
-        raise ConfigError("model.input_width: required here (set data.window or name a preset)")
-    return _model_spec(section, channels, cfg.window)
-
-
-def _model_spec(section: dict, channels: int, width: int) -> M.ModelSpec:
-    named = {f.name: section[f.name] for f in fields(M.ModelSpec) if f.name in section}
-    return M.ModelSpec(**{**named, "input_channels": channels, "input_width": width,
-                          "recurrent": section["family"] == "rcnn"})
-
-
-def _check_model(section: dict, where: str, window: int | None) -> None:
-    """Run ModelSpec's checks, and the width check against ``window``, on a
-    resolved model section before any data is read.  Geometry the data
-    supplies later stands in at the least value that passes: as many input
-    channels as groups and, without a width, the narrowest width that every
-    pool fits."""
-    channels = section["input_channels"]
-    if channels is None:
-        channels = max(section["groups"], 1)
-    width = window if window is not None else section["input_width"]
+        raise ConfigError(f"{where}.input_channels: required here (set it or name a preset)")
     if width is None:
-        width = 1
-        for _ in section["pool_before"]:
-            width = (width - 1) * section["pool_stride"] + section["pool_window"]
-        width = max(width, 1)
+        raise ConfigError(f"{where}.input_width: required here (set data.window or name a preset)")
+    named = {f.name: section[f.name] for f in fields(M.ModelSpec) if f.name in section}
     try:
-        _check_geometry("model", None, section["input_width"], None, window)
-        _model_spec(section, channels, width)
-    except (ConfigError, ShapeError) as e:
+        return M.ModelSpec(**{**named, "input_channels": channels, "input_width": width,
+                              "recurrent": section["family"] == "rcnn"})
+    except ConfigError as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _counted_model(spec: M.ModelSpec, labels: list[int] | None, seed: int) -> tuple[M.Model, int, int | None]:
+def _counted_model(spec: M.ModelSpec, labels: list[int] | None, seed: int,
+                   where: str = "model") -> tuple[M.Model, int, int | None]:
     """The built model, its parameter count and, when it is grouped, the
     count of the same geometry without grouping, built unfilled since it is
     only counted.  Explicit grouping exists to cut parameters, so a model it
-    does not shrink is refused."""
-    model = M.build_model(spec, labels, seed=seed)
+    does not shrink is refused.  Errors name the model section, ``where``."""
+    try:
+        model = M.build_model(spec, labels, seed=seed)
+    except (ConfigError, ShapeError) as e:
+        raise ConfigError(f"{where}: {e}") from None
     n_params = M.count_params(model)
     if spec.grouping == "none":
         return model, n_params, None
     vanilla = M.count_params(M._assemble(replace(spec, grouping="none", groups=1), None, seed, L.UNFILLED))
     if spec.grouping == "explicit" and n_params >= vanilla:
         raise ConfigError(
-            f"explicit grouping must shrink the parameter count: {n_params} grouped, {vanilla} ungrouped")
+            f"{where}: explicit grouping must shrink the parameter count: {n_params} grouped, {vanilla} ungrouped")
     return model, n_params, vanilla
 
 
@@ -555,14 +539,15 @@ def cmd_cluster(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
-    wset = D.make_windows(prep.dataset, cfg.target, cfg.window)
+    wset = D.make_windows(prep.dataset, cfg.target, cfg.width)
     train_set, test_set = D.split(wset, cfg.split)
 
     labels = None
     if cfg.grouping == "explicit":
         mapping = _read_assignment(Path(cfg.doc["train"]["assignment"]), cfg.model["groups"])
         labels = _aligned_labels(mapping, wset.channel_names)
-    model, n_params, vanilla = _counted_model(_spec_for(cfg, cfg.model, wset.n_channels), labels, cfg.seed)
+    spec = _model_spec(cfg.model, "model", wset.n_channels, wset.window)
+    model, n_params, vanilla = _counted_model(spec, labels, cfg.seed)
 
     print(f"config {cfg.config_hash[:12]}")
     for line in _plan_lines(model.spec, n_params, vanilla):
@@ -599,7 +584,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
-    wset = D.make_windows(prep.dataset, cfg.target, cfg.window)
+    wset = D.make_windows(prep.dataset, cfg.target, cfg.width)
     train_set, test_set = D.split(wset, cfg.split)
     which = cfg.doc["eval"]["split"]
     if which == "test":
@@ -609,7 +594,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         chosen = val_set if which == "val" else fit_set
 
     model = M.load_checkpoint(cfg.eval_checkpoint_path())
-    _check_geometry("checkpoint", model.spec.input_channels, model.spec.input_width, wset.n_channels, wset.window)
+    spec = model.spec
+    if (spec.input_channels, spec.input_width) != (wset.n_channels, wset.window):
+        raise ShapeError(f"checkpoint expects {spec.input_channels} input channels over {spec.input_width}-step "
+                         f"windows, the data gives {wset.n_channels} over {wset.window}")
 
     report = R.evaluate(model, chosen, model_id=cfg.config_hash[:12])
     report_path = _write_json(cfg, "eval.json", {"split": which, **report.to_dict()})
@@ -636,43 +624,32 @@ def _pick_targets(cfg: RunConfig, names: list[str]) -> list[str]:
     return [names[i] for i in picked]
 
 
-@contextlib.contextmanager
-def _candidate(i: int):
-    """Name compare candidate ``i`` in its model's config and shape errors."""
-    try:
-        yield
-    except (ConfigError, ShapeError) as e:
-        raise ConfigError(f"compare.candidates[{i}].model: {e}") from None
-
-
 def cmd_compare(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
     candidates = cfg.doc["compare"]["candidates"]
     # every candidate's geometry is checked before the first baseline
     # writes anything; each target leaves the other series as inputs
-    specs = []
-    for i, cand in enumerate(candidates):
-        with _candidate(i):
-            specs.append(_spec_for(cfg, cand["model"], prep.dataset.n_series - 1))
+    wheres = [f"compare.candidates[{i}].model" for i in range(len(candidates))]
+    specs = [_model_spec(c["model"], where, prep.dataset.n_series - 1, cfg.width)
+             for c, where in zip(candidates, wheres)]
     picks = _pick_targets(cfg, prep.dataset.names)
     order = list(_BASELINES) + [c["name"] for c in candidates]
     results: dict[str, dict[str, float]] = {name: {} for name in order}
     try:
         for target in picks:
-            wset = D.make_windows(prep.dataset, target, cfg.window)
+            wset = D.make_windows(prep.dataset, target, cfg.width)
             train_set, test_set = D.split(wset, cfg.split)
             results["linear"][target] = R.linear_baseline(train_set, test_set, 0.0).srmse
             results["ridge"][target] = R.linear_baseline(
                 train_set, test_set, cfg.doc["compare"]["ridge_penalty"]).srmse
             assignments: dict[int, S.GroupAssignment] = {}  # by k: cluster once per target
-            for i, (cand, spec) in enumerate(zip(candidates, specs)):
+            for cand, where, spec in zip(candidates, wheres, specs):
                 labels = None
                 if spec.grouping == "explicit":
                     if spec.groups not in assignments:
                         assignments[spec.groups] = _cluster_inputs(prep, target, spec.groups, cfg.seed)[1]
                     labels = assignments[spec.groups].labels
-                with _candidate(i):
-                    model = _counted_model(spec, labels, cfg.seed)[0]
+                model = _counted_model(spec, labels, cfg.seed, where)[0]
                 fitted = R.train(model, train_set, cfg.train)
                 results[cand["name"]][target] = R.evaluate(fitted.model, test_set).srmse
     finally:
@@ -698,7 +675,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_param_count(cfg: RunConfig) -> int:
-    spec = _spec_for(cfg, cfg.model)
+    spec = _model_spec(cfg.model, "model", None, cfg.width)
     labels = None
     if spec.grouping == "explicit":
         # without data there is no clustering, so the count is for

@@ -89,8 +89,10 @@ class ModelSpec:
         object.__setattr__(self, "stage_channels", tuple(int(c) for c in self.stage_channels))
         object.__setattr__(self, "pool_before", tuple(int(s) for s in self.pool_before))
         object.__setattr__(self, "dense_units", tuple(int(u) for u in self.dense_units))
-        if self.input_channels < 1 or self.input_width < 1:
-            raise ConfigError(f"input geometry must be positive, got {self.input_channels}x{self.input_width}")
+        if self.input_channels < 1:
+            raise ConfigError(f"input channels must be >= 1, got {self.input_channels}")
+        if self.input_width < 1:
+            raise ConfigError(f"input width must be >= 1, got {self.input_width}")
         if self.grouping not in GROUPING_MODES:
             raise ConfigError(f"grouping must be one of {GROUPING_MODES}, got {self.grouping!r}")
         if self.groups < 1:
@@ -125,20 +127,17 @@ class ModelSpec:
             raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in T.ACTIVATION_KINDS:
             raise ConfigError(f"unknown output activation {self.output_activation!r}")
-        # geometry must stay wide enough for every pool window
+        self.layer_widths()  # every pool must fit the width it meets
+
+    def layer_widths(self) -> list[int]:
+        """Signal width entering each conv stage, after its pool if it has
+        one; a pool wider than the signal it meets raises ConfigError."""
+        widths = []
         width = self.input_width
         for s in range(1, len(self.stage_channels) + 1):
             if s in self.pool_before:
                 if width < self.pool_window:
                     raise ConfigError(f"width {width} too small for pool window {self.pool_window}")
-                width = (width - self.pool_window) // self.pool_stride + 1
-
-    def layer_widths(self) -> list[int]:
-        """Signal width entering each conv stage, then after the last."""
-        widths = []
-        width = self.input_width
-        for s in range(1, len(self.stage_channels) + 1):
-            if s in self.pool_before:
                 width = (width - self.pool_window) // self.pool_stride + 1
             widths.append(width)
         return widths
@@ -442,11 +441,12 @@ def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`.
 
     The header is checked and the body's length is checked against the
-    file size before any value is read.  The model is built unfilled and
-    its parameter vector allocated; then each parameter is found by name
-    in the header, and its bytes are read, at the place the shapes before
-    it give, straight into its own view of the vector.  A parameter holds
-    that view only once its values are read and checked.
+    file size before any value is read.  The model is built unfilled, and
+    each of its parameters is found by name in the header and its shape
+    checked, before its parameter vector is allocated.  Then each
+    parameter's bytes are read, at the place the shapes before it give,
+    straight into its own view of the vector.  A parameter holds that view
+    only once its values are read and checked.
     """
     with open(path, "rb") as f:
         head = f.readline()
@@ -484,14 +484,21 @@ def load_checkpoint(path: str | Path) -> Model:
         if body != offset:
             raise ShapeError(f"checkpoint body holds {body} bytes, its parameter shapes need {offset}")
         model = _assemble(ModelSpec.from_dict(doc["spec"]), assignment, seed, UNFILLED)
-        model.vector = np.empty(model.vector.size)
-        swap = not np.dtype("<f8").isnative
-        for (name, t), values in zip(model.named_params(), model.param_views(model.vector)):
+        starts = []
+        for name, t in model.named_params():
             if name not in stored:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
             shape, start = stored.pop(name)
             if shape != t.shape:
                 raise ShapeError(f"parameter {name!r} shape {list(shape)} does not match {t.shape}")
+            starts.append(start)
+        if stored:
+            raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
+        # every shape the spec implies is one the body holds, so the vector
+        # is no larger than the file
+        model.vector = np.empty(model.vector.size)
+        swap = not np.dtype("<f8").isnative
+        for (name, t), values, start in zip(model.named_params(), model.param_views(model.vector), starts):
             f.seek(len(head) + start)
             if f.readinto(values) != values.nbytes:
                 raise ShapeError(f"checkpoint ended inside parameter {name!r}")
@@ -500,6 +507,4 @@ def load_checkpoint(path: str | Path) -> Model:
             if not np.isfinite(values).all():
                 raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
             t.attach(values)
-        if stored:
-            raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
     return model

@@ -127,9 +127,9 @@ class Tensor:
     leaves; it is never accumulated across calls.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_rule")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_rule")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         filled = not isinstance(data, Unfilled)
         arr = np.array(data, dtype=np.float64) if filled else data
         if any(d <= 0 for d in arr.shape):
@@ -139,7 +139,6 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._rule: BackwardRule | None = None
 
@@ -165,8 +164,7 @@ class Tensor:
         return bool(np.isfinite(self.data).all())
 
     def __repr__(self) -> str:
-        tag = f", name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # Arithmetic sugar; all routing goes through the module primitives.
     def __add__(self, other):
@@ -235,7 +233,6 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule: BackwardRule) -
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.name = None
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents

@@ -421,6 +421,14 @@ def test_eval_malformed_checkpoint_exits_2(series_csv, tmp_path, doctor):
     assert eval_doctored(series_csv, tmp_path, doctor) == 2
 
 
+def test_eval_checkpoint_whose_spec_implies_a_huge_model_exits_2(series_csv, tmp_path, capsys):
+    # the spec alone is edited; its model's vector would need 873 TiB, and
+    # the load refuses it on shapes before it allocates anything
+    huge = header(lambda doc: {**doc, "spec": {**doc["spec"], "input_width": 10**13}})
+    assert eval_doctored(series_csv, tmp_path, huge) == 2
+    assert "shape [4, 24] does not match (4, 30000000000000)" in capsys.readouterr().err
+
+
 def test_eval_mean_predictor_checkpoint_scores_exactly_one(series_csv, tmp_path):
     # replicate the command's data pipeline to find the test-slice mean
     raw = load_csv(series_csv)
@@ -659,6 +667,12 @@ def test_param_count_checks_data_window_like_other_commands(tmp_path, capsys, wi
     assert "data.window: " in err and message in err
 
 
+def test_param_count_non_positive_model_width_names_its_key(tmp_path, capsys):
+    doc = {"model": {"input_channels": 4, "input_width": 0}, "out": str(tmp_path / "out")}
+    assert run("param-count", write_config(tmp_path / "run.yaml", doc)) == 2
+    assert "model.input_width: must be >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("pool_stride", 0), ("pool_window", 0), ("stage_channels", [-4, 4]), ("dense_units", [-2, 1])])
 def test_param_count_non_positive_size_exits_2(tmp_path, capsys, key, value):
@@ -778,6 +792,59 @@ def test_invalid_model_section_exits_2_at_load(series_csv, tmp_path, capsys, com
     assert run(command, cfg) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def every_command_config(series_csv, tmp_path) -> dict:
+    """A config every command would run past load with: the files that
+    train and eval need exist, though they are never read."""
+    doc = cluster_config(series_csv, tmp_path)
+    doc["train"]["assignment"] = str(series_csv)
+    doc["eval"] = {"checkpoint": str(series_csv)}
+    return doc
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_window_that_disagrees_with_the_preset_exits_2_at_load_for_every_command(series_csv, tmp_path, capsys,
+                                                                                  command):
+    doc = every_command_config(series_csv, tmp_path)
+    doc["data"]["window"] = 32
+    doc["model"] = {"preset": "water-cnn"}
+    assert run(command, write_config(tmp_path / "run.yaml", doc)) == 2
+    assert "data.window: 32 does not match the model input width 64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_candidate_width_that_disagrees_exits_2_at_load_for_every_command(series_csv, tmp_path, capsys, command):
+    doc = every_command_config(series_csv, tmp_path)
+    doc["compare"] = {"candidates": [{"name": "net", "model": {**doc["model"], "input_width": 16}}]}
+    assert run(command, write_config(tmp_path / "run.yaml", doc)) == 2
+    assert ("compare.candidates[0].model: model expects 16-step windows, the run's are 8 steps"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("from_flag", [False, True], ids=["config", "flag"])
+def test_negative_seed_exits_2_at_load(series_csv, tmp_path, capsys, command, from_flag):
+    # numpy's generators take no negative seed
+    doc = every_command_config(series_csv, tmp_path)
+    if not from_flag:
+        doc["seed"] = -1
+    extra = ("--seed", "-1") if from_flag else ()
+    assert run(command, write_config(tmp_path / "run.yaml", doc), *extra) == 2
+    assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2_at_load(series_csv, tmp_path, capsys, command, out):
+    (tmp_path / "afile").write_text("kept\n")
+    cfg = write_config(tmp_path / "run.yaml", every_command_config(series_csv, tmp_path))
+    assert run(command, cfg, "--out", str(tmp_path / out)) == 2
+    assert f"out: {tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_model_section_without_a_window_is_checked_but_its_width_waits(series_csv, tmp_path, capsys):

@@ -79,6 +79,12 @@ class TestSpecValidation:
             ModelSpec(input_channels=4, input_width=4, stage_channels=(8, 8, 8),
                       pool_before=(2, 3), pool_window=4, pool_stride=4)
 
+    @pytest.mark.parametrize("channels, width, message", [
+        (0, 8, "input channels must be >= 1, got 0"), (4, 0, "input width must be >= 1, got 0")])
+    def test_input_geometry_must_be_positive(self, channels, width, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelSpec(input_channels=channels, input_width=width)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             ModelSpec.from_dict({"input_channels": 4, "input_width": 8, "bogus": 1})
@@ -505,6 +511,14 @@ class TestCheckpoints:
     def test_payload_length_mismatch_rejected(self, tmp_path, edit):
         with pytest.raises(ShapeError, match="bytes"):
             load_checkpoint(checkpoint_doc(tmp_path, first_payload(edit)))
+
+    def test_spec_implying_a_huge_vector_is_refused_before_it_is_allocated(self, tmp_path):
+        # 10**13 steps make the model's vector 1.14 PiB while the params
+        # list and the body stay as saved; allocating first would raise
+        # MemoryError, so the shapes must be compared before the vector is made
+        huge = header(lambda doc: {**doc, "spec": {**doc["spec"], "input_width": 10**13}})
+        with pytest.raises(ShapeError, match=r"shape \[4, 32\] does not match \(4, 40000000000000\)"):
+            load_checkpoint(checkpoint_doc(tmp_path, huge))
 
     def test_infinite_payload_rejected(self, tmp_path):
         poison = first_payload(lambda raw: np.array([np.inf], "<f8").tobytes() + raw[8:])
