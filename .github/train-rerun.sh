@@ -7,11 +7,14 @@
 # Two trainings of one small synth set must write the same bytes, for an
 # ungrouped model (grouped_conv1d with one group), a coeff model with
 # two groups (channelwise_conv1d, then grouped_conv1d over two blocks),
-# and the ungrouped model again at momentum 0.9 with a clip_norm of 0.5,
+# the ungrouped model again at momentum 0.9 with a clip_norm of 0.5,
 # which clips 6 of its 12 steps (the others train at momentum 0 and never
-# clip); the pool (window 3, stride 2: width 8 pools to 3) overlaps, so
-# gradients add up across windows; the checkpoint's first line is its
-# JSON header, and eval must load it.  Then a copy of the set whose header names two
+# clip), and an explicit rcnn model on a hand-written shuffled assignment
+# whose group 1 is one stage share (6 / 3 = 2 channels) wide, so the
+# grouped lift passes that group through and lifts the other two; the
+# pool (window 3, stride 2: width 8 pools to 3) overlaps, so gradients
+# add up across windows; the checkpoint's first line is its JSON header,
+# and eval must load it.  Then a copy of the set whose header names two
 # series "a,b" and "q""x" (quoted CSV cells) goes through cluster and an
 # explicit train twice: the quoted names must come back from the
 # assignment cluster writes, and the reruns must match byte for byte.
@@ -21,11 +24,30 @@ work=$1
 mkdir -p "$work"
 python -c "import sys; from gcnn import data, synth; data.save_csv(synth.generate(synth.SynthSpec(length=120, seed=5)), sys.argv[1])" "$work/synth.csv"
 model="stage_channels: [6, 6], pool_before: [2], pool_window: 3, pool_stride: 2, dense_units: [4, 1]"
-for cfg in train coeff momentum; do
+cat > "$work/rcnn-assignment.csv" <<EOF
+series_name,group_id
+g1s1,3
+g1s2,1
+g1s3,2
+g1s4,3
+g2s1,2
+g2s2,3
+g2s3,2
+g2s4,3
+g3s1,1
+g3s2,3
+g3s3,2
+g3s4,3
+EOF
+for cfg in train coeff momentum rcnn; do
   grouping=""
   step=""
   if [ "$cfg" = coeff ]; then grouping="grouping: coeff, groups: 2, "; fi
   if [ "$cfg" = momentum ]; then step=", momentum: 0.9, clip_norm: 0.5"; fi
+  if [ "$cfg" = rcnn ]; then
+    grouping="grouping: explicit, groups: 3, family: rcnn, "
+    step=", assignment: $work/rcnn-assignment.csv"
+  fi
   cat > "$work/$cfg.yaml" <<EOF
 data: {path: $work/synth.csv, target: target, window: 8}
 model: {$grouping$model}

@@ -477,7 +477,9 @@ def _write_json(cfg: RunConfig, name: str, doc: dict) -> Path:
 
 def _write_csv(cfg: RunConfig, name: str, body: str) -> Path:
     path = cfg.out_dir / name
-    path.write_text(f"# config {cfg.config_hash}\n{body}", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:  # two writes: no copy of the body behind the stamp
+        f.write(f"# config {cfg.config_hash}\n")
+        f.write(body)
     return path
 
 

@@ -8,6 +8,7 @@ stored as NaN so accidental use fails loudly downstream.
 
 from __future__ import annotations
 
+import array
 import codecs
 import csv
 import datetime
@@ -15,9 +16,10 @@ import io
 import itertools
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -191,44 +193,64 @@ def loads_csv(text: str) -> TimeSeriesDataset:
 
     Lines whose first cell starts with ``#`` are comments (provenance
     stamps and such) and are skipped wherever they appear.  Faults are
-    reported in row order, the first one winning; a non-finite value is
-    reported only once every cell has parsed.
+    reported in row order, the first one winning (within a row: cell
+    count, then time stamp, then values); a non-finite value is reported
+    only once every cell has parsed.  Rows are parsed as they are split,
+    so the cells of one row at a time are held as strings.
     """
-    rows = _records(text)
-    if not rows:
+    records = _record_stream(text)
+    first = next(records, None)
+    if first is None:
         raise DataError("empty input")
-    header = [h.strip() for h in rows[0][1]]
+    header = [h.strip() for h in first[1]]
     if len(header) < 3:
         raise DataError("need a time column plus at least 2 series columns")
     names = header[1:]
     for column, name in enumerate(names, start=2):  # a name heads its row in assignment.csv
         if not name or name.startswith("#"):
             why = "starts with #, which marks a comment" if name else "is empty"
-            raise DataError(f"line {rows[0][0]}: column {column}: series name {name!r} {why}")
-    body = [(line_no, row) for line_no, row in rows[1:] if any(cell.strip() for cell in row)]
-    if not body:
-        raise DataError("no data rows")
+            raise DataError(f"line {first[0]}: column {column}: series name {name!r} {why}")
     times: list[float] = []
-    for k, (line_no, row) in enumerate(body):
-        try:
-            if len(row) != len(header):
-                raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            stamp = _parse_time(row[0], line_no)
-            if times and stamp <= times[-1]:
-                kind = "duplicate" if stamp == times[-1] else "non-monotone"
-                raise DataError(f"line {line_no}: {kind} time stamp {row[0].strip()!r}")
-        except DataError:
-            _parse_values(body[:k], len(names))  # an unparsable value on an earlier line comes first
-            raise
+    lines: list[int] = []  # the line of each data row
+    parsed = array.array("d")  # the present values, row after row
+    present = bytearray()  # one byte a cell, read in place as the bool mask
+    for line_no, row in records:
+        cells = list(map(str.strip, row))
+        if not any(cells):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+        stamp = _parse_time(row[0], line_no)
+        if times and stamp <= times[-1]:
+            kind = "duplicate" if stamp == times[-1] else "non-monotone"
+            raise DataError(f"line {line_no}: {kind} time stamp {row[0].strip()!r}")
         times.append(stamp)
-    values, mask = _parse_values(body, len(names))
+        lines.append(line_no)
+        cells = cells[1:]
+        flags = bytes(map(bool, cells))
+        try:
+            parsed.extend(map(float, itertools.compress(cells, flags)))
+        except ValueError:
+            for cell in filter(None, cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"line {line_no}: cannot parse value {cell!r}") from None
+            raise
+        present += flags
+    if not times:
+        raise DataError("no data rows")
+    mask = np.frombuffer(present, dtype=bool).reshape(len(times), len(names))
+    values = np.full(mask.shape, np.nan)
+    values[mask] = np.frombuffer(parsed)
+    values, mask = np.ascontiguousarray(values.T), mask.T.copy()  # a copy, so the mask is writable
     # float() also reads nan and inf; refuse them as present values (empty
     # cells are the missing ones)
     bad = mask & ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         t = int(np.argmax(bad[i]))
-        raise DataError(f"line {body[t][0]}: series {names[i]!r} holds non-finite value {float(values[i, t])!r}")
+        raise DataError(f"line {lines[t]}: series {names[i]!r} holds non-finite value {float(values[i, t])!r}")
     return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
 
 
@@ -247,12 +269,17 @@ def _records(text: str) -> list[tuple[int, list[str]]]:
     starts one past the line the previous one ended on, so a quoted cell
     that spans lines moves the count on by every line it covers.  A fault
     the reader finds is raised as a DataError naming the line it is on."""
+    return list(_record_stream(text))
+
+
+def _record_stream(text: str) -> Iterator[tuple[int, list[str]]]:
+    """:func:`_records` one at a time.  Quote-free text is split a line at
+    a time as the records are read; other text is read whole by
+    ``csv.reader`` first, so a fault it finds comes before any record."""
     if '"' not in text and "\r" not in text:
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        return [(line_no, line.split(",") if line else [])
-                for line_no, line in enumerate(lines, start=1) if not line.lstrip().startswith("#")]
+        lines = (m[0].removesuffix("\n") for m in re.finditer(r".*\n|.+", text))
+        return ((n, line.split(",") if line else []) for n, line in enumerate(lines, start=1)
+                if not line.lstrip().startswith("#"))
     reader = csv.reader(io.StringIO(text))
     records, line_no = [], 1
     try:
@@ -262,31 +289,7 @@ def _records(text: str) -> list[tuple[int, list[str]]]:
             line_no = reader.line_num + 1
     except csv.Error as e:
         raise DataError(f"line {reader.line_num}: {e}") from None
-    return records
-
-
-def _parse_values(body: list[tuple[int, list[str]]], n_series: int) -> tuple[np.ndarray, np.ndarray]:
-    """Series-major (values, mask) of the value cells of rows that each
-    hold ``n_series`` of them; a cell is present when it is not blank.
-    Every present cell goes through one ``float`` pass; if that fails, a
-    second pass finds the first cell in row order that does not parse and
-    raises naming it."""
-    cells = list(map(str.strip, itertools.chain.from_iterable(row[1:] for _, row in body)))
-    present = bytes(map(bool, cells))  # one byte a cell, read in place as the bool mask
-    try:
-        parsed = np.fromiter(map(float, itertools.compress(cells, present)), dtype=np.float64)
-    except ValueError:
-        for i, cell in enumerate(cells):
-            if cell:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(f"line {body[i // n_series][0]}: cannot parse value {cell!r}") from None
-        raise
-    mask = np.frombuffer(present, dtype=bool).reshape(len(body), n_series)
-    values = np.full(mask.shape, np.nan)
-    values[mask] = parsed
-    return np.ascontiguousarray(values.T), mask.T.copy()  # a copy, so the mask is writable
+    return iter(records)
 
 
 def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
@@ -339,17 +342,20 @@ def dumps_csv(data: TimeSeriesDataset) -> str:
     """Render the wide format back out; repr round-trips fp64 exactly.
 
     The header goes through :func:`dumps_table`'s cell rule.  Value rows
-    render one at a time from one ``tolist`` of the table; only a row
-    with a missing cell goes cell by cell."""
+    render one at a time, each from its own ``tolist``, so one row at a
+    time is held as Python floats; only a row with a missing cell goes
+    cell by cell."""
     lines = [",".join(map(_cell, ["time", *data.names]))]
     gappy = (~data.mask.all(axis=0)).tolist()
-    for t, (stamp, row) in enumerate(zip(data.times.tolist(), data.values.T.tolist())):
+    for t, stamp in enumerate(data.times.tolist()):
+        row = data.values[:, t].tolist()
         if gappy[t]:
             cells = [repr(v) if ok else "" for v, ok in zip(row, data.mask[:, t].tolist())]
             lines.append(repr(stamp) + "," + ",".join(cells))
         else:
             lines.append(repr(stamp) + "," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the text to add it
+    return "\n".join(lines)
 
 
 def save_csv(data: TimeSeriesDataset, path: str | Path) -> None:

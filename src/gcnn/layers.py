@@ -4,11 +4,15 @@ clustering-coefficient layer, pooling, flatten, and dense heads.
 All layers consume and produce (..., channels, width) batches, channel
 axis -2, except :class:`FlattenLayer` (emits (features, batch), one column
 per sample) and :class:`DenseLayer` (columns to columns).  A grouped
-stage is one op over contiguous channel blocks.  A recurrent grouped
-stage is a :class:`RecurrentConvLayer` around a grouped convolution, so
-each iteration is one :func:`tensor.grouped_conv1d`; a grouped lift in
-front of it widens each group to the stage's width, and a group already
-that wide passes through the lift unchanged.  Parameters are created
+convolution takes its partition as one label vector, the 0-based group
+of each input channel; a group reads its members in ascending channel
+order, and the layer derives its gather order and its pass-through
+layout from the labels.  A grouped stage is one op over contiguous
+channel blocks.  A recurrent grouped stage is a
+:class:`RecurrentConvLayer` around a grouped convolution, so each
+iteration is one :func:`tensor.grouped_conv1d`; a grouped lift in front
+of it widens each group to the stage's width, and a group already that
+wide passes through the lift unchanged.  Parameters are created
 from a caller supplied ``numpy.random.Generator`` so identical seeds
 give identical models, or, given :data:`UNFILLED` instead, shape-only,
 without a draw, for a model whose values are read in from a checkpoint.
@@ -16,7 +20,6 @@ without a draw, for a model whose values are read in from a checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +32,6 @@ __all__ = [
     "Layer",
     "Conv1DLayer",
     "GroupedConv1DLayer",
-    "ConvGroup",
     "RecurrentConvLayer",
     "ClusteringCoeffLayer",
     "DenseLayer",
@@ -37,7 +39,7 @@ __all__ = [
     "FlattenLayer",
     "UNFILLED",
     "init_uniform_fanin",
-    "validate_partition",
+    "conv_params",
 ]
 
 
@@ -66,25 +68,26 @@ def init_uniform_fanin(rng: np.random.Generator | T.Unfilled, shape: tuple[int, 
     return _new_param(rng, shape, 1.0 / np.sqrt(fan_in))
 
 
-def validate_partition(member_lists: Sequence[Sequence[int]], n_channels: int) -> None:
-    """Check that the lists split 0..n_channels-1 without gaps or overlap."""
-    seen: set[int] = set()
-    total = 0
-    for members in member_lists:
-        if len(members) == 0:
-            raise ShapeError("every group needs at least one member channel")
-        for ch in members:
-            if ch < 0 or ch >= n_channels:
-                raise ShapeError(f"member channel {ch} out of range for {n_channels} input channels")
-        group = set(int(ch) for ch in members)
-        if len(group) != len(members):
-            raise ShapeError("duplicate channel inside a group member list")
-        if group & seen:
-            raise ShapeError("groups overlap: a channel appears in more than one group")
-        seen |= group
-        total += len(members)
-    if total != n_channels:
-        raise ShapeError(f"groups cover {total} channels but the input has {n_channels}")
+def conv_params(
+    rng: np.random.Generator | T.Unfilled, out_channels: int, in_channels: int, kernel_width: int
+) -> tuple[T.Parameter, T.Parameter]:
+    """Fan-in uniform (out, in, kw) kernels, then a zero (out,) bias."""
+    kernels = init_uniform_fanin(rng, (out_channels, in_channels, kernel_width), in_channels * kernel_width)
+    return kernels, _new_param(rng, (out_channels,))
+
+
+def _group_sizes(labels: np.ndarray, n_groups: int) -> np.ndarray:
+    """Members per group of a 0-based label vector; a label outside
+    0..n_groups-1 or a group without members raises ShapeError."""
+    if labels.ndim != 1 or not labels.size:
+        raise ShapeError(f"group labels must be a non-empty vector, got shape {labels.shape}")
+    bad = labels[(labels < 0) | (labels >= n_groups)]
+    if bad.size:
+        raise ShapeError(f"group label {bad[0]} out of range for {n_groups} groups")
+    sizes = np.bincount(labels, minlength=n_groups)
+    if not sizes.all():
+        raise ShapeError(f"group {np.argmin(sizes)} has no member channels")
+    return sizes
 
 
 class Layer:
@@ -117,9 +120,7 @@ class Conv1DLayer(Layer):
         self.out_channels = out_channels
         self.kernel_width = kernel_width
         self.activation = activation
-        fan_in = in_channels * kernel_width
-        self.kernels = init_uniform_fanin(rng, (out_channels, in_channels, kernel_width), fan_in)
-        self.bias = _new_param(rng, (out_channels,))
+        self.kernels, self.bias = conv_params(rng, out_channels, in_channels, kernel_width)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.activation(T.conv1d(x, self.kernels, self.bias), self.activation)
@@ -128,78 +129,75 @@ class Conv1DLayer(Layer):
         return [("kernels", self.kernels), ("bias", self.bias)]
 
 
-@dataclass
-class ConvGroup:
-    """One group of a grouped convolution: member channels + parameters.
-
-    A group without kernels and bias passes its members through unchanged.
-    """
-
-    members: tuple[int, ...]
-    kernels: Tensor | None  # (Gout, len(members), kw)
-    bias: Tensor | None  # (Gout,)
-
-    @classmethod
-    def create(
-        cls, rng: np.random.Generator | T.Unfilled, members: Sequence[int], out_channels: int, kernel_width: int
-    ) -> "ConvGroup":
-        """Fan-in uniform kernels and zero biases for ``members``."""
-        members = tuple(int(ch) for ch in members)
-        fan_in = len(members) * kernel_width
-        kernels = init_uniform_fanin(rng, (out_channels, len(members), kernel_width), fan_in)
-        return cls(members, kernels, _new_param(rng, (out_channels,)))
-
-
 class GroupedConv1DLayer(Layer):
     """Grouped convolution: each group convolves only its member channels.
 
-    One gather puts the convolved groups' members in group order (none
-    when already in order), then one :func:`tensor.grouped_conv1d` runs
-    every such group.  When some groups pass through, one ``concat`` of
-    the convolution output with the input and one gather lay the outputs
-    out group-major.  Members must partition the inputs.
+    ``labels[c]`` is the 0-based group of input channel c.  Group g's
+    members, in ascending channel order, meet its (O_g, C_g, kw)
+    ``kernels[g]`` and (O_g,) ``biases[g]``; a group whose kernels and
+    bias are None passes its members through unchanged.  One gather puts
+    the convolved groups' members in group order (none when already in
+    order), then one :func:`tensor.grouped_conv1d` runs every such group.
+    When some groups pass through, one ``concat`` of the convolution
+    output with the input and one gather lay the outputs out group-major.
     """
 
-    def __init__(self, in_channels: int, groups: Sequence[ConvGroup], activation: str = "relu"):
-        validate_partition([g.members for g in groups], in_channels)
-        conv = [g for g in groups if g.kernels is not None]
-        for g in conv:
-            gout, gin, _ = g.kernels.shape
-            if gin != len(g.members):
-                raise ShapeError(f"group expects {gin} channels but lists {len(g.members)} members")
-            if g.bias.shape != (gout,):
-                raise ShapeError(f"group bias shape {g.bias.shape} does not match {gout} outputs")
-        self.in_channels = in_channels
-        self.groups = list(groups)
+    def __init__(
+        self,
+        labels: Sequence[int] | np.ndarray,
+        kernels: Sequence[Tensor | None],
+        biases: Sequence[Tensor | None],
+        activation: str = "relu",
+    ):
+        labels = np.asarray(labels, dtype=np.intp)
+        if len(biases) != len(kernels):
+            raise ShapeError(f"need one bias per group, got {len(kernels)} kernels and {len(biases)} biases")
+        sizes = _group_sizes(labels, len(kernels))
+        out_sizes = sizes.copy()
+        for g, (k, b) in enumerate(zip(kernels, biases)):
+            if (k is None) != (b is None):
+                raise ShapeError(f"group {g} needs both kernels and a bias, or neither")
+            if k is None:
+                continue
+            out_sizes[g], gin, _ = k.shape
+            if gin != sizes[g]:
+                raise ShapeError(f"group {g} expects {gin} channels but has {sizes[g]} members")
+            if b.shape != (k.shape[0],):
+                raise ShapeError(f"group {g} bias shape {b.shape} does not match {k.shape[0]} outputs")
+        convolved = np.array([k is not None for k in kernels])
+        self.in_channels = labels.size
+        self.out_channels = int(out_sizes.sum())
         self.activation = activation
-        self.kernels = [g.kernels for g in conv]
-        self.biases = [g.bias for g in conv]
-        order = [ch for g in conv for ch in g.members]
-        self.order = None if order == list(range(in_channels)) else order
-        # group-major output rows, as rows of concat([conv output, input])
-        n_conv, row, layout = sum(k.shape[0] for k in self.kernels), 0, []
-        for g in groups:
-            if g.kernels is None:
-                layout += [n_conv + ch for ch in g.members]
-            else:
-                layout += range(row, row + g.kernels.shape[0])
-                row += g.kernels.shape[0]
-        self.out_channels = len(layout)
-        self.layout = None if len(conv) == len(groups) else layout
+        self.convolved = np.flatnonzero(convolved)  # group index of each kernel and bias
+        self.kernels = [kernels[g] for g in self.convolved]
+        self.biases = [biases[g] for g in self.convolved]
+        members = np.argsort(labels, kind="stable")  # group-major, ascending within a group
+        order = members[convolved[labels[members]]]
+        self.order = None if np.array_equal(order, np.arange(self.in_channels)) else order
+        self.layout = None
+        if not convolved.all():  # group-major output rows, as rows of concat([conv output, input])
+            conv_rows = np.where(convolved, out_sizes, 0)
+            start = np.cumsum(conv_rows) - conv_rows  # a convolved group's first conv output row
+            self.layout = np.concatenate([
+                start[g] + np.arange(out_sizes[g]) if convolved[g] else conv_rows.sum() + m
+                for g, m in enumerate(np.split(members, np.cumsum(sizes)[:-1]))
+            ])
 
     @classmethod
     def create(
         cls,
-        in_channels: int,
-        member_lists: Sequence[Sequence[int]],
+        labels: Sequence[int] | np.ndarray,
         out_per_group: int,
         kernel_width: int = 3,
         activation: str = "relu",
         *,
         rng: np.random.Generator | T.Unfilled,
     ) -> "GroupedConv1DLayer":
-        groups = [ConvGroup.create(rng, members, out_per_group, kernel_width) for members in member_lists]
-        return cls(in_channels, groups, activation=activation)
+        """Every group convolved; each draws its kernels in group order."""
+        labels = np.asarray(labels, dtype=np.intp)
+        sizes = _group_sizes(labels, int(labels.max(initial=-1)) + 1)
+        params = [conv_params(rng, out_per_group, int(size), kernel_width) for size in sizes]
+        return cls(labels, *zip(*params), activation)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.in_channels:
@@ -214,12 +212,8 @@ class GroupedConv1DLayer(Layer):
         return T.gather_rows(rows, self.layout)
 
     def named_params(self):
-        out = []
-        for k, g in enumerate(self.groups):
-            if g.kernels is not None:
-                out.append((f"g{k:02d}.kernels", g.kernels))
-                out.append((f"g{k:02d}.bias", g.bias))
-        return out
+        pairs = zip(self.convolved, self.kernels, self.biases)
+        return [(f"g{g:02d}.{name}", t) for g, k, b in pairs for name, t in (("kernels", k), ("bias", b))]
 
 
 class RecurrentConvLayer(Layer):

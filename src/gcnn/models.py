@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .errors import ConfigError, NumericalError, ShapeError
 from .layers import (
     ClusteringCoeffLayer,
     Conv1DLayer,
-    ConvGroup,
     DenseLayer,
     FlattenLayer,
     GroupedConv1DLayer,
@@ -30,6 +30,7 @@ from .layers import (
     MaxPool1DLayer,
     RecurrentConvLayer,
     UNFILLED,
+    conv_params,
 )
 from .tensor import Tensor
 
@@ -249,23 +250,6 @@ class Model:
             return layer.coefficients().data.copy()
 
 
-def _assignment_member_lists(assignment: list[int], k: int) -> list[list[int]]:
-    """1-based group labels per channel -> ordered 0-based member lists."""
-    lists: list[list[int]] = [[] for _ in range(k)]
-    for ch, label in enumerate(assignment):
-        if not 1 <= label <= k:
-            raise ConfigError(f"assignment label {label} outside 1..{k}")
-        lists[label - 1].append(ch)
-    for g, members in enumerate(lists):
-        if not members:
-            raise ConfigError(f"group {g + 1} has no member channels")
-    return lists
-
-
-def _contiguous_member_lists(n_groups: int, per_group: int) -> list[list[int]]:
-    return [list(range(g * per_group, (g + 1) * per_group)) for g in range(n_groups)]
-
-
 def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Generator | T.Unfilled) -> list[Layer]:
     """Recurrent conv stage; lift channels first when cin != cout."""
     rcl = RecurrentConvLayer(
@@ -278,49 +262,64 @@ def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Genera
 
 
 def _grouped_recurrent_stage(
-    cin: int, member_lists: list[list[int]], per_group: int, spec: ModelSpec, rng: np.random.Generator | T.Unfilled
+    labels: np.ndarray, per_group: int, spec: ModelSpec, rng: np.random.Generator | T.Unfilled
 ) -> list[Layer]:
     """Grouped lift (only for groups not already ``per_group`` wide, and
     none when the input is already in place) then the recurrence over
     contiguous ``per_group`` blocks.  Each group draws its inner kernels,
     then its lift kernels, before the next group."""
     inner, lift = [], []
-    for g, members in enumerate(member_lists):
-        block = range(g * per_group, (g + 1) * per_group)
-        inner.append(ConvGroup.create(rng, block, per_group, spec.kernel_width))
-        if len(members) == per_group:
-            lift.append(ConvGroup(tuple(members), None, None))
-        else:
-            lift.append(ConvGroup.create(rng, members, per_group, spec.kernel_width))
+    for size in np.bincount(labels):
+        inner.append(conv_params(rng, per_group, per_group, spec.kernel_width))
+        lift.append((None, None) if size == per_group else conv_params(rng, per_group, int(size), spec.kernel_width))
+    blocks = np.repeat(np.arange(len(inner)), per_group)
     act = spec.hidden_activation
-    rcl = RecurrentConvLayer(GroupedConv1DLayer(len(inner) * per_group, inner, act), spec.iterations)
-    if member_lists == _contiguous_member_lists(len(member_lists), per_group):
+    rcl = RecurrentConvLayer(GroupedConv1DLayer(blocks, *zip(*inner), act), spec.iterations)
+    if np.array_equal(labels, blocks):
         return [rcl]
-    return [GroupedConv1DLayer(cin, lift, act), rcl]
+    return [GroupedConv1DLayer(labels, *zip(*lift), act), rcl]
 
 
-def build_model(spec: ModelSpec, assignment: list[int] | None = None, seed: int = 0) -> Model:
+def _labels(assignment: Sequence[int] | np.ndarray | None, spec: ModelSpec) -> np.ndarray:
+    """The 0-based group of each input channel, from an explicit 1-based
+    ``assignment``; ConfigError unless it gives every channel an integer
+    label in 1..groups and every group a member."""
+    if assignment is None:
+        raise ConfigError("explicit grouping requires a group assignment")
+    if len(assignment) != spec.input_channels:
+        raise ConfigError(f"assignment covers {len(assignment)} channels, model expects {spec.input_channels}")
+    labels = np.asarray(assignment)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ConfigError(f"assignment labels must be integers, got {labels.dtype} labels of shape {labels.shape}")
+    k = spec.groups
+    bad = labels[(labels < 1) | (labels > k)]
+    if bad.size:
+        raise ConfigError(f"assignment label {bad[0]} outside 1..{k}")
+    labels = labels.astype(np.intp) - 1
+    sizes = np.bincount(labels, minlength=k)
+    if not sizes.all():
+        raise ConfigError(f"group {np.argmin(sizes) + 1} has no member channels")
+    return labels
+
+
+def build_model(spec: ModelSpec, assignment: Sequence[int] | np.ndarray | None = None, seed: int = 0) -> Model:
     """Assemble an initialized model from a spec.
 
-    ``assignment`` (1-based group label per input channel) is required
-    for explicit grouping and rejected otherwise.
+    ``assignment`` (1-based integer group label per input channel, a list
+    or an array) is required for explicit grouping and rejected otherwise.
     """
     return _assemble(spec, assignment, seed, np.random.default_rng(seed))
 
 
 def _assemble(
-    spec: ModelSpec, assignment: list[int] | None, seed: int, rng: np.random.Generator | T.Unfilled
+    spec: ModelSpec, assignment: Sequence[int] | np.ndarray | None, seed: int, rng: np.random.Generator | T.Unfilled
 ) -> Model:
     """The one model builder: parameters drawn from ``rng`` in layer
     order, or, with :data:`layers.UNFILLED`, shape-only and undrawn, for a
     model that is only counted or that a checkpoint load fills in."""
     if spec.grouping == "explicit":
-        if assignment is None:
-            raise ConfigError("explicit grouping requires a group assignment")
-        if len(assignment) != spec.input_channels:
-            raise ConfigError(
-                f"assignment covers {len(assignment)} channels, model expects {spec.input_channels}"
-            )
+        labels = _labels(assignment, spec)
+        assignment = (labels + 1).tolist()
     elif assignment is not None:
         raise ConfigError(f"grouping mode {spec.grouping!r} does not take an assignment")
 
@@ -343,26 +342,18 @@ def _assemble(
             layers.append(
                 ClusteringCoeffLayer(spec.input_channels, k, spec.kernel_width, spec.hidden_activation, rng=rng)
             )
-            member_lists = _contiguous_member_lists(k, spec.input_channels)
-            cin = k * spec.input_channels
-        else:
-            member_lists = _assignment_member_lists(list(assignment), k)
-            cin = spec.input_channels
+            labels = np.repeat(np.arange(k), spec.input_channels)
         for s, ch in enumerate(spec.stage_channels, start=1):
             per_group = ch // k
             if s in spec.pool_before:
                 layers.append(MaxPool1DLayer(spec.pool_window, spec.pool_stride))
             if spec.recurrent and s < n_stages:
-                layers += _grouped_recurrent_stage(cin, member_lists, per_group, spec, rng)
+                layers += _grouped_recurrent_stage(labels, per_group, spec, rng)
             else:
                 layers.append(
-                    GroupedConv1DLayer.create(
-                        cin, member_lists, per_group, spec.kernel_width,
-                        spec.hidden_activation, rng=rng,
-                    )
+                    GroupedConv1DLayer.create(labels, per_group, spec.kernel_width, spec.hidden_activation, rng=rng)
                 )
-            member_lists = _contiguous_member_lists(k, per_group)
-            cin = ch
+            labels = np.repeat(np.arange(k), per_group)
 
     final_width = spec.layer_widths()[-1]
     layers.append(FlattenLayer())
@@ -373,7 +364,7 @@ def _assemble(
         layers.append(DenseLayer(features, units, act, rng=rng))
         features = units
 
-    return Model(spec, layers, list(assignment) if assignment is not None else None, seed)
+    return Model(spec, layers, assignment, seed)
 
 
 def count_params(model: Model) -> int:

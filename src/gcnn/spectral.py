@@ -98,14 +98,8 @@ class GroupAssignment:
         if any(not 1 <= x <= self.k for x in self.labels):
             raise ShapeError(f"labels must lie in 1..{self.k}")
 
-    def member_lists(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for i, label in enumerate(self.labels):
-            out[label - 1].append(i)
-        return out
-
     def group_sizes(self) -> list[int]:
-        return [len(m) for m in self.member_lists()]
+        return np.bincount(np.asarray(self.labels, dtype=np.intp) - 1, minlength=self.k).tolist()
 
 
 def similarity_from_series(series: np.ndarray, names: Sequence[str] | None = None) -> SimilarityGraph:

@@ -714,9 +714,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(data, tuple(tensors), lambda g: tuple(np.split(g, offsets, axis=axis)))
 
 
-def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
+def gather_rows(x: Tensor, indices: Sequence[int] | np.ndarray) -> Tensor:
     """Select entries (1-D) or rows (axis -2 of n-D) by index, preserving order."""
-    idx = np.array([int(i) for i in indices], dtype=np.intp)
+    idx = np.asarray(indices, dtype=np.intp)
     if not idx.size:
         raise ValueError("gather_rows needs at least one index")
     axis = max(x.ndim - 2, 0)

@@ -2,12 +2,15 @@
 gap repair policy, training-range standardization, windowing counts, and
 splits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gcnn.data import (
     SplitSpec,
     TimeSeriesDataset,
+    dumps_csv,
     dumps_table,
     load_csv,
     loads_csv,
@@ -179,6 +182,39 @@ class TestParseContract:
         # one here, since they are read with universal newlines
         with pytest.raises(DataError, match="^line 2: new-line character seen in unquoted field"):
             loads_csv("time,a,b,c\n0,1\r2,3\n")
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` holds at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTextMemory:
+    """A table is parsed and rendered a row at a time: the peak stays
+    within a small multiple of the text, however many cells it holds.
+    (Holding every cell as a string at once peaked at 6.4 times the text
+    to parse this table, and rendering it from one ``tolist`` of the table
+    at 3.2 times.)"""
+
+    def table(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((20, 4000))
+        mask = np.ones(values.shape, dtype=bool)
+        mask[3, 10:13] = False
+        return dataset(np.where(mask, values, np.nan), mask=mask)
+
+    def test_parse_peak_is_under_twice_the_text(self):
+        text = dumps_csv(self.table())
+        assert traced_peak(lambda: loads_csv(text)) < 2 * len(text)
+
+    def test_render_peak_is_under_two_and_a_half_times_the_text(self):
+        data = self.table()
+        assert traced_peak(lambda: dumps_csv(data)) < 2.5 * len(dumps_csv(data))
 
 
 class TestDumpsTable:

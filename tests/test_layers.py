@@ -9,22 +9,21 @@ from gcnn.errors import ShapeError
 from gcnn.layers import (
     ClusteringCoeffLayer,
     Conv1DLayer,
-    ConvGroup,
     DenseLayer,
     FlattenLayer,
     GroupedConv1DLayer,
     MaxPool1DLayer,
     RecurrentConvLayer,
+    conv_params,
     init_uniform_fanin,
-    validate_partition,
 )
 from gcnn.models import ModelSpec, build_model
 from gcnn.tensor import Tensor, grad_check
 from oracles import toy_grouped_dense_forward
 
 
-def make_grouped(rng, cin, member_lists, out_per_group, kw=3, activation="relu"):
-    return GroupedConv1DLayer.create(cin, member_lists, out_per_group, kw, activation, rng=rng)
+def make_grouped(rng, labels, out_per_group, kw=3, activation="relu"):
+    return GroupedConv1DLayer.create(labels, out_per_group, kw, activation, rng=rng)
 
 
 class TestConv1DLayer:
@@ -50,7 +49,7 @@ class TestConv1DLayer:
 
 @pytest.mark.parametrize("build", [
     lambda: Conv1DLayer(2, 2, 3),
-    lambda: GroupedConv1DLayer.create(2, [[0], [1]], 1),
+    lambda: GroupedConv1DLayer.create([0, 1], 1),
     lambda: ClusteringCoeffLayer(2, 2),
     lambda: DenseLayer(2, 1),
 ], ids=["conv", "grouped", "coeff", "dense"])
@@ -61,24 +60,27 @@ def test_layers_need_a_generator(build):
 
 
 class TestPartitionValidation:
+    """A label vector gives each channel exactly one group, so only a
+    label out of range and a group without members can be wrong."""
+
     def test_valid(self):
-        validate_partition([[0, 2], [1, 3]], 4)
-
-    def test_overlap(self):
-        with pytest.raises(ShapeError, match="overlap"):
-            validate_partition([[0, 1], [1, 2]], 3)
-
-    def test_incomplete(self):
-        with pytest.raises(ShapeError, match="cover"):
-            validate_partition([[0], [1]], 3)
+        layer = make_grouped(np.random.default_rng(0), [0, 1, 0, 1], 2)
+        assert layer.in_channels == 4 and layer.out_channels == 4
+        np.testing.assert_array_equal(layer.order, [0, 2, 1, 3])
 
     def test_out_of_range(self):
-        with pytest.raises(ShapeError, match="out of range"):
-            validate_partition([[0], [3]], 2)
+        kernels, bias = conv_params(np.random.default_rng(1), 1, 1, 3)
+        with pytest.raises(ShapeError, match="group label 2 out of range for 2 groups"):
+            GroupedConv1DLayer([0, 2], [kernels, kernels], [bias, bias])
+        with pytest.raises(ShapeError, match="group label -1 out of range"):
+            make_grouped(np.random.default_rng(1), [0, -1], 1)
 
     def test_empty_group(self):
-        with pytest.raises(ShapeError, match="at least one member"):
-            validate_partition([[0, 1], []], 2)
+        kernels, bias = conv_params(np.random.default_rng(2), 1, 2, 3)
+        with pytest.raises(ShapeError, match="group 1 has no member channels"):
+            GroupedConv1DLayer([0, 0], [kernels, None], [bias, None])
+        with pytest.raises(ShapeError, match="group 1 has no member channels"):
+            make_grouped(np.random.default_rng(2), [0, 0, 2], 1)
 
 
 class TestGroupedConv1DLayer:
@@ -86,16 +88,14 @@ class TestGroupedConv1DLayer:
         # K=1 with shared parameter tensors must be elementwise identical
         rng = np.random.default_rng(10)
         vanilla = Conv1DLayer(5, 4, 3, activation="relu", rng=rng)
-        grouped = GroupedConv1DLayer(
-            5, [ConvGroup(tuple(range(5)), vanilla.kernels, vanilla.bias)], activation="relu"
-        )
+        grouped = GroupedConv1DLayer([0] * 5, [vanilla.kernels], [vanilla.bias], activation="relu")
         x = Tensor(np.random.default_rng(11).standard_normal((5, 9)))
         np.testing.assert_array_equal(grouped.forward(x).data, vanilla.forward(x).data)
 
     def test_group_isolation(self):
         # zeroing the second group's channels leaves the first group's output alone
         rng = np.random.default_rng(12)
-        layer = make_grouped(rng, 4, [[0, 1], [2, 3]], out_per_group=3)
+        layer = make_grouped(rng, [0, 0, 1, 1], out_per_group=3)
         base = np.random.default_rng(13).standard_normal((4, 8))
         zeroed = base.copy()
         zeroed[2:] = 0.0
@@ -105,9 +105,9 @@ class TestGroupedConv1DLayer:
 
     def test_output_is_group_major(self):
         rng = np.random.default_rng(14)
-        layer = make_grouped(rng, 4, [[0, 1], [2, 3]], out_per_group=2, activation="linear")
+        layer = make_grouped(rng, [0, 0, 1, 1], out_per_group=2, activation="linear")
         # kill group 2's kernels: its output block must be exactly zero
-        layer.groups[1].kernels.data[:] = 0.0
+        layer.kernels[1].data[:] = 0.0
         out = layer.forward(Tensor(np.random.default_rng(15).standard_normal((4, 6))))
         assert out.shape == (4, 6)
         np.testing.assert_array_equal(out.data[2:], np.zeros((2, 6)))
@@ -117,10 +117,9 @@ class TestGroupedConv1DLayer:
         # 100 channels in 5 equal clusters, 100 total outputs: kernel count
         # drops by exactly the group count
         rng = np.random.default_rng(16)
-        members = [list(range(g * 20, (g + 1) * 20)) for g in range(5)]
-        grouped = make_grouped(rng, 100, members, out_per_group=20, kw=3)
+        grouped = make_grouped(rng, np.repeat(np.arange(5), 20), out_per_group=20, kw=3)
         vanilla = Conv1DLayer(100, 100, 3, rng=rng)
-        grouped_kernels = sum(g.kernels.size for g in grouped.groups)
+        grouped_kernels = sum(k.size for k in grouped.kernels)
         assert vanilla.kernels.size == 5 * grouped_kernels
 
     def test_mismatched_kernel_members(self):
@@ -128,11 +127,13 @@ class TestGroupedConv1DLayer:
         kernels = init_uniform_fanin(rng, (2, 3, 3), 9)
         bias = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ShapeError):
-            GroupedConv1DLayer(4, [ConvGroup((0, 1), kernels, bias), ConvGroup((2, 3), kernels, bias)])
+            GroupedConv1DLayer([0, 0, 1, 1], [kernels, kernels], [bias, bias])
+        with pytest.raises(ShapeError, match="both kernels and a bias, or neither"):
+            GroupedConv1DLayer([0, 0, 0, 1], [kernels, None], [bias, bias])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(18)
-        layer = make_grouped(rng, 4, [[0, 2], [1, 3]], out_per_group=2, activation="tanh")
+        layer = make_grouped(rng, [0, 1, 0, 1], out_per_group=2, activation="tanh")
         x = Tensor(np.random.default_rng(19).standard_normal((4, 6)))
         leaves = [t for _, t in layer.named_params()]
         err = grad_check(lambda: T.sum_all(layer.forward(x)), leaves)
@@ -260,8 +261,7 @@ class TestTapeSize:
         counts = []
         for k in (2, 7):
             # every group takes every k-th channel, so the gather is needed
-            members = [list(range(g, 14, k)) for g in range(k)]
-            layer = GroupedConv1DLayer.create(14, members, out_per_group=3, rng=np.random.default_rng(51))
+            layer = GroupedConv1DLayer.create(np.arange(14) % k, out_per_group=3, rng=np.random.default_rng(51))
             counts.append(self.step_tape_entries(layer, 14))
         assert counts[0] == counts[1]
 
@@ -383,14 +383,11 @@ class TestGroupedRecurrentStage:
 
     @staticmethod
     def make_stage(rng):
-        # group 0 = channels (3, 0), already 2 wide, passes through; group 1 =
-        # channel 1 and group 2 = channels (4, 2, 5) are lifted to 2 channels
-        lift = GroupedConv1DLayer(6, [
-            ConvGroup((3, 0), None, None),
-            ConvGroup.create(rng, (1,), 2, 3),
-            ConvGroup.create(rng, (4, 2, 5), 2, 3),
-        ], activation="tanh")
-        inner = make_grouped(rng, 6, [[0, 1], [2, 3], [4, 5]], out_per_group=2, activation="tanh")
+        # group 0 = channels (0, 3), already 2 wide, passes through; group 1 =
+        # channel 1 and group 2 = channels (2, 4, 5) are lifted to 2 channels
+        (k1, b1), (k2, b2) = conv_params(rng, 2, 1, 3), conv_params(rng, 2, 3, 3)
+        lift = GroupedConv1DLayer([0, 1, 2, 0, 2, 2], [None, k1, k2], [None, b1, b2], activation="tanh")
+        inner = make_grouped(rng, [0, 0, 1, 1, 2, 2], out_per_group=2, activation="tanh")
         return lift, RecurrentConvLayer(inner, iterations=3)
 
     def test_pass_through_group_is_gathered_unchanged(self):
@@ -398,10 +395,10 @@ class TestGroupedRecurrentStage:
         x = np.random.default_rng(71).standard_normal((2, 6, 7))
         out = lift.forward(Tensor(x))
         assert out.shape == (2, 6, 7) and lift.out_channels == 6
-        np.testing.assert_array_equal(out.data[:, :2], x[:, [3, 0]])
+        np.testing.assert_array_equal(out.data[:, :2], x[:, [0, 3]])
         assert [n for n, _ in lift.named_params()] == ["g01.kernels", "g01.bias", "g02.kernels", "g02.bias"]
 
-    @pytest.mark.parametrize("group, channels", [(0, [3, 0]), (1, [1]), (2, [4, 2, 5])])
+    @pytest.mark.parametrize("group, channels", [(0, [0, 3]), (1, [1]), (2, [2, 4, 5])])
     def test_isolation(self, group, channels):
         # bumping one group's inputs leaves every other group's outputs bit-identical
         lift, rcl = self.make_stage(np.random.default_rng(72))

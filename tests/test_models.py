@@ -1,8 +1,10 @@
 """Model assembly: preset geometries, parameter counts, grouping
 degeneracies, and checkpoint round-trips."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +204,30 @@ class TestBuildContracts:
         spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2})
         with pytest.raises(ConfigError, match="no member"):
             build_model(spec, assignment=[1] * 6, seed=0)
+
+    @pytest.mark.parametrize("assignment, problem", [
+        ([1, 2, 1, 2, 1, 3], "assignment label 3 outside 1..2"),
+        ([1, 2, 1, 2, 1, 0], "assignment label 0 outside 1..2"),
+        ([1, 2, 1, 2, 1, 1.5], "integers"),
+        ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], "integers"),
+        (np.array([True, False] * 3), "integers"),
+        (["1", "2"] * 3, "integers"),
+    ], ids=["above", "zero", "fraction", "float", "bool", "str"])
+    def test_labels_that_are_not_integers_in_range_are_refused(self, assignment, problem):
+        # a float or bool label is refused, never truncated to a group
+        spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2})
+        with pytest.raises(ConfigError, match=problem):
+            build_model(spec, assignment=assignment, seed=0)
+
+    def test_numpy_labels_are_stored_as_python_ints(self, tmp_path):
+        spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2})
+        labels = [2, 1, 2, 1, 1, 2]
+        model = build_model(spec, assignment=np.array(labels, dtype=np.int32), seed=13)
+        assert model.assignment == labels and all(type(v) is int for v in model.assignment)
+        save_checkpoint(model, tmp_path / "numpy.ckpt")
+        save_checkpoint(build_model(spec, assignment=labels, seed=13), tmp_path / "list.ckpt")
+        assert (tmp_path / "numpy.ckpt").read_bytes() == (tmp_path / "list.ckpt").read_bytes()
+        assert load_checkpoint(tmp_path / "numpy.ckpt").assignment == labels
 
     def test_build_is_deterministic(self):
         a = build_model(SMALL, seed=9)
@@ -520,6 +546,25 @@ class TestCheckpoints:
         with pytest.raises(ShapeError, match=r"shape \[4, 32\] does not match \(4, 40000000000000\)"):
             load_checkpoint(checkpoint_doc(tmp_path, huge))
 
+    def test_coeff_spec_edited_to_a_million_inputs_is_refused_in_bounded_memory(self, tmp_path):
+        # a coeff build makes its group labels as arrays, so a spec edited to
+        # 10**6 inputs is refused at its first shape without a per-channel walk
+        spec = ModelSpec(input_channels=4, input_width=8, grouping="coeff", groups=2, stage_channels=(4,),
+                         dense_units=(1,))
+        path = tmp_path / "coeff.ckpt"
+        save_checkpoint(build_model(spec, seed=0), path)
+        doc, body = split_checkpoint(path.read_bytes())
+        doc["spec"]["input_channels"] = 10**6
+        path.write_bytes(join_checkpoint(doc, body))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match=r"'L00.logits' shape \[4, 2\] does not match \(1000000, 2\)"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
     def test_infinite_payload_rejected(self, tmp_path):
         poison = first_payload(lambda raw: np.array([np.inf], "<f8").tobytes() + raw[8:])
         with pytest.raises(NumericalError, match="non-finite"):
@@ -588,6 +633,27 @@ def first_payload(edit):
         n = 8 * math.prod(doc["params"][0]["shape"])
         return join_checkpoint(doc, edit(body[:n]) + body[n:])
     return doctor
+
+
+# sha256 of the checkpoints of two small explicit builds on shuffled
+# assignments, which pin the draw order and the parameter names; in the
+# rcnn build group 1 is one stage share (2 channels) wide, so its lift
+# passes that group through and draws nothing for it
+PINNED_EXPLICIT = {
+    "cnn": (False, [2, 3, 1, 3, 1, 2, 3], "1fe45d1e757f94751b408fff6cca2f37bf24fc1bdd7f4afc93468c3c8919f817"),
+    "rcnn-pass-through": (
+        True, [3, 1, 3, 2, 3, 1, 3], "eb21cf08d07c58ffad3543aafd7040aa003a27beecc4c77c643d4a591da56e70"),
+}
+
+
+@pytest.mark.parametrize("recurrent, assignment, digest", PINNED_EXPLICIT.values(), ids=PINNED_EXPLICIT)
+def test_explicit_checkpoint_bytes_are_pinned(tmp_path, recurrent, assignment, digest):
+    spec = ModelSpec(input_channels=7, input_width=8, grouping="explicit", groups=3, stage_channels=(6, 6),
+                     pool_before=(2,), pool_window=2, pool_stride=2, dense_units=(4, 1), recurrent=recurrent)
+    model = build_model(spec, assignment, seed=5)
+    assert ("L00.g00.kernels" in dict(model.named_params())) != recurrent
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == digest
 
 
 TINY = ModelSpec(input_channels=2, input_width=4, stage_channels=(2,), pool_before=(), dense_units=(1,))
