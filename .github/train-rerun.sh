@@ -14,7 +14,11 @@
 # grouped lift passes that group through and lifts the other two; the
 # pool (window 3, stride 2: width 8 pools to 3) overlaps, so gradients
 # add up across windows; the checkpoint's first line is its JSON header,
-# and eval must load it.  Then a copy of the set whose header names two
+# and eval must load it.  The ungrouped model trains once more for one
+# epoch, which keeps no best-epoch snapshot and returns the parameters as
+# they end, and with kernel gradients computed straight into the gradient
+# vector (numpy's matmul into a view, on the oldest supported numpy too).
+# Then a copy of the set whose header names two
 # series "a,b" and "q""x" (quoted CSV cells) goes through cluster and an
 # explicit train twice: the quoted names must come back from the
 # assignment cluster writes, and the reruns must match byte for byte.
@@ -39,9 +43,11 @@ g3s2,3
 g3s3,2
 g3s4,3
 EOF
-for cfg in train coeff momentum rcnn; do
+for cfg in train coeff momentum rcnn one-epoch; do
   grouping=""
   step=""
+  epochs=2
+  if [ "$cfg" = one-epoch ]; then epochs=1; fi
   if [ "$cfg" = coeff ]; then grouping="grouping: coeff, groups: 2, "; fi
   if [ "$cfg" = momentum ]; then step=", momentum: 0.9, clip_norm: 0.5"; fi
   if [ "$cfg" = rcnn ]; then
@@ -51,7 +57,7 @@ for cfg in train coeff momentum rcnn; do
   cat > "$work/$cfg.yaml" <<EOF
 data: {path: $work/synth.csv, target: target, window: 8}
 model: {$grouping$model}
-train: {epochs: 2, batch_size: 16$step}
+train: {epochs: $epochs, batch_size: 16$step}
 EOF
   for run in 1 2; do
     gcnn train "$work/$cfg.yaml" --out "$work/$cfg$run"

@@ -171,10 +171,13 @@ class GroupedConv1DLayer(Layer):
         self.convolved = np.flatnonzero(convolved)  # group index of each kernel and bias
         self.kernels = [kernels[g] for g in self.convolved]
         self.biases = [biases[g] for g in self.convolved]
+        self.order = self.layout = None
+        if convolved.all() and (labels[:-1] <= labels[1:]).all():
+            return  # contiguous blocks in group order: nothing to gather or lay out
         members = np.argsort(labels, kind="stable")  # group-major, ascending within a group
         order = members[convolved[labels[members]]]
-        self.order = None if np.array_equal(order, np.arange(self.in_channels)) else order
-        self.layout = None
+        if not np.array_equal(order, np.arange(self.in_channels)):
+            self.order = order
         if not convolved.all():  # group-major output rows, as rows of concat([conv output, input])
             conv_rows = np.where(convolved, out_sizes, 0)
             start = np.cumsum(conv_rows) - conv_rows  # a convolved group's first conv output row

@@ -289,8 +289,11 @@ def _labels(assignment: Sequence[int] | np.ndarray | None, spec: ModelSpec) -> n
     if len(assignment) != spec.input_channels:
         raise ConfigError(f"assignment covers {len(assignment)} channels, model expects {spec.input_channels}")
     labels = np.asarray(assignment)
-    if labels.ndim != 1 or labels.dtype.kind not in "iu":
-        raise ConfigError(f"assignment labels must be integers, got {labels.dtype} labels of shape {labels.shape}")
+    dtype = labels.dtype
+    if not isinstance(assignment, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in assignment):
+        dtype = np.dtype(bool)  # a list that mixes bools with ints converts to ints
+    if labels.ndim != 1 or dtype.kind not in "iu":
+        raise ConfigError(f"assignment labels must be integers, got {dtype} labels of shape {labels.shape}")
     k = spec.groups
     bad = labels[(labels < 1) | (labels > k)]
     if bad.size:

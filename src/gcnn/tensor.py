@@ -72,6 +72,10 @@ ACTIVATION_KINDS = ("relu", "tanh", "linear")
 
 _grad_enabled: ContextVar[bool] = ContextVar("gcnn_grad_enabled", default=True)
 
+# set by a backward sweep that writes leaf gradients into caller arrays:
+# leaf -> the array its first gradient may be computed straight into
+_grad_out: ContextVar[Callable[[Tensor], np.ndarray | None] | None] = ContextVar("gcnn_grad_out", default=None)
+
 # rule(grad_of_result) -> per-parent gradients, aligned with the parents
 # tuple; None marks a parent that needs no gradient.
 BackwardRule = Callable[[np.ndarray], tuple]
@@ -195,6 +199,9 @@ class Tensor:
         return matmul(self, other)
 
 
+_DATA = Tensor.data  # the slot that holds every tensor's values
+
+
 class Parameter(Tensor):
     """A trainable leaf whose values stay in one array once it has them.
 
@@ -208,15 +215,19 @@ class Parameter(Tensor):
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
 
-    def __setattr__(self, name, value):
-        held = getattr(self, "data", None) if name == "data" else None
+    def _assign(self, value):
+        held = getattr(self, "data", None)
         if not isinstance(held, np.ndarray):
-            object.__setattr__(self, name, value)
+            _DATA.__set__(self, value)
         elif value is not held:
             value = np.asarray(value, dtype=np.float64)
             if value.shape != held.shape:
                 raise ShapeError(f"cannot assign {value.shape} values to a {held.shape} parameter")
             np.copyto(held, value)
+
+    # only a ``data`` assignment runs Python code: a read calls the slot's
+    # own getter, and every other attribute is a plain slot
+    data = property(_DATA.__get__, _assign)
 
     def attach(self, storage: np.ndarray) -> None:
         """Keep the values in ``storage``, an array of this parameter's
@@ -225,7 +236,7 @@ class Parameter(Tensor):
             raise ShapeError(f"cannot keep a {self.shape} parameter in a {storage.shape} array")
         if isinstance(self.data, np.ndarray):
             np.copyto(storage, self.data)
-        object.__setattr__(self, "data", storage)
+        _DATA.__set__(self, storage)
 
 
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule: BackwardRule) -> Tensor:
@@ -291,6 +302,8 @@ class GradTape:
         graph never touched get zero gradients.  ``leaves`` may map each
         requested leaf to an array of its shape, which its gradient is
         written into; every other leaf gradient is an array of its own.
+        A rule may compute a mapped leaf's first gradient straight into
+        that array (:func:`_leaf_grad_out`); later ones are added to it.
         Leaf ``.grad`` fields are overwritten (no accumulation across calls).
 
         The sweep consumes the tape: once an entry has propagated, its rule
@@ -303,6 +316,15 @@ class GradTape:
         grads: dict[int, np.ndarray] = {}
         owned: set[int] = set()  # keys whose gradient array this sweep may add into
         found: dict[int, Tensor] = {}
+        claimed: set[int] = set()  # leaves whose caller array a rule was handed
+
+        def claim(leaf: Tensor) -> np.ndarray | None:
+            key = id(leaf)
+            dest = into.get(leaf)
+            if dest is None or key in grads or key in claimed or not dest.flags.c_contiguous:
+                return None
+            claimed.add(key)
+            return dest
 
         def give(node: Tensor, g: np.ndarray) -> None:
             key = id(node)
@@ -313,7 +335,7 @@ class GradTape:
                     dest = into.get(node)
                     if dest is None:
                         g = np.array(g)
-                    else:
+                    elif g is not dest:  # a rule may have computed it in place
                         np.copyto(dest, g)
                         g = dest
                     owned.add(key)
@@ -327,16 +349,20 @@ class GradTape:
         if root.requires_grad:
             give(root, np.ones_like(root.data))
         entries = self.entries
-        while entries:
-            entry = entries.pop()
-            node = entry.result
-            node._rule, node._parents = _consumed, ()
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            for parent, pg in zip(entry.parents, entry.rule(g)):
-                if pg is not None and parent.requires_grad:
-                    give(parent, pg)
+        token = _grad_out.set(claim if into else None)
+        try:
+            while entries:
+                entry = entries.pop()
+                node = entry.result
+                node._rule, node._parents = _consumed, ()
+                g = grads.pop(id(node), None)
+                if g is None:
+                    continue
+                for parent, pg in zip(entry.parents, entry.rule(g)):
+                    if pg is not None and parent.requires_grad:
+                        give(parent, pg)
+        finally:
+            _grad_out.reset(token)
         result: dict[Tensor, np.ndarray] = {}
         for key, leaf in found.items():
             leaf.grad = result[leaf] = grads[key]
@@ -352,6 +378,15 @@ class GradTape:
                         dest[...] = 0.0
                     leaf.grad = result[leaf] = dest
         return result
+
+
+def _leaf_grad_out(leaf: Tensor) -> np.ndarray | None:
+    """The C-contiguous array a running backward sweep will keep ``leaf``'s
+    gradient in, when no gradient of the leaf has reached it yet and no
+    rule has been handed it before; else None.  A rule that gets it must
+    compute the leaf's gradient into it and return it as that gradient."""
+    claim = _grad_out.get()
+    return None if claim is None else claim(leaf)
 
 
 def _consumed(g):
@@ -565,7 +600,14 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor
             gg = gt[rows]
             gbs.append(gg.sum(1) if b.requires_grad else None)
             cols = block(chans)  # the kernel gradient's operand, then the column gradient's buffer
-            gks.append((gg @ cols.T).reshape(k.shape) if k.requires_grad else None)
+            gk = None
+            if k.requires_grad:
+                gk = _leaf_grad_out(k)
+                if gk is None:
+                    gk = (gg @ cols.T).reshape(k.shape)
+                else:
+                    np.matmul(gg, cols.T, out=gk.reshape(k2.shape))
+            gks.append(gk)
             if gx is not None:
                 np.matmul(k2.T, gg, out=cols)
                 _fold(cols.reshape(-1, kw, n, width), gx.reshape(n, cin, width).transpose(1, 0, 2)[chans])

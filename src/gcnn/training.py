@@ -162,7 +162,15 @@ def train(
     the history records the running train SRMSE (accumulated from
     minibatch predictions as the parameters move), a fresh validation
     SRMSE, and the mean squared error.  Training aborts with the epoch
-    number if the loss or the gradient norm leaves fp64 range.
+    number if the loss or the gradient norm leaves fp64 range.  When no
+    epoch's validation SRMSE (its training SRMSE, with no validation
+    tail) is finite, no epoch can be returned, and it raises
+    NumericalError; ``gcnn train`` then exits 4 and writes no checkpoint.
+
+    Besides the model's parameter vector, a step holds one gradient vector
+    and, when momentum > 0, a velocity.  The best epoch's parameters are
+    copied aside only when a later epoch follows it, and restored only
+    when the last epoch is not the best.
     """
     config = config or TrainConfig()
     fit_set, val_set = validation_carve(train_set, config.val_fraction)
@@ -175,14 +183,13 @@ def train(
             "targets to score SRMSE; supply more samples or a larger val_fraction")
 
     # the step's parameter-sized buffers, made once: the gradient (also the
-    # update's scratch), the best epoch's parameters, and a velocity only
-    # when there is momentum to carry
+    # update's scratch) and a velocity only when there is momentum to carry
     params = model.vector
     grad = np.empty_like(params)
     spans = model.param_views(grad)
     into = dict(zip((t for _, t in model.named_params()), spans))
     velocity = np.zeros_like(params) if config.momentum > 0.0 else None
-    best = params.copy()
+    best = None  # the best epoch's parameters, once a later epoch could move past them
     rng = np.random.default_rng(config.seed)
 
     history: list[HistoryEntry] = []
@@ -214,11 +221,18 @@ def train(
         if val_srmse < best_val:
             best_val = val_srmse
             best_epoch = epoch
-            np.copyto(best, params)
+            if epoch < config.epochs:
+                if best is None:
+                    best = np.empty_like(params)
+                np.copyto(best, params)
         if epoch_hook is not None:
             epoch_hook(epoch, model)
 
-    np.copyto(params, best)
+    if not best_epoch:
+        raise NumericalError(
+            f"no epoch of {config.epochs} has a finite {'validation' if n_val else 'training'} SRMSE to select")
+    if best_epoch < config.epochs:
+        np.copyto(params, best)
     return TrainResult(model, history, best_epoch, best_val)
 
 

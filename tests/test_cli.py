@@ -278,6 +278,22 @@ def test_train_divergence_exits_4(series_csv, tmp_path):
     assert run("train", cfg, "--override", "train.learning_rate=1e40") == 4
 
 
+def test_train_with_no_finite_epoch_exits_4_and_writes_no_checkpoint(tmp_path, capsys):
+    # the target varies only before the first window ends, and its mean is
+    # exactly its later value, so every training label standardizes to 0.0;
+    # with no validation tail epochs are ranked by training SRMSE, which is
+    # then NaN every epoch
+    ds = synth.generate(synth.SynthSpec(n_groups=3, per_group=4, length=120, seed=7))
+    ds.values[ds.index_of("target")] = [0.0, 1.0] * 3 + [0.5] * 114
+    save_csv(ds, tmp_path / "flat.csv")
+    doc = base_config(tmp_path / "flat.csv", tmp_path / "out")
+    doc["train"]["val_fraction"] = 0.0
+    assert run("train", write_config(tmp_path / "run.yaml", doc)) == 4
+    assert "no epoch of 2 has a finite training SRMSE" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoint.json").exists()
+    assert not (tmp_path / "out" / "train.json").exists()
+
+
 def test_train_explicit_grouping_that_does_not_shrink_exits_2(series_csv, tmp_path, capsys):
     # a 1/11 split with kernel width 1: the 11-channel group's lift conv
     # costs what the ungrouped stage saves, so both models count 199

@@ -211,8 +211,10 @@ class TestBuildContracts:
         ([1, 2, 1, 2, 1, 1.5], "integers"),
         ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], "integers"),
         (np.array([True, False] * 3), "integers"),
+        ([True, 2, 1, 2, 1, 2], "integers, got bool labels"),
+        ([np.True_, 2, 1, 2, 1, 2], "integers, got bool labels"),
         (["1", "2"] * 3, "integers"),
-    ], ids=["above", "zero", "fraction", "float", "bool", "str"])
+    ], ids=["above", "zero", "fraction", "float", "bool", "bool-among-ints", "numpy-bool-among-ints", "str"])
     def test_labels_that_are_not_integers_in_range_are_refused(self, assignment, problem):
         # a float or bool label is refused, never truncated to a group
         spec = ModelSpec(**{**SMALL.to_dict(), "grouping": "explicit", "groups": 2})

@@ -440,6 +440,93 @@ class TestBackward:
         np.testing.assert_array_equal(flat, [4.0, 5.0, 1.0, 2.0, 0.0])
         assert all(grads[t] is into[t] and t.grad is into[t] for t in into)
 
+    @staticmethod
+    def handed_out(monkeypatch) -> list[tuple[Tensor, bool]]:
+        """Record each leaf a rule asks to compute its gradient in place,
+        and whether the sweep handed it the caller's array."""
+        asked = []
+
+        def recorded(leaf):
+            out = grad_out(leaf)
+            asked.append((leaf, out is not None))
+            return out
+
+        grad_out = T._leaf_grad_out
+        monkeypatch.setattr(T, "_leaf_grad_out", recorded)
+        return asked
+
+    @pytest.mark.parametrize("grouping, groups", [("none", 1), ("explicit", 2)])
+    def test_mapped_gradients_match_unmapped_through_shared_kernels(self, monkeypatch, grouping, groups):
+        # an rcnn stage runs its kernels three times: the sweep's first
+        # contribution is computed straight into the mapped array, the other
+        # two are added to it, and the bits are those of unmapped gradients
+        from gcnn.models import ModelSpec, build_model
+
+        spec = ModelSpec(input_channels=6, input_width=8, grouping=grouping, groups=groups, stage_channels=(4, 4),
+                         dense_units=(3, 1), recurrent=True, iterations=3)
+        model = build_model(spec, assignment=[1, 2, 1, 2, 2, 1] if groups > 1 else None, seed=4)
+        x = Tensor(np.random.default_rng(5).standard_normal((5, 6, 8)))
+        params = [t for _, t in model.named_params()]
+
+        def loss():
+            out = model.forward(x)
+            return T.sum_all(out * out)
+
+        plain = {t: g.copy() for t, g in backward(loss(), leaves=params).items()}
+        asked = self.handed_out(monkeypatch)
+        flat = np.full(model.vector.size, np.nan)
+        backward(loss(), leaves=dict(zip(params, model.param_views(flat))))
+        for (name, t), g in zip(model.named_params(), model.param_views(flat)):
+            assert g.tobytes() == plain[t].tobytes(), name
+        kernels = [t for name, t in model.named_params() if name.endswith("kernels")]
+        assert [sum(got for leaf, got in asked if leaf is k) for k in kernels] == [1] * len(kernels)
+        assert 3 in [sum(leaf is k for leaf, _ in asked) for k in kernels]  # the shared kernels
+
+    @pytest.mark.parametrize("twice, transposed", [(True, False), (False, True)],
+                             ids=["kernel-twice-in-one-call", "transposed-array"])
+    def test_mapped_kernel_gradient_that_is_not_all_computed_in_place(self, twice, transposed):
+        # a rule that returns two contributions for one leaf may compute only
+        # one of them in the mapped array; a transposed array cannot take the
+        # GEMM's output through a reshape, so the gradient is copied into it
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 6 if twice else 3, 7)))
+        k = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+
+        def loss():
+            out = T.grouped_conv1d(x, [k, k], [b, b]) if twice else T.conv1d(x, k, b)
+            return T.sum_all(out * out)
+
+        plain = backward(loss(), leaves=[k])[k].copy()
+        mapped = np.full((4, 3, 3), np.nan)
+        if transposed:
+            mapped = mapped.transpose(0, 2, 1)
+        backward(loss(), leaves={k: mapped})
+        assert mapped.tobytes() == plain.tobytes()
+
+    def test_mapped_gradient_after_a_non_convolution_contribution(self, monkeypatch):
+        # a kernel that a penalty reaches before the convolution keeps the
+        # penalty's gradient and has the convolution's added to it
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 3, 7)))
+        k = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        asked = self.handed_out(monkeypatch)
+        outcomes = set()
+        for penalty_first in (True, False):
+            def loss():
+                conv, penalty = T.sum_all(T.conv1d(x, k, b)), T.sum_all(k * k)
+                return penalty + conv if penalty_first else conv + penalty
+
+            plain = backward(loss(), leaves=[k, b])[k].copy()
+            asked.clear()
+            flat = np.full(k.size + b.size, np.nan)
+            backward(loss(), leaves={k: flat[: k.size].reshape(k.shape), b: flat[k.size :]})
+            assert flat[: k.size].tobytes() == plain.tobytes()
+            (leaf, got), = asked
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
 
 # every primitive whose result can land on a tape: operand shapes and a call
 TAPED_PRIMITIVES = {

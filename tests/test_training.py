@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from gcnn import tensor as T
-from gcnn.data import SplitSpec, make_windows, split
+from gcnn.data import SplitSpec, WindowedRegressionSet, make_windows, split
 from gcnn.errors import ConfigError, DataError, NumericalError
 from gcnn.layers import DenseLayer, FlattenLayer
-from gcnn.models import Model, ModelSpec, build_model
+from gcnn.models import Model, ModelSpec, build_model, preset
 from gcnn.synth import SynthSpec, generate
 from gcnn.tensor import Tensor, grad_check
 from gcnn.training import (
@@ -48,8 +48,6 @@ def linear_task(channels=3, window=4, samples=84, seed=1):
     coeffs = rng.standard_normal((channels, window)) / np.sqrt(channels * window)
     inputs = rng.standard_normal((samples, channels, window))
     targets = np.einsum("scw,cw->s", inputs, coeffs)
-    from gcnn.data import WindowedRegressionSet
-
     return WindowedRegressionSet(
         inputs=inputs,
         targets=targets,
@@ -200,10 +198,13 @@ class TestTrain:
               epoch_hook=lambda epoch, m: seen.append(epoch))
         assert seen == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("momentum, buffers", [(0.0, 2), (0.9, 3)], ids=["momentum-0", "momentum-0.9"])
-    def test_parameter_sized_buffers_alive_between_epochs(self, momentum, buffers):
-        # the gradient vector, the best-epoch snapshot and, with momentum
-        # only, the velocity: nothing else parameter-sized outlives a step
+    @pytest.mark.parametrize("momentum, epochs, buffers", [
+        (0.0, 2, 2), (0.9, 2, 3), (0.0, 1, 1), (0.9, 1, 2),
+    ], ids=["momentum-0", "momentum-0.9", "momentum-0-one-epoch", "momentum-0.9-one-epoch"])
+    def test_parameter_sized_buffers_alive_between_epochs(self, momentum, epochs, buffers):
+        # the gradient vector, the best-epoch snapshot only when a later
+        # epoch follows, and the velocity only with momentum: nothing else
+        # parameter-sized outlives a step
         spec = ModelSpec(input_channels=3, input_width=4, stage_channels=(64,), pool_before=(),
                          dense_units=(256, 1))
         model = build_model(spec, seed=1)
@@ -213,14 +214,59 @@ class TestTrain:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train(model, wset, TrainConfig(epochs=2, batch_size=8, momentum=momentum, seed=0),
+            train(model, wset, TrainConfig(epochs=epochs, batch_size=8, momentum=momentum, seed=0),
                   epoch_hook=lambda epoch, m: held.append(tracemalloc.get_traced_memory()[0] - base))
         finally:
             tracemalloc.stop()
-        assert [round(h / vector.nbytes, 1) for h in held] == [buffers] * 2
+        assert [round(h / vector.nbytes, 1) for h in held] == [buffers] * epochs
         # trained in place: every parameter is still a view of the one vector
         assert model.vector is vector
         assert all(t.data.base is vector for _, t in model.named_params())
+
+    def test_one_epoch_water_cnn_step_peaks_under_40_mb(self):
+        # the vector (19.5 MB) is built before tracing starts; a one-epoch
+        # run adds one gradient vector and no snapshot, and kernel
+        # gradients are computed straight into the gradient vector
+        model = build_model(preset("water-cnn"), seed=0)
+        rng = np.random.default_rng(0)
+        wset = WindowedRegressionSet(inputs=rng.standard_normal((18, 87, 64)), targets=rng.standard_normal(18),
+                                     times=np.arange(18.0), channel_names=[f"c{i}" for i in range(87)],
+                                     target_name="y", window=64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(model, wset, TrainConfig(epochs=1, val_fraction=0.15))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("learning_rate, best_epoch", [(0.5, 4), (0.05, 6)], ids=["middle", "last"])
+    def test_returned_parameters_are_the_best_epoch_bit_for_bit(self, learning_rate, best_epoch):
+        wset = linear_task(samples=40, seed=3)
+        model = linear_model(3, 4, seed=5)
+        seen = []
+        result = train(model, wset, TrainConfig(epochs=6, learning_rate=learning_rate, batch_size=8, seed=1),
+                       epoch_hook=lambda epoch, m: seen.append(m.vector.copy()))
+        assert result.best_epoch == best_epoch
+        assert model.vector.tobytes() == seen[best_epoch - 1].tobytes()
+
+    def test_no_finite_validation_score_raises(self):
+        # validation windows of 1e300 overflow every validation SRMSE to inf
+        # while training stays finite: no epoch can be returned
+        wset = linear_task(samples=20)
+        wset.inputs[-2:] = 1e300
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="no epoch of 3 has a finite validation SRMSE"):
+            train(linear_model(3, 4), wset, TrainConfig(epochs=3, val_fraction=0.1))
+
+    def test_no_finite_training_score_raises_without_a_validation_tail(self):
+        # with no tail epochs are ranked by training SRMSE, which constant
+        # targets leave NaN every epoch
+        wset = linear_task(samples=20)
+        wset.targets[:] = 0.5
+        with pytest.raises(NumericalError, match="no epoch of 3 has a finite training SRMSE"):
+            train(linear_model(3, 4), wset, TrainConfig(epochs=3, val_fraction=0.0))
 
     def test_grouped_synthetic_improves(self):
         data = generate(SynthSpec(n_groups=2, per_group=3, length=160, seed=4))
@@ -272,7 +318,6 @@ class TestLinearBaseline:
 
     def test_matches_pseudoinverse_oracle(self):
         rng = np.random.default_rng(21)
-        from gcnn.data import WindowedRegressionSet
 
         wset = WindowedRegressionSet(
             inputs=rng.standard_normal((5, 1, 2)),
@@ -288,7 +333,6 @@ class TestLinearBaseline:
         np.testing.assert_allclose(report.predictions, oracle, atol=1e-8)
 
     def test_singular_system_reported(self):
-        from gcnn.data import WindowedRegressionSet
 
         rng = np.random.default_rng(22)
         inputs = rng.standard_normal((6, 2, 2))
