@@ -18,6 +18,8 @@
 # epoch, which keeps no best-epoch snapshot and returns the parameters as
 # they end, and with kernel gradients computed straight into the gradient
 # vector (numpy's matmul into a view, on the oldest supported numpy too).
+# The coeff model trains once more with tanh hidden activations, which
+# every fused layer op applies in place (numpy's tanh into its own input).
 # Then a copy of the set whose header names two
 # series "a,b" and "q""x" (quoted CSV cells) goes through cluster and an
 # explicit train twice: the quoted names must come back from the
@@ -43,12 +45,13 @@ g3s2,3
 g3s3,2
 g3s4,3
 EOF
-for cfg in train coeff momentum rcnn one-epoch; do
+for cfg in train coeff momentum rcnn one-epoch tanh; do
   grouping=""
   step=""
   epochs=2
   if [ "$cfg" = one-epoch ]; then epochs=1; fi
   if [ "$cfg" = coeff ]; then grouping="grouping: coeff, groups: 2, "; fi
+  if [ "$cfg" = tanh ]; then grouping="grouping: coeff, groups: 2, hidden_activation: tanh, "; fi
   if [ "$cfg" = momentum ]; then step=", momentum: 0.9, clip_norm: 0.5"; fi
   if [ "$cfg" = rcnn ]; then
     grouping="grouping: explicit, groups: 3, family: rcnn, "

@@ -101,7 +101,8 @@ class Layer:
 
 
 class Conv1DLayer(Layer):
-    """Width-preserving 1-D convolution followed by an activation."""
+    """Width-preserving 1-D convolution, bias and activation, as one
+    :func:`tensor.conv1d`."""
 
     def __init__(
         self,
@@ -123,7 +124,7 @@ class Conv1DLayer(Layer):
         self.kernels, self.bias = conv_params(rng, out_channels, in_channels, kernel_width)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.activation(T.conv1d(x, self.kernels, self.bias), self.activation)
+        return T.conv1d(x, self.kernels, self.bias, self.activation)
 
     def named_params(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
@@ -208,7 +209,7 @@ class GroupedConv1DLayer(Layer):
         rows = x
         if self.kernels:
             xs = x if self.order is None else T.gather_rows(x, self.order)
-            out = T.activation(T.grouped_conv1d(xs, self.kernels, self.biases), self.activation)
+            out = T.grouped_conv1d(xs, self.kernels, self.biases, self.activation)
             if self.layout is None:
                 return out
             rows = T.concat([out, x], axis=-2)
@@ -255,7 +256,8 @@ class ClusteringCoeffLayer(Layer):
     row is a point on the simplex at every training step.  Group k
     convolves every variable with one shared kernel, scales variable i's
     row by u_{i,k}, adds the group bias and applies the activation.
-    Output is group-major: K blocks of N channels.
+    Output is group-major: K blocks of N channels.  A forward pass is the
+    softmax and one :func:`tensor.channelwise_conv1d`.
     """
 
     def __init__(
@@ -285,18 +287,15 @@ class ClusteringCoeffLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.n_variables:
             raise ShapeError(f"expected {self.n_variables} variables, got {x.shape[-2]} channels")
-        k, n = self.n_groups, self.n_variables
-        conv = T.channelwise_conv1d(x, self.kernels)  # (..., K, N, W)
-        scaled = conv * T.reshape(T.transpose(self.coefficients()), (k, n, 1))
-        pre = scaled + T.reshape(self.bias, (k, 1, 1))
-        return T.activation(T.reshape(pre, (*x.shape[:-2], k * n, pre.shape[-1])), self.activation)
+        return T.channelwise_conv1d(x, self.kernels, self.coefficients(), self.bias, self.activation)
 
     def named_params(self):
         return [("logits", self.logits), ("kernels", self.kernels), ("bias", self.bias)]
 
 
 class DenseLayer(Layer):
-    """Fully-connected map on (features, batch) matrices, one column per sample."""
+    """Fully-connected map on (features, batch) matrices, one column per
+    sample, as one :func:`tensor.dense`."""
 
     def __init__(
         self,
@@ -315,8 +314,7 @@ class DenseLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[0] != self.in_features:
             raise ShapeError(f"dense layer expects ({self.in_features}, batch), got {x.shape}")
-        pre = (self.weight @ x) + T.reshape(self.bias, (self.out_features, 1))
-        return T.activation(pre, self.activation)
+        return T.dense(x, self.weight, self.bias, self.activation)
 
     def named_params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -337,5 +335,4 @@ class FlattenLayer(Layer):
     """(..., channels, width) to one row-major column per sample."""
 
     def forward(self, x: Tensor) -> Tensor:
-        features = x.shape[-2] * x.shape[-1]
-        return T.transpose(T.reshape(x, (x.size // features, features)))
+        return T.flatten(x)

@@ -50,6 +50,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "dense",
     "conv1d",
     "grouped_conv1d",
     "channelwise_conv1d",
@@ -57,8 +58,10 @@ __all__ = [
     "activation",
     "sum_all",
     "mean_all",
+    "mean_squared_error",
     "reshape",
     "transpose",
+    "flatten",
     "concat",
     "gather_rows",
     "take_column",
@@ -498,6 +501,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(ad @ bd, (a, b), rule)
 
 
+def dense(x: Tensor, weight: Tensor, bias: Tensor, activation: str = "linear") -> Tensor:
+    """``activation(weight @ x + bias)`` on a (features, batch) ``x``, one
+    column per sample, as one op: the (O, F) ``weight``'s product, plus
+    the (O,) ``bias`` in every column, through the activation in place."""
+    _check_activation(activation)
+    if x.ndim != 2 or weight.ndim != 2 or weight.shape[1] != x.shape[0]:
+        raise ShapeError(f"dense needs (O,F) weights and (F,batch) input, got {weight.shape} and {x.shape}")
+    if bias.shape != (weight.shape[0],):
+        raise ShapeError(f"dense bias must have shape ({weight.shape[0]},), got {bias.shape}")
+    xd, wd = x.data, weight.data
+    column = (weight.shape[0], 1)
+    data = wd @ xd
+    data += bias.data.reshape(column)
+    _activate(data, activation)
+
+    def rule(g):
+        g = _activation_grad(activation, g, data)
+        gx = wd.T @ g if x.requires_grad else None
+        gw = g @ xd.T if weight.requires_grad else None
+        gb = _unbroadcast(g, column).reshape(bias.shape) if bias.requires_grad else None
+        return gx, gw, gb
+
+    return _record(data, (x, weight, bias), rule)
+
+
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
@@ -526,16 +554,27 @@ def _unfold(x: np.ndarray, kw: int) -> np.ndarray:
     return cols
 
 
-def _fold(g: np.ndarray, gx: np.ndarray) -> None:
-    """Adjoint of :func:`_unfold` (col2im): add the taps of a (A, kw, ..., W)
-    gradient back onto the (A, ..., W) ``gx``, in tap order from zeros."""
+def _fold(g: np.ndarray, gx: np.ndarray, width: int) -> None:
+    """Adjoint of :func:`_unfold` (col2im) into a C-contiguous (A, L) ``gx``
+    whose rows are L / ``width`` signal rows laid end to end: each tap of
+    the (A, kw, L) gradient ``g`` is one flat add at its shift, in tap
+    order from zeros.  A tap's entries that would cross a row edge (the
+    ones it read from padding) are zeroed in ``g`` first, so ``g`` is
+    scratch; adding those +0.0s to a sum that started at +0.0 changes no
+    bit."""
     gx[...] = 0.0
-    for t, out, src in _shifts(g.shape[-1], g.shape[1]):
-        gx[..., src] += g[:, t, ..., out]
+    size = gx.shape[-1]
+    rows = g.reshape(*g.shape[:2], -1, width)
+    for t, out, src in _shifts(width, g.shape[1]):
+        s = src.start - out.start
+        rows[:, t, :, : out.start] = 0.0
+        rows[:, t, :, out.stop :] = 0.0
+        gx[:, max(s, 0) : size + min(s, 0)] += g[:, t, max(-s, 0) : size - max(s, 0)]
 
 
-def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Sliding inner product over the width of a (..., C, W) signal.
+def conv1d(x: Tensor, kernels: Tensor, bias: Tensor, activation: str = "linear") -> Tensor:
+    """Sliding inner product over the width of a (..., C, W) signal, plus
+    the bias, through the activation, as one op.
 
     ``kernels`` is (out_channels, in_channels, kernel_width).  Every
     convolution is stride 1 with same padding, so the output keeps the
@@ -543,19 +582,25 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     applied as stored, without flipping.  This is the one-group case of
     :func:`grouped_conv1d`.
     """
-    return grouped_conv1d(x, [kernels], [bias])
+    return grouped_conv1d(x, [kernels], [bias], activation)
 
 
-def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
-    """Grouped convolution of a (..., C, W) signal as one op.
+def grouped_conv1d(
+    x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], activation: str = "linear"
+) -> Tensor:
+    """Grouped convolution of a (..., C, W) signal, plus the biases, through
+    the activation, as one op.
 
     Group g has (O_g, C_g, kw) ``kernels[g]`` and (O_g,) ``biases[g]`` and
     reads the next C_g input channels, so the groups cover contiguous
     channel blocks in order.  Group outputs are stacked group-major.
     The batch lies side by side in the columns: each group is one matmul
     of its flattened kernels with its (C_g·kw, N·W) im2col block, which
-    is built when needed (again in backward) and never kept.
+    is built when needed (again in backward) and never kept.  The
+    activation is applied in place, and its gradient is taken from the
+    output, so the op keeps no pre-activation array.
     """
+    _check_activation(activation)
     if not kernels or len(kernels) != len(biases):
         raise ShapeError(f"grouped_conv1d needs one bias per kernel, got {len(kernels)} and {len(biases)}")
     if x.ndim < 2 or any(k.ndim != 3 for k in kernels):
@@ -591,11 +636,15 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor
         np.matmul(k2, block(chans), out=out[rows])
     out += np.concatenate([b.data for b in biases])[:, None]
     data = np.ascontiguousarray(out.reshape(o0, n, width).transpose(1, 0, 2)).reshape(*lead, o0, width)
+    _activate(data, activation)
 
     def rule(g):
+        g = _activation_grad(activation, g, data)
         gt = g.reshape(n, o0, width).transpose(1, 0, 2).reshape(o0, n * width)  # one copy
+        del g  # the masked gradient, once copied
         gks, gbs = [], []
-        gx = np.empty(x.shape) if x.requires_grad else None
+        # the input gradient channel-major, so each group's is one (C_g, N·W) block
+        gxt = np.empty((cin, n * width)) if x.requires_grad else None
         for (rows, chans, k2), k, b in zip(blocks, kernels, biases):
             gg = gt[rows]
             gbs.append(gg.sum(1) if b.requires_grad else None)
@@ -608,22 +657,38 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor
                 else:
                     np.matmul(gg, cols.T, out=gk.reshape(k2.shape))
             gks.append(gk)
-            if gx is not None:
+            if gxt is not None:
                 np.matmul(k2.T, gg, out=cols)
-                _fold(cols.reshape(-1, kw, n, width), gx.reshape(n, cin, width).transpose(1, 0, 2)[chans])
+                _fold(cols.reshape(-1, kw, n * width), gxt[chans], width)
+            del cols  # before the next group's block, or gx, is made
+        gx = None
+        if gxt is not None:
+            gx = np.ascontiguousarray(gxt.reshape(cin, n, width).transpose(1, 0, 2)).reshape(x.shape)
         return (gx, *gks, *gbs)
 
     return _record(data, (x, *kernels, *biases), rule)
 
 
-def channelwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
-    """Convolve every channel of a (..., C, W) ``x`` with shared kernels.
+def channelwise_conv1d(
+    x: Tensor,
+    kernels: Tensor,
+    scale: Tensor | None = None,
+    bias: Tensor | None = None,
+    activation: str = "linear",
+) -> Tensor:
+    """Convolve every channel of a (..., C, W) ``x`` with each of K shared
+    kernels, as one op giving group-major (..., K·C, W) rows.
 
     ``kernels`` is a stack of K (K, kw) kernels, each applied
-    independently (and identically) to every row, giving (..., K, C, W);
-    no cross-channel mixing happens.  The rows of all samples lie side by
-    side, so the K kernels are one (K, kw) @ (kw, N·C·W) matmul.
+    independently (and identically) to every row; no cross-channel
+    mixing happens.  Row k·C + c is channel c convolved with kernel k,
+    times ``scale[c, k]`` when a (C, K) ``scale`` is given, plus
+    ``bias[k]`` when a (K,) ``bias`` is given, through the activation.
+    The rows of all samples lie side by side, so the K kernels are one
+    (K, kw) @ (kw, N·C·W) matmul.  The op keeps the unscaled convolution
+    only when the scale needs a gradient, and the activated output.
     """
+    _check_activation(activation)
     if x.ndim < 2 or kernels.ndim != 2:
         raise ShapeError(
             f"channelwise_conv1d needs (...,C,W) input and (K,kw) kernels, got {x.shape}, {kernels.shape}"
@@ -631,26 +696,51 @@ def channelwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     *lead, cin, width = x.shape
     n = math.prod(lead)
     nk, kw = kernels.shape
+    if scale is not None and scale.shape != (cin, nk):
+        raise ShapeError(f"channelwise_conv1d scale must have shape ({cin}, {nk}), got {scale.shape}")
+    if bias is not None and bias.shape != (nk,):
+        raise ShapeError(f"channelwise_conv1d bias must have shape ({nk},), got {bias.shape}")
     kd = kernels.data
     rows = x.data.reshape(1, n * cin, width)
 
     def cols():  # (kw, N·C·W): tap t of every row, rows side by side
         return _unfold(rows, kw).reshape(kw, -1)
 
-    out = kd @ cols()  # (K, N·C·W)
-    data = np.ascontiguousarray(out.reshape(nk, n, cin * width).transpose(1, 0, 2)).reshape(*lead, nk, cin, width)
+    blocks = (*lead, nk, cin, width)
+    conv = np.ascontiguousarray((kd @ cols()).reshape(nk, n, cin * width).transpose(1, 0, 2)).reshape(blocks)
+    parents = [x, kernels]
+    y, s, kept = conv, None, None
+    if scale is not None:
+        parents.append(scale)
+        s = scale.data.T.reshape(nk, cin, 1)
+        y = conv * s
+        kept = conv if scale.requires_grad else None
+    if bias is not None:
+        parents.append(bias)
+        y += bias.data.reshape(nk, 1, 1)
+    _activate(y, activation)
+    data = y.reshape(*lead, nk * cin, width)
 
     def rule(g):
-        gx = gk = None
+        g = _activation_grad(activation, g, data).reshape(blocks)
+        grads = [None, None]
+        if scale is not None:
+            grads.append(_unbroadcast(g * kept, (nk, cin, 1)).reshape(nk, cin).T if scale.requires_grad else None)
+        if bias is not None:
+            grads.append(_unbroadcast(g, (nk, 1, 1)).reshape(nk) if bias.requires_grad else None)
+        if s is not None:
+            g = g * s
         gt = g.reshape(n, nk, cin * width).transpose(1, 0, 2).reshape(nk, -1)  # one copy
+        del g
         if kernels.requires_grad:
-            gk = gt @ cols().T
+            grads[1] = gt @ cols().T
         if x.requires_grad:
             gx = np.empty(x.shape)
-            _fold((kd.T @ gt).reshape(1, kw, n * cin, width), gx.reshape(1, n * cin, width))
-        return gx, gk
+            _fold((kd.T @ gt).reshape(1, kw, -1), gx.reshape(1, -1), width)
+            grads[0] = gx
+        return tuple(grads)
 
-    return _record(data, (x, kernels), rule)
+    return _record(data, tuple(parents), rule)
 
 
 def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
@@ -693,18 +783,37 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
 # activations
 
 
+def _check_activation(kind: str) -> None:
+    if kind not in ACTIVATION_KINDS:
+        raise ValueError(f"unknown activation kind {kind!r}")
+
+
+def _activate(data: np.ndarray, kind: str) -> None:
+    """Apply the activation to ``data`` in place."""
+    if kind == "relu":
+        np.maximum(data, 0.0, out=data)
+    elif kind == "tanh":
+        np.tanh(data, out=data)
+
+
+def _activation_grad(kind: str, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The gradient before the activation, from its output ``out``: relu's
+    output is positive exactly where its input is (the subgradient at the
+    kink is 0), and tanh' = 1 - tanh².  The mask is built here, so a
+    no_grad pass never builds it."""
+    if kind == "relu":
+        return g * (out > 0)
+    if kind == "tanh":
+        return g * (1.0 - out * out)
+    return g
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity with a recorded derivative."""
-    if kind == "relu":
-        # the mask is built in backward, so a no_grad pass never builds it;
-        # the subgradient at the kink is 0
-        return _record(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0),))
-    if kind == "tanh":
-        data = np.tanh(x.data)
-        return _record(data, (x,), lambda g: (g * (1.0 - data * data),))
-    if kind == "linear":
-        return _record(x.data.copy(), (x,), lambda g: (g,))
-    raise ValueError(f"unknown activation kind {kind!r}")
+    _check_activation(kind)
+    data = x.data.copy()
+    _activate(data, kind)
+    return _record(data, (x,), lambda g: (_activation_grad(kind, g, data),))
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +834,24 @@ def mean_all(x: Tensor) -> Tensor:
     return _record(data, (x,), lambda g: (np.full(shape, float(g) / n),))
 
 
+def mean_squared_error(predictions: Tensor, targets: Tensor) -> Tensor:
+    """Mean of the squared differences of two equal-shaped tensors, as one
+    0-d op.  With d the difference, each operand of its square receives
+    (g/n)·d, so the predictions' gradient is the sum of the two, the bits
+    of the composed ``sub``, ``mul`` and ``mean_all``."""
+    if predictions.shape != targets.shape:
+        raise ShapeError(f"mean_squared_error needs equal shapes, got {predictions.shape} and {targets.shape}")
+    d = predictions.data - targets.data
+    n = d.size
+
+    def rule(g):
+        half = (float(g) / n) * d
+        gp = half + half
+        return gp, -gp if targets.requires_grad else None
+
+    return _record(np.asarray((d * d).mean()), (predictions, targets), rule)
+
+
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(d) for d in shape)
     if any(d <= 0 for d in shape):
@@ -740,6 +867,16 @@ def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
     return _record(x.data.T, (x,), lambda g: (g.T,))
+
+
+def flatten(x: Tensor) -> Tensor:
+    """A (..., C, W) signal as one row-major column per sample: the
+    (C·W, batch) transpose of its (batch, C·W) rows, as one op."""
+    if x.ndim < 2:
+        raise ShapeError(f"flatten needs a (...,C,W) input, got {x.shape}")
+    shape = x.shape
+    features = shape[-2] * shape[-1]
+    return _record(x.data.reshape(x.size // features, features).T, (x,), lambda g: (g.T.reshape(shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

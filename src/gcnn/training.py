@@ -105,11 +105,10 @@ class EvalReport:
 
 
 def mse_loss(predictions: Tensor, targets: Tensor) -> Tensor:
-    """Mean squared residual (differentiable)."""
+    """Mean squared residual, as one differentiable op."""
     if predictions.shape != targets.shape:
         raise DataError(f"prediction shape {predictions.shape} does not match targets {targets.shape}")
-    d = predictions - targets
-    return T.mean_all(d * d)
+    return T.mean_squared_error(predictions, targets)
 
 
 def srmse(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float, float]:

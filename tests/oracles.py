@@ -4,9 +4,11 @@
 acceptance criterion 1, ``brute_force_min_ncut`` the exhaustive
 minimum-Ncut search of criterion 4, ``reference_grouped_conv1d`` and
 ``reference_channelwise_conv1d`` the per-sample im2col convolutions the
-engine's batch-wide ones are checked against, and ``reference_sgd_step``
-the per-tensor update the flat SGD step is checked against.  Nothing in
-``gcnn`` uses them.
+engine's batch-wide ones are checked against, ``row_sliced_fold`` the
+col2im the engine's flat one must match bit for bit, ``composed_ops``
+the fused layer ops written as the chains of smaller ops they replace,
+and ``reference_sgd_step`` the per-tensor update the flat SGD step is
+checked against.  Nothing in ``gcnn`` uses them.
 """
 
 from __future__ import annotations
@@ -161,22 +163,81 @@ def reference_grouped_conv1d(x, kernels, biases):
 
 def reference_channelwise_conv1d(x, kernels):
     """Every row of a (..., C, W) array convolved with each of K (K, kw)
-    kernels by a padded window view, giving (..., K, C, W).
+    kernels by a padded window view, giving group-major (..., K·C, W).
 
     Returns the output and a backward that maps its gradient to
     ``(gx, gkernels)``.
     """
     kw = kernels.shape[1]
     xp, windows = _unfold(x, kw)  # windows: (..., C, W, kw)
-    out = np.moveaxis(windows @ kernels.T, -1, -3)
+    out = np.moveaxis(windows @ kernels.T, -1, -3)  # (..., K, C, W)
 
     def grad(g):
-        gs = np.moveaxis(g, -3, -1)  # (..., C, W, K)
+        gs = np.moveaxis(g.reshape(out.shape), -3, -1)  # (..., C, W, K)
         lead = tuple(range(gs.ndim - 1))
         gk = np.tensordot(gs, windows, axes=(lead, lead))
         return _fold(np.swapaxes(gs @ kernels, -1, -2), xp, kw), gk
 
-    return out, grad
+    return out.reshape(*x.shape[:-2], -1, x.shape[-1]), grad
+
+
+def row_sliced_fold(g, width):
+    """col2im of an (A, kw, R·width) column gradient onto (A, R·width), one
+    row-sliced add per tap into the (A, R, width) rows, in tap order from
+    zeros; entries a tap read from padding are never added."""
+    a, kw = g.shape[:2]
+    rows = g.reshape(a, kw, -1, width)
+    gx = np.zeros((a, rows.shape[2], width))
+    left = (kw - 1) // 2
+    for t in range(kw):
+        s = t - left  # output column j read input column j + s
+        lo, hi = max(0, -s), min(width, width - s)
+        if lo < hi:
+            gx[..., lo + s : hi + s] += rows[:, t, :, lo:hi]
+    return gx.reshape(a, -1)
+
+
+def composed_ops() -> dict:
+    """{name in ``gcnn.tensor``: function} for each op that fuses a layer's
+    bias and activation, and the loss, written as the chain of smaller ops
+    it replaces: a linear convolution, a broadcast bias add, a scale and
+    reshapes, then ``activation``; ``transpose`` of ``reshape``; ``sub``,
+    ``mul`` and ``mean_all``.  The fused ops must give these bits, forward
+    and backward.  The convolutions called are the fused ones, captured
+    now, with no scale, no bias or a linear activation."""
+    grouped_conv1d, channelwise_conv1d = T.grouped_conv1d, T.channelwise_conv1d
+
+    def grouped(x, kernels, biases, activation="linear"):
+        return T.activation(grouped_conv1d(x, kernels, biases), activation)
+
+    def channelwise(x, kernels, scale=None, bias=None, activation="linear"):
+        *lead, c, w = x.shape
+        k = kernels.shape[0]
+        conv = T.reshape(channelwise_conv1d(x, kernels), (*lead, k, c, w))
+        if scale is not None:
+            conv = conv * T.reshape(T.transpose(scale), (k, c, 1))
+        if bias is not None:
+            conv = conv + T.reshape(bias, (k, 1, 1))
+        return T.activation(T.reshape(conv, (*lead, k * c, w)), activation)
+
+    def dense(x, weight, bias, activation="linear"):
+        return T.activation((weight @ x) + T.reshape(bias, (weight.shape[0], 1)), activation)
+
+    def flatten(x):
+        features = x.shape[-2] * x.shape[-1]
+        return T.transpose(T.reshape(x, (x.size // features, features)))
+
+    def mean_squared_error(predictions, targets):
+        d = predictions - targets
+        return T.mean_all(d * d)
+
+    return {
+        "grouped_conv1d": grouped,
+        "channelwise_conv1d": channelwise,
+        "dense": dense,
+        "flatten": flatten,
+        "mean_squared_error": mean_squared_error,
+    }
 
 
 def reference_sgd_step(params, velocity, grads, learning_rate, momentum, clip_norm):

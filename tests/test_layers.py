@@ -208,8 +208,8 @@ class TestClusteringCoeffLayer:
         layer = ClusteringCoeffLayer(4, 1, activation="linear", rng=np.random.default_rng(34))
         layer.bias.data[0] = 0.0
         x = Tensor(np.random.default_rng(35).standard_normal((4, 7)))
-        expected = T.channelwise_conv1d(x, Tensor(layer.kernels.data))  # (1, 4, 7)
-        np.testing.assert_array_equal(layer.forward(x).data, expected.data[0])
+        expected = T.channelwise_conv1d(x, Tensor(layer.kernels.data))  # (4, 7): one group of 4 rows
+        np.testing.assert_array_equal(layer.forward(x).data, expected.data)
 
     def test_uniform_logits_give_equal_shares(self):
         layer = ClusteringCoeffLayer(3, 4, rng=np.random.default_rng(36))

@@ -618,7 +618,8 @@ def test_stacked_channelwise_conv_rows_equal_single_kernel_convs(k, kw, batch, s
     out = T.channelwise_conv1d(x, Tensor(stack))
     for j in range(k):
         single = T.channelwise_conv1d(x, Tensor(stack[j : j + 1]))
-        np.testing.assert_allclose(out.data[..., j, :, :], single.data[..., 0, :, :], rtol=0, atol=1e-12)
+        # group-major rows: kernel j's block is rows 3j .. 3j + 2
+        np.testing.assert_allclose(out.data[..., 3 * j : 3 * j + 3, :], single.data, rtol=0, atol=1e-12)
 
 
 def correlate_same(signal, kernel):
@@ -651,8 +652,8 @@ def test_convolutions_keep_the_width_of_inputs_narrower_than_the_kernel(kw, data
 
     got = T.channelwise_conv1d(Tensor(x), Tensor(stack))
     want = [[correlate_same(row, kern) for row in x] for kern in stack]
-    assert got.shape == (3, sum(sizes), width)
-    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    assert got.shape == (3 * sum(sizes), width)
+    np.testing.assert_allclose(got.data, np.reshape(want, got.shape), rtol=0, atol=1e-12)
 
     leaves = [Tensor(a, requires_grad=True) for a in (x, stack, *kernels, *biases)]
     xt, st_, ks, bs = leaves[0], leaves[1], leaves[2 : 2 + len(sizes)], leaves[2 + len(sizes) :]

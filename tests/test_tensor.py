@@ -165,7 +165,7 @@ class TestConv1d:
         # every row equals a per-row 1-channel convolution with the same kernel
         for c in range(3):
             row = T.conv1d(Tensor(x[c : c + 1]), Tensor(kern.reshape(1, 1, 3)), Tensor([0.0]))
-            np.testing.assert_allclose(out.data[0, c], row.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.data[c], row.data[0], rtol=0, atol=1e-12)
 
     def test_channelwise_gradients(self):
         rng = np.random.default_rng(17)
