@@ -17,6 +17,11 @@ files, a ``config_hash`` key in JSON files, a ``meta`` block in
 checkpoints.  Nothing records wall-clock data, so rerunning a command
 over identical inputs reproduces byte-identical files.
 
+``ingest`` also leaves ``parsed.bin`` in the output directory: the table
+it parsed, keyed by the data file's sha256.  The other commands read
+the table from there when it was written for the same file bytes and
+passes its checks, and parse the file otherwise (see ``data.load_parsed``).
+
 Exit codes: 0 success, 2 bad configuration, 3 bad data, 4 numerical
 failure (divergence, singular systems, non-convergence).
 """
@@ -68,6 +73,21 @@ _COMPARE_DEFAULTS: dict = {"repeats": 3, "ridge_penalty": 1.0, "targets": None, 
 
 # reserved row names in compare summaries
 _BASELINES = ("linear", "ridge")
+
+# the table ingest parsed, which the other commands load instead of parsing
+PARSED_NAME = "parsed.bin"
+
+# libyaml's parser where PyYAML was built with it: several times faster
+# than the pure-Python SafeLoader, and a property test holds the two to
+# the same documents on config-shaped YAML
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(text: str):
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except UnicodeEncodeError as e:  # libyaml reads UTF-8; an argument byte that was not UTF-8 decodes to a surrogate
+        raise yaml.YAMLError(f"character {e.object[e.start]!r} is not text") from None
 
 
 def _mapping(section, where: str, known) -> dict:
@@ -180,7 +200,7 @@ class RunConfig:
         if not path.is_file():
             raise ConfigError(f"config: no such file: {config_path}")
         try:
-            raw = yaml.safe_load(D.read_utf8(path, ConfigError))
+            raw = _load_yaml(D.read_utf8(path, ConfigError))
         except yaml.YAMLError as e:
             raise ConfigError(f"config: not valid YAML: {e}") from e
         if raw is None:
@@ -327,7 +347,7 @@ def _apply_override(doc: dict, item: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"override: {key!r} descends into a non-mapping")
     try:
-        node[parts[-1]] = yaml.safe_load(value) if value else None
+        node[parts[-1]] = _load_yaml(value) if value else None
     except yaml.YAMLError as e:
         raise ConfigError(f"override: cannot parse value for {key!r}: {e}") from e
 
@@ -351,8 +371,11 @@ class Prepared:
     dropped: list[tuple[str, str]]  # (series, reason), repair and scaling drops merged
 
 
-def _prepare(cfg: RunConfig) -> Prepared:
-    raw = D.load_csv(cfg.data_path)
+def _prepare(cfg: RunConfig, raw: D.TimeSeriesDataset | None = None) -> Prepared:
+    """Repair and standardize ``raw``, by default the data file's table,
+    from the output directory's parsed.bin when ingest left a good one."""
+    if raw is None:
+        raw = D.load_csv(cfg.data_path, cache=cfg.out_dir / PARSED_NAME)
     repaired, report = D.repair_gaps(raw, max_gap=cfg.doc["data"]["max_gap"])
     # training range = leading fraction of the time axis; scaling and the
     # similarity graph must not see the evaluation tail
@@ -499,7 +522,12 @@ def _plan_lines(spec: M.ModelSpec, n_params: int, vanilla: int | None) -> list[s
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    prep = _prepare(cfg)
+    # always a parse: a parsed.bin here is this command's own earlier output
+    raw = D.load_csv(cfg.data_path)
+    prep = _prepare(cfg, raw)
+    parsed_path = cfg.out_dir / PARSED_NAME
+    D.save_parsed(raw, parsed_path)
+    del raw  # before dumps_csv renders the repaired table
     ds = prep.dataset
     dataset_path = _write_csv(cfg, "dataset.csv", D.dumps_csv(ds))
     report = {
@@ -516,7 +544,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     print(f"config {cfg.config_hash[:12]}")
     print(f"kept {ds.n_series} series over {ds.n_steps} steps "
           f"({len(prep.dropped)} dropped, {len(prep.filled)} gaps filled, train range {prep.train_steps})")
-    print(f"wrote {dataset_path} {report_path}")
+    print(f"wrote {dataset_path} {report_path} {parsed_path}")
     return 0
 
 

@@ -3,7 +3,9 @@ windowing into regression samples, and train/test splitting.
 
 Datasets are series-major: ``values[i, t]`` is series i at time step t,
 with ``mask[i, t]`` false where the cell was empty.  Missing values are
-stored as NaN so accidental use fails loudly downstream.
+stored as NaN so accidental use fails loudly downstream.  A parsed table
+can be saved in binary (:func:`save_parsed`) and loaded back by the
+sha256 of the file it was parsed from, in place of a second parse.
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ import array
 import codecs
 import csv
 import datetime
+import hashlib
 import io
 import itertools
+import json
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +40,8 @@ __all__ = [
     "load_csv",
     "loads_csv",
     "save_csv",
+    "save_parsed",
+    "load_parsed",
     "dumps_table",
     "repair_gaps",
     "standardize",
@@ -43,6 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_GAP = 61  # daily steps; the two-month interpolation cap
+PARSED_FORMAT = "gcnn.parsed/1"
 
 
 @dataclass
@@ -53,6 +61,7 @@ class TimeSeriesDataset:
     times: np.ndarray  # (L,)
     values: np.ndarray  # (N, L), NaN where missing
     mask: np.ndarray  # (N, L) bool, True = present
+    source_sha256: str | None = None  # of the file bytes load_csv parsed it from; None for any other table
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -203,13 +212,8 @@ def loads_csv(text: str) -> TimeSeriesDataset:
     if first is None:
         raise DataError("empty input")
     header = [h.strip() for h in first[1]]
-    if len(header) < 3:
-        raise DataError("need a time column plus at least 2 series columns")
     names = header[1:]
-    for column, name in enumerate(names, start=2):  # a name heads its row in assignment.csv
-        if not name or name.startswith("#"):
-            why = "starts with #, which marks a comment" if name else "is empty"
-            raise DataError(f"line {first[0]}: column {column}: series name {name!r} {why}")
+    _check_names(names, first[0])
     times: list[float] = []
     lines: list[int] = []  # the line of each data row
     parsed = array.array("d")  # the present values, row after row
@@ -252,6 +256,18 @@ def loads_csv(text: str) -> TimeSeriesDataset:
         t = int(np.argmax(bad[i]))
         raise DataError(f"line {lines[t]}: series {names[i]!r} holds non-finite value {float(values[i, t])!r}")
     return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
+
+
+def _check_names(names: Sequence[str], line_no: int) -> None:
+    """Refuse a header's series names, on line ``line_no``: fewer than two,
+    or one that is empty or starts with ``#``, since a name heads its row
+    in assignment.csv, where either would not read back as that name."""
+    if len(names) < 2:
+        raise DataError("need a time column plus at least 2 series columns")
+    for column, name in enumerate(names, start=2):
+        if not name or name.startswith("#"):
+            why = "starts with #, which marks a comment" if name else "is empty"
+            raise DataError(f"line {line_no}: column {column}: series name {name!r} {why}")
 
 
 def _records(text: str) -> list[tuple[int, list[str]]]:
@@ -297,7 +313,12 @@ def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
     text: ``\\r\\n`` and a lone ``\\r`` come back as ``\\n``.  A leading
     UTF-8 byte-order mark is dropped.  Bytes that are not UTF-8 raise
     ``error`` naming the file and the line of the first bad byte."""
-    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    return _decode_utf8(Path(path).read_bytes(), path, error)
+
+
+def _decode_utf8(raw: bytes, path: str | Path, error: type[GcnnError]) -> str:
+    """:func:`read_utf8` of the bytes ``raw`` read from ``path``."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -312,12 +333,88 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def load_csv(path: str | Path) -> TimeSeriesDataset:
+def load_csv(path: str | Path, cache: str | Path | None = None) -> TimeSeriesDataset:
     """Parse a wide-format CSV file (see :func:`loads_csv`), read as UTF-8
     with universal newlines, so the line numbers in messages are the
     file's whatever its line ends; bytes that are not UTF-8 raise
-    DataError."""
-    return loads_csv(read_utf8(path))
+    DataError.  The table records the sha256 of the file's bytes.
+
+    With ``cache``, a file :func:`save_parsed` wrote, the table comes from
+    there instead when :func:`load_parsed` finds it written for these
+    bytes; any miss parses the file."""
+    raw = Path(path).read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    if cache is not None and (data := load_parsed(cache, digest)) is not None:
+        return data
+    text = _decode_utf8(raw, path, DataError)
+    del raw  # the parse holds the text, not the bytes too
+    data = loads_csv(text)
+    data.source_sha256 = digest
+    return data
+
+
+def save_parsed(data: TimeSeriesDataset, path: str | Path) -> None:
+    """Write a table :func:`load_csv` parsed where :func:`load_parsed` can
+    read it back without parsing the file again.
+
+    One JSON header line (``format``, ``source_sha256``, ``body_sha256``,
+    ``names``, ``steps``), then the body: the times, then the values series
+    after series, as little-endian float64 with NaN for a missing cell.
+    The file is written under a temporary name and renamed into place, so
+    ``path`` never holds part of a table."""
+    if data.source_sha256 is None:
+        raise ValueError("save_parsed needs a table load_csv parsed from a file")
+    body = [np.ascontiguousarray(a, dtype="<f8") for a in (data.times, data.values)]
+    body_sha256 = hashlib.sha256()
+    for part in body:
+        body_sha256.update(part)
+    header = {"format": PARSED_FORMAT, "source_sha256": data.source_sha256, "body_sha256": body_sha256.hexdigest(),
+              "names": data.names, "steps": data.n_steps}
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with partial.open("wb") as f:
+            f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+            for part in body:
+                f.write(part.data)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def load_parsed(path: str | Path, source_sha256: str) -> TimeSeriesDataset | None:
+    """The table a :func:`save_parsed` file holds, or None when the file is
+    missing, unreadable, written for other source bytes, or fails a check:
+    the body's exact length and its sha256; the series names, by the
+    header checks :func:`loads_csv` runs; finite, strictly increasing
+    times; values that are finite or NaN.  A table that passes is the one
+    the parse would give, down to the bits, unless the file was forged."""
+    try:
+        with open(path, "rb") as f:
+            header = json.loads(f.readline())
+            if not (isinstance(header, dict) and header.get("format") == PARSED_FORMAT
+                    and header.get("source_sha256") == source_sha256):
+                return None
+            names, steps = header.get("names"), header.get("steps")
+            if not (isinstance(names, list) and all(isinstance(n, str) and n == n.strip() for n in names)
+                    and type(steps) is int and steps >= 1):
+                return None
+            _check_names(names, 1)
+            size = 8 * steps * (len(names) + 1)
+            if os.fstat(f.fileno()).st_size - f.tell() != size:
+                return None
+            body = bytearray(size)
+            if f.readinto(body) != size or hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
+                return None
+        flat = np.frombuffer(body, dtype="<f8")
+        times, values = flat[:steps], flat[steps:].reshape(len(names), steps)
+        if not np.isfinite(times).all() or np.isinf(values).any():
+            return None
+        # the dataset refuses repeated names and times that do not increase
+        return TimeSeriesDataset(names, times, values, ~np.isnan(values), source_sha256)
+    except (OSError, ValueError, RecursionError, DataError):  # ValueError covers bad JSON and bad UTF-8
+        return None
 
 
 def _cell(value) -> str:

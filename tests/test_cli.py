@@ -107,7 +107,7 @@ def test_ingest_rerun_is_byte_identical(series_csv, tmp_path):
     cfg = write_config(tmp_path / "run.yaml", doc)
     assert run("ingest", cfg) == 0
     assert run("ingest", cfg, "--out", str(tmp_path / "out2")) == 0
-    for name in ("dataset.csv", "ingest.json"):
+    for name in ("dataset.csv", "ingest.json", "parsed.bin"):
         first = (tmp_path / "out1" / name).read_bytes()
         second = (tmp_path / "out2" / name).read_bytes()
         assert first == second
@@ -136,6 +136,36 @@ def test_ingest_output_bytes_are_pinned(tmp_path, monkeypatch):
     assert run("ingest", cfg) == 0
     assert hashlib.sha256(Path("out/dataset.csv").read_bytes()).hexdigest() == (
         "fc1923e3cc3b1b1d2f5847cfcabea9a098b22a5ec1c1bd3fe98896689449bc76")
+    assert hashlib.sha256(Path("out/parsed.bin").read_bytes()).hexdigest() == (
+        "ddfe2503b92018fb4905966001f16ae7499bca273d8697b8bea390fb9f79526e")
+
+
+def test_ingest_that_fails_after_the_parse_exits_3_and_writes_nothing(tmp_path, capsys):
+    """The file parses, but gap repair leaves one series: no parsed.bin
+    either, since ingest writes it only once the table has been prepared."""
+    data_path = tmp_path / "gaps.csv"
+    data_path.write_text("time,a,b,c\n0,1,,\n1,2,3,4\n2,3,5,6\n")
+    cfg = write_config(tmp_path / "run.yaml", base_config(data_path, tmp_path / "out"))
+    assert run("ingest", cfg) == 3
+    assert "gap repair left 1 usable series" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_ingest_never_reads_parsed_bin(tmp_path, monkeypatch):
+    """A parsed.bin that passes every check but holds other values (forged,
+    its digest recomputed) is ignored and rewritten by ingest."""
+    monkeypatch.chdir(tmp_path)
+    gappy_series(Path("series.csv"))
+    cfg = write_config(Path("run.yaml"), pipeline_config())
+    assert run("ingest", cfg, "--out", "fresh") == 0
+    Path("out").mkdir()
+    table = D.load_csv("series.csv")
+    table.values *= 2.0
+    D.save_parsed(table, Path("out/parsed.bin"))
+    assert D.load_parsed(Path("out/parsed.bin"), table.source_sha256) is not None
+    assert run("ingest", cfg) == 0
+    for name in ("dataset.csv", "ingest.json", "parsed.bin"):
+        assert Path("out", name).read_bytes() == Path("fresh", name).read_bytes()
 
 
 def test_ingest_missing_data_file_is_config_error(tmp_path):
@@ -148,6 +178,98 @@ def test_malformed_csv_is_data_error(tmp_path):
     bad.write_text("time,a,b\n1.0,1,2\n1.0,3,4\n")  # duplicate stamp
     cfg = write_config(tmp_path / "run.yaml", base_config(bad, tmp_path / "out"))
     assert run("ingest", cfg) == 3
+
+
+# -- the parsed table ingest leaves --------------------------------------------
+
+PIPELINE = ("cluster", "train", "eval", "compare")
+PIPELINE_ARTIFACTS = ("assignment.csv", "cluster.json", "checkpoint.json", "history.csv", "train.json", "eval.json",
+                      "predictions.csv", "summary.csv", "compare.json")
+
+
+def gappy_series(path: Path, seed: int = 7) -> Path:
+    """make_series's set with three short gaps, which repair fills."""
+    ds = synth.generate(synth.SynthSpec(n_groups=3, per_group=4, length=120, seed=seed))
+    for row, start, length in ((1, 20, 3), (5, 60, 1), (12, 90, 2)):
+        ds.values[row, start : start + length] = np.nan
+        ds.mask[row, start : start + length] = False
+    save_csv(ds, path)
+    return path
+
+
+def pipeline_config() -> dict:
+    """Every command on series.csv into out/; relative paths keep the config
+    hash fixed, so runs in different directories write the same bytes."""
+    doc = base_config(Path("series.csv"), Path("out"), grouping="explicit", groups=3)
+    doc["train"]["assignment"] = "out/assignment.csv"
+    doc["compare"] = {"targets": ["target", "g2s1"], "candidates": [{"name": "grouped", "model": dict(doc["model"])}]}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def pipeline_reference(tmp_path_factory) -> dict[str, bytes]:
+    """The artifacts of cluster, train, eval and compare run where ingest
+    never ran, so no parsed.bin exists."""
+    work = tmp_path_factory.mktemp("reference")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        gappy_series(Path("series.csv"))
+        cfg = write_config(Path("run.yaml"), pipeline_config())
+        for command in PIPELINE:
+            assert run(command, cfg) == 0
+        assert not Path("out/parsed.bin").exists()
+        return {name: Path("out", name).read_bytes() for name in PIPELINE_ARTIFACTS}
+
+
+def forged(edit):
+    """Rewrite parsed.bin from an edited copy of the table it holds; the
+    body digest is recomputed, so only the table checks can refuse it."""
+    def forge(parsed: Path) -> None:
+        table = D.load_csv("series.csv")
+        edit(table)
+        D.save_parsed(table, parsed)
+    return forge
+
+
+def flip_last_byte(parsed: Path) -> None:
+    raw = parsed.read_bytes()
+    parsed.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0x40]))  # the top byte of the last value: a wrong body digest
+
+
+PARSED_CASES = {
+    "present": lambda parsed: None,
+    "absent": Path.unlink,
+    "stale": lambda parsed: gappy_series(Path("series.csv")),  # ingest read another table
+    "truncated": lambda parsed: parsed.write_bytes(parsed.read_bytes()[:-8]),
+    "wrong-body-digest": flip_last_byte,
+    "forged-inf": forged(lambda table: table.values.__setitem__((2, 5), np.inf)),
+    "forged-comment-name": forged(lambda table: table.names.__setitem__(0, "#g1s1")),
+}
+
+
+@pytest.mark.parametrize("case", PARSED_CASES)
+def test_commands_write_the_same_bytes_whatever_parsed_bin_holds(pipeline_reference, tmp_path, monkeypatch, case):
+    """cluster, train, eval and compare load ingest's parsed.bin only when
+    it was written for the data file's bytes and passes every check; on
+    any miss they parse the file.  Either way they write the bytes of a
+    run that never had a parsed.bin, and none of them touches it."""
+    monkeypatch.chdir(tmp_path)
+    gappy_series(Path("series.csv"), seed=8 if case == "stale" else 7)
+    cfg = write_config(Path("run.yaml"), pipeline_config())
+    assert run("ingest", cfg) == 0
+    parsed = Path("out/parsed.bin")
+    assert sorted(p.name for p in Path("out").iterdir()) == ["dataset.csv", "ingest.json", "parsed.bin"]
+    PARSED_CASES[case](parsed)
+    left = parsed.read_bytes() if parsed.exists() else None
+    parses = []
+    monkeypatch.setattr(D, "loads_csv", lambda text, parse=D.loads_csv: parses.append(text) or parse(text))
+    for command in PIPELINE:
+        assert run(command, cfg) == 0
+    assert len(parses) == (0 if case == "present" else len(PIPELINE))
+    for name in PIPELINE_ARTIFACTS:
+        assert Path("out", name).read_bytes() == pipeline_reference[name], name
+    assert (parsed.read_bytes() if parsed.exists() else None) == left
+    assert not [p.name for p in Path("out").iterdir() if p.name.endswith(".tmp")]
 
 
 # -- cluster ---------------------------------------------------------------
@@ -737,6 +859,26 @@ def test_unknown_setting_is_named_in_the_error(series_csv, tmp_path, capsys):
     cfg = write_config(tmp_path / "run.yaml", doc)
     assert run("ingest", cfg) == 2
     assert "model.bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["data: [1, 2\n", "data: a: b\n", "\tdata: {}\n", "out: 'open\n", "out: \x00\n"],
+                         ids=["open-flow", "nested-plain", "tab-indent", "open-quote", "nul"])
+def test_config_that_is_not_valid_yaml_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    assert run("param-count", cfg) == 2
+    assert "config: not valid YAML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["[1, 2", "a: b: c", "'open", "\udcff"],
+                         ids=["open-flow", "nested-plain", "open-quote", "undecodable-argument-byte"])
+def test_override_that_is_not_valid_yaml_exits_2(tmp_path, capsys, value):
+    """A byte of an argument that is not UTF-8 reaches the parser as a lone
+    surrogate, which libyaml cannot encode; it is refused like bad YAML."""
+    (tmp_path / "run.yaml").write_text("model:\n")
+    assert run("param-count", tmp_path / "run.yaml", "--override", f"model.preset={value}",
+               "--out", str(tmp_path / "out")) == 2
+    assert "override: cannot parse value for 'model.preset'" in capsys.readouterr().err
 
 
 def test_config_must_be_a_mapping(tmp_path):

@@ -1,23 +1,28 @@
 """Data pipeline: CSV parsing and round-trips, the table writer's bytes,
-gap repair policy, training-range standardization, windowing counts, and
+the parsed-table file and its checks, gap repair policy, training-range standardization, windowing counts, and
 splits."""
 
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gcnn import data as D
 from gcnn.data import (
     SplitSpec,
     TimeSeriesDataset,
     dumps_csv,
     dumps_table,
     load_csv,
+    load_parsed,
     loads_csv,
     make_windows,
     read_utf8,
     repair_gaps,
     save_csv,
+    save_parsed,
     split,
     standardize,
 )
@@ -274,6 +279,124 @@ class TestReadUtf8:
         assert str(info.value) == f"{path}{where}"
         with pytest.raises(ConfigError):
             read_utf8(path, ConfigError)
+
+
+GAPPY_CSV = "# stamp\ntime,a,b,c\n0,1.5,,-0.0\n1,2.5,3,1e-300\n2,,4,5\n"
+
+
+def parsed_file(tmp_path):
+    """A gappy CSV, its parse and the parsed-table file written from it."""
+    source = tmp_path / "data.csv"
+    source.write_text(GAPPY_CSV)
+    table = load_csv(source)
+    save_parsed(table, tmp_path / "parsed.bin")
+    return source, table, tmp_path / "parsed.bin"
+
+
+def rewrite(path, header=None, body=None):
+    """Replace the header fields in ``header`` and the body by ``body``,
+    keeping the old body digest."""
+    head, _, old = path.read_bytes().partition(b"\n")
+    doc = {**json.loads(head), **(header or {})}
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + (old if body is None else body))
+
+
+def bits(table):
+    return (table.names, table.times.tobytes(), table.values.tobytes(), table.mask.tobytes(), table.source_sha256)
+
+
+class TestParsedTable:
+    def test_load_gives_the_parse_bit_for_bit(self, tmp_path):
+        source, table, parsed = parsed_file(tmp_path)
+        assert table.source_sha256 == hashlib.sha256(source.read_bytes()).hexdigest()
+        loaded = load_parsed(parsed, table.source_sha256)
+        assert bits(loaded) == bits(table)
+        assert loaded.values.flags.writeable and loaded.times.flags.writeable
+
+    def test_layout_is_a_json_line_then_little_endian_times_and_values(self, tmp_path):
+        _, table, parsed = parsed_file(tmp_path)
+        head, _, body = parsed.read_bytes().partition(b"\n")
+        assert json.loads(head) == {"format": "gcnn.parsed/1", "source_sha256": table.source_sha256,
+                                    "body_sha256": hashlib.sha256(body).hexdigest(),
+                                    "names": ["a", "b", "c"], "steps": 3}
+        flat = np.frombuffer(body, dtype="<f8")
+        assert flat[:3].tolist() == [0.0, 1.0, 2.0]
+        values = flat[3:].reshape(3, 3)  # series after series, NaN where a cell was empty
+        assert np.array_equal(values, [[1.5, 2.5, np.nan], [np.nan, 3, 4], [-0.0, 1e-300, 5]], equal_nan=True)
+        assert np.signbit(values[2, 0])
+
+    def test_load_csv_takes_a_good_file_instead_of_parsing(self, tmp_path, monkeypatch):
+        source, table, parsed = parsed_file(tmp_path)
+        monkeypatch.setattr(D, "loads_csv", lambda text: pytest.fail("parsed again"))
+        assert bits(load_csv(source, cache=parsed)) == bits(table)
+
+    def test_load_csv_parses_on_a_miss(self, tmp_path):
+        source, table, parsed = parsed_file(tmp_path)
+        source.write_text(GAPPY_CSV.replace("1.5", "7.5"))
+        fresh = load_csv(source, cache=parsed)
+        assert fresh.values[0, 0] == 7.5
+        assert fresh.source_sha256 != table.source_sha256
+        assert bits(load_csv(source, cache=tmp_path / "missing.bin")) == bits(fresh)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.unlink(),
+        lambda p: p.write_bytes(b""),
+        lambda p: p.write_bytes(p.read_bytes()[:-1]),
+        lambda p: p.write_bytes(p.read_bytes() + b"\0"),
+        lambda p: p.write_bytes(p.read_bytes()[:-1] + b"\x7f"),
+        lambda p: p.write_bytes(b"\xff" + p.read_bytes()),
+        lambda p: p.write_bytes(b"[]\n" + p.read_bytes().partition(b"\n")[2]),
+        lambda p: rewrite(p, {"format": "gcnn.parsed/2"}),
+        lambda p: rewrite(p, {"source_sha256": "0" * 64}),
+        lambda p: rewrite(p, {"steps": 2}),
+        lambda p: rewrite(p, {"steps": True}),
+        lambda p: rewrite(p, {"steps": 0}, b""),
+        lambda p: rewrite(p, {"steps": 10**15}),
+        lambda p: rewrite(p, {"names": ["a", "b"]}),
+        lambda p: rewrite(p, {"names": ["a", "b", "#c"]}),
+        lambda p: rewrite(p, {"names": ["a", "", "c"]}),
+        lambda p: rewrite(p, {"names": ["a", " b", "c"]}),
+        lambda p: rewrite(p, {"names": ["a", "a", "c"]}),
+        lambda p: rewrite(p, {"names": ["a", 2, "c"]}),
+        lambda p: rewrite(p, {"names": "abc"}),
+    ], ids=["missing", "empty", "short", "long", "body-digest", "header-not-utf8", "header-not-a-mapping", "format",
+            "other-source", "steps-off", "steps-bool", "no-steps", "steps-huge", "names-off", "comment-name",
+            "empty-name", "unstripped-name", "repeated-name", "name-not-text", "names-not-a-list"])
+    def test_any_failed_check_is_a_miss(self, tmp_path, edit):
+        _, table, parsed = parsed_file(tmp_path)
+        edit(parsed)
+        assert load_parsed(parsed, table.source_sha256) is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.values.__setitem__((0, 1), np.inf),
+        lambda t: t.values.__setitem__((2, 2), -np.inf),
+        lambda t: t.times.__setitem__(2, np.inf),
+        lambda t: t.times.__setitem__(1, np.nan),
+        lambda t: t.times.__setitem__(2, 1.0),
+        lambda t: t.names.__setitem__(1, "#b"),
+        lambda t: t.names.__setitem__(1, "a"),
+    ], ids=["inf-value", "minus-inf-value", "inf-time", "nan-time", "repeated-time", "comment-name", "repeated-name"])
+    def test_a_forged_table_with_its_digest_recomputed_is_a_miss(self, tmp_path, edit):
+        _, table, parsed = parsed_file(tmp_path)
+        edit(table)
+        save_parsed(table, parsed)
+        assert load_parsed(parsed, table.source_sha256) is None
+
+    def test_only_a_parsed_table_is_saved(self, tmp_path):
+        with pytest.raises(ValueError, match="load_csv"):
+            save_parsed(loads_csv(GAPPY_CSV), tmp_path / "parsed.bin")
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        _, table, parsed = parsed_file(tmp_path)
+        parsed.unlink()
+
+        def broken(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(D.os, "replace", broken)
+        with pytest.raises(OSError, match="disk full"):
+            save_parsed(table, parsed)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 class TestDatasetInvariants:

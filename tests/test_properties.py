@@ -9,8 +9,10 @@ stages against per-group references, both convolution primitives and
 their gradients against the per-sample im2col references in
 ``oracles.py``, checkpoint loads of truncated or corrupted files, the
 quote-free CSV tokenizer against ``csv.reader``, tables written by
-``dumps_table`` read back cell for cell, and the flat SGD step against
-the per-tensor update in ``oracles.py``."""
+``dumps_table`` read back cell for cell, parsed tables loaded back bit
+for bit and every truncation of one refused, the flat SGD step against
+the per-tensor update in ``oracles.py``, and libyaml's loader against
+PyYAML's own on config-shaped YAML."""
 
 import csv
 import io
@@ -19,13 +21,15 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, _records,
-                       dumps_csv, dumps_table, loads_csv, make_windows, split, standardize)
+                       dumps_csv, dumps_table, load_csv, load_parsed, loads_csv, make_windows, save_parsed, split,
+                       standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, GroupedConv1DLayer, RecurrentConvLayer
@@ -232,6 +236,19 @@ def test_csv_round_trip_is_bit_exact(data):
     assert np.isnan(back.values[~back.mask]).all()
 
 
+@SETTINGS
+@given(gappy_datasets())
+def test_a_parsed_table_loads_back_bit_for_bit(tmp_path_factory, data):
+    work = tmp_path_factory.getbasetemp()
+    (work / "table.csv").write_text(dumps_csv(data))
+    table = load_csv(work / "table.csv")
+    save_parsed(table, work / "parsed.bin")
+    loaded = load_parsed(work / "parsed.bin", table.source_sha256)
+    assert loaded.names == table.names
+    for got, want in ((loaded.times, table.times), (loaded.values, table.values), (loaded.mask, table.mask)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def reference_records(text):
     """``csv.reader``'s non-comment records, each with the line it starts
     on: one past the line the previous record ended on."""
@@ -357,6 +374,17 @@ def parse_outcome(parse, text):
 @example("time,a,b\n\n0,1,x\n")
 def test_loads_csv_matches_the_per_cell_reference(text):
     assert parse_outcome(loads_csv, text) == parse_outcome(reference_loads_csv, text)
+
+
+def test_every_truncated_parsed_table_is_a_miss(tmp_path):
+    (tmp_path / "table.csv").write_text("time,a,b\n0,1,\n1,2,3\n")
+    table = load_csv(tmp_path / "table.csv")
+    path = tmp_path / "parsed.bin"
+    save_parsed(table, path)
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        assert load_parsed(path, table.source_sha256) is None
 
 
 @st.composite
@@ -947,3 +975,61 @@ def test_sgd_step_matches_the_per_tensor_update_bit_for_bit(case):
                                   config.clip_norm)
         assert got == want
         assert [v.tobytes() for v in views_of(flat, shapes)] == [p.tobytes() for p in params]
+
+
+# -- config parsing --------------------------------------------------------
+
+CONFIG_KEYS = st.sampled_from(["data", "path", "target", "window", "model", "preset", "stage_channels", "train",
+                               "epochs", "learning_rate", "compare", "candidates", "name", "seed", "out"])
+# plain tokens a hand-written config holds, many of which the YAML 1.1
+# resolver reads as something other than text
+PLAIN_TOKENS = ["0", "-3", "017", "0o17", "0x1f", "1_000", "12:30", "0.003", "1e-3", "1.5e+2", ".inf", "-.Inf", ".nan",
+                "true", "False", "yes", "off", "~", "null", "", "water-cnn", "explicit", "[6, 6]", "[]", "{}",
+                "{preset: water-cnn}", "'a b'", '"q\\"x\\u00e9"', "2020-01-31", "2001-12-14 21:59:43.10 -5",
+                "runs/st07/assignment.csv", "a # comment", "d\u00e9bit", "|\n  two\n  lines", ">-\n  folded"]
+config_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=12)
+                  | st.sampled_from(PLAIN_TOKENS))
+config_docs = st.dictionaries(CONFIG_KEYS, st.recursive(
+    config_scalars, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(CONFIG_KEYS, kids, max_size=4),
+    max_leaves=12), max_size=6)
+
+
+@st.composite
+def hand_written_configs(draw, depth=0):
+    """Lines of a block-style config: nested sections, lists, plain tokens
+    and comments, as a person writes one."""
+    lines = []
+    for key in draw(st.lists(CONFIG_KEYS, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(["token", "token", "section", "list", "comment"]))
+        if kind == "section" and depth < 2:
+            lines.append(f"{key}:")
+            lines += ["  " + line for line in draw(hand_written_configs(depth + 1))]
+        elif kind == "list":
+            lines.append(f"{key}:")
+            lines += [f"  - {token}" for token in draw(st.lists(st.sampled_from(PLAIN_TOKENS[:20]), max_size=3))]
+        elif kind == "comment":
+            lines.append(f"# {key}")
+        else:
+            lines.append(f"{key}: {draw(st.sampled_from(PLAIN_TOKENS))}".rstrip())
+    return lines
+
+
+def yaml_outcome(text, loader):
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return "refused"
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@SETTINGS
+@given(config_docs, st.sampled_from([False, True, None]), st.booleans(), hand_written_configs())
+def test_both_yaml_loaders_read_a_config_alike(doc, flow, unicode, lines):
+    """The config loader's libyaml parser gives the documents PyYAML's own
+    SafeLoader gives, on configs as safe_dump writes them and as a person
+    does; every config the tests themselves load is held to this too (see
+    conftest.py)."""
+    dumped = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=unicode, sort_keys=False)
+    for text in (dumped, "\n".join(lines) + "\n"):
+        assert yaml_outcome(text, yaml.CSafeLoader) == yaml_outcome(text, yaml.SafeLoader), text
+    assert yaml_outcome(dumped, yaml.CSafeLoader) != "refused"
