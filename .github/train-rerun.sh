@@ -20,6 +20,9 @@
 # vector (numpy's matmul into a view, on the oldest supported numpy too).
 # The coeff model trains once more with tanh hidden activations, which
 # every fused layer op applies in place (numpy's tanh into its own input).
+# Each training parses synth.csv into a fresh directory, so it leaves a
+# parsed.bin: the two of each config, and every config's first, must
+# match the one `gcnn ingest` writes for synth.csv.
 # Then a copy of the set whose header names two
 # series "a,b" and "q""x" (quoted CSV cells) goes through cluster and an
 # explicit train twice: the quoted names must come back from the
@@ -65,11 +68,15 @@ EOF
   for run in 1 2; do
     gcnn train "$work/$cfg.yaml" --out "$work/$cfg$run"
   done
-  for name in checkpoint.json history.csv; do
+  for name in checkpoint.json history.csv parsed.bin; do
     cmp "$work/${cfg}1/$name" "$work/${cfg}2/$name"
   done
   head -n 1 "$work/${cfg}1/checkpoint.json" | python -m json.tool > /dev/null
   gcnn eval "$work/$cfg.yaml" --out "$work/${cfg}1"
+done
+gcnn ingest "$work/train.yaml" --out "$work/ingested"
+for cfg in train coeff momentum rcnn one-epoch tanh; do
+  cmp "$work/${cfg}1/parsed.bin" "$work/ingested/parsed.bin"
 done
 
 sed '1s/,g1s1,/,"a,b",/; 1s/,g2s1,/,"q""x",/' "$work/synth.csv" > "$work/quoted.csv"
@@ -87,6 +94,6 @@ for run in 1 2; do
 done
 grep -q '^"a,b",' "$work/explicit1/assignment.csv"
 grep -q '^"q""x",' "$work/explicit1/assignment.csv"
-for name in assignment.csv checkpoint.json history.csv; do
+for name in assignment.csv checkpoint.json history.csv parsed.bin; do
   cmp "$work/explicit1/$name" "$work/explicit2/$name"
 done

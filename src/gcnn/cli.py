@@ -17,10 +17,14 @@ files, a ``config_hash`` key in JSON files, a ``meta`` block in
 checkpoints.  Nothing records wall-clock data, so rerunning a command
 over identical inputs reproduces byte-identical files.
 
-``ingest`` also leaves ``parsed.bin`` in the output directory: the table
-it parsed, keyed by the data file's sha256.  The other commands read
-the table from there when it was written for the same file bytes and
-passes its checks, and parse the file otherwise (see ``data.load_parsed``).
+Every command that parses the data file leaves ``parsed.bin`` in the
+output directory: the table it parsed, keyed by the data file's sha256.
+``ingest`` always parses and writes it.  ``cluster``, ``train``, ``eval``
+and ``compare`` read the table from there when it was written for the
+same file bytes and passes its checks (see ``data.load_parsed``).  On a
+miss they parse the file and stage the table under a temporary name,
+which ``main`` renames to ``parsed.bin`` when the command exits 0 and
+removes on any other exit.
 
 Exit codes: 0 success, 2 bad configuration, 3 bad data, 4 numerical
 failure (divergence, singular systems, non-convergence).
@@ -31,8 +35,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +79,7 @@ _COMPARE_DEFAULTS: dict = {"repeats": 3, "ridge_penalty": 1.0, "targets": None, 
 # reserved row names in compare summaries
 _BASELINES = ("linear", "ridge")
 
-# the table ingest parsed, which the other commands load instead of parsing
+# the parsed data file, which a command loads instead of parsing it again
 PARSED_NAME = "parsed.bin"
 
 # libyaml's parser where PyYAML was built with it: several times faster
@@ -176,7 +181,9 @@ class RunConfig:
     does not change their content.  ``split`` and ``train`` are the
     range-checked objects the split and train sections build.  ``width``
     is the input window length: ``data.window``, or else the model
-    section's ``input_width`` (None when neither is set).
+    section's ``input_width`` (None when neither is set).  ``staged``
+    holds the temporary copies of a parse the command made for
+    ``parsed.bin``, which only an exit 0 puts in place.
     """
 
     command: str
@@ -186,6 +193,7 @@ class RunConfig:
     split: D.SplitSpec
     train: R.TrainConfig
     width: int | None
+    staged: list[Path] = field(default_factory=list)
 
     @classmethod
     def load(
@@ -372,10 +380,11 @@ class Prepared:
 
 
 def _prepare(cfg: RunConfig, raw: D.TimeSeriesDataset | None = None) -> Prepared:
-    """Repair and standardize ``raw``, by default the data file's table,
-    from the output directory's parsed.bin when ingest left a good one."""
+    """Repair and standardize ``raw``, by default the data file's table:
+    the output directory's parsed.bin when it holds a good one, or else a
+    parse, staged for parsed.bin."""
     if raw is None:
-        raw = D.load_csv(cfg.data_path, cache=cfg.out_dir / PARSED_NAME)
+        raw = D.load_csv(cfg.data_path, cache=cfg.out_dir / PARSED_NAME, staged=cfg.staged)
     repaired, report = D.repair_gaps(raw, max_gap=cfg.doc["data"]["max_gap"])
     # training range = leading fraction of the time axis; scaling and the
     # similarity graph must not see the evaluation tail
@@ -748,6 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = None
+    code = 1  # a crash
     try:
         cfg = RunConfig.load(args.command, args.config,
                              seed=args.seed, out=args.out, overrides=args.override)
@@ -755,17 +766,26 @@ def main(argv: list[str] | None = None) -> int:
         # overflow on the way to the divergence guard is reported via the
         # exit code; numpy warning spam would only obscure it
         with np.errstate(over="ignore", invalid="ignore"):
-            return _HANDLERS[args.command](cfg)
+            code = _HANDLERS[args.command](cfg)
     except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 4
+        code = 4
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
+        code = 3
     except GcnnError as e:
         # config and shape problems are both "fix the config" failures
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        # a parse becomes parsed.bin only when the command succeeded
+        for partial in cfg.staged if cfg is not None else ():
+            try:
+                if code == 0:
+                    os.replace(partial, cfg.out_dir / PARSED_NAME)
+            finally:  # after a rename, nothing is left to remove
+                partial.unlink(missing_ok=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ windowing into regression samples, and train/test splitting.
 Datasets are series-major: ``values[i, t]`` is series i at time step t,
 with ``mask[i, t]`` false where the cell was empty.  Missing values are
 stored as NaN so accidental use fails loudly downstream.  A parsed table
-can be saved in binary (:func:`save_parsed`) and loaded back by the
-sha256 of the file it was parsed from, in place of a second parse.
+can be saved in binary (:func:`save_parsed`, or :func:`stage_parsed`
+for the caller to rename into place) and loaded back by the sha256 of
+the file it was parsed from, in place of a second parse.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "load_csv",
     "loads_csv",
     "save_csv",
+    "stage_parsed",
     "save_parsed",
     "load_parsed",
     "dumps_table",
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_GAP = 61  # daily steps; the two-month interpolation cap
-PARSED_FORMAT = "gcnn.parsed/1"
+PARSED_FORMAT = "gcnn.parsed/2"
 
 
 @dataclass
@@ -333,7 +335,8 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def load_csv(path: str | Path, cache: str | Path | None = None) -> TimeSeriesDataset:
+def load_csv(path: str | Path, cache: str | Path | None = None,
+             staged: list[Path] | None = None) -> TimeSeriesDataset:
     """Parse a wide-format CSV file (see :func:`loads_csv`), read as UTF-8
     with universal newlines, so the line numbers in messages are the
     file's whatever its line ends; bytes that are not UTF-8 raise
@@ -341,7 +344,10 @@ def load_csv(path: str | Path, cache: str | Path | None = None) -> TimeSeriesDat
 
     With ``cache``, a file :func:`save_parsed` wrote, the table comes from
     there instead when :func:`load_parsed` finds it written for these
-    bytes; any miss parses the file."""
+    bytes; any miss parses the file.  With ``staged`` too, a miss also
+    writes the parse beside ``cache`` under a temporary name
+    (:func:`stage_parsed`) and appends that name, for the caller to rename
+    over ``cache`` or remove."""
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     if cache is not None and (data := load_parsed(cache, digest)) is not None:
@@ -350,33 +356,55 @@ def load_csv(path: str | Path, cache: str | Path | None = None) -> TimeSeriesDat
     del raw  # the parse holds the text, not the bytes too
     data = loads_csv(text)
     data.source_sha256 = digest
+    if cache is not None and staged is not None:
+        staged.append(stage_parsed(data, cache))
     return data
 
 
-def save_parsed(data: TimeSeriesDataset, path: str | Path) -> None:
-    """Write a table :func:`load_csv` parsed where :func:`load_parsed` can
-    read it back without parsing the file again.
+def _table_sha256(names: list[str], steps: int, body: Iterable) -> str:
+    """The digest a parsed-table header carries: sha256 over the line of
+    compact JSON ``[names, steps]`` (ASCII, non-ASCII as ``\\u`` escapes),
+    then the body's bytes."""
+    digest = hashlib.sha256(json.dumps([names, steps], separators=(",", ":")).encode() + b"\n")
+    for part in body:
+        digest.update(part)
+    return digest.hexdigest()
 
-    One JSON header line (``format``, ``source_sha256``, ``body_sha256``,
+
+def stage_parsed(data: TimeSeriesDataset, path: str | Path) -> Path:
+    """Write a table :func:`load_csv` parsed where :func:`load_parsed` can
+    read it back without parsing the file again, under a temporary name
+    of its own beside ``path``; returns that name, for the caller to
+    rename over ``path``.  A write that fails leaves no file.
+
+    One JSON header line (``format``, ``source_sha256``, ``table_sha256``,
     ``names``, ``steps``), then the body: the times, then the values series
     after series, as little-endian float64 with NaN for a missing cell.
-    The file is written under a temporary name and renamed into place, so
-    ``path`` never holds part of a table."""
+    The temporary name is ``path``'s with a random tag and ``.tmp`` added,
+    created exclusively, so writers into one directory never share a file."""
     if data.source_sha256 is None:
-        raise ValueError("save_parsed needs a table load_csv parsed from a file")
+        raise ValueError("a parsed-table file needs a table load_csv parsed from a file")
     body = [np.ascontiguousarray(a, dtype="<f8") for a in (data.times, data.values)]
-    body_sha256 = hashlib.sha256()
-    for part in body:
-        body_sha256.update(part)
-    header = {"format": PARSED_FORMAT, "source_sha256": data.source_sha256, "body_sha256": body_sha256.hexdigest(),
-              "names": data.names, "steps": data.n_steps}
+    header = {"format": PARSED_FORMAT, "source_sha256": data.source_sha256, "names": data.names,
+              "steps": data.n_steps, "table_sha256": _table_sha256(data.names, data.n_steps, body)}
     path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
+    partial = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with partial.open("wb") as f:
+        with partial.open("xb") as f:
             f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
             for part in body:
                 f.write(part.data)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return partial
+
+
+def save_parsed(data: TimeSeriesDataset, path: str | Path) -> None:
+    """:func:`stage_parsed`, then the rename into place, so ``path`` never
+    holds part of a table."""
+    partial = stage_parsed(data, path)
+    try:
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -385,8 +413,9 @@ def save_parsed(data: TimeSeriesDataset, path: str | Path) -> None:
 
 def load_parsed(path: str | Path, source_sha256: str) -> TimeSeriesDataset | None:
     """The table a :func:`save_parsed` file holds, or None when the file is
-    missing, unreadable, written for other source bytes, or fails a check:
-    the body's exact length and its sha256; the series names, by the
+    missing, unreadable, written for other source bytes or in another
+    format, or fails a check: the body's exact length; the table digest
+    over the names, the step count and the body; the series names, by the
     header checks :func:`loads_csv` runs; finite, strictly increasing
     times; values that are finite or NaN.  A table that passes is the one
     the parse would give, down to the bits, unless the file was forged."""
@@ -405,7 +434,7 @@ def load_parsed(path: str | Path, source_sha256: str) -> TimeSeriesDataset | Non
             if os.fstat(f.fileno()).st_size - f.tell() != size:
                 return None
             body = bytearray(size)
-            if f.readinto(body) != size or hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
+            if f.readinto(body) != size or _table_sha256(names, steps, [body]) != header.get("table_sha256"):
                 return None
         flat = np.frombuffer(body, dtype="<f8")
         times, values = flat[:steps], flat[steps:].reshape(len(names), steps)

@@ -167,7 +167,8 @@ def train(
     NumericalError; ``gcnn train`` then exits 4 and writes no checkpoint.
 
     Besides the model's parameter vector, a step holds one gradient vector
-    and, when momentum > 0, a velocity.  The best epoch's parameters are
+    and, when momentum > 0, a velocity; the gradient norm squares at most
+    :data:`NORM_BLOCK` values at a time.  The best epoch's parameters are
     copied aside only when a later epoch follows it, and restored only
     when the last epoch is not the best.
     """
@@ -235,6 +236,24 @@ def train(
     return TrainResult(model, history, best_epoch, best_val)
 
 
+# the gradient norm squares at most this many values at a time
+NORM_BLOCK = 1 << 16
+
+
+def _sum_of_squares(g: np.ndarray) -> float:
+    """``float((g * g).sum())`` of a C-contiguous ``g``, bit for bit, with
+    no square of more than :data:`NORM_BLOCK` values.  numpy sums a
+    contiguous array pairwise: a run of more than 128 values splits at
+    ``n2 = n//2 - (n//2) % 8`` and the two sums are added.  A larger ``g``
+    takes the same splits until each part fits the block."""
+    n = g.size
+    if n <= NORM_BLOCK:
+        return float((g * g).sum())
+    g = g.reshape(-1)
+    n2 = n // 2 - (n // 2) % 8
+    return _sum_of_squares(g[:n2]) + _sum_of_squares(g[n2:])
+
+
 def sgd_step(
     params: np.ndarray, grad: np.ndarray, spans: list[np.ndarray], velocity: np.ndarray | None, config: TrainConfig
 ) -> float:
@@ -250,8 +269,10 @@ def sgd_step(
     step is then ``learning_rate * (g * scale)``, which differs from
     ``0 * v + g * scale`` only in the sign of a zero, and so changes no
     parameter that is not -0.0 (and a trained parameter never is).
+    Each span's sum of squares has those bits without a square as large
+    as the span (see :func:`_sum_of_squares`).
     """
-    gnorm = math.sqrt(sum(float((g * g).sum()) for g in spans))
+    gnorm = math.sqrt(sum(_sum_of_squares(g) for g in spans))
     if not math.isfinite(gnorm):
         return gnorm
     if gnorm > config.clip_norm:

@@ -137,7 +137,7 @@ def test_ingest_output_bytes_are_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256(Path("out/dataset.csv").read_bytes()).hexdigest() == (
         "fc1923e3cc3b1b1d2f5847cfcabea9a098b22a5ec1c1bd3fe98896689449bc76")
     assert hashlib.sha256(Path("out/parsed.bin").read_bytes()).hexdigest() == (
-        "ddfe2503b92018fb4905966001f16ae7499bca273d8697b8bea390fb9f79526e")
+        "6e34cf25286bc151fb5d09609170d973a47df91eb151d56edfe84c0972232d12")
 
 
 def test_ingest_that_fails_after_the_parse_exits_3_and_writes_nothing(tmp_path, capsys):
@@ -180,7 +180,7 @@ def test_malformed_csv_is_data_error(tmp_path):
     assert run("ingest", cfg) == 3
 
 
-# -- the parsed table ingest leaves --------------------------------------------
+# -- the parsed table a command leaves ------------------------------------------
 
 PIPELINE = ("cluster", "train", "eval", "compare")
 PIPELINE_ARTIFACTS = ("assignment.csv", "cluster.json", "checkpoint.json", "history.csv", "train.json", "eval.json",
@@ -206,19 +206,38 @@ def pipeline_config() -> dict:
     return doc
 
 
+def counting_parses(monkeypatch) -> list[str]:
+    """The text of every CSV parse from here on."""
+    parses = []
+    monkeypatch.setattr(D, "loads_csv", lambda text, parse=D.loads_csv: parses.append(text) or parse(text))
+    return parses
+
+
+def temporary_files(out: Path) -> list[str]:
+    return sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp"))
+
+
 @pytest.fixture(scope="module")
 def pipeline_reference(tmp_path_factory) -> dict[str, bytes]:
     """The artifacts of cluster, train, eval and compare run where ingest
-    never ran, so no parsed.bin exists."""
+    never ran, and, as "parsed.bin", the copy ingest writes in a fresh
+    directory.  cluster finds no parsed.bin, so it parses and leaves one,
+    byte for byte ingest's; the commands after it parse nothing."""
     work = tmp_path_factory.mktemp("reference")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(work)
         gappy_series(Path("series.csv"))
         cfg = write_config(Path("run.yaml"), pipeline_config())
+        parses = counting_parses(mp)
         for command in PIPELINE:
             assert run(command, cfg) == 0
-        assert not Path("out/parsed.bin").exists()
-        return {name: Path("out", name).read_bytes() for name in PIPELINE_ARTIFACTS}
+        assert len(parses) == 1
+        assert run("ingest", cfg, "--out", "fresh") == 0
+        assert Path("out/parsed.bin").read_bytes() == Path("fresh/parsed.bin").read_bytes()
+        assert temporary_files(Path("out")) == []
+        return {name: Path(directory, name).read_bytes()
+                for directory, names in (("out", PIPELINE_ARTIFACTS), ("fresh", [cli.PARSED_NAME]))
+                for name in names}
 
 
 def forged(edit):
@@ -233,7 +252,23 @@ def forged(edit):
 
 def flip_last_byte(parsed: Path) -> None:
     raw = parsed.read_bytes()
-    parsed.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0x40]))  # the top byte of the last value: a wrong body digest
+    parsed.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0x40]))  # the top byte of the last value: a wrong table digest
+
+
+def edit_header(parsed: Path, edit) -> None:
+    """Rewrite parsed.bin's header line as ``edit`` returns it, body kept."""
+    head, _, body = parsed.read_bytes().partition(b"\n")
+    parsed.write_bytes(edit(head) + b"\n" + body)
+
+
+def format_1(parsed: Path) -> None:
+    """Rewrite parsed.bin as the first format held the same table: its
+    digest covered the body only."""
+    head, _, body = parsed.read_bytes().partition(b"\n")
+    doc = json.loads(head)
+    doc = {"format": "gcnn.parsed/1", "source_sha256": doc["source_sha256"],
+           "body_sha256": hashlib.sha256(body).hexdigest(), "names": doc["names"], "steps": doc["steps"]}
+    parsed.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
 
 
 PARSED_CASES = {
@@ -241,7 +276,10 @@ PARSED_CASES = {
     "absent": Path.unlink,
     "stale": lambda parsed: gappy_series(Path("series.csv")),  # ingest read another table
     "truncated": lambda parsed: parsed.write_bytes(parsed.read_bytes()[:-8]),
-    "wrong-body-digest": flip_last_byte,
+    "wrong-body-digest": flip_last_byte,  # the body no longer matches the table digest
+    # a name edited with no digest recomputed; the names still pass their checks
+    "edited-name": lambda parsed: edit_header(parsed, lambda head: head.replace(b'"g1s1"', b'"h1s1"')),
+    "format-1": format_1,
     "forged-inf": forged(lambda table: table.values.__setitem__((2, 5), np.inf)),
     "forged-comment-name": forged(lambda table: table.names.__setitem__(0, "#g1s1")),
 }
@@ -249,10 +287,11 @@ PARSED_CASES = {
 
 @pytest.mark.parametrize("case", PARSED_CASES)
 def test_commands_write_the_same_bytes_whatever_parsed_bin_holds(pipeline_reference, tmp_path, monkeypatch, case):
-    """cluster, train, eval and compare load ingest's parsed.bin only when
-    it was written for the data file's bytes and passes every check; on
-    any miss they parse the file.  Either way they write the bytes of a
-    run that never had a parsed.bin, and none of them touches it."""
+    """cluster, train, eval and compare load parsed.bin only when it was
+    written for the data file's bytes and passes every check.  On a miss
+    the first of them parses the file, once, and leaves ingest's own copy
+    of the table in parsed.bin, so the rest parse nothing.  Either way
+    they write the bytes of a run that never had a parsed.bin."""
     monkeypatch.chdir(tmp_path)
     gappy_series(Path("series.csv"), seed=8 if case == "stale" else 7)
     cfg = write_config(Path("run.yaml"), pipeline_config())
@@ -260,16 +299,80 @@ def test_commands_write_the_same_bytes_whatever_parsed_bin_holds(pipeline_refere
     parsed = Path("out/parsed.bin")
     assert sorted(p.name for p in Path("out").iterdir()) == ["dataset.csv", "ingest.json", "parsed.bin"]
     PARSED_CASES[case](parsed)
-    left = parsed.read_bytes() if parsed.exists() else None
-    parses = []
-    monkeypatch.setattr(D, "loads_csv", lambda text, parse=D.loads_csv: parses.append(text) or parse(text))
+    parses = counting_parses(monkeypatch)
     for command in PIPELINE:
         assert run(command, cfg) == 0
-    assert len(parses) == (0 if case == "present" else len(PIPELINE))
+    assert len(parses) == (0 if case == "present" else 1)
     for name in PIPELINE_ARTIFACTS:
         assert Path("out", name).read_bytes() == pipeline_reference[name], name
+    assert parsed.read_bytes() == pipeline_reference[cli.PARSED_NAME]
+    assert temporary_files(Path("out")) == []
+
+
+def test_each_command_that_misses_leaves_the_bytes_ingest_writes(pipeline_reference, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gappy_series(Path("series.csv"))
+    cfg = write_config(Path("run.yaml"), pipeline_config())
+    parses = counting_parses(monkeypatch)
+    for command in PIPELINE:
+        Path("out", cli.PARSED_NAME).unlink(missing_ok=True)
+        assert run(command, cfg) == 0
+        assert Path("out", cli.PARSED_NAME).read_bytes() == pipeline_reference[cli.PARSED_NAME], command
+    assert len(parses) == len(PIPELINE)
+    assert temporary_files(Path("out")) == []
+
+
+@pytest.mark.parametrize("override, code, message", [
+    ("train.learning_rate=1e40", 4, "training diverged"),
+    ("model.input_channels=5", 2, "model expects 5 input channels, dataset provides 12"),
+    ("train.assignment=other.csv", 3, "assignment lacks series"),
+], ids=["exit-4", "exit-2", "exit-3"])
+@pytest.mark.parametrize("before", ["absent", "damaged"])
+def test_a_command_that_fails_after_the_parse_leaves_no_parsed_bin(tmp_path, monkeypatch, capsys, override, code,
+                                                                   message, before):
+    """train parses (no parsed.bin, or a damaged one) and then fails: the
+    copy of the parse it staged is removed, and a parsed.bin it found is
+    left as it was."""
+    monkeypatch.chdir(tmp_path)
+    gappy_series(Path("series.csv"))
+    cfg = write_config(Path("run.yaml"), pipeline_config())
+    assert run("cluster", cfg) == 0
+    Path("other.csv").write_text("series_name,group_id\ng1s1,1\ng1s2,2\ng1s3,3\n")
+    parsed = Path("out/parsed.bin")
+    if before == "absent":
+        parsed.unlink()
+    else:
+        flip_last_byte(parsed)
+    left = parsed.read_bytes() if parsed.exists() else None
+    parses = counting_parses(monkeypatch)
+    capsys.readouterr()
+    assert run("train", cfg, "--override", override) == code
+    assert message in capsys.readouterr().err
+    assert len(parses) == 1
     assert (parsed.read_bytes() if parsed.exists() else None) == left
-    assert not [p.name for p in Path("out").iterdir() if p.name.endswith(".tmp")]
+    assert temporary_files(Path("out")) == []
+
+
+def test_a_leftover_temporary_file_is_never_read_and_never_blocks(pipeline_reference, tmp_path, monkeypatch):
+    """A writer killed mid-write leaves parsed.bin.<tag>.tmp behind.  A
+    command that misses parses (it never reads the leftover), commits its
+    own copy under a name of its own and leaves the leftover alone; the
+    next command hits."""
+    monkeypatch.chdir(tmp_path)
+    gappy_series(Path("series.csv"))
+    cfg = write_config(Path("run.yaml"), pipeline_config())
+    Path("out").mkdir()
+    good = pipeline_reference[cli.PARSED_NAME]
+    leftovers = {"parsed.bin.0123456789abcdef.tmp": good[: len(good) // 2], "parsed.bin.tmp": good}
+    for name, content in leftovers.items():
+        Path("out", name).write_bytes(content)
+    parses = counting_parses(monkeypatch)
+    for command in PIPELINE:
+        assert run(command, cfg) == 0
+    assert len(parses) == 1
+    assert Path("out/parsed.bin").read_bytes() == good
+    assert temporary_files(Path("out")) == sorted(leftovers)
+    assert all(Path("out", name).read_bytes() == content for name, content in leftovers.items())
 
 
 # -- cluster ---------------------------------------------------------------

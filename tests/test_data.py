@@ -23,6 +23,7 @@ from gcnn.data import (
     repair_gaps,
     save_csv,
     save_parsed,
+    stage_parsed,
     split,
     standardize,
 )
@@ -295,7 +296,7 @@ def parsed_file(tmp_path):
 
 def rewrite(path, header=None, body=None):
     """Replace the header fields in ``header`` and the body by ``body``,
-    keeping the old body digest."""
+    keeping the old table digest."""
     head, _, old = path.read_bytes().partition(b"\n")
     doc = {**json.loads(head), **(header or {})}
     path.write_bytes(json.dumps(doc).encode() + b"\n" + (old if body is None else body))
@@ -316,8 +317,8 @@ class TestParsedTable:
     def test_layout_is_a_json_line_then_little_endian_times_and_values(self, tmp_path):
         _, table, parsed = parsed_file(tmp_path)
         head, _, body = parsed.read_bytes().partition(b"\n")
-        assert json.loads(head) == {"format": "gcnn.parsed/1", "source_sha256": table.source_sha256,
-                                    "body_sha256": hashlib.sha256(body).hexdigest(),
+        assert json.loads(head) == {"format": "gcnn.parsed/2", "source_sha256": table.source_sha256,
+                                    "table_sha256": hashlib.sha256(b'[["a","b","c"],3]\n' + body).hexdigest(),
                                     "names": ["a", "b", "c"], "steps": 3}
         flat = np.frombuffer(body, dtype="<f8")
         assert flat[:3].tolist() == [0.0, 1.0, 2.0]
@@ -346,13 +347,14 @@ class TestParsedTable:
         lambda p: p.write_bytes(p.read_bytes()[:-1] + b"\x7f"),
         lambda p: p.write_bytes(b"\xff" + p.read_bytes()),
         lambda p: p.write_bytes(b"[]\n" + p.read_bytes().partition(b"\n")[2]),
-        lambda p: rewrite(p, {"format": "gcnn.parsed/2"}),
+        lambda p: rewrite(p, {"format": "gcnn.parsed/1"}),
         lambda p: rewrite(p, {"source_sha256": "0" * 64}),
         lambda p: rewrite(p, {"steps": 2}),
         lambda p: rewrite(p, {"steps": True}),
         lambda p: rewrite(p, {"steps": 0}, b""),
         lambda p: rewrite(p, {"steps": 10**15}),
         lambda p: rewrite(p, {"names": ["a", "b"]}),
+        lambda p: rewrite(p, {"names": ["a", "b", "d"]}),
         lambda p: rewrite(p, {"names": ["a", "b", "#c"]}),
         lambda p: rewrite(p, {"names": ["a", "", "c"]}),
         lambda p: rewrite(p, {"names": ["a", " b", "c"]}),
@@ -360,7 +362,7 @@ class TestParsedTable:
         lambda p: rewrite(p, {"names": ["a", 2, "c"]}),
         lambda p: rewrite(p, {"names": "abc"}),
     ], ids=["missing", "empty", "short", "long", "body-digest", "header-not-utf8", "header-not-a-mapping", "format",
-            "other-source", "steps-off", "steps-bool", "no-steps", "steps-huge", "names-off", "comment-name",
+            "other-source", "steps-off", "steps-bool", "no-steps", "steps-huge", "names-off", "name-edited", "comment-name",
             "empty-name", "unstripped-name", "repeated-name", "name-not-text", "names-not-a-list"])
     def test_any_failed_check_is_a_miss(self, tmp_path, edit):
         _, table, parsed = parsed_file(tmp_path)
@@ -397,6 +399,34 @@ class TestParsedTable:
         with pytest.raises(OSError, match="disk full"):
             save_parsed(table, parsed)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_a_staged_write_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
+        _, table, parsed = parsed_file(tmp_path)
+        parsed.unlink()
+        dumps = json.dumps
+
+        def header_fails(doc, **kw):  # the header is rendered once the file is open
+            if isinstance(doc, dict):
+                raise OSError("disk full")
+            return dumps(doc, **kw)
+
+        monkeypatch.setattr(D.json, "dumps", header_fails)
+        with pytest.raises(OSError, match="disk full"):
+            stage_parsed(table, parsed)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_each_writer_stages_a_file_of_its_own(self, tmp_path):
+        """Two writers into one directory never share a temporary file, and
+        a file left under the old fixed name is neither used nor changed."""
+        _, table, parsed = parsed_file(tmp_path)
+        good = parsed.read_bytes()
+        (tmp_path / "parsed.bin.tmp").write_bytes(b"a writer's partial file")
+        first, second = stage_parsed(table, parsed), stage_parsed(table, parsed)
+        assert first != second and first.parent == second.parent == tmp_path
+        assert all(p.name.startswith("parsed.bin.") and p.suffix == ".tmp" for p in (first, second))
+        assert first.read_bytes() == second.read_bytes() == good
+        assert (tmp_path / "parsed.bin.tmp").read_bytes() == b"a writer's partial file"
+        assert parsed.read_bytes() == good  # staging does not touch the file in place
 
 
 class TestDatasetInvariants:

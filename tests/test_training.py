@@ -15,11 +15,13 @@ from gcnn.layers import DenseLayer, FlattenLayer
 from gcnn.models import Model, ModelSpec, build_model, preset
 from gcnn.synth import SynthSpec, generate
 from gcnn.tensor import Tensor, grad_check
+from gcnn import training as R
 from gcnn.training import (
     TrainConfig,
     evaluate,
     linear_baseline,
     mse_loss,
+    sgd_step,
     srmse,
     train,
 )
@@ -282,6 +284,49 @@ class TestTrain:
         after = evaluate(model, test_set).srmse
         assert after < before
         assert after < 1.0
+
+
+# around numpy's unsplit block of 128, its 8-wide unrolling, and the
+# block sizes; the largest is a drone-cnn kernel (750 x 750 x 3)
+NORM_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 1023, 1024, 1025, 8191, 8192, 8193, 65535, 65536, 65537,
+              100_003, 750 * 750 * 3]
+
+
+@pytest.fixture(scope="module")
+def wide_range_values():
+    """Values over 17 decades, so a sum taken in another order rounds
+    differently."""
+    rng = np.random.default_rng(21)
+    n = max(NORM_SIZES) + 1024
+    return rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+
+
+class TestGradientNorm:
+    @pytest.mark.parametrize("block", [1024, 8192, R.NORM_BLOCK])
+    def test_sum_of_squares_is_numpys_bit_for_bit(self, wide_range_values, monkeypatch, block):
+        monkeypatch.setattr(R, "NORM_BLOCK", block)
+        for n in NORM_SIZES:
+            for offset in (0, 3):  # an unaligned start too
+                g = wide_range_values[offset : offset + n]
+                assert R._sum_of_squares(g) == float((g * g).sum()), n
+        kernel = wide_range_values[: 750 * 750 * 3].reshape(750, 750, 3)
+        assert R._sum_of_squares(kernel) == float((kernel * kernel).sum())
+
+    def test_sgd_step_norm_holds_no_span_sized_temporary(self, wide_range_values):
+        shapes = [(750, 750, 3), (750,), (5, 3)]
+        sizes = [math.prod(s) for s in shapes]
+        grad = wide_range_values[: sum(sizes)].copy()
+        spans = [a.reshape(s) for a, s in zip(np.split(grad, np.cumsum(sizes)[:-1]), shapes)]
+        want = math.sqrt(sum(float((g * g).sum()) for g in spans))
+        params = np.zeros_like(grad)
+        tracemalloc.start()
+        try:
+            got = sgd_step(params, grad, spans, None, TrainConfig(clip_norm=math.inf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 8 * R.NORM_BLOCK + 2**16  # one block's square, not a 13.5 MB square of the kernel
 
 
 class TestEvaluate:
