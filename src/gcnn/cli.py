@@ -44,7 +44,6 @@ import numpy as np
 import yaml
 
 from . import data as D
-from . import layers as L
 from . import models as M
 from . import spectral as S
 from . import training as R
@@ -478,19 +477,20 @@ def _model_spec(section: dict, where: str, channels: int | None, width: int | No
 
 
 def _counted_model(spec: M.ModelSpec, labels: list[int] | None, seed: int,
-                   where: str = "model") -> tuple[M.Model, int, int | None]:
-    """The built model, its parameter count and, when it is grouped, the
-    count of the same geometry without grouping, built unfilled since it is
-    only counted.  Explicit grouping exists to cut parameters, so a model it
-    does not shrink is refused.  Errors name the model section, ``where``."""
+                   where: str = "model", make=M.build_model) -> tuple[M.Model, int, int | None]:
+    """The model ``make`` gives (built, or only assembled to be counted),
+    its parameter count and, when it is grouped, the count of the same
+    geometry without grouping, assembled unfilled.  Explicit grouping exists
+    to cut parameters, so a model it does not shrink is refused.  Errors
+    name the model section, ``where``."""
     try:
-        model = M.build_model(spec, labels, seed=seed)
+        model = make(spec, labels, seed)
     except (ConfigError, ShapeError) as e:
         raise ConfigError(f"{where}: {e}") from None
     n_params = M.count_params(model)
     if spec.grouping == "none":
         return model, n_params, None
-    vanilla = M.count_params(M._assemble(replace(spec, grouping="none", groups=1), None, seed, L.UNFILLED))
+    vanilla = M.count_params(M.assemble(replace(spec, grouping="none", groups=1), None, seed))
     if spec.grouping == "explicit" and n_params >= vanilla:
         raise ConfigError(
             f"{where}: explicit grouping must shrink the parameter count: {n_params} grouped, {vanilla} ungrouped")
@@ -721,7 +721,7 @@ def cmd_param_count(cfg: RunConfig) -> int:
         # round-robin groups; other partitions can count more, since in
         # rcnn a group exactly as wide as its stage share skips the lift
         labels = [i % spec.groups + 1 for i in range(spec.input_channels)]
-    _, n_params, vanilla = _counted_model(spec, labels, cfg.seed)
+    _, n_params, vanilla = _counted_model(spec, labels, cfg.seed, make=M.assemble)
     lines = _plan_lines(spec, n_params, vanilla)
     path = _write_csv(cfg, "params.txt", "\n".join(lines) + "\n")
     print(f"config {cfg.config_hash[:12]}")

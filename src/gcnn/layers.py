@@ -12,10 +12,10 @@ channel blocks.  A recurrent grouped stage is a
 :class:`RecurrentConvLayer` around a grouped convolution, so each
 iteration is one :func:`tensor.grouped_conv1d`; a grouped lift in front
 of it widens each group to the stage's width, and a group already that
-wide passes through the lift unchanged.  Parameters are created
-from a caller supplied ``numpy.random.Generator`` so identical seeds
-give identical models, or, given :data:`UNFILLED` instead, shape-only,
-without a draw, for a model whose values are read in from a checkpoint.
+wide passes through the lift unchanged.  A layer makes its parameters
+unfilled and appends each, with its init bound, to the caller's
+``record`` list; once they have storage, :func:`draw` fills them from a
+seeded generator in the order they were made.
 """
 
 from __future__ import annotations
@@ -37,43 +37,48 @@ __all__ = [
     "DenseLayer",
     "MaxPool1DLayer",
     "FlattenLayer",
-    "UNFILLED",
+    "draw",
     "init_uniform_fanin",
     "conv_params",
 ]
 
 
-#: Passed where a layer takes ``rng``: build its parameters with shapes
-#: but no values (:class:`tensor.Unfilled`), and draw nothing.
-UNFILLED = T.Unfilled(())
+Record = list[tuple[T.Parameter, float]]
 
 
-def _new_param(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], bound: float = 0.0) -> T.Parameter:
-    """A trainable leaf: drawn uniformly from [-bound, bound], zeros (and
-    no draw) for bound 0, or unfilled when ``rng`` is :data:`UNFILLED`.
-    Every layer parameter is made here."""
-    if rng is UNFILLED:
-        values = T.Unfilled(shape)
-    elif bound:
-        values = rng.uniform(-bound, bound, size=shape)
-    else:
-        values = np.zeros(shape)
-    return T.Parameter(values)
+def _new_param(record: Record, shape: tuple[int, ...], bound: float = 0.0) -> T.Parameter:
+    """An unfilled trainable leaf, appended to ``record`` with its init
+    bound.  Every layer parameter is made here."""
+    param = T.Parameter(T.Unfilled(shape))
+    record.append((param, bound))
+    return param
 
 
-def init_uniform_fanin(rng: np.random.Generator | T.Unfilled, shape: tuple[int, ...], fan_in: int) -> T.Parameter:
-    """Weights drawn uniformly from [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
+def draw(record: Record, rng: np.random.Generator) -> None:
+    """Fill the recorded parameters, in record order, straight into the
+    zeroed arrays they hold: one with bound b uniformly from [-b, b], the
+    same bits ``rng.uniform(-b, b, shape)`` gives; one with bound 0 stays
+    zero and consumes no random numbers."""
+    for param, bound in record:
+        if bound:
+            values = param.data
+            rng.random(out=values)
+            values *= 2 * bound
+            values += -bound
+
+
+def init_uniform_fanin(record: Record, shape: tuple[int, ...], fan_in: int) -> T.Parameter:
+    """Weights to draw uniformly from [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
-    return _new_param(rng, shape, 1.0 / np.sqrt(fan_in))
+    return _new_param(record, shape, 1.0 / np.sqrt(fan_in))
 
 
-def conv_params(
-    rng: np.random.Generator | T.Unfilled, out_channels: int, in_channels: int, kernel_width: int
-) -> tuple[T.Parameter, T.Parameter]:
+def conv_params(record: Record, out_channels: int, in_channels: int,
+                kernel_width: int) -> tuple[T.Parameter, T.Parameter]:
     """Fan-in uniform (out, in, kw) kernels, then a zero (out,) bias."""
-    kernels = init_uniform_fanin(rng, (out_channels, in_channels, kernel_width), in_channels * kernel_width)
-    return kernels, _new_param(rng, (out_channels,))
+    kernels = init_uniform_fanin(record, (out_channels, in_channels, kernel_width), in_channels * kernel_width)
+    return kernels, _new_param(record, (out_channels,))
 
 
 def _group_sizes(labels: np.ndarray, n_groups: int) -> np.ndarray:
@@ -111,7 +116,7 @@ class Conv1DLayer(Layer):
         kernel_width: int = 3,
         activation: str = "relu",
         *,
-        rng: np.random.Generator | T.Unfilled,
+        record: Record,
     ):
         if kernel_width < 1:
             raise ShapeError(f"kernel width must be >= 1, got {kernel_width}")
@@ -121,7 +126,7 @@ class Conv1DLayer(Layer):
         self.out_channels = out_channels
         self.kernel_width = kernel_width
         self.activation = activation
-        self.kernels, self.bias = conv_params(rng, out_channels, in_channels, kernel_width)
+        self.kernels, self.bias = conv_params(record, out_channels, in_channels, kernel_width)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.kernels, self.bias, self.activation)
@@ -195,12 +200,13 @@ class GroupedConv1DLayer(Layer):
         kernel_width: int = 3,
         activation: str = "relu",
         *,
-        rng: np.random.Generator | T.Unfilled,
+        record: Record,
     ) -> "GroupedConv1DLayer":
-        """Every group convolved; each draws its kernels in group order."""
+        """Every group convolved; the groups' parameters are made, so
+        drawn, in group order."""
         labels = np.asarray(labels, dtype=np.intp)
         sizes = _group_sizes(labels, int(labels.max(initial=-1)) + 1)
-        params = [conv_params(rng, out_per_group, int(size), kernel_width) for size in sizes]
+        params = [conv_params(record, out_per_group, int(size), kernel_width) for size in sizes]
         return cls(labels, *zip(*params), activation)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -267,7 +273,7 @@ class ClusteringCoeffLayer(Layer):
         kernel_width: int = 3,
         activation: str = "relu",
         *,
-        rng: np.random.Generator | T.Unfilled,
+        record: Record,
     ):
         if n_groups < 1:
             raise ValueError(f"need at least one group, got {n_groups}")
@@ -276,9 +282,9 @@ class ClusteringCoeffLayer(Layer):
         self.kernel_width = kernel_width
         self.activation = activation
         # near-uniform membership with broken symmetry
-        self.logits = _new_param(rng, (n_variables, n_groups), 0.01)
-        self.kernels = init_uniform_fanin(rng, (n_groups, kernel_width), kernel_width)
-        self.bias = _new_param(rng, (n_groups,))
+        self.logits = _new_param(record, (n_variables, n_groups), 0.01)
+        self.kernels = init_uniform_fanin(record, (n_groups, kernel_width), kernel_width)
+        self.bias = _new_param(record, (n_groups,))
 
     def coefficients(self) -> Tensor:
         """Row-stochastic membership matrix U (N x K)."""
@@ -297,19 +303,12 @@ class DenseLayer(Layer):
     """Fully-connected map on (features, batch) matrices, one column per
     sample, as one :func:`tensor.dense`."""
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        activation: str = "linear",
-        *,
-        rng: np.random.Generator | T.Unfilled,
-    ):
+    def __init__(self, in_features: int, out_features: int, activation: str = "linear", *, record: Record):
         self.in_features = in_features
         self.out_features = out_features
         self.activation = activation
-        self.weight = init_uniform_fanin(rng, (out_features, in_features), in_features)
-        self.bias = _new_param(rng, (out_features,))
+        self.weight = init_uniform_fanin(record, (out_features, in_features), in_features)
+        self.bias = _new_param(record, (out_features,))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[0] != self.in_features:

@@ -28,15 +28,17 @@ from .layers import (
     GroupedConv1DLayer,
     Layer,
     MaxPool1DLayer,
+    Record,
     RecurrentConvLayer,
-    UNFILLED,
     conv_params,
+    draw,
 )
 from .tensor import Tensor
 
 __all__ = [
     "ModelSpec",
     "Model",
+    "assemble",
     "build_model",
     "count_params",
     "preset",
@@ -196,8 +198,8 @@ class Model:
 
     ``vector`` is one contiguous float64 array that holds every parameter,
     in :meth:`named_params` order, and each parameter is a view into it.
-    A model built unfilled has a :class:`tensor.Unfilled` vector, which
-    counts but holds nothing, until a checkpoint load fills it.
+    A model is made unfilled: its vector is a :class:`tensor.Unfilled`,
+    which counts but holds nothing, until :meth:`bind` allocates it.
     """
 
     def __init__(self, spec: ModelSpec, layers: list[Layer], assignment: list[int] | None, seed: int):
@@ -205,17 +207,20 @@ class Model:
         self.layers = layers
         self.assignment = assignment
         self.seed = seed
-        params = [t for _, t in self.named_params()]
         self._spans, start = [], 0  # (start, stop, shape) of each parameter in the vector
-        for t in params:
+        for _, t in self.named_params():
             self._spans.append((start, start + t.size, t.shape))
             start += t.size
-        if any(isinstance(t.data, T.Unfilled) for t in params):
-            self.vector = T.Unfilled((start,))
-            return
-        self.vector = np.empty(start)
-        for t, view in zip(params, self.param_views(self.vector)):
-            t.attach(view)
+        self.vector = T.Unfilled((start,))
+
+    def bind(self) -> None:
+        """Allocate the vector, zeroed, and give each parameter, still
+        unfilled, its view of it as its values."""
+        if isinstance(self.vector, np.ndarray):
+            raise ValueError("the model's parameters are already bound")
+        self.vector = np.zeros(self.vector.size)
+        for (_, t), view in zip(self.named_params(), self.param_views(self.vector)):
+            t.data = view
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, C, W) windows to (1, B) predictions; one (C, W) window gives (1, 1)."""
@@ -250,28 +255,26 @@ class Model:
             return layer.coefficients().data.copy()
 
 
-def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, rng: np.random.Generator | T.Unfilled) -> list[Layer]:
+def _recurrent_stage(cin: int, cout: int, spec: ModelSpec, record: Record) -> list[Layer]:
     """Recurrent conv stage; lift channels first when cin != cout."""
     rcl = RecurrentConvLayer(
-        Conv1DLayer(cout, cout, spec.kernel_width, spec.hidden_activation, rng=rng),
+        Conv1DLayer(cout, cout, spec.kernel_width, spec.hidden_activation, record=record),
         spec.iterations,
     )
     if cin == cout:
         return [rcl]
-    return [Conv1DLayer(cin, cout, spec.kernel_width, spec.hidden_activation, rng=rng), rcl]
+    return [Conv1DLayer(cin, cout, spec.kernel_width, spec.hidden_activation, record=record), rcl]
 
 
-def _grouped_recurrent_stage(
-    labels: np.ndarray, per_group: int, spec: ModelSpec, rng: np.random.Generator | T.Unfilled
-) -> list[Layer]:
+def _grouped_recurrent_stage(labels: np.ndarray, per_group: int, spec: ModelSpec, record: Record) -> list[Layer]:
     """Grouped lift (only for groups not already ``per_group`` wide, and
     none when the input is already in place) then the recurrence over
-    contiguous ``per_group`` blocks.  Each group draws its inner kernels,
-    then its lift kernels, before the next group."""
+    contiguous ``per_group`` blocks.  Each group makes, so draws, its
+    inner kernels, then its lift kernels (the lift layer comes first)."""
     inner, lift = [], []
     for size in np.bincount(labels):
-        inner.append(conv_params(rng, per_group, per_group, spec.kernel_width))
-        lift.append((None, None) if size == per_group else conv_params(rng, per_group, int(size), spec.kernel_width))
+        inner.append(conv_params(record, per_group, per_group, spec.kernel_width))
+        lift.append((None, None) if size == per_group else conv_params(record, per_group, int(size), spec.kernel_width))
     blocks = np.repeat(np.arange(len(inner)), per_group)
     act = spec.hidden_activation
     rcl = RecurrentConvLayer(GroupedConv1DLayer(blocks, *zip(*inner), act), spec.iterations)
@@ -306,20 +309,26 @@ def _labels(assignment: Sequence[int] | np.ndarray | None, spec: ModelSpec) -> n
 
 
 def build_model(spec: ModelSpec, assignment: Sequence[int] | np.ndarray | None = None, seed: int = 0) -> Model:
-    """Assemble an initialized model from a spec.
+    """An initialized model: assembled, bound, then each parameter drawn
+    straight into its view, in the order the layers made them.
 
     ``assignment`` (1-based integer group label per input channel, a list
     or an array) is required for explicit grouping and rejected otherwise.
     """
-    return _assemble(spec, assignment, seed, np.random.default_rng(seed))
+    record: Record = []
+    model = assemble(spec, assignment, seed, record)
+    model.bind()
+    draw(record, np.random.default_rng(seed))
+    return model
 
 
-def _assemble(
-    spec: ModelSpec, assignment: Sequence[int] | np.ndarray | None, seed: int, rng: np.random.Generator | T.Unfilled
-) -> Model:
-    """The one model builder: parameters drawn from ``rng`` in layer
-    order, or, with :data:`layers.UNFILLED`, shape-only and undrawn, for a
-    model that is only counted or that a checkpoint load fills in."""
+def assemble(spec: ModelSpec, assignment: Sequence[int] | np.ndarray | None = None, seed: int = 0,
+             record: Record | None = None) -> Model:
+    """The one model builder: the layers of ``spec``, their parameters
+    shaped but unfilled, so the model counts but holds no vector until
+    :meth:`Model.bind`.  Each parameter and its init bound go on
+    ``record``, when given, in the order the layers make them."""
+    record = [] if record is None else record
     if spec.grouping == "explicit":
         labels = _labels(assignment, spec)
         assignment = (labels + 1).tolist()
@@ -335,15 +344,15 @@ def _assemble(
             if s in spec.pool_before:
                 layers.append(MaxPool1DLayer(spec.pool_window, spec.pool_stride))
             if spec.recurrent and s < n_stages:
-                layers += _recurrent_stage(cin, ch, spec, rng)
+                layers += _recurrent_stage(cin, ch, spec, record)
             else:
-                layers.append(Conv1DLayer(cin, ch, spec.kernel_width, spec.hidden_activation, rng=rng))
+                layers.append(Conv1DLayer(cin, ch, spec.kernel_width, spec.hidden_activation, record=record))
             cin = ch
     else:
         k = spec.groups
         if spec.grouping == "coeff":
             layers.append(
-                ClusteringCoeffLayer(spec.input_channels, k, spec.kernel_width, spec.hidden_activation, rng=rng)
+                ClusteringCoeffLayer(spec.input_channels, k, spec.kernel_width, spec.hidden_activation, record=record)
             )
             labels = np.repeat(np.arange(k), spec.input_channels)
         for s, ch in enumerate(spec.stage_channels, start=1):
@@ -351,11 +360,10 @@ def _assemble(
             if s in spec.pool_before:
                 layers.append(MaxPool1DLayer(spec.pool_window, spec.pool_stride))
             if spec.recurrent and s < n_stages:
-                layers += _grouped_recurrent_stage(labels, per_group, spec, rng)
+                layers += _grouped_recurrent_stage(labels, per_group, spec, record)
             else:
-                layers.append(
-                    GroupedConv1DLayer.create(labels, per_group, spec.kernel_width, spec.hidden_activation, rng=rng)
-                )
+                layers.append(GroupedConv1DLayer.create(labels, per_group, spec.kernel_width, spec.hidden_activation,
+                                                        record=record))
             labels = np.repeat(np.arange(k), per_group)
 
     final_width = spec.layer_widths()[-1]
@@ -364,7 +372,7 @@ def _assemble(
     for i, units in enumerate(spec.dense_units):
         last = i == len(spec.dense_units) - 1
         act = spec.output_activation if last else spec.hidden_activation
-        layers.append(DenseLayer(features, units, act, rng=rng))
+        layers.append(DenseLayer(features, units, act, record=record))
         features = units
 
     return Model(spec, layers, assignment, seed)
@@ -435,12 +443,12 @@ def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`.
 
     The header is checked and the body's length is checked against the
-    file size before any value is read.  The model is built unfilled, and
-    each of its parameters is found by name in the header and its shape
-    checked, before its parameter vector is allocated.  Then each
-    parameter's bytes are read, at the place the shapes before it give,
-    straight into its own view of the vector.  A parameter holds that view
-    only once its values are read and checked.
+    file size before any value is read.  The model is assembled unfilled,
+    and each of its parameters is found by name in the header and its
+    shape checked, before its parameter vector is allocated.  Then the
+    model is bound to its vector, as a build is, and each parameter's
+    bytes are read, at the place the shapes before it give, straight into
+    its own view of the vector, and checked to be finite.
     """
     with open(path, "rb") as f:
         head = f.readline()
@@ -477,7 +485,7 @@ def load_checkpoint(path: str | Path) -> Model:
         body = os.fstat(f.fileno()).st_size - len(head)
         if body != offset:
             raise ShapeError(f"checkpoint body holds {body} bytes, its parameter shapes need {offset}")
-        model = _assemble(ModelSpec.from_dict(doc["spec"]), assignment, seed, UNFILLED)
+        model = assemble(ModelSpec.from_dict(doc["spec"]), assignment, seed)
         starts = []
         for name, t in model.named_params():
             if name not in stored:
@@ -490,9 +498,10 @@ def load_checkpoint(path: str | Path) -> Model:
             raise ConfigError(f"checkpoint has unknown parameters: {sorted(stored)}")
         # every shape the spec implies is one the body holds, so the vector
         # is no larger than the file
-        model.vector = np.empty(model.vector.size)
+        model.bind()
         swap = not np.dtype("<f8").isnative
-        for (name, t), values, start in zip(model.named_params(), model.param_views(model.vector), starts):
+        for (name, t), start in zip(model.named_params(), starts):
+            values = t.data
             f.seek(len(head) + start)
             if f.readinto(values) != values.nbytes:
                 raise ShapeError(f"checkpoint ended inside parameter {name!r}")
@@ -500,5 +509,4 @@ def load_checkpoint(path: str | Path) -> Model:
                 values.byteswap(inplace=True)
             if not np.isfinite(values).all():
                 raise NumericalError(f"checkpoint parameter {name!r} holds non-finite values")
-            t.attach(values)
     return model

@@ -232,15 +232,6 @@ class Parameter(Tensor):
     # own getter, and every other attribute is a plain slot
     data = property(_DATA.__get__, _assign)
 
-    def attach(self, storage: np.ndarray) -> None:
-        """Keep the values in ``storage``, an array of this parameter's
-        shape, from now on; the current values, if any, are copied in."""
-        if storage.shape != self.shape:
-            raise ShapeError(f"cannot keep a {self.shape} parameter in a {storage.shape} array")
-        if isinstance(self.data, np.ndarray):
-            np.copyto(storage, self.data)
-        _DATA.__set__(self, storage)
-
 
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule: BackwardRule) -> Tensor:
     """Wrap an op result; keep the backward rule only when it can matter."""

@@ -8,7 +8,8 @@ engine's batch-wide ones are checked against, ``row_sliced_fold`` the
 col2im the engine's flat one must match bit for bit, ``composed_ops``
 the fused layer ops written as the chains of smaller ops they replace,
 and ``reference_sgd_step`` the per-tensor update the flat SGD step is
-checked against.  Nothing in ``gcnn`` uses them.
+checked against.  Nothing in ``gcnn`` uses them.  ``Drawing`` is the
+parameter record that fills a layer a test builds alone.
 """
 
 from __future__ import annotations
@@ -22,8 +23,28 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gcnn import tensor as T
 from gcnn.errors import ShapeError
+from gcnn.layers import draw
 from gcnn.spectral import GroupAssignment, SimilarityGraph, ncut_value
 from gcnn.tensor import Tensor
+
+
+class Drawing(list):
+    """A parameter record for a layer a test builds alone.  Each parameter
+    the layer records gets its own zeroed array and is drawn from ``rng``
+    by :func:`gcnn.layers.draw` at once, so a layer's draws and the test's
+    other draws from one generator interleave in the order they are made,
+    and the layer gets the values a model build draws for the same
+    parameters."""
+
+    def __init__(self, rng: np.random.Generator):
+        super().__init__()
+        self.rng = rng
+
+    def append(self, entry):
+        param, _ = entry
+        param.data = np.zeros(param.shape)
+        draw([entry], self.rng)
+        super().append(entry)
 
 
 def toy_grouped_dense_forward(

@@ -41,7 +41,7 @@ from gcnn.spectral import (
 )
 from gcnn.tensor import Tensor
 from gcnn.training import TrainConfig, evaluate, srmse, train
-from oracles import brute_force_min_ncut, toy_grouped_dense_forward
+from oracles import Drawing, brute_force_min_ncut, toy_grouped_dense_forward
 
 
 # -- criterion 1: gradient soundness ----------------------------------------
@@ -66,7 +66,7 @@ def conv_instance(rng):
     kw = int(rng.integers(1, 4))
     width = int(rng.integers(kw, kw + 5))
     rng.integers(2)  # discarded draw; keeps the instances that follow as they were
-    layer = Conv1DLayer(cin, cout, kw, activation="tanh", rng=rng)
+    layer = Conv1DLayer(cin, cout, kw, activation="tanh", record=Drawing(rng))
     x = Tensor(rng.standard_normal((cin, width)), requires_grad=True)
     w = Tensor(rng.standard_normal(layer.forward(x).shape))
     leaves = [x] + [t for _, t in layer.named_params()]
@@ -88,7 +88,7 @@ def maxpool_instance(rng):
 
 def dense_instance(rng):
     n_in, n_out = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-    layer = DenseLayer(n_in, n_out, activation="tanh", rng=rng)
+    layer = DenseLayer(n_in, n_out, activation="tanh", record=Drawing(rng))
     x = Tensor(rng.standard_normal((n_in, 1)), requires_grad=True)
     w = Tensor(rng.standard_normal((n_out, 1)))
     leaves = [x] + [t for _, t in layer.named_params()]
@@ -99,7 +99,7 @@ def rcl_instance(rng, iterations):
     c = int(rng.integers(1, 4))
     kw = int(rng.integers(1, 4))
     width = int(rng.integers(3, 7))
-    inner = Conv1DLayer(c, c, kw, activation="tanh", rng=rng)
+    inner = Conv1DLayer(c, c, kw, activation="tanh", record=Drawing(rng))
     layer = RecurrentConvLayer(inner, iterations)
     x = Tensor(rng.standard_normal((c, width)), requires_grad=True)
     w = Tensor(rng.standard_normal((c, width)))
@@ -119,7 +119,7 @@ def grouped_instance(rng):
     width = int(rng.integers(kw, kw + 4))
     out_per_group = int(rng.integers(1, 3))
     rng.integers(2)  # discarded draw; keeps the instances that follow as they were
-    layer = GroupedConv1DLayer.create(labels, out_per_group, kw, activation="tanh", rng=rng)
+    layer = GroupedConv1DLayer.create(labels, out_per_group, kw, activation="tanh", record=Drawing(rng))
     x = Tensor(rng.standard_normal((cin, width)), requires_grad=True)
     w = Tensor(rng.standard_normal(layer.forward(x).shape))
     leaves = [x] + [t for _, t in layer.named_params()]
@@ -131,7 +131,7 @@ def coeff_instance(rng):
     k = int(rng.integers(1, 4))
     kw = int(rng.integers(1, 4))
     width = int(rng.integers(kw, kw + 4))
-    layer = ClusteringCoeffLayer(n, k, kw, activation="tanh", rng=rng)
+    layer = ClusteringCoeffLayer(n, k, kw, activation="tanh", record=Drawing(rng))
     x = Tensor(rng.standard_normal((n, width)), requires_grad=True)
     w = Tensor(rng.standard_normal(layer.forward(x).shape))
     leaves = [x] + [t for _, t in layer.named_params()]
@@ -203,9 +203,9 @@ def test_criterion_3_parameter_reduction_is_exactly_fivefold():
     # 100 inputs, 100 output channels, 5 equal clusters of 20
     rng = np.random.default_rng(0)
     kw = 3
-    vanilla = Conv1DLayer(100, 100, kw, rng=rng)
+    vanilla = Conv1DLayer(100, 100, kw, record=Drawing(rng))
     labels = np.repeat(np.arange(5), 20)
-    grouped = GroupedConv1DLayer.create(labels, out_per_group=20, kernel_width=kw, rng=rng)
+    grouped = GroupedConv1DLayer.create(labels, out_per_group=20, kernel_width=kw, record=Drawing(rng))
 
     vanilla_kernels = vanilla.kernels.size
     grouped_kernels = sum(k.size for k in grouped.kernels)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -885,6 +886,21 @@ def test_param_count_grouped_preset_shrinks(tmp_path):
     assert run("param-count", cfg) == 0
     text = (tmp_path / "out" / "params.txt").read_text()
     assert "parameters 528301 (ungrouped equivalent 2432701)" in text
+
+
+@pytest.mark.parametrize("name", ["drone-rcnn", "drone-rcnn-grouped"])
+def test_param_count_allocates_no_parameter_vector(tmp_path, capsys, name):
+    # the model and its ungrouped twin are assembled unfilled and only
+    # counted: a drone-rcnn vector would take 55.2 MiB
+    cfg = write_config(tmp_path / "run.yaml", {"model": {"preset": name}, "out": str(tmp_path / "out")})
+    tracemalloc.start()
+    try:
+        assert run("param-count", cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "7234901" in capsys.readouterr().out  # drone-rcnn's count, the twin's for the grouped one
+    assert peak < 2**20
 
 
 def test_param_count_without_geometry_exits_2(tmp_path):

@@ -19,31 +19,31 @@ from gcnn.layers import (
 )
 from gcnn.models import ModelSpec, build_model
 from gcnn.tensor import Tensor, grad_check
-from oracles import toy_grouped_dense_forward
+from oracles import Drawing, toy_grouped_dense_forward
 
 
 def make_grouped(rng, labels, out_per_group, kw=3, activation="relu"):
-    return GroupedConv1DLayer.create(labels, out_per_group, kw, activation, rng=rng)
+    return GroupedConv1DLayer.create(labels, out_per_group, kw, activation, record=Drawing(rng))
 
 
 class TestConv1DLayer:
     def test_output_geometry(self):
-        layer = Conv1DLayer(4, 7, 3, rng=np.random.default_rng(0))
+        layer = Conv1DLayer(4, 7, 3, record=Drawing(np.random.default_rng(0)))
         out = layer.forward(Tensor(np.random.default_rng(1).standard_normal((4, 10))))
         assert out.shape == (7, 10)
 
     def test_seeded_init_reproducible(self):
-        a = Conv1DLayer(3, 5, 3, rng=np.random.default_rng(7))
-        b = Conv1DLayer(3, 5, 3, rng=np.random.default_rng(7))
+        a = Conv1DLayer(3, 5, 3, record=Drawing(np.random.default_rng(7)))
+        b = Conv1DLayer(3, 5, 3, record=Drawing(np.random.default_rng(7)))
         np.testing.assert_array_equal(a.kernels.data, b.kernels.data)
 
     def test_fan_in_bound(self):
-        layer = Conv1DLayer(10, 20, 3, rng=np.random.default_rng(3))
+        layer = Conv1DLayer(10, 20, 3, record=Drawing(np.random.default_rng(3)))
         bound = 1.0 / np.sqrt(10 * 3)
         assert np.all(np.abs(layer.kernels.data) <= bound)
 
     def test_bias_starts_at_zero(self):
-        layer = Conv1DLayer(2, 3, 3, rng=np.random.default_rng(5))
+        layer = Conv1DLayer(2, 3, 3, record=Drawing(np.random.default_rng(5)))
         np.testing.assert_array_equal(layer.bias.data, np.zeros(3))
 
 
@@ -53,9 +53,9 @@ class TestConv1DLayer:
     lambda: ClusteringCoeffLayer(2, 2),
     lambda: DenseLayer(2, 1),
 ], ids=["conv", "grouped", "coeff", "dense"])
-def test_layers_need_a_generator(build):
-    # an unseeded layer would break "same spec and seed, same model"
-    with pytest.raises(TypeError, match="rng"):
+def test_layers_need_a_record(build):
+    # a layer whose parameters are on no record would never be filled
+    with pytest.raises(TypeError, match="record"):
         build()
 
 
@@ -69,14 +69,14 @@ class TestPartitionValidation:
         np.testing.assert_array_equal(layer.order, [0, 2, 1, 3])
 
     def test_out_of_range(self):
-        kernels, bias = conv_params(np.random.default_rng(1), 1, 1, 3)
+        kernels, bias = conv_params(Drawing(np.random.default_rng(1)), 1, 1, 3)
         with pytest.raises(ShapeError, match="group label 2 out of range for 2 groups"):
             GroupedConv1DLayer([0, 2], [kernels, kernels], [bias, bias])
         with pytest.raises(ShapeError, match="group label -1 out of range"):
             make_grouped(np.random.default_rng(1), [0, -1], 1)
 
     def test_empty_group(self):
-        kernels, bias = conv_params(np.random.default_rng(2), 1, 2, 3)
+        kernels, bias = conv_params(Drawing(np.random.default_rng(2)), 1, 2, 3)
         with pytest.raises(ShapeError, match="group 1 has no member channels"):
             GroupedConv1DLayer([0, 0], [kernels, None], [bias, None])
         with pytest.raises(ShapeError, match="group 1 has no member channels"):
@@ -87,7 +87,7 @@ class TestGroupedConv1DLayer:
     def test_single_group_degenerates_to_vanilla(self):
         # K=1 with shared parameter tensors must be elementwise identical
         rng = np.random.default_rng(10)
-        vanilla = Conv1DLayer(5, 4, 3, activation="relu", rng=rng)
+        vanilla = Conv1DLayer(5, 4, 3, activation="relu", record=Drawing(rng))
         grouped = GroupedConv1DLayer([0] * 5, [vanilla.kernels], [vanilla.bias], activation="relu")
         x = Tensor(np.random.default_rng(11).standard_normal((5, 9)))
         np.testing.assert_array_equal(grouped.forward(x).data, vanilla.forward(x).data)
@@ -118,13 +118,13 @@ class TestGroupedConv1DLayer:
         # drops by exactly the group count
         rng = np.random.default_rng(16)
         grouped = make_grouped(rng, np.repeat(np.arange(5), 20), out_per_group=20, kw=3)
-        vanilla = Conv1DLayer(100, 100, 3, rng=rng)
+        vanilla = Conv1DLayer(100, 100, 3, record=Drawing(rng))
         grouped_kernels = sum(k.size for k in grouped.kernels)
         assert vanilla.kernels.size == 5 * grouped_kernels
 
     def test_mismatched_kernel_members(self):
         rng = np.random.default_rng(17)
-        kernels = init_uniform_fanin(rng, (2, 3, 3), 9)
+        kernels = init_uniform_fanin(Drawing(rng), (2, 3, 3), 9)
         bias = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ShapeError):
             GroupedConv1DLayer([0, 0, 1, 1], [kernels, kernels], [bias, bias])
@@ -143,7 +143,7 @@ class TestGroupedConv1DLayer:
 class TestRecurrentConvLayer:
     def test_single_iteration_equals_plain_conv(self):
         rng = np.random.default_rng(20)
-        inner = Conv1DLayer(3, 3, 3, activation="tanh", rng=rng)
+        inner = Conv1DLayer(3, 3, 3, activation="tanh", record=Drawing(rng))
         rcl = RecurrentConvLayer(inner, iterations=1)
         x = Tensor(np.random.default_rng(21).standard_normal((3, 7)))
         np.testing.assert_array_equal(rcl.forward(x).data, inner.forward(x).data)
@@ -151,7 +151,7 @@ class TestRecurrentConvLayer:
     def test_two_iterations_scalar_unroll(self):
         # identity kernel, linear activation, zero bias, x=1:
         # z1 = 1, z2 = (1 + 1) = 2
-        inner = Conv1DLayer(1, 1, 1, activation="linear", rng=np.random.default_rng(0))
+        inner = Conv1DLayer(1, 1, 1, activation="linear", record=Drawing(np.random.default_rng(0)))
         inner.kernels.data[:] = 1.0
         inner.bias.data[:] = 0.0
         rcl = RecurrentConvLayer(inner, iterations=2)
@@ -160,14 +160,14 @@ class TestRecurrentConvLayer:
 
     def test_three_iterations_scalar_unroll(self):
         # z3 = x + z2 = 1 + 2 = 3 under the same degenerate parameters
-        inner = Conv1DLayer(1, 1, 1, activation="linear", rng=np.random.default_rng(0))
+        inner = Conv1DLayer(1, 1, 1, activation="linear", record=Drawing(np.random.default_rng(0)))
         inner.kernels.data[:] = 1.0
         inner.bias.data[:] = 0.0
         out = RecurrentConvLayer(inner, iterations=3).forward(Tensor([[1.0]]))
         np.testing.assert_array_equal(out.data, [[3.0]])
 
     def test_channel_mismatch_rejected(self):
-        inner = Conv1DLayer(3, 4, 3, rng=np.random.default_rng(1))
+        inner = Conv1DLayer(3, 4, 3, record=Drawing(np.random.default_rng(1)))
         with pytest.raises(ShapeError, match="matching channels"):
             RecurrentConvLayer(inner, iterations=2)
 
@@ -175,51 +175,51 @@ class TestRecurrentConvLayer:
         # one parameter set drives all unrolled applications; the recorded
         # gradient must match finite differences through the whole recursion
         rng = np.random.default_rng(22)
-        inner = Conv1DLayer(2, 2, 3, activation="tanh", rng=rng)
+        inner = Conv1DLayer(2, 2, 3, activation="tanh", record=Drawing(rng))
         rcl = RecurrentConvLayer(inner, iterations=2)
         x = Tensor(np.random.default_rng(23).standard_normal((2, 6)))
         err = grad_check(lambda: T.sum_all(rcl.forward(x)), [inner.kernels, inner.bias])
         assert err < 1e-5
 
     def test_params_listed_once(self):
-        inner = Conv1DLayer(2, 2, 3, rng=np.random.default_rng(3))
+        inner = Conv1DLayer(2, 2, 3, record=Drawing(np.random.default_rng(3)))
         rcl = RecurrentConvLayer(inner, iterations=4)
         assert len(rcl.named_params()) == 2
 
 
 class TestClusteringCoeffLayer:
     def test_output_shape_group_major(self):
-        layer = ClusteringCoeffLayer(5, 3, rng=np.random.default_rng(30))
+        layer = ClusteringCoeffLayer(5, 3, record=Drawing(np.random.default_rng(30)))
         out = layer.forward(Tensor(np.random.default_rng(31).standard_normal((5, 8))))
         assert out.shape == (15, 8)
 
     def test_coefficients_row_stochastic(self):
-        layer = ClusteringCoeffLayer(6, 4, rng=np.random.default_rng(32))
+        layer = ClusteringCoeffLayer(6, 4, record=Drawing(np.random.default_rng(32)))
         u = layer.coefficients().data
         np.testing.assert_allclose(u.sum(axis=1), np.ones(6), atol=1e-12)
         assert np.all(u >= 0.0) and np.all(u <= 1.0)
 
     def test_single_group_coefficients_all_one(self):
         # softmax over one logit is identically 1
-        layer = ClusteringCoeffLayer(4, 1, rng=np.random.default_rng(33))
+        layer = ClusteringCoeffLayer(4, 1, record=Drawing(np.random.default_rng(33)))
         np.testing.assert_array_equal(layer.coefficients().data, np.ones((4, 1)))
 
     def test_single_group_is_plain_channelwise_conv(self):
-        layer = ClusteringCoeffLayer(4, 1, activation="linear", rng=np.random.default_rng(34))
+        layer = ClusteringCoeffLayer(4, 1, activation="linear", record=Drawing(np.random.default_rng(34)))
         layer.bias.data[0] = 0.0
         x = Tensor(np.random.default_rng(35).standard_normal((4, 7)))
         expected = T.channelwise_conv1d(x, Tensor(layer.kernels.data))  # (4, 7): one group of 4 rows
         np.testing.assert_array_equal(layer.forward(x).data, expected.data)
 
     def test_uniform_logits_give_equal_shares(self):
-        layer = ClusteringCoeffLayer(3, 4, rng=np.random.default_rng(36))
+        layer = ClusteringCoeffLayer(3, 4, record=Drawing(np.random.default_rng(36)))
         layer.logits.data[:] = 0.0
         np.testing.assert_array_equal(layer.coefficients().data, np.full((3, 4), 0.25))
 
     def test_block_k_is_scaled_conv(self):
         # identity kernel + zero bias + linear: block k equals x scaled
         # row-wise by u[:, k]
-        layer = ClusteringCoeffLayer(3, 2, kernel_width=3, activation="linear", rng=np.random.default_rng(37))
+        layer = ClusteringCoeffLayer(3, 2, kernel_width=3, activation="linear", record=Drawing(np.random.default_rng(37)))
         for k in range(2):
             layer.kernels.data[k] = [0.0, 1.0, 0.0]
             layer.bias.data[k] = 0.0
@@ -230,12 +230,12 @@ class TestClusteringCoeffLayer:
             np.testing.assert_allclose(out.data[3 * k : 3 * (k + 1)], x * u[:, k : k + 1], atol=1e-15)
 
     def test_variable_count_mismatch(self):
-        layer = ClusteringCoeffLayer(3, 2, rng=np.random.default_rng(39))
+        layer = ClusteringCoeffLayer(3, 2, record=Drawing(np.random.default_rng(39)))
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.ones((4, 5))))
 
     def test_logit_gradients_match_finite_differences(self):
-        layer = ClusteringCoeffLayer(3, 2, activation="tanh", rng=np.random.default_rng(40))
+        layer = ClusteringCoeffLayer(3, 2, activation="tanh", record=Drawing(np.random.default_rng(40)))
         x = Tensor(np.random.default_rng(41).standard_normal((3, 5)))
         target = Tensor(np.random.default_rng(42).standard_normal((6, 5)))
 
@@ -261,13 +261,13 @@ class TestTapeSize:
         counts = []
         for k in (2, 7):
             # every group takes every k-th channel, so the gather is needed
-            layer = GroupedConv1DLayer.create(np.arange(14) % k, out_per_group=3, rng=np.random.default_rng(51))
+            layer = GroupedConv1DLayer.create(np.arange(14) % k, out_per_group=3, record=Drawing(np.random.default_rng(51)))
             counts.append(self.step_tape_entries(layer, 14))
         assert counts[0] == counts[1]
 
     def test_coeff_tape_does_not_grow_with_groups(self):
         counts = [
-            self.step_tape_entries(ClusteringCoeffLayer(6, k, rng=np.random.default_rng(52)), 6) for k in (2, 7)
+            self.step_tape_entries(ClusteringCoeffLayer(6, k, record=Drawing(np.random.default_rng(52))), 6) for k in (2, 7)
         ]
         assert counts[0] == counts[1]
 
@@ -357,14 +357,14 @@ class TestToyGroupedDense:
 
 class TestDenseAndShapes:
     def test_dense_forward(self):
-        layer = DenseLayer(3, 2, activation="linear", rng=np.random.default_rng(60))
+        layer = DenseLayer(3, 2, activation="linear", record=Drawing(np.random.default_rng(60)))
         layer.weight.data[:] = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
         layer.bias.data[:] = [10.0, 20.0]
         out = layer.forward(Tensor([[1.0], [2.0], [3.0]]))
         np.testing.assert_array_equal(out.data, [[11.0], [25.0]])
 
     def test_dense_rejects_wrong_shape(self):
-        layer = DenseLayer(3, 2, rng=np.random.default_rng(61))
+        layer = DenseLayer(3, 2, record=Drawing(np.random.default_rng(61)))
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.ones((4, 1))))
 
@@ -385,7 +385,7 @@ class TestGroupedRecurrentStage:
     def make_stage(rng):
         # group 0 = channels (0, 3), already 2 wide, passes through; group 1 =
         # channel 1 and group 2 = channels (2, 4, 5) are lifted to 2 channels
-        (k1, b1), (k2, b2) = conv_params(rng, 2, 1, 3), conv_params(rng, 2, 3, 3)
+        (k1, b1), (k2, b2) = conv_params(Drawing(rng), 2, 1, 3), conv_params(Drawing(rng), 2, 3, 3)
         lift = GroupedConv1DLayer([0, 1, 2, 0, 2, 2], [None, k1, k2], [None, b1, b2], activation="tanh")
         inner = make_grouped(rng, [0, 0, 1, 1, 2, 2], out_per_group=2, activation="tanh")
         return lift, RecurrentConvLayer(inner, iterations=3)

@@ -23,7 +23,6 @@ from gcnn.layers import (
     FlattenLayer,
     MaxPool1DLayer,
     RecurrentConvLayer,
-    UNFILLED,
 )
 from gcnn.models import (
     ModelSpec,
@@ -266,8 +265,17 @@ class TestParamVector:
         with pytest.raises(ShapeError, match="cannot assign"):
             bias.data = np.zeros(bias.size + 1)
 
+    def test_a_bound_model_is_not_bound_again(self):
+        # a second bind would copy zeros into the views and leave the
+        # parameters apart from the new vector
+        model = build_model(SMALL, seed=3)
+        vector = model.vector
+        with pytest.raises(ValueError, match="already bound"):
+            model.bind()
+        assert model.vector is vector
+
     def test_an_unfilled_model_holds_no_vector(self):
-        model = M._assemble(SMALL, None, 0, UNFILLED)
+        model = M.assemble(SMALL)
         assert isinstance(model.vector, Unfilled)
         assert count_params(model) == count_params(build_model(SMALL, seed=0))
 
@@ -658,6 +666,70 @@ def test_explicit_checkpoint_bytes_are_pinned(tmp_path, recurrent, assignment, d
     assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == digest
 
 
+def pinned_assignment(spec, kind):
+    """1-based labels for an explicit preset: contiguous balanced blocks
+    floor(i*K/N) + 1, round-robin groups, or, for "one-share-wide", group 1
+    exactly one stage share wide (an rcnn lift passes it through) and the
+    other channels in blocks, shuffled."""
+    n, k = spec.input_channels, spec.groups
+    if kind == "round-robin":
+        return balanced_assignment(n, k)
+    if kind == "one-share-wide":
+        share = spec.stage_channels[0] // k
+        labels = [1] * share + [j * (k - 1) // (n - share) + 2 for j in range(n - share)]
+        return np.random.default_rng(0).permutation(labels).tolist()
+    return [i * k // n + 1 for i in range(n)]
+
+
+# sha256 of model.vector at seed 0: every preset, explicit ones on blocks;
+# each explicit preset on round-robin groups; and the drone explicit
+# presets with a group one share wide.  A build draws in the order its
+# layers make their parameters, so these pin that order with the values.
+PINNED_PRESETS = {
+    "water-cnn": "4d9d95e49c332d355a7ea774910c338a796d0946217c90dcade6014a5018f6d2",
+    "water-cnn-grouped": "78cb30e27f9c09dae103be90846f2314460cf7a6f6493cb332cb3530414ca56d",
+    "water-cnn-coeff": "5cc5a217d057e46a83571a4b0c894cc315bd7d9e7813878028542f1e24cc39cb",
+    "water-rcnn": "0c2fdf3e0ca5e76267bc316a203ad9838cb0095dca8edf28cb634607da532944",
+    "water-rcnn-grouped": "aefebcbe5d7082198d6d66390656bff02013ef15d6d622a418428b9d79061df3",
+    "water-rcnn-coeff": "46b53cee5f2443e5328f18988ec892461d7205d3f3eeced1b2bd211adc2155d4",
+    "drone-cnn": "b2fc5054a3de81e71504847fc898d6423a0913d4ee5dc0071b62a37be05150d0",
+    "drone-cnn-grouped": "498376fd584057b98abb5e89d38fbf4007d190a237f8a6dd4b70bedb039c3dc9",
+    "drone-cnn-coeff": "f4da058a4e000b5ad7242cdafbacb15e6f604edf510a6f2b407ae8dcc56e51e0",
+    "drone-rcnn": "9e94675a89661ff5a8d299c934c0785f0439e46d66dc889623696f3684d43ea6",
+    "drone-rcnn-grouped": "5aedb94caaf23b417434a61b6d4b1edbfd71cb5cb87c736215348e4197ef9b82",
+    "drone-rcnn-coeff": "59b712ae8e20952354e209072e081dd8d5a9983a46ebc3e067e52cfddc657ae5",
+    "water-cnn-grouped@round-robin": "2af70ca6e80fc64d8f04af6651e453af86bdb22f72cb8132bced03df9a009f7d",
+    "water-rcnn-grouped@round-robin": "e27dec7591ed9388a5b8c08304e8390c78d28d184e66c59fcfac173d4d3054d8",
+    "drone-cnn-grouped@round-robin": "15f42d13878abf61ad877dd149693aa43654c8f3d10f580feadab6f4d6f7bc64",
+    "drone-rcnn-grouped@round-robin": "e16cc2a1575a9f33b9ad13e61184528988cf724fa4cbffed6b7202744d6246ed",
+    "drone-cnn-grouped@one-share-wide": "f0bb6e1045ad8ece5e6af53961d8590b4831432149ff179485e0bc5674bd04ef",
+    "drone-rcnn-grouped@one-share-wide": "c75d1f45293f6b7419a1b645e48d953731169abbc1bbe1b206de372afb75946a",
+}
+
+
+@pytest.mark.parametrize("build, digest", PINNED_PRESETS.items(), ids=PINNED_PRESETS)
+def test_preset_vectors_are_pinned(build, digest):
+    name, _, kind = build.partition("@")
+    spec = preset(name)
+    labels = pinned_assignment(spec, kind) if spec.grouping == "explicit" else None
+    assert hashlib.sha256(build_model(spec, labels, seed=0).vector.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["water-cnn", "water-rcnn-grouped"])
+def test_build_holds_each_parameter_once(name):
+    # parameters are drawn straight into their views of the one vector, so
+    # a build's peak is that vector, not the vector and a drawn copy
+    spec = preset(name)
+    labels = pinned_assignment(spec, "blocks") if spec.grouping == "explicit" else None
+    tracemalloc.start()
+    try:
+        model = build_model(spec, labels, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * model.vector.nbytes + 2**20
+
+
 TINY = ModelSpec(input_channels=2, input_width=4, stage_channels=(2,), pool_before=(), dense_units=(1,))
 TINY_SIZE = count_params(build_model(TINY))
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -710,7 +782,7 @@ def test_unfilled_model_counts_but_refuses_to_run(tmp_path, spec):
     # built without a draw, a model has its shapes, so it counts the same;
     # anything that reads its values raises, never a NaN or zero prediction
     labels = balanced_assignment(6, 2) if spec.grouping == "explicit" else None
-    model = M._assemble(spec, labels, 0, UNFILLED)
+    model = M.assemble(spec, labels)
     assert count_params(model) == count_params(build_model(spec, labels, seed=0))
     rng = np.random.default_rng(24)
     x = Tensor(rng.standard_normal((3, 6, 8)))

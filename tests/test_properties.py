@@ -11,8 +11,9 @@ their gradients against the per-sample im2col references in
 quote-free CSV tokenizer against ``csv.reader``, tables written by
 ``dumps_table`` read back cell for cell, parsed tables loaded back bit
 for bit and every truncation of one refused, the flat SGD step against
-the per-tensor update in ``oracles.py``, and libyaml's loader against
-PyYAML's own on config-shaped YAML."""
+the per-tensor update in ``oracles.py``, parameter draws made in place
+against ``Generator.uniform``, and libyaml's loader against PyYAML's
+own on config-shaped YAML."""
 
 import csv
 import io
@@ -32,12 +33,12 @@ from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _mis
                        standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
-from gcnn.layers import Conv1DLayer, GroupedConv1DLayer, RecurrentConvLayer
+from gcnn.layers import Conv1DLayer, GroupedConv1DLayer, RecurrentConvLayer, draw
 from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model, load_checkpoint, save_checkpoint
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
 from gcnn.training import PREDICT_CHUNK, TrainConfig, evaluate, mse_loss, sgd_step
-from oracles import reference_channelwise_conv1d, reference_grouped_conv1d, reference_sgd_step
+from oracles import Drawing, reference_channelwise_conv1d, reference_grouped_conv1d, reference_sgd_step
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -617,7 +618,7 @@ def test_grouped_layer_is_invariant_to_relabelling_channels(sizes, kw, seed):
     rng = np.random.default_rng(seed)
     c = sum(sizes)
     labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-    layer = GroupedConv1DLayer.create(labels, out_per_group=2, kernel_width=kw, rng=rng)
+    layer = GroupedConv1DLayer.create(labels, out_per_group=2, kernel_width=kw, record=Drawing(rng))
     pi = rng.permutation(c)  # channel i is called pi[i] in the relabelled layer
     relabels = np.empty_like(labels)
     relabels[pi] = labels
@@ -834,16 +835,15 @@ def per_group_recurrent_reference(x, stage, labels, per_group, spec):
     wide, recur with a plain conv, and stack; parameters are the stage's."""
     lift, inner = (stage[0], stage[1].inner) if len(stage) == 2 else (None, stage[0].inner)
     lifts = {} if lift is None else dict(zip(lift.convolved, zip(lift.kernels, lift.biases)))
-    rng = np.random.default_rng(0)  # initial values only; the stage's replace them
     outs = []
     for g in range(labels.max() + 1):
         members = np.flatnonzero(labels == g)
         z = T.gather_rows(x, members)
         if len(members) != per_group:
-            conv = Conv1DLayer(len(members), per_group, spec.kernel_width, spec.hidden_activation, rng=rng)
+            conv = Conv1DLayer(len(members), per_group, spec.kernel_width, spec.hidden_activation, record=[])
             conv.kernels, conv.bias = lifts[g]
             z = conv.forward(z)
-        cell = Conv1DLayer(per_group, per_group, spec.kernel_width, spec.hidden_activation, rng=rng)
+        cell = Conv1DLayer(per_group, per_group, spec.kernel_width, spec.hidden_activation, record=[])
         cell.kernels, cell.bias = inner.kernels[g], inner.biases[g]
         outs.append(RecurrentConvLayer(cell, spec.iterations).forward(z))
     return T.concat(outs, axis=-2)
@@ -873,7 +873,7 @@ def test_recurrent_grouped_stage_equals_per_group_reference(case):
         labels = rng.permutation(labels)
     spec = ModelSpec(input_channels=c, input_width=width, kernel_width=kw, iterations=iterations,
                      hidden_activation="tanh")
-    stage = _grouped_recurrent_stage(labels, per_group, spec, rng)
+    stage = _grouped_recurrent_stage(labels, per_group, spec, Drawing(rng))
     x = Tensor(rng.standard_normal((*batch, c, width)), requires_grad=True)
     weights = Tensor(rng.standard_normal((*batch, per_group * len(sizes), width)))
     leaves = [x] + [t for layer in stage for _, t in layer.named_params()]
@@ -921,6 +921,28 @@ def test_checkpoint_header_byte_edit_loads_or_raises_a_typed_error(tmp_path_fact
         load_checkpoint(path)
     except (ConfigError, ShapeError, NumericalError):
         pass
+
+
+# -- parameter draws --------------------------------------------------------
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=3).map(tuple),
+       st.floats(1e-300, 1e300), st.integers(0, 2**32 - 1))
+@example((500, 87, 3), 1 / math.sqrt(87 * 3), 3)
+@example((750, 750, 3), 1 / math.sqrt(750 * 3), 0)
+@example((16,), 0.01, 21)
+@example((7,), 1 / math.sqrt(7), 5)
+def test_in_place_draw_gives_the_bits_of_uniform(shape, bound, seed):
+    # random(out=v); v *= 2b; v += -b is -b + 2b*u, the sum uniform(-b, b)
+    # forms, from the same numbers; a zero bound stays zero and takes none
+    param, zero = T.Parameter(T.Unfilled(shape)), T.Parameter(T.Unfilled((3,)))
+    param.data, zero.data = np.zeros(shape), np.zeros(3)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw([(param, bound), (zero, 0.0)], rng)
+    want = ref.uniform(-bound, bound, size=shape)
+    np.testing.assert_array_equal(param.data.view("<u8"), want.view("<u8"))
+    assert zero.data.tolist() == [0.0] * 3 and rng.random() == ref.random()
 
 
 # -- the SGD step ----------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from gcnn import tensor as T
 from gcnn.data import SplitSpec, WindowedRegressionSet, make_windows, split
 from gcnn.errors import ConfigError, DataError, NumericalError
-from gcnn.layers import DenseLayer, FlattenLayer
+from gcnn.layers import DenseLayer, FlattenLayer, draw
 from gcnn.models import Model, ModelSpec, build_model, preset
 from gcnn.synth import SynthSpec, generate
 from gcnn.tensor import Tensor, grad_check
@@ -36,12 +36,15 @@ TINY = ModelSpec(
 
 
 def linear_model(channels, window, seed=0):
-    """Flatten + single linear dense layer, wrapped as a Model."""
+    """Flatten + single linear dense layer, wrapped as a Model, bound and
+    drawn the way build_model binds and draws."""
     spec = ModelSpec(input_channels=channels, input_width=window, stage_channels=(1,),
                      pool_before=(), kernel_width=1, dense_units=(1,))
-    rng = np.random.default_rng(seed)
-    layers = [FlattenLayer(), DenseLayer(channels * window, 1, "linear", rng=rng)]
-    return Model(spec, layers, None, seed)
+    record = []
+    model = Model(spec, [FlattenLayer(), DenseLayer(channels * window, 1, "linear", record=record)], None, seed)
+    model.bind()
+    draw(record, np.random.default_rng(seed))
+    return model
 
 
 def linear_task(channels=3, window=4, samples=84, seed=1):
