@@ -19,12 +19,17 @@ over identical inputs reproduces byte-identical files.
 
 Every command that parses the data file leaves ``parsed.bin`` in the
 output directory: the table it parsed, keyed by the data file's sha256.
-``ingest`` always parses and writes it.  ``cluster``, ``train``, ``eval``
-and ``compare`` read the table from there when it was written for the
-same file bytes and passes its checks (see ``data.load_parsed``).  On a
-miss they parse the file and stage the table under a temporary name,
-which ``main`` renames to ``parsed.bin`` when the command exits 0 and
-removes on any other exit.
+``ingest`` always parses.  ``cluster``, ``train``, ``eval`` and
+``compare`` read the table from there when it was written for the same
+file bytes and passes its checks (see ``data.load_parsed``), and parse
+the file on a miss.  Right after a parse the command stages the table
+under a temporary name, which ``main`` renames to ``parsed.bin`` when
+the command exits 0 and removes on any other exit.
+
+The data file's text is streamed: it is parsed as it is read and
+rendered as it is written (``dataset.csv``), a batch of lines at a
+time, and a command holds one table at a time from the parse through
+gap repair to standardization.
 
 Exit codes: 0 success, 2 bad configuration, 3 bad data, 4 numerical
 failure (divergence, singular systems, non-convergence).
@@ -34,11 +39,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import yaml
@@ -378,17 +385,24 @@ class Prepared:
     dropped: list[tuple[str, str]]  # (series, reason), repair and scaling drops merged
 
 
-def _prepare(cfg: RunConfig, raw: D.TimeSeriesDataset | None = None) -> Prepared:
-    """Repair and standardize ``raw``, by default the data file's table:
-    the output directory's parsed.bin when it holds a good one, or else a
-    parse, staged for parsed.bin."""
-    if raw is None:
-        raw = D.load_csv(cfg.data_path, cache=cfg.out_dir / PARSED_NAME, staged=cfg.staged)
+def _prepare(cfg: RunConfig, parse: bool = False) -> Prepared:
+    """Repair and standardize the data file's table: the output
+    directory's parsed.bin when it holds a good one and ``parse`` is
+    false, or else a parse, staged for parsed.bin.  Each table is let go
+    as soon as the next one exists."""
+    cache = cfg.out_dir / PARSED_NAME
+    if parse:
+        raw = D.load_csv(cfg.data_path)
+        cfg.staged.append(D.stage_parsed(raw, cache))
+    else:
+        raw = D.load_csv(cfg.data_path, cache=cache, staged=cfg.staged)
     repaired, report = D.repair_gaps(raw, max_gap=cfg.doc["data"]["max_gap"])
+    del raw
     # training range = leading fraction of the time axis; scaling and the
     # similarity graph must not see the evaluation tail
     train_steps = min(repaired.n_steps, max(2, int(repaired.n_steps * cfg.split.train_fraction)))
     scaled, stats, flat = D.standardize(repaired, train_steps)
+    del repaired
     dropped = list(report.dropped) + [(name, "constant over the training range") for name in flat]
     return Prepared(scaled, stats, train_steps, list(report.filled), dropped)
 
@@ -507,11 +521,10 @@ def _write_json(cfg: RunConfig, name: str, doc: dict) -> Path:
     return path
 
 
-def _write_csv(cfg: RunConfig, name: str, body: str) -> Path:
+def _write_csv(cfg: RunConfig, name: str, lines: Iterable[str]) -> Path:
+    """Write the config stamp, then ``lines`` (each ending in a newline)."""
     path = cfg.out_dir / name
-    with path.open("w", encoding="utf-8") as f:  # two writes: no copy of the body behind the stamp
-        f.write(f"# config {cfg.config_hash}\n")
-        f.write(body)
+    D.write_lines(path, itertools.chain([f"# config {cfg.config_hash}\n"], lines))
     return path
 
 
@@ -532,13 +545,9 @@ def _plan_lines(spec: M.ModelSpec, n_params: int, vanilla: int | None) -> list[s
 
 def cmd_ingest(cfg: RunConfig) -> int:
     # always a parse: a parsed.bin here is this command's own earlier output
-    raw = D.load_csv(cfg.data_path)
-    prep = _prepare(cfg, raw)
-    parsed_path = cfg.out_dir / PARSED_NAME
-    D.save_parsed(raw, parsed_path)
-    del raw  # before dumps_csv renders the repaired table
+    prep = _prepare(cfg, parse=True)
     ds = prep.dataset
-    dataset_path = _write_csv(cfg, "dataset.csv", D.dumps_csv(ds))
+    dataset_path = _write_csv(cfg, "dataset.csv", D.csv_lines(ds))
     report = {
         "source": cfg.data_path,
         "series": ds.names,
@@ -553,7 +562,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     print(f"config {cfg.config_hash[:12]}")
     print(f"kept {ds.n_series} series over {ds.n_steps} steps "
           f"({len(prep.dropped)} dropped, {len(prep.filled)} gaps filled, train range {prep.train_steps})")
-    print(f"wrote {dataset_path} {report_path} {parsed_path}")
+    print(f"wrote {dataset_path} {report_path} {cfg.out_dir / PARSED_NAME}")
     return 0
 
 
@@ -562,7 +571,7 @@ def cmd_cluster(cfg: RunConfig) -> int:
     k = cfg.model["groups"]
     names, assignment, ncut = _cluster_inputs(prep, cfg.target, k, cfg.seed)
     table_path = _write_csv(cfg, "assignment.csv",
-                            D.dumps_table(["series_name", "group_id"], zip(names, assignment.labels)))
+                            D.table_lines(["series_name", "group_id"], zip(names, assignment.labels)))
     report_path = _write_json(cfg, "cluster.json", {
         "target": cfg.target,
         "k": k,
@@ -595,7 +604,7 @@ def cmd_train(cfg: RunConfig) -> int:
     result = R.train(model, train_set, cfg.train)
     ckpt_path = cfg.out_dir / "checkpoint.json"
     M.save_checkpoint(result.model, ckpt_path, meta={"config": cfg.config_hash})
-    history_path = _write_csv(cfg, "history.csv", D.dumps_table(
+    history_path = _write_csv(cfg, "history.csv", D.table_lines(
         [f.name for f in fields(R.HistoryEntry)], map(astuple, result.history)))
     report = {
         "target": cfg.target,
@@ -614,7 +623,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if coeffs is not None:
         header = ["series_name", *(f"u{j + 1}" for j in range(coeffs.shape[1]))]
         rows = ([name, *row] for name, row in zip(wset.channel_names, coeffs.tolist()))
-        paths.append(_write_csv(cfg, "coefficients.csv", D.dumps_table(header, rows)))
+        paths.append(_write_csv(cfg, "coefficients.csv", D.table_lines(header, rows)))
     paths.append(_write_json(cfg, "train.json", report))
     print(f"best epoch {result.best_epoch} val srmse {result.best_val_srmse!r}")
     print("wrote " + " ".join(str(p) for p in paths))
@@ -640,7 +649,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     report = R.evaluate(model, chosen, model_id=cfg.config_hash[:12])
     report_path = _write_json(cfg, "eval.json", {"split": which, **report.to_dict()})
-    pred_path = _write_csv(cfg, "predictions.csv", D.dumps_table(
+    pred_path = _write_csv(cfg, "predictions.csv", D.table_lines(
         ["t", "target", "prediction"], zip(report.times, report.targets, report.predictions)))
     print(f"config {cfg.config_hash[:12]}")
     print(f"{which} srmse {report.srmse!r} (rmse {report.rmse!r}) over {len(report.targets)} samples")
@@ -700,7 +709,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             if scores:  # std is the population spread across picks
                 rows.append((name, np.mean(scores), np.std(scores), len(scores)))
         summary = D.dumps_table(["model", "mean_srmse", "std_srmse", "repeats"], rows)
-        summary_path = _write_csv(cfg, "summary.csv", summary)
+        summary_path = _write_csv(cfg, "summary.csv", [summary])
         detail_path = _write_json(cfg, "compare.json", {
             "targets": picks,
             "ridge_penalty": cfg.doc["compare"]["ridge_penalty"],
@@ -723,7 +732,7 @@ def cmd_param_count(cfg: RunConfig) -> int:
         labels = [i % spec.groups + 1 for i in range(spec.input_channels)]
     _, n_params, vanilla = _counted_model(spec, labels, cfg.seed, make=M.assemble)
     lines = _plan_lines(spec, n_params, vanilla)
-    path = _write_csv(cfg, "params.txt", "\n".join(lines) + "\n")
+    path = _write_csv(cfg, "params.txt", (line + "\n" for line in lines))
     print(f"config {cfg.config_hash[:12]}")
     for line in lines:
         print(line)

@@ -41,6 +41,9 @@ __all__ = [
     "load_csv",
     "loads_csv",
     "save_csv",
+    "csv_lines",
+    "table_lines",
+    "write_lines",
     "stage_parsed",
     "save_parsed",
     "load_parsed",
@@ -206,18 +209,36 @@ def loads_csv(text: str) -> TimeSeriesDataset:
     stamps and such) and are skipped wherever they appear.  Faults are
     reported in row order, the first one winning (within a row: cell
     count, then time stamp, then values); a non-finite value is reported
-    only once every cell has parsed.  Rows are parsed as they are split,
-    so the cells of one row at a time are held as strings.
+    only once every cell has parsed, and a fault the ``csv`` module finds
+    in quoted text wins over any row's.  See :func:`_parse_records`.
     """
-    records = _record_stream(text)
+    return _parse_records(_record_stream(text))
+
+
+def _parse_records(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
+    """The table of a stream of ``(line, cells)`` records, the parse that
+    :func:`loads_csv` and :func:`load_csv` share.  Rows are parsed as they
+    are read, so the cells of one row at a time are held as strings, and
+    the present values go straight into the series-major table.  When a
+    row is at fault the rest of the stream is still read, so a fault the
+    tokenizer finds further on is the one raised."""
+    try:
+        return _parse_rows(records)
+    except DataError:
+        for _ in records:
+            pass
+        raise
+
+
+def _parse_rows(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
     first = next(records, None)
     if first is None:
         raise DataError("empty input")
     header = [h.strip() for h in first[1]]
     names = header[1:]
     _check_names(names, first[0])
-    times: list[float] = []
-    lines: list[int] = []  # the line of each data row
+    times = array.array("d")
+    lines = array.array("q")  # the line of each data row
     parsed = array.array("d")  # the present values, row after row
     present = bytearray()  # one byte a cell, read in place as the bool mask
     for line_no, row in records:
@@ -246,10 +267,11 @@ def loads_csv(text: str) -> TimeSeriesDataset:
         present += flags
     if not times:
         raise DataError("no data rows")
-    mask = np.frombuffer(present, dtype=bool).reshape(len(times), len(names))
-    values = np.full(mask.shape, np.nan)
-    values[mask] = np.frombuffer(parsed)
-    values, mask = np.ascontiguousarray(values.T), mask.T.copy()  # a copy, so the mask is writable
+    by_row = np.frombuffer(present, dtype=bool).reshape(len(times), len(names))
+    values = np.full((len(names), len(times)), np.nan)
+    values.T[by_row] = np.frombuffer(parsed)  # scattered into the series-major table, no transposed copy
+    del parsed
+    mask = np.ascontiguousarray(by_row.T)
     # float() also reads nan and inf; refuse them as present values (empty
     # cells are the missing ones)
     bad = mask & ~np.isfinite(values)
@@ -290,24 +312,34 @@ def _records(text: str) -> list[tuple[int, list[str]]]:
     return list(_record_stream(text))
 
 
+# a line and its newline, or a last line without one
+_LINE = re.compile(r".*\n|.+")
+
+
 def _record_stream(text: str) -> Iterator[tuple[int, list[str]]]:
-    """:func:`_records` one at a time.  Quote-free text is split a line at
-    a time as the records are read; other text is read whole by
-    ``csv.reader`` first, so a fault it finds comes before any record."""
-    if '"' not in text and "\r" not in text:
-        lines = (m[0].removesuffix("\n") for m in re.finditer(r".*\n|.+", text))
-        return ((n, line.split(",") if line else []) for n, line in enumerate(lines, start=1)
-                if not line.lstrip().startswith("#"))
-    reader = csv.reader(io.StringIO(text))
-    records, line_no = [], 1
+    """:func:`_records` one at a time."""
+    return _tokenize(_LINE.finditer(text), '"' in text or "\r" in text)
+
+
+def _tokenize(lines: Iterable[re.Match], quoted: bool) -> Iterator[tuple[int, list[str]]]:
+    """The records of ``lines``, matches of :data:`_LINE` in order, each
+    read as it is reached: split at commas, or by ``csv.reader`` when the
+    text is ``quoted``.  The tokenizer of :func:`_records`."""
+    if not quoted:
+        for n, m in enumerate(lines, start=1):
+            line = m[0].removesuffix("\n")
+            if not line.lstrip().startswith("#"):
+                yield n, line.split(",") if line else []
+        return
+    reader = csv.reader(m[0] for m in lines)
+    line_no = 1
     try:
         for row in reader:
             if not (row and row[0].lstrip().startswith("#")):
-                records.append((line_no, row))
+                yield line_no, row
             line_no = reader.line_num + 1
     except csv.Error as e:
         raise DataError(f"line {reader.line_num}: {e}") from None
-    return iter(records)
 
 
 def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
@@ -315,12 +347,7 @@ def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
     text: ``\\r\\n`` and a lone ``\\r`` come back as ``\\n``.  A leading
     UTF-8 byte-order mark is dropped.  Bytes that are not UTF-8 raise
     ``error`` naming the file and the line of the first bad byte."""
-    return _decode_utf8(Path(path).read_bytes(), path, error)
-
-
-def _decode_utf8(raw: bytes, path: str | Path, error: type[GcnnError]) -> str:
-    """:func:`read_utf8` of the bytes ``raw`` read from ``path``."""
-    raw = raw.removeprefix(codecs.BOM_UTF8)
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -335,12 +362,47 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+# bytes a read of a data file takes: hashing, and decoding for the parse
+READ_BYTES = 1 << 18
+
+
+def _scan(path: str | Path) -> tuple[str, bool]:
+    """The sha256 of a file's bytes, and whether any of them is ``"``,
+    read :data:`READ_BYTES` at a time."""
+    digest, quoted = hashlib.sha256(), False
+    with open(path, "rb") as f:
+        while chunk := f.read(READ_BYTES):
+            digest.update(chunk)
+            quoted = quoted or b'"' in chunk
+    return digest.hexdigest(), quoted
+
+
+def _read_lines(path: str | Path) -> Iterator[re.Match]:
+    """The lines of a UTF-8 file as :func:`read_utf8` decodes it, each a
+    match of :data:`_LINE`, decoded :data:`READ_BYTES` at a time."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), translate=True)
+    rest = ""
+    with open(path, "rb") as f:
+        while raw := f.read(READ_BYTES):
+            text = rest + decoder.decode(raw)
+            end = text.rfind("\n") + 1
+            yield from _LINE.finditer(text, 0, end)
+            rest = text[end:]
+    yield from _LINE.finditer(rest + decoder.decode(b"", final=True))
+
+
 def load_csv(path: str | Path, cache: str | Path | None = None,
              staged: list[Path] | None = None) -> TimeSeriesDataset:
     """Parse a wide-format CSV file (see :func:`loads_csv`), read as UTF-8
     with universal newlines, so the line numbers in messages are the
-    file's whatever its line ends; bytes that are not UTF-8 raise
-    DataError.  The table records the sha256 of the file's bytes.
+    file's whatever its line ends; a byte that is not UTF-8 anywhere in
+    the file raises DataError, over any fault of the parse.  The table
+    records the sha256 of the file's bytes.
+
+    The file is read in pieces of :data:`READ_BYTES`: once to hash it and
+    note whether it holds a quote, which picks the tokenizer, and once
+    more, decoding as it goes, to parse it.  So the whole text is never
+    held, only the table and one piece.
 
     With ``cache``, a file :func:`save_parsed` wrote, the table comes from
     there instead when :func:`load_parsed` finds it written for these
@@ -348,13 +410,14 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     writes the parse beside ``cache`` under a temporary name
     (:func:`stage_parsed`) and appends that name, for the caller to rename
     over ``cache`` or remove."""
-    raw = Path(path).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest, quoted = _scan(path)
     if cache is not None and (data := load_parsed(cache, digest)) is not None:
         return data
-    text = _decode_utf8(raw, path, DataError)
-    del raw  # the parse holds the text, not the bytes too
-    data = loads_csv(text)
+    try:
+        data = _parse_records(_tokenize(_read_lines(path), quoted))
+    except (DataError, UnicodeDecodeError):
+        read_utf8(path)  # raises for a byte that is not UTF-8, naming its line
+        raise
     data.source_sha256 = digest
     if cache is not None and staged is not None:
         staged.append(stage_parsed(data, cache))
@@ -454,38 +517,66 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
+def table_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The lines of CSV text of a header and rows, each ending in ``\\n``.
+    Text holding a comma, a quote, a ``\\n`` or a ``\\r`` is quoted, its
+    quotes doubled (RFC 4180); other text is written as it is.  Integers
+    are written in decimal, other numbers by ``repr`` of their float,
+    which round-trips fp64.  :func:`loads_csv`'s tokenizer reads every
+    cell back as written."""
+    return (",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
+
+
 def dumps_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text of a header and rows, each line ending in ``\\n``.  Text
-    holding a comma, a quote, a ``\\n`` or a ``\\r`` is quoted, its quotes
-    doubled (RFC 4180); other text is written as it is.  Integers are
-    written in decimal, other numbers by ``repr`` of their float, which
-    round-trips fp64.  :func:`loads_csv`'s tokenizer reads every cell back
-    as written."""
-    return "".join(",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
+    """:func:`table_lines` as one text."""
+    return "".join(table_lines(header, rows))
+
+
+def csv_lines(data: TimeSeriesDataset) -> Iterator[str]:
+    """The lines of the wide format, each ending in ``\\n``; repr
+    round-trips fp64 exactly.
+
+    The header goes through :func:`table_lines`'s cell rule.  Value rows
+    render one at a time, each from its own ``tolist``, so one row at a
+    time is held as Python objects; only a row with a missing cell goes
+    cell by cell."""
+    yield from table_lines(["time", *data.names], [])
+    gappy = ~data.mask.all(axis=0)
+    for t in range(data.n_steps):
+        stamp, row = float(data.times[t]), data.values[:, t].tolist()
+        if gappy[t]:
+            cells = [repr(v) if ok else "" for v, ok in zip(row, data.mask[:, t].tolist())]
+            yield f"{stamp!r},{','.join(cells)}\n"
+        else:
+            yield f"{stamp!r},{','.join(map(repr, row))}\n"
 
 
 def dumps_csv(data: TimeSeriesDataset) -> str:
-    """Render the wide format back out; repr round-trips fp64 exactly.
+    """:func:`csv_lines` as one text."""
+    return "".join(csv_lines(data))
 
-    The header goes through :func:`dumps_table`'s cell rule.  Value rows
-    render one at a time, each from its own ``tolist``, so one row at a
-    time is held as Python floats; only a row with a missing cell goes
-    cell by cell."""
-    lines = [",".join(map(_cell, ["time", *data.names]))]
-    gappy = (~data.mask.all(axis=0)).tolist()
-    for t, stamp in enumerate(data.times.tolist()):
-        row = data.values[:, t].tolist()
-        if gappy[t]:
-            cells = [repr(v) if ok else "" for v, ok in zip(row, data.mask[:, t].tolist())]
-            lines.append(repr(stamp) + "," + ",".join(cells))
-        else:
-            lines.append(repr(stamp) + "," + ",".join(map(repr, row)))
-    lines.append("")  # the final newline, without a copy of the text to add it
-    return "\n".join(lines)
+
+# characters a write of text lines joins first
+WRITE_CHARS = 1 << 18
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write text lines to ``path`` as UTF-8, joined into one ``write`` of
+    about :data:`WRITE_CHARS` at a time, so the text is never held whole."""
+    with open(path, "w", encoding="utf-8") as f:
+        batch, size = [], 0
+        for line in lines:
+            batch.append(line)
+            size += len(line)
+            if size >= WRITE_CHARS:
+                f.write("".join(batch))
+                batch, size = [], 0
+        f.write("".join(batch))
 
 
 def save_csv(data: TimeSeriesDataset, path: str | Path) -> None:
-    Path(path).write_text(dumps_csv(data), encoding="utf-8")
+    """Write :func:`csv_lines` to ``path``."""
+    write_lines(path, csv_lines(data))
 
 
 def _missing_runs(present: np.ndarray) -> list[tuple[int, int]]:
@@ -517,10 +608,9 @@ def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tupl
             raise DataError("gap repair requires a fixed-step time index")
     report = RepairReport()
     keep: list[int] = []
-    new_values = data.values.copy()
+    gaps: list[list[tuple[int, int]]] = []  # the runs to fill in each kept series
     for i, name in enumerate(data.names):
-        present = data.mask[i]
-        runs = _missing_runs(present)
+        runs = _missing_runs(data.mask[i])
         endpoint_gap = any(start == 0 or start + length == data.n_steps for start, length in runs)
         too_long = [run for run in runs if run[1] > max_gap]
         if endpoint_gap:
@@ -530,20 +620,22 @@ def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tupl
             start, length = too_long[0]
             report.dropped.append((name, f"gap of {length} steps exceeds cap {max_gap}"))
             continue
-        for start, length in runs:
-            lo, hi = start - 1, start + length
-            left, right = new_values[i, lo], new_values[i, hi]
-            for offset in range(1, length + 1):
-                frac = offset / (length + 1)
-                new_values[i, start + offset - 1] = left + (right - left) * frac
-            report.filled.append((name, start, length))
+        report.filled.extend((name, start, length) for start, length in runs)
         keep.append(i)
+        gaps.append(runs)
     if len(keep) < 2:
         raise DataError(f"gap repair left {len(keep)} usable series (need at least 2)")
+    values = data.values[keep]  # the one copy, of the kept series only, filled in place
+    for row, runs in zip(values, gaps):
+        for start, length in runs:
+            left, right = row[start - 1], row[start + length]
+            for offset in range(1, length + 1):
+                frac = offset / (length + 1)
+                row[start + offset - 1] = left + (right - left) * frac
     repaired = TimeSeriesDataset(
         names=[data.names[i] for i in keep],
         times=data.times.copy(),
-        values=new_values[keep],
+        values=values,
         mask=np.ones((len(keep), data.n_steps), dtype=bool),
     )
     return repaired, report
@@ -569,7 +661,9 @@ def standardize(
     if len(keep) < 2:
         raise DataError(f"standardization left {len(keep)} usable series (need at least 2)")
     mean_arr, std_arr = all_means[keep], all_stds[keep]
-    scaled = (data.values[keep] - mean_arr[:, None]) / std_arr[:, None]
+    scaled = data.values[keep]  # the one copy; in place, the bits of (x - mean) / std
+    scaled -= mean_arr[:, None]
+    scaled /= std_arr[:, None]
     names = [data.names[i] for i in keep]
     out = TimeSeriesDataset(
         names=names,

@@ -57,16 +57,15 @@ def generate(spec: SynthSpec | None = None) -> TimeSeriesDataset:
     for t in range(1, spec.length):
         drivers[:, t] = spec.phi * drivers[:, t - 1] + shocks[:, t]
 
-    names: list[str] = []
-    rows: list[np.ndarray] = []
-    for g in range(spec.n_groups):
-        for j in range(spec.per_group):
-            names.append(f"g{g + 1}s{j + 1}")
-            rows.append(drivers[g] + spec.member_noise * rng.standard_normal(spec.length))
+    names = [f"g{g + 1}s{j + 1}" for g in range(spec.n_groups) for j in range(spec.per_group)]
     names.append(TARGET_NAME)
-    rows.append(drivers[0] + spec.target_noise * rng.standard_normal(spec.length))
-
-    values = np.vstack(rows)
+    members = len(names) - 1
+    values = np.empty((len(names), spec.length))
+    for i, row in enumerate(values):
+        # drawn in place: noise * z, then + driver, the bits of driver + noise * z
+        rng.standard_normal(out=row)
+        row *= spec.member_noise if i < members else spec.target_noise
+        row += drivers[i // spec.per_group if i < members else 0]
     return TimeSeriesDataset(
         names=names,
         times=np.arange(spec.length, dtype=np.float64),

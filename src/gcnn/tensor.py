@@ -210,7 +210,8 @@ class Parameter(Tensor):
 
     Assigning ``data`` writes the new values into the array the parameter
     holds, so a parameter that is a view into a larger buffer stays one.
-    Only an unfilled parameter takes the array it is given.
+    Only an unfilled parameter takes the array it is given, which must be
+    a float64 array of its shape.
     """
 
     __slots__ = ()
@@ -220,7 +221,14 @@ class Parameter(Tensor):
 
     def _assign(self, value):
         held = getattr(self, "data", None)
-        if not isinstance(held, np.ndarray):
+        if held is None:  # Tensor.__init__ storing what it checked
+            _DATA.__set__(self, value)
+        elif isinstance(held, Unfilled):
+            if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+                got = getattr(value, "dtype", type(value).__name__)
+                raise TypeError(f"an unfilled parameter takes a float64 array, got {got}")
+            if value.shape != held.shape:
+                raise ShapeError(f"cannot assign {value.shape} values to a {held.shape} parameter")
             _DATA.__set__(self, value)
         elif value is not held:
             value = np.asarray(value, dtype=np.float64)

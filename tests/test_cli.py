@@ -143,7 +143,8 @@ def test_ingest_output_bytes_are_pinned(tmp_path, monkeypatch):
 
 def test_ingest_that_fails_after_the_parse_exits_3_and_writes_nothing(tmp_path, capsys):
     """The file parses, but gap repair leaves one series: no parsed.bin
-    either, since ingest writes it only once the table has been prepared."""
+    either, since the copy of the parse ingest staged is put in place
+    only when it exits 0."""
     data_path = tmp_path / "gaps.csv"
     data_path.write_text("time,a,b,c\n0,1,,\n1,2,3,4\n2,3,5,6\n")
     cfg = write_config(tmp_path / "run.yaml", base_config(data_path, tmp_path / "out"))
@@ -167,6 +168,33 @@ def test_ingest_never_reads_parsed_bin(tmp_path, monkeypatch):
     assert run("ingest", cfg) == 0
     for name in ("dataset.csv", "ingest.json", "parsed.bin"):
         assert Path("out", name).read_bytes() == Path("fresh", name).read_bytes()
+
+
+@pytest.mark.parametrize("parse", [True, False], ids=["parse", "parsed-bin"])
+def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, parse):
+    """_prepare lets each table go as soon as the next one exists: the
+    parse, then the table with its repaired copy, then that copy with the
+    standardized one.  (Holding the parsed, repaired and standardized
+    tables at once, with the file's text read whole, peaked at 5.3.)"""
+    rng = np.random.default_rng(0)
+    ds = D.TimeSeriesDataset([f"s{i}" for i in range(20)], np.arange(16000.0), rng.standard_normal((20, 16000)),
+                             np.ones((20, 16000), dtype=bool))
+    ds.values[3, 10:13], ds.mask[3, 10:13] = np.nan, False  # filled
+    ds.values[5, 100:200], ds.mask[5, 100:200] = np.nan, False  # dropped
+    save_csv(ds, tmp_path / "t.csv")
+    cfg = write_config(tmp_path / "run.yaml", {"data": {"path": str(tmp_path / "t.csv")}, "out": str(tmp_path)})
+    assert run("ingest", cfg) == 0
+    cfg = cli.RunConfig.load("ingest", str(cfg))
+    tracemalloc.start()
+    try:
+        prep = cli._prepare(cfg, parse=parse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cfg.staged) == parse and prep.dataset.n_series == 19
+    for partial in cfg.staged:
+        partial.unlink()
+    assert peak < 2.5 * (ds.values.nbytes + ds.mask.nbytes + ds.times.nbytes)
 
 
 def test_ingest_missing_data_file_is_config_error(tmp_path):
@@ -207,10 +235,11 @@ def pipeline_config() -> dict:
     return doc
 
 
-def counting_parses(monkeypatch) -> list[str]:
-    """The text of every CSV parse from here on."""
+def counting_parses(monkeypatch) -> list:
+    """The record stream of every CSV parse from here on."""
     parses = []
-    monkeypatch.setattr(D, "loads_csv", lambda text, parse=D.loads_csv: parses.append(text) or parse(text))
+    monkeypatch.setattr(D, "_parse_records",
+                        lambda records, parse=D._parse_records: parses.append(records) or parse(records))
     return parses
 
 

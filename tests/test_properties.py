@@ -1,7 +1,8 @@
 """Property tests: windowing against a per-step reference, chronological
 splits against index-based subsets, standardization and max pooling
 against their original loops, CSV parsing against a per-cell
-reference, bit-exact CSV round trips, gap runs against a scan, the
+reference, CSV files read in batches against their text read whole,
+bit-exact CSV round trips, gap runs against a scan, the
 symmetric eigensolver's contract on random matrices with and without
 repeated eigenvalues, batched model passes against per-sample ones,
 memberships on the simplex, grouped convolution and recurrent grouped
@@ -15,6 +16,7 @@ the per-tensor update in ``oracles.py``, parameter draws made in place
 against ``Generator.uniform``, and libyaml's loader against PyYAML's
 own on config-shaped YAML."""
 
+import codecs
 import csv
 import io
 import math
@@ -28,9 +30,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gcnn import data as D
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, _records,
-                       dumps_csv, dumps_table, load_csv, load_parsed, loads_csv, make_windows, save_parsed, split,
-                       standardize)
+                       dumps_csv, dumps_table, load_csv, load_parsed, loads_csv, make_windows, read_utf8, save_parsed,
+                       split, standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, GroupedConv1DLayer, RecurrentConvLayer, draw
@@ -375,6 +378,40 @@ def parse_outcome(parse, text):
 @example("time,a,b\n\n0,1,x\n")
 def test_loads_csv_matches_the_per_cell_reference(text):
     assert parse_outcome(loads_csv, text) == parse_outcome(reference_loads_csv, text)
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a CSV file, and a read batch size: a :func:`csv_texts`
+    document with each line end drawn from LF, CRLF and a lone CR, after a
+    byte-order mark or none, and maybe with a byte that is not UTF-8 put
+    in anywhere.  Batches of a few bytes put a batch boundary inside the
+    mark, line ends and multi-byte characters."""
+    lines = draw(csv_texts()).replace("\r\n", "\n").split("\n")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    raw = "".join(line + end for line, end in zip(lines, ends))[: -len(ends[-1])].encode()
+    if draw(st.booleans()):
+        raw = codecs.BOM_UTF8 + raw
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x80"])) + raw[at:]
+    return raw, draw(st.sampled_from([1, 2, 3, 5, 8, 64, D.READ_BYTES]))
+
+
+@SETTINGS
+@given(csv_files())
+@example((b"\xef\xbb\xbftime,a,b\r\n0,1,\r\n1,2,3\r\n", 1))
+@example((b"time,a,b\r0,1,2\r\n1,\"3\r\n\",4\r", 4))
+@example((b"time,a,b\n0,x,2\n1,2,3\n\xff\n", 4))
+@example((b"time,a,b\n0,1,2\n1,2\n# caf\xc3\xa9\n2,3,4", 3))
+def test_load_csv_gives_the_parse_of_the_text_read_whole(tmp_path_factory, file):
+    raw, batch = file
+    path = tmp_path_factory.getbasetemp() / "streamed.csv"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "READ_BYTES", batch)
+        streamed = parse_outcome(load_csv, path)
+    assert streamed == parse_outcome(lambda p: loads_csv(read_utf8(p)), path)
 
 
 def test_every_truncated_parsed_table_is_a_miss(tmp_path):

@@ -34,6 +34,35 @@ class TestConstruction:
         assert t.item() == 2.5
 
 
+class TestParameter:
+    def test_unfilled_takes_the_array_it_is_given(self):
+        p, values = T.Parameter(T.Unfilled((2, 3))), np.zeros((2, 3))
+        p.data = values
+        assert p.data is values
+
+    def test_unfilled_refuses_another_shape(self):
+        p = T.Parameter(T.Unfilled((2, 3)))
+        with pytest.raises(ShapeError, match=r"cannot assign \(5,\) values to a \(2, 3\) parameter"):
+            p.data = np.zeros(5)
+        assert isinstance(p.data, T.Unfilled) and p.shape == (2, 3)
+
+    @pytest.mark.parametrize("value", [np.zeros((2, 3), np.float32), np.zeros((2, 3), int), [[0.0] * 3] * 2],
+                             ids=["float32", "int", "list"])
+    def test_unfilled_refuses_anything_but_float64(self, value):
+        p = T.Parameter(T.Unfilled((2, 3)))
+        with pytest.raises(TypeError, match="float64 array"):
+            p.data = value
+        assert isinstance(p.data, T.Unfilled)
+
+    def test_filled_writes_into_its_array(self):
+        p = T.Parameter(np.zeros(3))
+        held = p.data
+        p.data = [1, 2, 3]
+        assert p.data is held and held.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ShapeError):
+            p.data = np.zeros(4)
+
+
 class TestElementwise:
     def test_add(self):
         a = Tensor([1.0, 2.0])
