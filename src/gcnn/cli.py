@@ -31,6 +31,17 @@ rendered as it is written (``dataset.csv``), a batch of lines at a
 time, and a command holds one table at a time from the parse through
 gap repair to standardization.
 
+Large text is cut into blocks, one per usable CPU (the process's CPU
+affinity), each block but the first handled in a forked child.  A
+quote-free data file of at least two ``data.BLOCK_BYTES`` parses in
+blocks of whole lines, and a table of at least two ``data.BLOCK_CELLS``
+cells renders in blocks of time steps; smaller text, one usable CPU, a
+platform without ``fork`` and a file with a quote take one block, in
+this process.  The bytes and tables are those of one block.  Should a
+block fault, or its child fail, the parse runs again as one block and
+raises the fault with its line, and a failed render block is rendered
+here instead.  Every child is reaped before the call returns.
+
 Exit codes: 0 success, 2 bad configuration, 3 bad data, 4 numerical
 failure (divergence, singular systems, non-convergence).
 """
@@ -521,10 +532,15 @@ def _write_json(cfg: RunConfig, name: str, doc: dict) -> Path:
     return path
 
 
+def _stamp(cfg: RunConfig) -> str:
+    """The first line of every CSV file a command writes."""
+    return f"# config {cfg.config_hash}\n"
+
+
 def _write_csv(cfg: RunConfig, name: str, lines: Iterable[str]) -> Path:
     """Write the config stamp, then ``lines`` (each ending in a newline)."""
     path = cfg.out_dir / name
-    D.write_lines(path, itertools.chain([f"# config {cfg.config_hash}\n"], lines))
+    D.write_lines(path, itertools.chain([_stamp(cfg)], lines))
     return path
 
 
@@ -547,7 +563,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     # always a parse: a parsed.bin here is this command's own earlier output
     prep = _prepare(cfg, parse=True)
     ds = prep.dataset
-    dataset_path = _write_csv(cfg, "dataset.csv", D.csv_lines(ds))
+    dataset_path = cfg.out_dir / "dataset.csv"
+    D.save_csv(ds, dataset_path, head=_stamp(cfg))
     report = {
         "source": cfg.data_path,
         "series": ds.names,
@@ -588,6 +605,7 @@ def cmd_cluster(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
     wset = D.make_windows(prep.dataset, cfg.target, cfg.width)
+    del prep  # the windows hold copies of what they need
     train_set, test_set = D.split(wset, cfg.split)
 
     labels = None
@@ -633,6 +651,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     prep = _prepare(cfg)
     wset = D.make_windows(prep.dataset, cfg.target, cfg.width)
+    del prep  # the windows hold copies of what they need
     train_set, test_set = D.split(wset, cfg.split)
     which = cfg.doc["eval"]["split"]
     if which == "test":

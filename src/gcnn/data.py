@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import array
 import codecs
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -23,9 +24,12 @@ import math
 import numbers
 import os
 import re
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -230,13 +234,21 @@ def _parse_records(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDatase
         raise
 
 
-def _parse_rows(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
+def _parse_header(records: Iterator[tuple[int, list[str]]]) -> list[str]:
+    """The stripped cells of the first record, the header, checked."""
     first = next(records, None)
     if first is None:
         raise DataError("empty input")
     header = [h.strip() for h in first[1]]
-    names = header[1:]
-    _check_names(names, first[0])
+    _check_names(header[1:], first[0])
+    return header
+
+
+def _read_rows(records: Iterator[tuple[int, list[str]]], width: int | None):
+    """The data rows of ``records``, each of ``width`` cells (None: as many
+    as the first), parsed as they are read; rows of blank cells are
+    skipped.  Returns the width, then the rows' stamps, the line of each,
+    one presence byte a value cell and the present values in row order."""
     times = array.array("d")
     lines = array.array("q")  # the line of each data row
     parsed = array.array("d")  # the present values, row after row
@@ -245,8 +257,9 @@ def _parse_rows(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
         cells = list(map(str.strip, row))
         if not any(cells):
             continue
-        if len(row) != len(header):
-            raise DataError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+        width = width or len(row)
+        if len(row) != width:
+            raise DataError(f"line {line_no}: expected {width} cells, got {len(row)}")
         stamp = _parse_time(row[0], line_no)
         if times and stamp <= times[-1]:
             kind = "duplicate" if stamp == times[-1] else "non-monotone"
@@ -265,6 +278,13 @@ def _parse_rows(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
                     raise DataError(f"line {line_no}: cannot parse value {cell!r}") from None
             raise
         present += flags
+    return width, times, lines, present, parsed
+
+
+def _parse_rows(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
+    header = _parse_header(records)
+    names = header[1:]
+    _, times, lines, present, parsed = _read_rows(records, len(header))
     if not times:
         raise DataError("no data rows")
     by_row = np.frombuffer(present, dtype=bool).reshape(len(times), len(names))
@@ -365,30 +385,212 @@ def _universal_newlines(text: str) -> str:
 # bytes a read of a data file takes: hashing, and decoding for the parse
 READ_BYTES = 1 << 18
 
+# the least work a block of text is given: a block more is a process
+# more, and a fork and reap cost about 3 ms on a 2-vCPU x86-64 VM, in a
+# process of 50 MB; there a cell renders in 1.36 us and a byte of a data
+# file parses in 48 ns, so a block at the floor takes about 45 ms
+BLOCK_CELLS = 1 << 15  # of a table rendered as text
+BLOCK_BYTES = 1 << 20  # of a data file parsed
 
-def _scan(path: str | Path) -> tuple[str, bool]:
-    """The sha256 of a file's bytes, and whether any of them is ``"``,
-    read :data:`READ_BYTES` at a time."""
-    digest, quoted = hashlib.sha256(), False
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where that cannot be known."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return 1
+
+
+def _block_count(work: int, floor: int) -> int:
+    """How many blocks to cut ``work`` into: one per usable CPU, none of
+    less than ``floor``, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), work // floor))
+
+
+def _child(work: Callable[[int, BinaryIO], None], block: int, out: BinaryIO) -> NoReturn:
+    """The life of a forked child: ``work(block, out)``, then an exit, 0
+    when it ran through; it never returns to the caller, never raises and
+    never flushes the stdio it was forked with."""
+    code = 1
+    try:
+        work(block, out)
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _forked(blocks: int, work: Callable[[int, BinaryIO], None],
+            where: str | Path | None = None) -> Iterator[Callable[[], list[BinaryIO | None]]]:
+    """Run ``work(k, out)`` for each block k from 1 to ``blocks - 1`` in a
+    forked child, writing into ``out``, an unnamed temporary file in
+    ``where`` (the default temporary directory for None) opened before
+    the fork.  The caller does block 0 in the ``with`` body.  The function
+    it gets, called, waits for every child and returns each one's file
+    rewound, or None for a block whose file or process could not be made
+    or whose child did not exit 0.  On leaving, a child not waited for
+    yet, as when the body raised, is killed and reaped, and every file is
+    closed."""
+    children: list[tuple[int | None, BinaryIO | None]] = []
+
+    def join() -> list[BinaryIO | None]:
+        done = []
+        for i, (pid, out) in enumerate(children):
+            ok = pid is not None and os.waitpid(pid, 0)[1] == 0
+            children[i] = (None, out)
+            if ok:
+                out.seek(0)
+            done.append(out if ok else None)
+        return done
+
+    try:
+        for k in range(1, blocks):
+            out = pid = None
+            try:
+                out = tempfile.TemporaryFile(dir=where)
+                pid = os.fork()
+            except OSError:  # the caller does this block itself
+                pass
+            if pid == 0:
+                _child(work, k, out)
+            children.append((pid, out))
+        yield join
+    finally:
+        for pid, out in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if out is not None:
+                out.close()
+
+
+def _scan(path: str | Path) -> tuple[str, bool, int, bytes | None]:
+    """The sha256 of a file's bytes, whether any of them is ``"``, their
+    count, and the bytes themselves when one read of :data:`READ_BYTES`
+    took them all (None otherwise)."""
+    digest, quoted, size, whole = hashlib.sha256(), False, 0, b""
     with open(path, "rb") as f:
         while chunk := f.read(READ_BYTES):
             digest.update(chunk)
             quoted = quoted or b'"' in chunk
-    return digest.hexdigest(), quoted
+            size += len(chunk)
+            whole = chunk if size == len(chunk) else None
+    return digest.hexdigest(), quoted, size, whole
 
 
-def _read_lines(path: str | Path) -> Iterator[re.Match]:
-    """The lines of a UTF-8 file as :func:`read_utf8` decodes it, each a
-    match of :data:`_LINE`, decoded :data:`READ_BYTES` at a time."""
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), translate=True)
-    rest = ""
+def _chunks(path: str | Path, start: int = 0, stop: int | None = None) -> Iterator[bytes]:
+    """A file's bytes from offset ``start`` to ``stop`` (None: its end),
+    read :data:`READ_BYTES` at a time."""
     with open(path, "rb") as f:
-        while raw := f.read(READ_BYTES):
-            text = rest + decoder.decode(raw)
-            end = text.rfind("\n") + 1
-            yield from _LINE.finditer(text, 0, end)
-            rest = text[end:]
+        f.seek(start)
+        left = math.inf if stop is None else stop - start
+        while left > 0 and (raw := f.read(min(READ_BYTES, left))):
+            left -= len(raw)
+            yield raw
+
+
+def _decode_lines(chunks: Iterable[bytes], start: bool = True) -> Iterator[re.Match]:
+    """The lines of UTF-8 bytes as :func:`read_utf8` decodes them, each a
+    match of :data:`_LINE`, decoded a chunk at a time.  A byte-order mark
+    is dropped only at the ``start`` of a file."""
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8-sig" if start else "utf-8")(), translate=True)
+    rest = ""
+    for raw in chunks:
+        text = rest + decoder.decode(raw)
+        end = text.rfind("\n") + 1
+        yield from _LINE.finditer(text, 0, end)
+        rest = text[end:]
     yield from _LINE.finditer(rest + decoder.decode(b"", final=True))
+
+
+def _block_edges(path: str | Path, size: int, blocks: int) -> list[int]:
+    """Offsets that cut a file of ``size`` bytes into at most ``blocks``
+    runs of whole lines of about equal size, from 0 to ``size``: each cut
+    is just past the first ``\\n`` byte at or after its even share.  A
+    ``\\n`` byte is a line end in UTF-8 with universal newlines, whatever
+    precedes it, so every block decodes and splits on its own."""
+    edges = [0]
+    with open(path, "rb") as f:
+        for k in range(1, blocks):
+            at = max(edges[-1], size * k // blocks)
+            f.seek(at)
+            while (piece := f.read(1 << 16)) and b"\n" not in piece:
+                at += len(piece)
+            cut = at + piece.find(b"\n") + 1
+            if not piece or cut >= size:
+                break
+            edges.append(cut)
+    return edges + [size]
+
+
+def _write_rows(path: str | Path, start: int, stop: int, out: BinaryIO) -> None:
+    """Parse the rows in bytes ``start`` to ``stop`` of a quote-free file
+    and write them to ``out``: their width as one int64 (0 for no rows),
+    then row after row that many float64, the stamp and then the values,
+    NaN for a missing cell.  Raises for any fault, or a non-finite value."""
+    records = _tokenize(_decode_lines(_chunks(path, start, stop), start == 0), quoted=False)
+    width, times, _, present, parsed = _read_rows(records, None)
+    if not np.isfinite(np.frombuffer(parsed)).all():
+        raise DataError("a non-finite value")  # the one-block parse names it
+    out.write(np.int64(width or 0).tobytes())
+    if times:
+        rows = np.full((len(times), width), np.nan)
+        rows[:, 0] = times
+        rows[:, 1:][np.frombuffer(present, dtype=bool).reshape(len(times), width - 1)] = np.frombuffer(parsed)
+        out.write(rows.data)
+
+
+def _parse_blocks(path: str | Path, size: int) -> TimeSeriesDataset | None:
+    """The table of a quote-free data file parsed in blocks (see
+    :func:`_block_edges`), one per usable CPU and none under
+    :data:`BLOCK_BYTES` (:func:`_block_count`); None for a file that takes
+    one block.  Block 0, which holds the header, is parsed here, and each
+    other block in a forked child (:func:`_write_rows`).  Each block's
+    rows are scattered into the table in order, a child's
+    :data:`READ_BYTES` at a time.  None too when any block faults or its
+    child fails, or when the blocks do not make a table (rows of another
+    width than the header's, times that do not increase across a cut):
+    the caller then parses the file as one block, which raises the fault
+    with its line."""
+    blocks = _block_count(size, BLOCK_BYTES)
+    if blocks < 2 or len(edges := _block_edges(path, size, blocks)) < 3:
+        return None
+    with _forked(len(edges) - 1, lambda k, out: _write_rows(path, edges[k], edges[k + 1], out)) as join:
+        try:
+            records = _tokenize(_decode_lines(_chunks(path, 0, edges[1])), quoted=False)
+            header = _parse_header(records)
+            _, stamps, _, present, parsed = _read_rows(records, len(header))
+        except (DataError, UnicodeDecodeError):
+            return None
+        width = len(header)
+        parts = join()
+        if (not np.isfinite(np.frombuffer(parsed)).all() or None in parts
+                or any(np.frombuffer(part.read(8), dtype=np.int64)[0] not in (0, width) for part in parts)):
+            return None
+        counts = [len(stamps)] + [(os.fstat(part.fileno()).st_size - 8) // (8 * width) for part in parts]
+        if not any(counts):  # the one-block parse says there are no data rows
+            return None
+        times = np.empty(sum(counts))
+        values = np.full((width - 1, len(times)), np.nan)
+        times[: counts[0]] = stamps
+        values.T[: counts[0]][np.frombuffer(present, dtype=bool).reshape(counts[0], width - 1)] = np.frombuffer(parsed)
+        del parsed, present
+        step, t = max(1, READ_BYTES // (8 * width)), counts[0]
+        for part, count in zip(parts, counts[1:]):
+            for i in range(0, count, step):
+                n = min(step, count - i)
+                rows = np.frombuffer(part.read(8 * width * n)).reshape(n, width)
+                times[t : t + n], values[:, t : t + n] = rows[:, 0], rows[:, 1:].T
+                t += n
+    try:
+        # every present value is finite, so the missing ones are the NaNs
+        return TimeSeriesDataset(header[1:], times, values, ~np.isnan(values))
+    except DataError:  # repeated names, or times that fall at a cut
+        return None
 
 
 def load_csv(path: str | Path, cache: str | Path | None = None,
@@ -402,7 +604,11 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     The file is read in pieces of :data:`READ_BYTES`: once to hash it and
     note whether it holds a quote, which picks the tokenizer, and once
     more, decoding as it goes, to parse it.  So the whole text is never
-    held, only the table and one piece.
+    held, only the table and one piece.  A file of one piece is read
+    once, for both.  A quote-free file of at least two
+    :data:`BLOCK_BYTES` is parsed in blocks, one per usable CPU
+    (:func:`_parse_blocks`); should any block fault, the file is parsed
+    again as one block, for the fault's message.
 
     With ``cache``, a file :func:`save_parsed` wrote, the table comes from
     there instead when :func:`load_parsed` finds it written for these
@@ -410,14 +616,16 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     writes the parse beside ``cache`` under a temporary name
     (:func:`stage_parsed`) and appends that name, for the caller to rename
     over ``cache`` or remove."""
-    digest, quoted = _scan(path)
+    digest, quoted, size, whole = _scan(path)
     if cache is not None and (data := load_parsed(cache, digest)) is not None:
         return data
-    try:
-        data = _parse_records(_tokenize(_read_lines(path), quoted))
-    except (DataError, UnicodeDecodeError):
-        read_utf8(path)  # raises for a byte that is not UTF-8, naming its line
-        raise
+    data = None if quoted else _parse_blocks(path, size)
+    if data is None:
+        try:
+            data = _parse_records(_tokenize(_decode_lines(_chunks(path) if whole is None else [whole]), quoted))
+        except (DataError, UnicodeDecodeError):
+            read_utf8(path)  # raises for a byte that is not UTF-8, naming its line
+            raise
     data.source_sha256 = digest
     if cache is not None and staged is not None:
         staged.append(stage_parsed(data, cache))
@@ -541,10 +749,15 @@ def csv_lines(data: TimeSeriesDataset) -> Iterator[str]:
     time is held as Python objects; only a row with a missing cell goes
     cell by cell."""
     yield from table_lines(["time", *data.names], [])
-    gappy = ~data.mask.all(axis=0)
-    for t in range(data.n_steps):
+    yield from _row_lines(data, 0, data.n_steps)
+
+
+def _row_lines(data: TimeSeriesDataset, start: int, stop: int) -> Iterator[str]:
+    """:func:`csv_lines`'s lines of time steps ``start`` to ``stop``."""
+    gappy = ~data.mask[:, start:stop].all(axis=0)
+    for t in range(start, stop):
         stamp, row = float(data.times[t]), data.values[:, t].tolist()
-        if gappy[t]:
+        if gappy[t - start]:
             cells = [repr(v) if ok else "" for v, ok in zip(row, data.mask[:, t].tolist())]
             yield f"{stamp!r},{','.join(cells)}\n"
         else:
@@ -552,7 +765,8 @@ def csv_lines(data: TimeSeriesDataset) -> Iterator[str]:
 
 
 def dumps_csv(data: TimeSeriesDataset) -> str:
-    """:func:`csv_lines` as one text."""
+    """:func:`csv_lines` as one text: the reference, in one block, that
+    :func:`save_csv`'s blocks are held to."""
     return "".join(csv_lines(data))
 
 
@@ -560,23 +774,49 @@ def dumps_csv(data: TimeSeriesDataset) -> str:
 WRITE_CHARS = 1 << 18
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write text lines to ``path`` as UTF-8, joined into one ``write`` of
+def _write_batched(f: BinaryIO, lines: Iterable[str]) -> None:
+    """Write text lines to ``f`` as UTF-8, joined into one ``write`` of
     about :data:`WRITE_CHARS` at a time, so the text is never held whole."""
-    with open(path, "w", encoding="utf-8") as f:
-        batch, size = [], 0
-        for line in lines:
-            batch.append(line)
-            size += len(line)
-            if size >= WRITE_CHARS:
-                f.write("".join(batch))
-                batch, size = [], 0
-        f.write("".join(batch))
+    batch, size = [], 0
+    for line in lines:
+        batch.append(line)
+        size += len(line)
+        if size >= WRITE_CHARS:
+            f.write("".join(batch).encode())
+            batch, size = [], 0
+    f.write("".join(batch).encode())
 
 
-def save_csv(data: TimeSeriesDataset, path: str | Path) -> None:
-    """Write :func:`csv_lines` to ``path``."""
-    write_lines(path, csv_lines(data))
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write text lines to ``path`` (see :func:`_write_batched`)."""
+    with open(path, "wb") as f:
+        _write_batched(f, lines)
+
+
+def save_csv(data: TimeSeriesDataset, path: str | Path, head: str = "") -> None:
+    """Write ``head``, then :func:`csv_lines`, to ``path``.
+
+    A table of at least two :data:`BLOCK_CELLS` cells renders in blocks
+    of contiguous time steps, one per usable CPU (:func:`_block_count`).
+    This process renders the header and the first block into ``path``;
+    each other block renders in a forked child, into an unnamed temporary
+    file beside ``path``, appended in order once the first block is
+    written.  A block whose child fails is rendered here instead, so the
+    bytes are :func:`dumps_csv`'s whatever the blocks."""
+    blocks = _block_count(data.values.size, BLOCK_CELLS)
+    edges = [data.n_steps * k // blocks for k in range(blocks + 1)]
+
+    def render(k: int, out: BinaryIO) -> None:
+        _write_batched(out, _row_lines(data, edges[k], edges[k + 1]))
+
+    with _forked(blocks, render, Path(path).parent) as join, open(path, "wb") as f:
+        _write_batched(f, itertools.chain([head], table_lines(["time", *data.names], []),
+                                          _row_lines(data, 0, edges[1])))
+        for k, part in enumerate(join(), start=1):
+            if part is None:
+                render(k, f)
+            else:
+                shutil.copyfileobj(part, f)
 
 
 def _missing_runs(present: np.ndarray) -> list[tuple[int, int]]:

@@ -197,6 +197,32 @@ def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, parse):
     assert peak < 2.5 * (ds.values.nbytes + ds.mask.nbytes + ds.times.nbytes)
 
 
+def test_eval_lets_the_prepared_table_go_before_the_forward_pass(tmp_path):
+    """eval keeps only the windows of the prepared table through the
+    checkpoint load and the forward pass.  (Holding the table as well
+    peaked at 3.26 tables here; the parse of the same table into
+    parsed.bin and its standardized copy peak at about 2.1.)"""
+    rng = np.random.default_rng(0)
+    ds = D.TimeSeriesDataset([f"s{i}" for i in range(20)], np.arange(8000.0), rng.standard_normal((20, 8000)),
+                             np.ones((20, 8000), dtype=bool))
+    save_csv(ds, tmp_path / "t.csv")
+    spec = M.ModelSpec(input_channels=19, input_width=64, stage_channels=(40, 40), pool_before=(2,),
+                       dense_units=(4, 1))
+    M.save_checkpoint(M.build_model(spec, seed=0), tmp_path / "checkpoint.json")
+    cfg = write_config(tmp_path / "run.yaml", {
+        "data": {"path": str(tmp_path / "t.csv"), "target": "s0", "window": 64},
+        "model": {"stage_channels": [40, 40], "pool_before": [2], "dense_units": [4, 1]},
+        "out": str(tmp_path)})
+    assert run("ingest", cfg) == 0
+    tracemalloc.start()
+    try:
+        assert run("eval", cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * (ds.values.nbytes + ds.mask.nbytes + ds.times.nbytes)
+
+
 def test_ingest_missing_data_file_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "run.yaml", base_config(tmp_path / "nope.csv", tmp_path / "out"))
     assert run("ingest", cfg) == 2

@@ -4,7 +4,12 @@ splits."""
 
 import hashlib
 import json
+import os
+import signal
+import tempfile
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +248,169 @@ class TestTextMemory:
         save_csv(data, tmp_path / "t.csv")
         table_bytes = data.values.nbytes + data.mask.nbytes + data.times.nbytes
         assert traced_peak(lambda: load_csv(tmp_path / "t.csv")) < 2.5 * table_bytes
+
+
+def gappy_table(steps=400, series=6):
+    rng = np.random.default_rng(1)
+    mask = rng.random((series, steps)) > 0.05
+    return dataset(np.where(mask, rng.standard_normal((series, steps)), np.nan), mask=mask)
+
+
+class TestBlocks:
+    """Text cut into blocks, each but the first rendered or parsed in a
+    forked child, gives the bytes and tables of one block, or its error;
+    and no child process or file outlives a call, whatever happens."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch, tmp_path):
+        """Up to four blocks for any table or file; every fork counted.
+        Temporary files go to an empty directory, which must stay empty."""
+        monkeypatch.setattr(D, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(D, "BLOCK_CELLS", 1)
+        monkeypatch.setattr(D, "BLOCK_BYTES", 1)
+        (tmp_path / "temp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "temp"))
+        self.forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: self.forks.append(1) or fork())
+        self.parent = os.getpid()
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list((tmp_path / "temp").iterdir()) == []
+        assert list(tmp_path.glob("**/*.tmp")) == []
+
+    def in_child(self) -> bool:
+        return os.getpid() != self.parent
+
+    def one_block(self, path):
+        try:
+            return bits(loads_csv(read_utf8(path)))[:4]
+        except DataError as e:
+            return str(e)
+
+    def outcome(self, path):
+        try:
+            return bits(load_csv(path))[:4]
+        except DataError as e:
+            return str(e)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_blocks_render_and_parse_as_one(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(D, "_usable_cpus", lambda: cpus)
+        data = gappy_table()
+        save_csv(data, tmp_path / "t.csv", head="# config abc\n")
+        assert (tmp_path / "t.csv").read_text() == "# config abc\n" + dumps_csv(data)
+        assert len(self.forks) == cpus - 1
+        table = self.outcome(tmp_path / "t.csv")
+        assert table == self.one_block(tmp_path / "t.csv") and table[0] == data.names
+        assert len(self.forks) == 2 * (cpus - 1)
+
+    def file(self, tmp_path, **edits) -> Path:
+        """gappy_table's text with CRLF line ends and comment and blank
+        lines, 404 lines in all; ``line_<n>=edit`` passes line n through
+        ``edit``.  Four blocks start at lines 1, 107, 206 and 306."""
+        lines = dumps_csv(gappy_table()).split("\n")
+        lines[100:100] = ["# a note", " , , ", ""]
+        for key, edit in edits.items():
+            n = int(key.removeprefix("line_"))
+            lines[n - 1] = edit(lines[n - 1])
+        path = tmp_path / "t.csv"
+        path.write_bytes("\r\n".join(lines).encode("utf-8", "surrogateescape"))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line + ",", "line 300: expected 7 cells, got 8"),
+        (lambda line: "1e999" + line[line.index(","):], "line 300: time stamp '1e999' is not finite"),
+        (lambda line: "9" + line, "line 301: non-monotone time stamp '296.0'"),
+        (lambda line: line + "x", "line 300: cannot parse value '"),
+        (lambda line: line + "9e999", "line 300: series 's5' holds non-finite value inf"),
+        (lambda line: line + "\udcff", ":300: not valid UTF-8 (byte 0xff)"),
+    ], ids=["count", "stamp", "order", "value", "non-finite", "utf-8"])
+    def test_a_fault_in_a_later_block_raises_as_in_one(self, tmp_path, edit, message):
+        path = self.file(tmp_path, line_300=edit)
+        outcome = self.outcome(path)
+        assert outcome == self.one_block(path) and message in outcome
+        assert len(self.forks) == 3
+
+    def first_line_of_third_block(self, tmp_path) -> tuple[int, list[str]]:
+        """The line number of the first line of file()'s third block, and
+        file()'s lines."""
+        raw = self.file(tmp_path).read_bytes()
+        cut = D._block_edges(tmp_path / "t.csv", len(raw), 4)[2]
+        return raw.count(b"\n", 0, cut) + 1, raw.decode().split("\r\n")
+
+    def test_times_that_do_not_increase_across_a_cut(self, tmp_path):
+        line, lines = self.first_line_of_third_block(tmp_path)
+        stamp = lines[line - 2].split(",")[0]
+        path = self.file(tmp_path, **{f"line_{line}": lambda row: stamp + row[row.index(","):]})
+        assert self.outcome(path) == f"line {line}: duplicate time stamp '{stamp}'" == self.one_block(path)
+
+    def test_a_block_of_rows_wider_than_the_header(self, tmp_path):
+        line, lines = self.first_line_of_third_block(tmp_path)
+        path = self.file(tmp_path, **{f"line_{n}": lambda row: row + ",1" for n in range(line, len(lines))})
+        assert self.outcome(path) == f"line {line}: expected 7 cells, got 8" == self.one_block(path)
+
+    def test_an_earlier_fault_and_a_bad_byte_anywhere_still_win(self, tmp_path):
+        def bad_value(line):
+            stamp, _, rest = line.partition(",")
+            return f"{stamp},y,{rest.partition(',')[2]}"
+
+        later = {"line_300": lambda line: line + "x", "line_350": lambda line: line + ","}
+        path = self.file(tmp_path, line_4=bad_value, **later)
+        assert self.outcome(path) == "line 4: cannot parse value 'y'" == self.one_block(path)
+        path = self.file(tmp_path, line_4=lambda line: line + "\udcff", **later)
+        assert self.outcome(path) == f"{path}:4: not valid UTF-8 (byte 0xff)"
+        path = self.file(tmp_path, line_4=bad_value, line_401=lambda line: line + "\udcff")
+        assert self.outcome(path) == f"{path}:401: not valid UTF-8 (byte 0xff)"
+
+    @pytest.mark.parametrize("crash", ["raise", "kill"])
+    def test_a_crashed_child_gives_the_normal_result(self, tmp_path, monkeypatch, crash):
+        def crashing(fn):
+            def wrapped(*args):
+                if self.in_child():
+                    if crash == "kill":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise RuntimeError("a crash")
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(D, "_write_batched", crashing(D._write_batched))
+        monkeypatch.setattr(D, "_write_rows", crashing(D._write_rows))
+        data = gappy_table()
+        save_csv(data, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == dumps_csv(data)
+        assert self.outcome(tmp_path / "t.csv") == self.one_block(tmp_path / "t.csv")
+        path = self.file(tmp_path, line_300=lambda line: line + "x")
+        assert self.outcome(path).startswith("line 300: cannot parse value")
+        assert len(self.forks) == 9
+
+    def test_a_failing_parent_kills_its_children(self, tmp_path, monkeypatch):
+        write = D._write_batched
+
+        def stuck(out, lines):
+            if self.in_child():
+                time.sleep(60)
+            write(out, lines)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(D, "_write_batched", stuck)
+        started = time.perf_counter()
+        with pytest.raises(OSError, match="disk full"):
+            save_csv(gappy_table(), tmp_path / "t.csv")
+        assert time.perf_counter() - started < 30 and len(self.forks) == 3
+
+    def test_a_file_of_one_read_is_opened_once(self, tmp_path, monkeypatch):
+        path = self.file(tmp_path)
+        opened = []
+        monkeypatch.setattr(D, "open", lambda *a, **kw: opened.append(a[0]) or open(*a, **kw), raising=False)
+        monkeypatch.setattr(D, "BLOCK_BYTES", path.stat().st_size)  # one block
+        monkeypatch.setattr(D, "READ_BYTES", path.stat().st_size)
+        load_csv(path)
+        assert opened == [path]
+        monkeypatch.setattr(D, "READ_BYTES", path.stat().st_size - 1)
+        load_csv(path)
+        assert opened == [path] * 3
+        assert not self.forks
 
 
 class TestDumpsTable:

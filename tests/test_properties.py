@@ -17,9 +17,11 @@ against ``Generator.uniform``, and libyaml's loader against PyYAML's
 own on config-shaped YAML."""
 
 import codecs
+import contextlib
 import csv
 import io
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,8 +34,8 @@ from hypothesis.extra import numpy as hnp
 
 from gcnn import data as D
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, _records,
-                       dumps_csv, dumps_table, load_csv, load_parsed, loads_csv, make_windows, read_utf8, save_parsed,
-                       split, standardize)
+                       dumps_csv, dumps_table, load_csv, load_parsed, loads_csv, make_windows, read_utf8, save_csv,
+                       save_parsed, split, standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, GroupedConv1DLayer, RecurrentConvLayer, draw
@@ -412,6 +414,69 @@ def test_load_csv_gives_the_parse_of_the_text_read_whole(tmp_path_factory, file)
         mp.setattr(D, "READ_BYTES", batch)
         streamed = parse_outcome(load_csv, path)
     assert streamed == parse_outcome(lambda p: loads_csv(read_utf8(p)), path)
+
+
+@contextlib.contextmanager
+def in_blocks(cpus):
+    """Tables and files cut into as many blocks as ``cpus`` allows, each
+    but the first rendered or parsed in a forked child; on leaving, no
+    child process is left."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_usable_cpus", lambda: cpus)
+        mp.setattr(D, "BLOCK_CELLS", 1)
+        mp.setattr(D, "BLOCK_BYTES", 1)
+        yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@SETTINGS
+@given(gappy_datasets(), st.integers(2, 6), st.sampled_from(["", "# config abc\n"]))
+def test_save_csv_in_blocks_writes_the_one_block_text(tmp_path_factory, data, cpus, head):
+    path = tmp_path_factory.getbasetemp() / "blocks" / "table.csv"
+    path.parent.mkdir(exist_ok=True)
+    with in_blocks(cpus):
+        save_csv(data, path, head=head)
+    assert path.read_bytes() == (head + dumps_csv(data)).encode()
+    assert [p.name for p in path.parent.iterdir()] == ["table.csv"]
+
+
+@st.composite
+def table_files(draw):
+    """The bytes of a table's CSV text with blank and comment lines put
+    in anywhere, LF or CRLF line ends, a final one or none, and maybe a
+    fault planted on any line: a bad value, a repeated stamp, a missing
+    cell or a byte that is not UTF-8."""
+    lines = dumps_csv(draw(gappy_datasets())).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "# note", " , ", "\ufeff# mark"])))
+    faults = {"value": lambda line: line + "x", "stamp": lambda line: "0" + line[line.index(","):],
+              "count": lambda line: line.rsplit(",", 1)[0], "utf-8": lambda line: line + "\udcff"}
+    for fault in draw(st.lists(st.sampled_from(sorted(faults)), max_size=2)):
+        at = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        if "," in lines[at]:
+            lines[at] = faults[fault](lines[at])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text.encode("utf-8", "surrogateescape")
+
+
+@SETTINGS
+@given(table_files() | csv_files().map(lambda file: file[0]), st.integers(2, 6), st.sampled_from([7, D.READ_BYTES]))
+@example(b"time,a,b\n0,1,2\n1,2,3\n2,3,4\n", 3, D.READ_BYTES)
+@example(b"time,a,b\n0,1,2\n2,2,3\n1,3,4\n", 2, D.READ_BYTES)
+@example("time,a,b\n0,1,2\n1,2,3\n\ufeff2,3,4\n".encode(), 2, D.READ_BYTES)
+@example(b"time,a,b\n\n\n\n\n\n\n\n\n", 3, D.READ_BYTES)
+@example(b"time,a,b\n0,1,2\n1,2,3\n2,3,nan\n", 3, D.READ_BYTES)
+@example(b"time,a,a\n0,1,2\n1,2,3\n2,3,4\n", 3, D.READ_BYTES)
+def test_load_csv_in_blocks_gives_the_one_block_parse(tmp_path_factory, raw, cpus, batch):
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    path.write_bytes(raw)
+    with in_blocks(cpus), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "READ_BYTES", batch)
+        blocks = parse_outcome(load_csv, path)
+    assert blocks == parse_outcome(lambda p: loads_csv(read_utf8(p)), path)
 
 
 def test_every_truncated_parsed_table_is_a_miss(tmp_path):
