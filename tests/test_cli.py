@@ -5,14 +5,18 @@ can be asserted directly.  Training configs are kept tiny; the whole
 file should stay well under a minute.
 """
 
+import ctypes
 import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1398,3 +1402,167 @@ def test_ingest_bytes_do_not_depend_on_the_locale(tmp_path):
     dataset = (tmp_path / "c" / "dataset.csv").read_bytes()
     assert "d\u00e9bit".encode() in dataset
     assert dataset == (tmp_path / "utf8" / "dataset.csv").read_bytes()
+
+
+# -- the allocator -----------------------------------------------------------
+
+
+def desk_like() -> Path:
+    """A coeff config the size of the benchmark's desk workload, written
+    with its series into the current directory, its paths relative to it."""
+    make_series(Path("series.csv"), length=300, phi=0.9)
+    return write_config(Path("run.yaml"), {
+        "data": {"path": "series.csv", "target": "target", "window": 32},
+        "model": {"grouping": "coeff", "groups": 3, "stage_channels": [12, 12], "pool_before": [],
+                  "dense_units": [16, 1]},
+        "train": {"epochs": 3, "batch_size": 32, "learning_rate": 0.05, "momentum": 0.9},
+        "seed": 21,
+    })
+
+
+class FakeMallopt:
+    """Stands in for the C library's ``mallopt``, recording each call."""
+
+    def __init__(self, result: int = 1):
+        self.result = result
+        self.calls: list[tuple[int, int]] = []
+
+    def __call__(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return self.result
+
+
+@pytest.fixture
+def fresh_setter(monkeypatch):
+    """The once-per-process setter, run anew, with no allocator variable
+    of the user's in the way; it runs anew after the test too."""
+    for name in (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES"):
+        monkeypatch.delenv(name, raising=False)
+    cli._keep_freed_memory.cache_clear()
+    yield
+    cli._keep_freed_memory.cache_clear()
+
+
+def assert_same_files(a: Path, b: Path) -> None:
+    names = sorted(p.name for p in a.iterdir())
+    assert "checkpoint.json" in names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def fake_libc(monkeypatch, mallopt) -> None:
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def run_in_child(cwd: Path, script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter, with no allocator variable
+    of the user's; its standard output."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES")}
+    env["PYTHONPATH"] = str(Path(gcnn.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the C library has no mallopt")
+def test_a_second_train_faults_no_pages_in(tmp_path, monkeypatch):
+    """Freed arrays stay in the process: a second train of a desk-sized
+    config takes a few dozen minor faults at most, where glibc's adaptive
+    thresholds cost about 6.5k a call (20k for desk's longer coeff run).
+    A fresh process, since what a process freed before moves glibc's
+    thresholds."""
+    monkeypatch.chdir(tmp_path)
+    desk_like()
+    script = textwrap.dedent("""
+        import resource
+        from gcnn import cli
+        assert cli.main(["train", "run.yaml", "--out", "first"]) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(["train", "run.yaml", "--out", "second"]) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    faults = int(run_in_child(tmp_path, script).split()[-1])
+    assert faults <= 64, faults
+
+
+def test_the_thresholds_are_set_once_per_process(fresh_setter, tmp_path, monkeypatch):
+    mallopt = FakeMallopt()
+    fake_libc(monkeypatch, mallopt)
+    write_config(tmp_path / "run.yaml", {"model": {"preset": "water-cnn"}})
+    for out in ("a", "b"):
+        assert run("param-count", tmp_path / "run.yaml", "--out", str(tmp_path / out)) == 0
+    # M_MMAP_THRESHOLD to 32 MiB, then M_TRIM_THRESHOLD to 128 MiB
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+
+def refusing_libc(name):
+    raise OSError("no symbols")
+
+
+@pytest.mark.parametrize("libc", [
+    refusing_libc,
+    lambda name: SimpleNamespace(),  # no mallopt, as on macOS
+    lambda name: SimpleNamespace(mallopt=FakeMallopt(result=0)),  # every value refused, as on musl
+], ids=["no-library", "no-mallopt", "refused"])
+def test_train_without_mallopt_exits_0_silently_with_the_same_bytes(fresh_setter, tmp_path, monkeypatch,
+                                                                     capsys, libc):
+    """Each side trains in a directory of its own, so the two print the
+    same relative paths."""
+    outputs = []
+    for side in ("set", "unset"):
+        if side == "unset":
+            cli._keep_freed_memory.cache_clear()
+            monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+        work = tmp_path / side
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run("train", desk_like(), "--out", "out") == 0
+        outputs.append(capsys.readouterr())
+    assert not cli._keep_freed_memory()
+    assert outputs[0] == outputs[1]
+    assert_same_files(tmp_path / "set" / "out", tmp_path / "unset" / "out")
+
+
+def test_train_bytes_do_not_depend_on_the_allocator(tmp_path, monkeypatch):
+    """Every artifact of a train whose process kept glibc's own
+    thresholds equals, byte for byte, that of one with them fixed."""
+    monkeypatch.chdir(tmp_path)
+    cfg = desk_like()
+    run_in_child(tmp_path, "import sys; from gcnn import cli; cli._keep_freed_memory = lambda: False; "
+                           "sys.exit(cli.main(sys.argv[1:]))", "train", cfg.name, "--out", "glibc")
+    assert run("train", cfg, "--out", "fixed") == 0
+    assert_same_files(tmp_path / "glibc", tmp_path / "fixed")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("MALLOC_MMAP_THRESHOLD_", "131072"),
+    ("MALLOC_TRIM_THRESHOLD_", "131072"),
+    ("MALLOC_TOP_PAD_", "0"),
+    ("MALLOC_MMAP_MAX_", "0"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ("GLIBC_TUNABLES", "glibc.elision.enable=1:glibc.malloc.mmap_threshold=65536"),
+])
+def test_the_users_allocator_settings_are_left_alone(fresh_setter, tmp_path, monkeypatch, name, value):
+    mallopt = FakeMallopt()
+    fake_libc(monkeypatch, mallopt)
+    monkeypatch.setenv(name, value)
+    write_config(tmp_path / "run.yaml", {"model": {"preset": "water-cnn"}})
+    assert run("param-count", tmp_path / "run.yaml", "--out", str(tmp_path / "out")) == 0
+    assert mallopt.calls == []
+
+
+def test_tunables_of_other_glibc_parts_do_not_stop_the_setting(fresh_setter, monkeypatch):
+    mallopt = FakeMallopt()
+    fake_libc(monkeypatch, mallopt)
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.elision.enable=1")
+    assert cli._keep_freed_memory()
+    assert len(mallopt.calls) == 2
