@@ -45,7 +45,6 @@ __all__ = [
     "load_csv",
     "loads_csv",
     "save_csv",
-    "csv_lines",
     "table_lines",
     "write_lines",
     "stage_parsed",
@@ -87,6 +86,8 @@ class TimeSeriesDataset:
             raise DataError(f"time index length {self.times.shape} does not match {l} steps")
         if self.mask.shape != (n, l):
             raise DataError("mask shape does not match values")
+        if not np.isfinite(self.times).all():
+            raise DataError("time stamps must be finite")
         if l >= 2 and np.any(np.diff(self.times) <= 0):
             raise DataError("time index must be strictly increasing")
 
@@ -219,19 +220,57 @@ def loads_csv(text: str) -> TimeSeriesDataset:
     return _parse_records(_record_stream(text))
 
 
-def _parse_records(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
-    """The table of a stream of ``(line, cells)`` records, the parse that
-    :func:`loads_csv` and :func:`load_csv` share.  Rows are parsed as they
-    are read, so the cells of one row at a time are held as strings, and
-    the present values go straight into the series-major table.  When a
-    row is at fault the rest of the stream is still read, so a fault the
-    tokenizer finds further on is the one raised."""
+def _parse_records(records: Iterator[tuple[int, list[str]]],
+                   parts: Callable[[], list[BinaryIO | None]] = list) -> TimeSeriesDataset:
+    """The table of a stream of ``(line, cells)`` records, the one table
+    builder of :func:`loads_csv` and :func:`load_csv`.  Rows are parsed as
+    they are read, so the cells of one row at a time are held as strings,
+    and the present values go straight into the series-major table.  When
+    a row is at fault the rest of the stream is still read, so a fault the
+    tokenizer finds further on is the one raised.
+
+    ``records`` holds the header and the first block of rows; ``parts``,
+    called once those have parsed, returns the files of the later blocks
+    (:func:`_write_rows`), or None for a block that failed, and none for a
+    text of one block.  Their rows follow in order, :data:`READ_BYTES` at
+    a time.  A failed part, or one of another width than the header's,
+    raises DataError."""
     try:
-        return _parse_rows(records)
+        header = _parse_header(records)
+        names, width = header[1:], len(header)
+        _, stamps, lines, present, parsed = _read_rows(records, width)
     except DataError:
         for _ in records:
             pass
         raise
+    files = parts()
+    if None in files or any(np.frombuffer(f.read(8), dtype=np.int64)[0] not in (0, width) for f in files):
+        raise DataError("a block did not parse")  # the one-block parse names the fault
+    counts = [len(stamps)] + [(os.fstat(f.fileno()).st_size - 8) // (8 * width) for f in files]
+    if not any(counts):
+        raise DataError("no data rows")
+    times = np.empty(sum(counts))
+    times[: counts[0]] = stamps
+    values = np.full((len(names), len(times)), np.nan)
+    by_row = np.frombuffer(present, dtype=bool).reshape(counts[0], len(names))
+    values.T[: counts[0]][by_row] = np.frombuffer(parsed)  # scattered into the series-major table, no transposed copy
+    del parsed
+    # float() also reads nan and inf; refuse them as present values (empty
+    # cells are the missing ones)
+    bad = by_row.T & ~np.isfinite(values[:, : counts[0]])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        t = int(np.argmax(bad[i]))
+        raise DataError(f"line {lines[t]}: series {names[i]!r} holds non-finite value {float(values[i, t])!r}")
+    step, t = max(1, READ_BYTES // (8 * width)), counts[0]
+    for f, count in zip(files, counts[1:]):
+        for i in range(0, count, step):
+            n = min(step, count - i)
+            rows = np.frombuffer(f.read(8 * width * n)).reshape(n, width)
+            times[t : t + n], values[:, t : t + n] = rows[:, 0], rows[:, 1:].T
+            t += n
+    # every present value is finite, so the missing ones are the NaNs
+    return TimeSeriesDataset(names, times, values, ~np.isnan(values))
 
 
 def _parse_header(records: Iterator[tuple[int, list[str]]]) -> list[str]:
@@ -279,27 +318,6 @@ def _read_rows(records: Iterator[tuple[int, list[str]]], width: int | None):
             raise
         present += flags
     return width, times, lines, present, parsed
-
-
-def _parse_rows(records: Iterator[tuple[int, list[str]]]) -> TimeSeriesDataset:
-    header = _parse_header(records)
-    names = header[1:]
-    _, times, lines, present, parsed = _read_rows(records, len(header))
-    if not times:
-        raise DataError("no data rows")
-    by_row = np.frombuffer(present, dtype=bool).reshape(len(times), len(names))
-    values = np.full((len(names), len(times)), np.nan)
-    values.T[by_row] = np.frombuffer(parsed)  # scattered into the series-major table, no transposed copy
-    del parsed
-    mask = np.ascontiguousarray(by_row.T)
-    # float() also reads nan and inf; refuse them as present values (empty
-    # cells are the missing ones)
-    bad = mask & ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        t = int(np.argmax(bad[i]))
-        raise DataError(f"line {lines[t]}: series {names[i]!r} holds non-finite value {float(values[i, t])!r}")
-    return TimeSeriesDataset(names=names, times=np.array(times), values=values, mask=mask)
 
 
 def _check_names(names: Sequence[str], line_no: int) -> None:
@@ -548,49 +566,21 @@ def _parse_blocks(path: str | Path, size: int) -> TimeSeriesDataset | None:
     """The table of a quote-free data file parsed in blocks (see
     :func:`_block_edges`), one per usable CPU and none under
     :data:`BLOCK_BYTES` (:func:`_block_count`); None for a file that takes
-    one block.  Block 0, which holds the header, is parsed here, and each
-    other block in a forked child (:func:`_write_rows`).  Each block's
-    rows are scattered into the table in order, a child's
-    :data:`READ_BYTES` at a time.  None too when any block faults or its
-    child fails, or when the blocks do not make a table (rows of another
-    width than the header's, times that do not increase across a cut):
-    the caller then parses the file as one block, which raises the fault
-    with its line."""
+    one block.  Each block but the first is parsed in a forked child
+    (:func:`_write_rows`), and :func:`_parse_records` parses the first,
+    header included, then builds the table from all of them.  None too
+    when any block faults or its child fails, or when the blocks do not
+    make a table (rows of another width than the header's, times that do
+    not increase across a cut): the caller then parses the file as one
+    block, which raises the fault with its line."""
     blocks = _block_count(size, BLOCK_BYTES)
     if blocks < 2 or len(edges := _block_edges(path, size, blocks)) < 3:
         return None
     with _forked(len(edges) - 1, lambda k, out: _write_rows(path, edges[k], edges[k + 1], out)) as join:
         try:
-            records = _tokenize(_decode_lines(_chunks(path, 0, edges[1])), quoted=False)
-            header = _parse_header(records)
-            _, stamps, _, present, parsed = _read_rows(records, len(header))
+            return _parse_records(_tokenize(_decode_lines(_chunks(path, 0, edges[1])), quoted=False), join)
         except (DataError, UnicodeDecodeError):
             return None
-        width = len(header)
-        parts = join()
-        if (not np.isfinite(np.frombuffer(parsed)).all() or None in parts
-                or any(np.frombuffer(part.read(8), dtype=np.int64)[0] not in (0, width) for part in parts)):
-            return None
-        counts = [len(stamps)] + [(os.fstat(part.fileno()).st_size - 8) // (8 * width) for part in parts]
-        if not any(counts):  # the one-block parse says there are no data rows
-            return None
-        times = np.empty(sum(counts))
-        values = np.full((width - 1, len(times)), np.nan)
-        times[: counts[0]] = stamps
-        values.T[: counts[0]][np.frombuffer(present, dtype=bool).reshape(counts[0], width - 1)] = np.frombuffer(parsed)
-        del parsed, present
-        step, t = max(1, READ_BYTES // (8 * width)), counts[0]
-        for part, count in zip(parts, counts[1:]):
-            for i in range(0, count, step):
-                n = min(step, count - i)
-                rows = np.frombuffer(part.read(8 * width * n)).reshape(n, width)
-                times[t : t + n], values[:, t : t + n] = rows[:, 0], rows[:, 1:].T
-                t += n
-    try:
-        # every present value is finite, so the missing ones are the NaNs
-        return TimeSeriesDataset(header[1:], times, values, ~np.isnan(values))
-    except DataError:  # repeated names, or times that fall at a cut
-        return None
 
 
 def load_csv(path: str | Path, cache: str | Path | None = None,
@@ -607,8 +597,9 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     held, only the table and one piece.  A file of one piece is read
     once, for both.  A quote-free file of at least two
     :data:`BLOCK_BYTES` is parsed in blocks, one per usable CPU
-    (:func:`_parse_blocks`); should any block fault, the file is parsed
-    again as one block, for the fault's message.
+    (:func:`_parse_blocks`), the later ones in forked children; should
+    any block fault, the file is parsed again as one block, for the
+    fault's message.  Either way, :func:`_parse_records` builds the table.
 
     With ``cache``, a file :func:`save_parsed` wrote, the table comes from
     there instead when :func:`load_parsed` finds it written for these
@@ -709,9 +700,9 @@ def load_parsed(path: str | Path, source_sha256: str) -> TimeSeriesDataset | Non
                 return None
         flat = np.frombuffer(body, dtype="<f8")
         times, values = flat[:steps], flat[steps:].reshape(len(names), steps)
-        if not np.isfinite(times).all() or np.isinf(values).any():
+        if np.isinf(values).any():
             return None
-        # the dataset refuses repeated names and times that do not increase
+        # the dataset refuses repeated names, and times that are not finite or do not increase
         return TimeSeriesDataset(names, times, values, ~np.isnan(values), source_sha256)
     except (OSError, ValueError, RecursionError, DataError):  # ValueError covers bad JSON and bad UTF-8
         return None
@@ -740,20 +731,11 @@ def dumps_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "".join(table_lines(header, rows))
 
 
-def csv_lines(data: TimeSeriesDataset) -> Iterator[str]:
-    """The lines of the wide format, each ending in ``\\n``; repr
-    round-trips fp64 exactly.
-
-    The header goes through :func:`table_lines`'s cell rule.  Value rows
-    render one at a time, each from its own ``tolist``, so one row at a
-    time is held as Python objects; only a row with a missing cell goes
-    cell by cell."""
-    yield from table_lines(["time", *data.names], [])
-    yield from _row_lines(data, 0, data.n_steps)
-
-
 def _row_lines(data: TimeSeriesDataset, start: int, stop: int) -> Iterator[str]:
-    """:func:`csv_lines`'s lines of time steps ``start`` to ``stop``."""
+    """The wide-format lines of time steps ``start`` to ``stop``, each
+    ending in ``\\n``; repr round-trips fp64 exactly.  Rows render one at
+    a time, each from its own ``tolist``, so one row at a time is held as
+    Python objects; only a row with a missing cell goes cell by cell."""
     gappy = ~data.mask[:, start:stop].all(axis=0)
     for t in range(start, stop):
         stamp, row = float(data.times[t]), data.values[:, t].tolist()
@@ -765,9 +747,11 @@ def _row_lines(data: TimeSeriesDataset, start: int, stop: int) -> Iterator[str]:
 
 
 def dumps_csv(data: TimeSeriesDataset) -> str:
-    """:func:`csv_lines` as one text: the reference, in one block, that
+    """The wide format as one text: the header, through
+    :func:`table_lines`'s cell rule, then every time step's row
+    (:func:`_row_lines`).  The reference, in one block, that
     :func:`save_csv`'s blocks are held to."""
-    return "".join(csv_lines(data))
+    return "".join(itertools.chain(table_lines(["time", *data.names], []), _row_lines(data, 0, data.n_steps)))
 
 
 # characters a write of text lines joins first
@@ -794,7 +778,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def save_csv(data: TimeSeriesDataset, path: str | Path, head: str = "") -> None:
-    """Write ``head``, then :func:`csv_lines`, to ``path``.
+    """Write ``head``, then the lines of :func:`dumps_csv`, to ``path``.
 
     A table of at least two :data:`BLOCK_CELLS` cells renders in blocks
     of contiguous time steps, one per usable CPU (:func:`_block_count`).

@@ -9,15 +9,14 @@ group only and gives grouping methods something real to find.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesDataset, save_csv
+from .data import TimeSeriesDataset
 from .errors import ConfigError
 
-__all__ = ["SynthSpec", "generate", "main"]
+__all__ = ["SynthSpec", "generate"]
 
 TARGET_NAME = "target"
 
@@ -72,34 +71,3 @@ def generate(spec: SynthSpec | None = None) -> TimeSeriesDataset:
         values=values,
         mask=np.ones_like(values, dtype=bool),
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m gcnn.synth",
-        description="Write a grouped synthetic time-series CSV.",
-    )
-    parser.add_argument("out", help="output CSV path")
-    parser.add_argument("--groups", type=int, default=3)
-    parser.add_argument("--per-group", type=int, default=4)
-    parser.add_argument("--length", type=int, default=400)
-    parser.add_argument("--phi", type=float, default=0.6)
-    parser.add_argument("--member-noise", type=float, default=0.2)
-    parser.add_argument("--target-noise", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    spec = SynthSpec(
-        n_groups=args.groups,
-        per_group=args.per_group,
-        length=args.length,
-        phi=args.phi,
-        member_noise=args.member_noise,
-        target_noise=args.target_noise,
-        seed=args.seed,
-    )
-    save_csv(generate(spec), args.out)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -269,7 +269,7 @@ def counting_parses(monkeypatch) -> list:
     """The record stream of every CSV parse from here on."""
     parses = []
     monkeypatch.setattr(D, "_parse_records",
-                        lambda records, parse=D._parse_records: parses.append(records) or parse(records))
+                        lambda records, *rest, parse=D._parse_records: parses.append(records) or parse(records, *rest))
     return parses
 
 

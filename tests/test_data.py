@@ -305,6 +305,14 @@ class TestBlocks:
         assert table == self.one_block(tmp_path / "t.csv") and table[0] == data.names
         assert len(self.forks) == 2 * (cpus - 1)
 
+    def test_a_block_parse_builds_its_table_once(self, tmp_path, monkeypatch):
+        calls, parse = [], D._parse_records
+        monkeypatch.setattr(D, "_parse_records", lambda *args: calls.append(args) or parse(*args))
+        path = self.file(tmp_path)
+        table = self.outcome(path)
+        assert len(calls) == 1 and len(self.forks) == 3
+        assert table == self.one_block(path)
+
     def file(self, tmp_path, **edits) -> Path:
         """gappy_table's text with CRLF line ends and comment and blank
         lines, 404 lines in all; ``line_<n>=edit`` passes line n through
@@ -635,6 +643,12 @@ class TestDatasetInvariants:
     def test_increasing_times(self):
         with pytest.raises(DataError, match="increasing"):
             dataset(np.ones((2, 3)), times=[0.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, np.inf], [-np.inf, 1.0, 2.0, 3.0]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_finite_times(self, times):
+        with pytest.raises(DataError, match="time stamps must be finite"):
+            dataset(np.ones((2, 4)), times=times)
 
     def test_series_lookup(self):
         data = dataset([[1.0, 2.0], [3.0, 4.0]], names=["flow", "stage"])
