@@ -3,10 +3,14 @@ windowing into regression samples, and train/test splitting.
 
 Datasets are series-major: ``values[i, t]`` is series i at time step t,
 with ``mask[i, t]`` false where the cell was empty.  Missing values are
-stored as NaN so accidental use fails loudly downstream.  A parsed table
-can be saved in binary (:func:`save_parsed`, or :func:`stage_parsed`
-for the caller to rename into place) and loaded back by the sha256 of
-the file it was parsed from, in place of a second parse.
+stored as NaN so accidental use fails loudly downstream, and the mask a
+table is built without is its non-NaN cells.  A data file's bytes become
+text one way, streamed: :func:`_chunks`, then :func:`_decode_lines`,
+with :func:`_check_utf8` naming the line of a byte that is not UTF-8.
+A parsed table can be saved in binary (:func:`save_parsed`, or
+:func:`stage_parsed` for the caller to rename into place) and loaded
+back by the sha256 of the file it was parsed from, in place of a
+second parse.
 """
 
 from __future__ import annotations
@@ -63,18 +67,28 @@ PARSED_FORMAT = "gcnn.parsed/2"
 
 @dataclass
 class TimeSeriesDataset:
-    """Named series over a shared strictly-increasing time index."""
+    """Named series over a shared strictly-increasing time index.
+
+    A present cell holds a finite value; a missing one may hold any value
+    but an infinity.  ``mask`` None marks the cells that are not NaN
+    present.  A mask that marks a NaN present, or any infinity, raises
+    DataError."""
 
     names: list[str]
     times: np.ndarray  # (L,)
     values: np.ndarray  # (N, L), NaN where missing
-    mask: np.ndarray  # (N, L) bool, True = present
+    mask: np.ndarray | None = None  # (N, L) bool, True = present
     source_sha256: str | None = None  # of the file bytes load_csv parsed it from; None for any other table
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
+        given = self.mask is not None
+        if given:
+            self.mask = np.asarray(self.mask, dtype=bool)
+        else:  # worked out in place: no second array the size of the mask
+            self.mask = np.isnan(self.values)
+            np.logical_not(self.mask, out=self.mask)
         n, l = self.values.shape
         if len(self.names) != n:
             raise DataError(f"{len(self.names)} names for {n} series")
@@ -90,6 +104,16 @@ class TimeSeriesDataset:
             raise DataError("time stamps must be finite")
         if l >= 2 and np.any(np.diff(self.times) <= 0):
             raise DataError("time index must be strictly increasing")
+        # reductions, so no array the size of the table is made: fmax and
+        # fmin skip NaN and find an infinity anywhere; maximum over the
+        # present cells keeps NaN and finds one a given mask marks present
+        if self.values.size and (np.isinf(np.fmax.reduce(self.values, axis=None))
+                                 or np.isinf(np.fmin.reduce(self.values, axis=None))
+                                 or given and np.isnan(np.maximum.reduce(self.values, axis=None, where=self.mask,
+                                                                         initial=-np.inf))):
+            i, t = np.argwhere(np.isinf(self.values) | self.mask & np.isnan(self.values))[0]
+            kind = "an infinity" if np.isinf(self.values[i, t]) else "NaN marked present"
+            raise DataError(f"series {self.names[i]!r} holds {kind} at step {t}")
 
     @property
     def n_series(self) -> int:
@@ -270,7 +294,7 @@ def _parse_records(records: Iterator[tuple[int, list[str]]],
             times[t : t + n], values[:, t : t + n] = rows[:, 0], rows[:, 1:].T
             t += n
     # every present value is finite, so the missing ones are the NaNs
-    return TimeSeriesDataset(names, times, values, ~np.isnan(values))
+    return TimeSeriesDataset(names, times, values)
 
 
 def _parse_header(records: Iterator[tuple[int, list[str]]]) -> list[str]:
@@ -384,20 +408,33 @@ def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
     """A UTF-8 text file read with universal newlines, as ``open`` reads
     text: ``\\r\\n`` and a lone ``\\r`` come back as ``\\n``.  A leading
     UTF-8 byte-order mark is dropped.  Bytes that are not UTF-8 raise
-    ``error`` naming the file and the line of the first bad byte."""
-    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = _universal_newlines(raw[: e.start].decode("utf-8")).count("\n") + 1
-        raise error(f"{path}:{line}: not valid UTF-8 (byte 0x{raw[e.start]:02x})") from None
-    return _universal_newlines(text)
+    ``error`` naming the file and the line of the first bad byte
+    (:func:`_check_utf8`); the text is :func:`_decode_lines`' lines, joined."""
+    raw = Path(path).read_bytes()
+    _check_utf8(path, [raw], error)
+    return "".join(m[0] for m in _decode_lines([raw]))
 
 
-def _universal_newlines(text: str) -> str:
-    if "\r" not in text:  # the usual case, and a scan far cheaper than replacing "\r\n"
-        return text
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+def _check_utf8(path: str | Path, chunks: Iterable[bytes], error: type[GcnnError] = DataError) -> None:
+    """Raise ``error`` naming ``path`` and the line of the first byte of
+    ``chunks``, a file's bytes in order, that is not UTF-8, holding one
+    chunk at a time.  Line ends are counted on the raw bytes as universal
+    newlines: ``\\n``, ``\\r\\n`` and a lone ``\\r``, across chunk edges too.
+    No byte of a multibyte character is either of them."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line, cr = 1, False  # the line of the next byte; whether the last byte was \r
+    for raw in itertools.chain(filter(None, chunks), [b""]):  # b"": the end, where a cut-off character is bad
+        bad = None
+        try:
+            decoder.decode(raw, final=not raw)
+        except UnicodeDecodeError as e:
+            # the bad byte and what precedes it: the bytes held back from
+            # earlier chunks, none a line end, then this chunk's
+            raw, bad = e.object[: e.start], e.object[e.start]
+        line += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") - (cr and raw.startswith(b"\n"))
+        cr = raw.endswith(b"\r")
+        if bad is not None:
+            raise error(f"{path}:{line}: not valid UTF-8 (byte 0x{bad:02x})")
 
 
 # bytes a read of a data file takes: hashing, and decoding for the parse
@@ -485,18 +522,15 @@ def _forked(blocks: int, work: Callable[[int, BinaryIO], None],
                 out.close()
 
 
-def _scan(path: str | Path) -> tuple[str, bool, int, bytes | None]:
-    """The sha256 of a file's bytes, whether any of them is ``"``, their
-    count, and the bytes themselves when one read of :data:`READ_BYTES`
-    took them all (None otherwise)."""
-    digest, quoted, size, whole = hashlib.sha256(), False, 0, b""
-    with open(path, "rb") as f:
-        while chunk := f.read(READ_BYTES):
-            digest.update(chunk)
-            quoted = quoted or b'"' in chunk
-            size += len(chunk)
-            whole = chunk if size == len(chunk) else None
-    return digest.hexdigest(), quoted, size, whole
+def _scan(path: str | Path) -> tuple[str, bool, int]:
+    """The sha256 of a file's bytes, whether any of them is ``"``, and
+    their count, read through :func:`_chunks`."""
+    digest, quoted, size = hashlib.sha256(), False, 0
+    for chunk in _chunks(path):
+        digest.update(chunk)
+        quoted = quoted or b'"' in chunk
+        size += len(chunk)
+    return digest.hexdigest(), quoted, size
 
 
 def _chunks(path: str | Path, start: int = 0, stop: int | None = None) -> Iterator[bytes]:
@@ -511,9 +545,11 @@ def _chunks(path: str | Path, start: int = 0, stop: int | None = None) -> Iterat
 
 
 def _decode_lines(chunks: Iterable[bytes], start: bool = True) -> Iterator[re.Match]:
-    """The lines of UTF-8 bytes as :func:`read_utf8` decodes them, each a
-    match of :data:`_LINE`, decoded a chunk at a time.  A byte-order mark
-    is dropped only at the ``start`` of a file."""
+    """The lines of UTF-8 bytes, each a match of :data:`_LINE`, decoded a
+    chunk at a time with universal newlines: ``\\r\\n`` and a lone ``\\r``
+    come back as ``\\n``.  A byte-order mark is dropped only at the
+    ``start`` of a file.  A byte that is not UTF-8 raises
+    UnicodeDecodeError, which names no line; :func:`_check_utf8` does."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8-sig" if start else "utf-8")(), translate=True)
     rest = ""
@@ -591,15 +627,16 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     the file raises DataError, over any fault of the parse.  The table
     records the sha256 of the file's bytes.
 
-    The file is read in pieces of :data:`READ_BYTES`: once to hash it and
-    note whether it holds a quote, which picks the tokenizer, and once
-    more, decoding as it goes, to parse it.  So the whole text is never
-    held, only the table and one piece.  A file of one piece is read
-    once, for both.  A quote-free file of at least two
-    :data:`BLOCK_BYTES` is parsed in blocks, one per usable CPU
-    (:func:`_parse_blocks`), the later ones in forked children; should
-    any block fault, the file is parsed again as one block, for the
+    The file is read in pieces of :data:`READ_BYTES` (:func:`_chunks`):
+    once to hash it and note whether it holds a quote, which picks the
+    tokenizer, and once more, decoding as it goes, to parse it.  So the
+    whole text is never held, only the table and one piece.  A quote-free
+    file of at least two :data:`BLOCK_BYTES` is parsed in blocks, one per
+    usable CPU (:func:`_parse_blocks`), the later ones in forked children;
+    should any block fault, the file is parsed again as one block, for the
     fault's message.  Either way, :func:`_parse_records` builds the table.
+    A parse that faults reads the file once more, a piece at a time too,
+    for the line of a byte that is not UTF-8 (:func:`_check_utf8`).
 
     With ``cache``, a file :func:`save_parsed` wrote, the table comes from
     there instead when :func:`load_parsed` finds it written for these
@@ -607,15 +644,15 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     writes the parse beside ``cache`` under a temporary name
     (:func:`stage_parsed`) and appends that name, for the caller to rename
     over ``cache`` or remove."""
-    digest, quoted, size, whole = _scan(path)
+    digest, quoted, size = _scan(path)
     if cache is not None and (data := load_parsed(cache, digest)) is not None:
         return data
     data = None if quoted else _parse_blocks(path, size)
     if data is None:
         try:
-            data = _parse_records(_tokenize(_decode_lines(_chunks(path) if whole is None else [whole]), quoted))
+            data = _parse_records(_tokenize(_decode_lines(_chunks(path)), quoted))
         except (DataError, UnicodeDecodeError):
-            read_utf8(path)  # raises for a byte that is not UTF-8, naming its line
+            _check_utf8(path, _chunks(path))  # a byte that is not UTF-8 wins, named with its line
             raise
     data.source_sha256 = digest
     if cache is not None and staged is not None:
@@ -700,10 +737,9 @@ def load_parsed(path: str | Path, source_sha256: str) -> TimeSeriesDataset | Non
                 return None
         flat = np.frombuffer(body, dtype="<f8")
         times, values = flat[:steps], flat[steps:].reshape(len(names), steps)
-        if np.isinf(values).any():
-            return None
-        # the dataset refuses repeated names, and times that are not finite or do not increase
-        return TimeSeriesDataset(names, times, values, ~np.isnan(values), source_sha256)
+        # the dataset refuses repeated names, times that are not finite or do
+        # not increase, and infinite values; the NaNs are the missing cells
+        return TimeSeriesDataset(names, times, values, source_sha256=source_sha256)
     except (OSError, ValueError, RecursionError, DataError):  # ValueError covers bad JSON and bad UTF-8
         return None
 
@@ -853,15 +889,9 @@ def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tupl
     for row, runs in zip(values, gaps):
         for start, length in runs:
             left, right = row[start - 1], row[start + length]
-            for offset in range(1, length + 1):
-                frac = offset / (length + 1)
-                row[start + offset - 1] = left + (right - left) * frac
-    repaired = TimeSeriesDataset(
-        names=[data.names[i] for i in keep],
-        times=data.times.copy(),
-        values=values,
-        mask=np.ones((len(keep), data.n_steps), dtype=bool),
-    )
+            row[start : start + length] = left + (right - left) * (np.arange(1, length + 1) / (length + 1))
+    # every cell is present now, none NaN
+    repaired = TimeSeriesDataset(names=[data.names[i] for i in keep], times=data.times.copy(), values=values)
     return repaired, report
 
 
@@ -889,12 +919,7 @@ def standardize(
     scaled -= mean_arr[:, None]
     scaled /= std_arr[:, None]
     names = [data.names[i] for i in keep]
-    out = TimeSeriesDataset(
-        names=names,
-        times=data.times.copy(),
-        values=scaled,
-        mask=np.ones_like(scaled, dtype=bool),
-    )
+    out = TimeSeriesDataset(names=names, times=data.times.copy(), values=scaled)
     return out, StandardizeStats(names, mean_arr, std_arr), dropped
 
 

@@ -65,9 +65,4 @@ def generate(spec: SynthSpec | None = None) -> TimeSeriesDataset:
         rng.standard_normal(out=row)
         row *= spec.member_noise if i < members else spec.target_noise
         row += drivers[i // spec.per_group if i < members else 0]
-    return TimeSeriesDataset(
-        names=names,
-        times=np.arange(spec.length, dtype=np.float64),
-        values=values,
-        mask=np.ones_like(values, dtype=bool),
-    )
+    return TimeSeriesDataset(names=names, times=np.arange(spec.length, dtype=np.float64), values=values)

@@ -7,13 +7,16 @@ minimum-Ncut search of criterion 4, ``reference_grouped_conv1d`` and
 engine's batch-wide ones are checked against, ``row_sliced_fold`` the
 col2im the engine's flat one must match bit for bit, ``composed_ops``
 the fused layer ops written as the chains of smaller ops they replace,
-and ``reference_sgd_step`` the per-tensor update the flat SGD step is
-checked against.  Nothing in ``gcnn`` uses them.  ``Drawing`` is the
-parameter record that fills a layer a test builds alone.
+``reference_sgd_step`` the per-tensor update the flat SGD step is
+checked against, and ``reference_read_utf8`` the whole-text rule that
+``read_utf8`` and the streamed UTF-8 check are held to.  Nothing in
+``gcnn`` uses them.  ``Drawing`` is the parameter record that fills a
+layer a test builds alone.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -22,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gcnn import tensor as T
-from gcnn.errors import ShapeError
+from gcnn.errors import DataError, ShapeError
 from gcnn.layers import draw
 from gcnn.spectral import GroupAssignment, SimilarityGraph, ncut_value
 from gcnn.tensor import Tensor
@@ -275,3 +278,17 @@ def reference_sgd_step(params, velocity, grads, learning_rate, momentum, clip_no
         v += g * scale
         t -= learning_rate * v
     return gnorm
+
+
+def reference_read_utf8(path, raw: bytes) -> str:
+    """``read_utf8`` of a file holding ``raw``, by the whole-text rule: the
+    bytes after a leading byte-order mark decoded at once, then ``\\r\\n``
+    and a lone ``\\r`` read as ``\\n``.  For a byte that is not UTF-8,
+    DataError names ``path`` and its line, counted in the text before it."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw[: e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise DataError(f"{path}:{line}: not valid UTF-8 (byte 0x{raw[e.start]:02x})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -2,7 +2,9 @@
 splits against index-based subsets, standardization and max pooling
 against their original loops, CSV parsing against a per-cell
 reference, CSV files read in batches against their text read whole,
-bit-exact CSV round trips, gap runs against a scan, the
+``read_utf8`` and the streamed UTF-8 check against the whole-text rule
+in ``oracles.py``, bit-exact CSV round trips, gap runs against a scan,
+gap repair against its per-cell loop, the
 symmetric eigensolver's contract on random matrices with and without
 repeated eigenvalues, batched model passes against per-sample ones,
 memberships on the simplex, grouped convolution and recurrent grouped
@@ -35,7 +37,7 @@ from hypothesis.extra import numpy as hnp
 from gcnn import data as D
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, _records,
                        dumps_csv, dumps_table, load_csv, load_parsed, loads_csv, make_windows, read_utf8, save_csv,
-                       save_parsed, split, standardize)
+                       repair_gaps, save_parsed, split, standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, GroupedConv1DLayer, RecurrentConvLayer, draw
@@ -43,7 +45,8 @@ from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model, load_c
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
 from gcnn.training import PREDICT_CHUNK, TrainConfig, evaluate, mse_loss, sgd_step
-from oracles import Drawing, reference_channelwise_conv1d, reference_grouped_conv1d, reference_sgd_step
+from oracles import (Drawing, reference_channelwise_conv1d, reference_grouped_conv1d, reference_read_utf8,
+                     reference_sgd_step)
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -416,6 +419,52 @@ def test_load_csv_gives_the_parse_of_the_text_read_whole(tmp_path_factory, file)
     assert streamed == parse_outcome(lambda p: loads_csv(read_utf8(p)), path)
 
 
+@st.composite
+def split_files(draw):
+    """A file's bytes cut into chunks, some maybe empty: pieces that make
+    line ends and multibyte characters, a byte-order mark, and bytes that
+    are not UTF-8 on their own, so a bad byte can fall in the middle, at
+    the end as a cut-off character, right after a CR and across a chunk
+    edge."""
+    pieces = [b"a", b",", b"\n", b"\r", b"\r\n", "\u00e9".encode(), "\u20ac".encode(), "\U0001d11e".encode(),
+              codecs.BOM_UTF8, b"\xff", b"\x80", b"\xc3", b"\xe2\x80", b"\xf0\x9d"]
+    raw = b"".join(draw(st.lists(st.sampled_from(pieces), max_size=30)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(raw)), max_size=8)))
+    return [raw[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(raw)])]
+
+
+def utf8_fault(read, *args) -> str | None:
+    """The message of the DataError ``read(*args)`` raises; None for none."""
+    try:
+        read(*args)
+    except DataError as e:
+        return str(e)
+    return None
+
+
+@SETTINGS
+@given(split_files())
+@example([b"time,a\n0,\xff1\n1,2\n"])
+@example([b"time,a\n0,1\n\xc3"])
+@example([b"a\r\n\r", b"\xff\n"])
+@example([b"a\r", b"\nb\xe2", b"\x80", b"x\r\n"])
+@example([b"\xef\xbb", b"\xbfa\r", b"", b"\n\xf0\x9d", b"\x84"])
+def test_check_utf8_in_chunks_matches_the_whole_text_rule(chunks):
+    expected = utf8_fault(reference_read_utf8, "t.csv", b"".join(chunks))
+    assert utf8_fault(D._check_utf8, "t.csv", iter(chunks)) == expected
+
+
+@SETTINGS
+@given(split_files().map(b"".join))
+def test_read_utf8_matches_the_whole_text_rule(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "read.txt"
+    path.write_bytes(raw)
+    fault = utf8_fault(reference_read_utf8, path, raw)
+    assert utf8_fault(read_utf8, path) == fault
+    if fault is None:
+        assert read_utf8(path) == reference_read_utf8(path, raw)
+
+
 @contextlib.contextmanager
 def in_blocks(cpus):
     """Tables and files cut into as many blocks as ``cpus`` allows, each
@@ -566,6 +615,24 @@ def test_missing_runs_match_a_brute_force_scan(present):
     runs = _missing_runs(present)
     assert runs == brute_force_runs(present)
     assert all(type(v) is int for run in runs for v in run)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(3, 60), st.floats(0.0, 0.9))
+def test_gap_repair_fills_the_bits_of_the_per_cell_loop(seed, steps, share):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((4, steps)) * 10.0 ** rng.integers(-300, 300, (4, 1))
+    mask = rng.random((4, steps)) >= share
+    mask[:, [0, -1]] = True
+    values[~mask] = np.nan
+    data = TimeSeriesDataset([f"s{i}" for i in range(4)], np.arange(steps, dtype=float), values.copy())
+    repaired, report = repair_gaps(data, max_gap=steps)
+    for name, start, length in report.filled:  # the loop gap repair ran before it filled a run at once
+        row = values[data.index_of(name)]
+        left, right = row[start - 1], row[start + length]
+        for offset in range(1, length + 1):
+            row[start + offset - 1] = left + (right - left) * (offset / (length + 1))
+    assert repaired.values.tobytes() == values.tobytes()
 
 
 @st.composite
