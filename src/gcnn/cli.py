@@ -24,7 +24,10 @@ output directory: the table it parsed, keyed by the data file's sha256.
 file bytes and passes its checks (see ``data.load_parsed``), and parse
 the file on a miss.  Right after a parse the command stages the table
 under a temporary name, which ``main`` renames to ``parsed.bin`` when
-the command exits 0 and removes on any other exit.
+the command exits 0 and removes on any other exit.  With a data file
+of at least ``data.BLOCK_BYTES`` and two usable CPUs, the file is hashed
+on a second thread while ``parsed.bin`` is loaded and refined (see
+``_prepare``).
 
 The data file's text is streamed: it is parsed as it is read and
 rendered as it is written (``dataset.csv``), a batch of lines at a
@@ -60,9 +63,10 @@ import itertools
 import json
 import os
 import sys
+import threading
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 import yaml
@@ -104,6 +108,8 @@ _BASELINES = ("linear", "ridge")
 
 # the parsed data file, which a command loads instead of parsing it again
 PARSED_NAME = "parsed.bin"
+
+_T = TypeVar("_T")
 
 # libyaml's parser where PyYAML was built with it: several times faster
 # than the pure-Python SafeLoader, and a property test holds the two to
@@ -404,15 +410,58 @@ class Prepared:
 
 def _prepare(cfg: RunConfig, parse: bool = False) -> Prepared:
     """Repair and standardize the data file's table: the output
-    directory's parsed.bin when it holds a good one and ``parse`` is
-    false, or else a parse, staged for parsed.bin.  Each table is let go
-    as soon as the next one exists."""
-    cache = cfg.out_dir / PARSED_NAME
+    directory's parsed.bin when it holds a good one written for the data
+    file's bytes and ``parse`` is false, or else a parse, staged for
+    parsed.bin.  Each table is let go as soon as the next one exists.
+
+    A data file of at least ``data.BLOCK_BYTES``, with two usable CPUs,
+    is hashed on a thread of its own while this one loads parsed.bin,
+    whatever source its header names, and repairs and standardizes its
+    table.  That work, or the error repair or standardization raised, is
+    kept only when the header names the file's digest.  Otherwise it is
+    let go, and the parse reuses the thread's scan, so the file is hashed
+    once either way.  The thread is joined before any parse, and before
+    this returns or raises.  Smaller files and one usable CPU take the
+    steps in turn."""
+    path, cache = cfg.data_path, cfg.out_dir / PARSED_NAME
     if parse:
-        raw = D.load_csv(cfg.data_path)
-        cfg.staged.append(D.stage_parsed(raw, cache))
-    else:
-        raw = D.load_csv(cfg.data_path, cache=cache, staged=cfg.staged)
+        return _refined(cfg, lambda: _staged(cfg, D.load_csv(path)))
+    if os.path.getsize(path) < D.BLOCK_BYTES or D._usable_cpus() < 2:
+        return _refined(cfg, lambda: D.load_csv(path, cache=cache, staged=cfg.staged))
+    claims = []  # the source digest parsed.bin's header names, once its table passed its checks
+
+    def parsed_bin() -> D.TimeSeriesDataset | None:
+        raw = D.load_parsed(cache, None)
+        claims.append(None if raw is None else raw.source_sha256)
+        return raw
+
+    scanned = _on_a_thread(lambda: D._scan(path))
+    try:
+        prep = _refined(cfg, parsed_bin)
+    except GcnnError:
+        prep = None
+        if claims == [scanned()[0]]:
+            raise  # the table is the parse's, and so is the error
+    finally:
+        scan = scanned()
+    if prep is not None and claims == [scan[0]]:
+        return prep
+    del prep
+    return _refined(cfg, lambda: _staged(cfg, D.load_csv(path, scan=scan)))
+
+
+def _staged(cfg: RunConfig, raw: D.TimeSeriesDataset) -> D.TimeSeriesDataset:
+    """``raw``, a parse of the data file, once staged for parsed.bin."""
+    cfg.staged.append(D.stage_parsed(raw, cfg.out_dir / PARSED_NAME))
+    return raw
+
+
+def _refined(cfg: RunConfig, load: Callable[[], D.TimeSeriesDataset | None]) -> Prepared | None:
+    """The table ``load()`` returns, repaired and standardized, or None
+    for None.  Only this call holds the table, so it goes once repaired."""
+    raw = load()
+    if raw is None:
+        return None
     repaired, report = D.repair_gaps(raw, max_gap=cfg.doc["data"]["max_gap"])
     del raw
     # training range = leading fraction of the time axis; scaling and the
@@ -422,6 +471,31 @@ def _prepare(cfg: RunConfig, parse: bool = False) -> Prepared:
     del repaired
     dropped = list(report.dropped) + [(name, "constant over the training range") for name in flat]
     return Prepared(scaled, stats, train_steps, list(report.filled), dropped)
+
+
+def _on_a_thread(work: Callable[[], _T]) -> Callable[[], _T]:
+    """Start ``work()`` on a thread of its own.  The function returned
+    waits for the thread, then returns what ``work`` returned or raises
+    what it raised, as often as it is called."""
+    outcome = []
+
+    def run() -> None:
+        try:
+            outcome.append((True, work()))
+        except BaseException as e:  # raised where the caller joins
+            outcome.append((False, e))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join() -> _T:
+        thread.join()
+        ok, value = outcome[0]
+        if not ok:
+            raise value
+        return value
+
+    return join
 
 
 def _input_series(prep: Prepared, target: str) -> tuple[list[str], np.ndarray]:

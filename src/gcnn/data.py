@@ -619,8 +619,8 @@ def _parse_blocks(path: str | Path, size: int) -> TimeSeriesDataset | None:
             return None
 
 
-def load_csv(path: str | Path, cache: str | Path | None = None,
-             staged: list[Path] | None = None) -> TimeSeriesDataset:
+def load_csv(path: str | Path, cache: str | Path | None = None, staged: list[Path] | None = None,
+             scan: tuple[str, bool, int] | None = None) -> TimeSeriesDataset:
     """Parse a wide-format CSV file (see :func:`loads_csv`), read as UTF-8
     with universal newlines, so the line numbers in messages are the
     file's whatever its line ends; a byte that is not UTF-8 anywhere in
@@ -630,7 +630,9 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     The file is read in pieces of :data:`READ_BYTES` (:func:`_chunks`):
     once to hash it and note whether it holds a quote, which picks the
     tokenizer, and once more, decoding as it goes, to parse it.  So the
-    whole text is never held, only the table and one piece.  A quote-free
+    whole text is never held, only the table and one piece.  A ``scan``,
+    what :func:`_scan` returned for these bytes, stands in for the first
+    read, so a caller that has hashed the file does not hash it again.  A quote-free
     file of at least two :data:`BLOCK_BYTES` is parsed in blocks, one per
     usable CPU (:func:`_parse_blocks`), the later ones in forked children;
     should any block fault, the file is parsed again as one block, for the
@@ -644,7 +646,7 @@ def load_csv(path: str | Path, cache: str | Path | None = None,
     writes the parse beside ``cache`` under a temporary name
     (:func:`stage_parsed`) and appends that name, for the caller to rename
     over ``cache`` or remove."""
-    digest, quoted, size = _scan(path)
+    digest, quoted, size = scan or _scan(path)
     if cache is not None and (data := load_parsed(cache, digest)) is not None:
         return data
     data = None if quoted else _parse_blocks(path, size)
@@ -710,19 +712,24 @@ def save_parsed(data: TimeSeriesDataset, path: str | Path) -> None:
         raise
 
 
-def load_parsed(path: str | Path, source_sha256: str) -> TimeSeriesDataset | None:
+def load_parsed(path: str | Path, source_sha256: str | None) -> TimeSeriesDataset | None:
     """The table a :func:`save_parsed` file holds, or None when the file is
     missing, unreadable, written for other source bytes or in another
     format, or fails a check: the body's exact length; the table digest
     over the names, the step count and the body; the series names, by the
     header checks :func:`loads_csv` runs; finite, strictly increasing
     times; values that are finite or NaN.  A table that passes is the one
-    the parse would give, down to the bits, unless the file was forged."""
+    the parse would give, down to the bits, unless the file was forged.
+
+    ``source_sha256`` None takes a file written for any source bytes; the
+    table's ``source_sha256`` is then the one its header names, and the
+    caller must check it against the source before using the table."""
     try:
         with open(path, "rb") as f:
             header = json.loads(f.readline())
-            if not (isinstance(header, dict) and header.get("format") == PARSED_FORMAT
-                    and header.get("source_sha256") == source_sha256):
+            source = header.get("source_sha256") if isinstance(header, dict) else None
+            if not (isinstance(source, str) and source_sha256 in (None, source)
+                    and header.get("format") == PARSED_FORMAT):
                 return None
             names, steps = header.get("names"), header.get("steps")
             if not (isinstance(names, list) and all(isinstance(n, str) and n == n.strip() for n in names)
@@ -739,7 +746,7 @@ def load_parsed(path: str | Path, source_sha256: str) -> TimeSeriesDataset | Non
         times, values = flat[:steps], flat[steps:].reshape(len(names), steps)
         # the dataset refuses repeated names, times that are not finite or do
         # not increase, and infinite values; the NaNs are the missing cells
-        return TimeSeriesDataset(names, times, values, source_sha256=source_sha256)
+        return TimeSeriesDataset(names, times, values, source_sha256=source)
     except (OSError, ValueError, RecursionError, DataError):  # ValueError covers bad JSON and bad UTF-8
         return None
 
@@ -851,6 +858,24 @@ def _missing_runs(present: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
+def _gap_free(names: list[str], times: np.ndarray, values: np.ndarray) -> TimeSeriesDataset:
+    """A table with every cell present, as :func:`repair_gaps` and
+    :func:`standardize` build one from the values of a checked table, with
+    names and times taken from it.  Their values can fail to be finite
+    only by overflow, and a sum is finite only when every term is, so one
+    reduction stands in for the dataset's scan, at a third of its cost.  A
+    sum that is not finite builds the table with that scan, which names
+    the cell, or passes when only the sum overflowed."""
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(values, axis=None)
+    if not np.isfinite(total):
+        return TimeSeriesDataset(names, times, values)
+    data = object.__new__(TimeSeriesDataset)
+    data.names, data.times, data.values = names, times, values
+    data.mask, data.source_sha256 = np.ones(values.shape, dtype=bool), None
+    return data
+
+
 def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tuple[TimeSeriesDataset, RepairReport]:
     """Fill short interior gaps by linear interpolation; drop bad series.
 
@@ -890,8 +915,7 @@ def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tupl
         for start, length in runs:
             left, right = row[start - 1], row[start + length]
             row[start : start + length] = left + (right - left) * (np.arange(1, length + 1) / (length + 1))
-    # every cell is present now, none NaN
-    repaired = TimeSeriesDataset(names=[data.names[i] for i in keep], times=data.times.copy(), values=values)
+    repaired = _gap_free([data.names[i] for i in keep], data.times.copy(), values)
     return repaired, report
 
 
@@ -919,7 +943,7 @@ def standardize(
     scaled -= mean_arr[:, None]
     scaled /= std_arr[:, None]
     names = [data.names[i] for i in keep]
-    out = TimeSeriesDataset(names=names, times=data.times.copy(), values=scaled)
+    out = _gap_free(names, data.times.copy(), scaled)
     return out, StandardizeStats(names, mean_arr, std_arr), dropped
 
 

@@ -14,6 +14,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from gcnn import models as M
 from gcnn import synth
 from gcnn.data import load_csv, make_windows, repair_gaps, save_csv, split, standardize
 from gcnn.data import SplitSpec
+from gcnn.errors import DataError
 
 
 def make_series(path: Path, **kw) -> Path:
@@ -174,12 +176,14 @@ def test_ingest_never_reads_parsed_bin(tmp_path, monkeypatch):
         assert Path("out", name).read_bytes() == Path("fresh", name).read_bytes()
 
 
-@pytest.mark.parametrize("parse", [True, False], ids=["parse", "parsed-bin"])
-def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, parse):
+@pytest.mark.parametrize("cache", ["parse", "parsed-bin", "stale"], ids=["parse", "parsed-bin", "stale-parsed-bin"])
+def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, monkeypatch, cache):
     """_prepare lets each table go as soon as the next one exists: the
     parse, then the table with its repaired copy, then that copy with the
     standardized one.  (Holding the parsed, repaired and standardized
-    tables at once, with the file's text read whole, peaked at 5.3.)"""
+    tables at once, with the file's text read whole, peaked at 5.3.)  A
+    stale parsed.bin, refined on two CPUs while the file is hashed, is let
+    go before the parse."""
     rng = np.random.default_rng(0)
     ds = D.TimeSeriesDataset([f"s{i}" for i in range(20)], np.arange(16000.0), rng.standard_normal((20, 16000)),
                              np.ones((20, 16000), dtype=bool))
@@ -188,14 +192,18 @@ def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, parse):
     save_csv(ds, tmp_path / "t.csv")
     cfg = write_config(tmp_path / "run.yaml", {"data": {"path": str(tmp_path / "t.csv")}, "out": str(tmp_path)})
     assert run("ingest", cfg) == 0
+    if cache == "stale":
+        monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
+        ds.values[0, 0] += 1.0
+        save_csv(ds, tmp_path / "t.csv")
     cfg = cli.RunConfig.load("ingest", str(cfg))
     tracemalloc.start()
     try:
-        prep = cli._prepare(cfg, parse=parse)
+        prep = cli._prepare(cfg, parse=cache == "parse")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(cfg.staged) == parse and prep.dataset.n_series == 19
+    assert len(cfg.staged) == (cache != "parsed-bin") and prep.dataset.n_series == 19
     for partial in cfg.staged:
         partial.unlink()
     assert peak < 2.5 * (ds.values.nbytes + ds.mask.nbytes + ds.times.nbytes)
@@ -331,6 +339,13 @@ def format_1(parsed: Path) -> None:
     parsed.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
 
 
+def unrepairable_elsewhere(table: D.TimeSeriesDataset) -> None:
+    """Every series misses its first step, so gap repair keeps none, in a
+    table written for other source bytes."""
+    table.values[:, 0] = np.nan
+    table.source_sha256 = "0" * 64
+
+
 PARSED_CASES = {
     "present": lambda parsed: None,
     "absent": Path.unlink,
@@ -342,7 +357,20 @@ PARSED_CASES = {
     "format-1": format_1,
     "forged-inf": forged(lambda table: table.values.__setitem__((2, 5), np.inf)),
     "forged-comment-name": forged(lambda table: table.names.__setitem__(0, "#g1s1")),
+    "stale-unrepairable": forged(unrepairable_elsewhere),
 }
+
+
+def overlapped(monkeypatch) -> list:
+    """Every data file counts as large on two usable CPUs, so a command
+    that may load parsed.bin hashes the file on a second thread while it
+    refines the table there (and a parse takes blocks); returns the list
+    of those threads' starts."""
+    monkeypatch.setattr(D, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
+    starts, start = [], cli._on_a_thread
+    monkeypatch.setattr(cli, "_on_a_thread", lambda work: starts.append(1) or start(work))
+    return starts
 
 
 @pytest.mark.parametrize("case", PARSED_CASES)
@@ -352,6 +380,22 @@ def test_commands_write_the_same_bytes_whatever_parsed_bin_holds(pipeline_refere
     the first of them parses the file, once, and leaves ingest's own copy
     of the table in parsed.bin, so the rest parse nothing.  Either way
     they write the bytes of a run that never had a parsed.bin."""
+    commands_write_the_reference_bytes(pipeline_reference, tmp_path, monkeypatch, case)
+
+
+@pytest.mark.parametrize("case", PARSED_CASES)
+def test_commands_write_the_same_bytes_whatever_parsed_bin_holds_when_hashing_overlaps(
+        pipeline_reference, tmp_path, monkeypatch, case):
+    """The same with the data file hashed on a second thread while the
+    table parsed.bin holds is loaded, repaired and standardized: the
+    table, or the error its repair raised, is kept only when parsed.bin
+    was written for the file's bytes."""
+    starts = overlapped(monkeypatch)
+    commands_write_the_reference_bytes(pipeline_reference, tmp_path, monkeypatch, case)
+    assert len(starts) == len(PIPELINE)
+
+
+def commands_write_the_reference_bytes(pipeline_reference, tmp_path, monkeypatch, case) -> None:
     monkeypatch.chdir(tmp_path)
     gappy_series(Path("series.csv"), seed=8 if case == "stale" else 7)
     cfg = write_config(Path("run.yaml"), pipeline_config())
@@ -367,6 +411,80 @@ def test_commands_write_the_same_bytes_whatever_parsed_bin_holds(pipeline_refere
         assert Path("out", name).read_bytes() == pipeline_reference[name], name
     assert parsed.read_bytes() == pipeline_reference[cli.PARSED_NAME]
     assert temporary_files(Path("out")) == []
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["in-turn", "overlapped"])
+def test_a_matching_parsed_bin_whose_repair_fails_exits_3_as_a_parse_does(tmp_path, monkeypatch, capsys, overlap):
+    """A data file whose gap repair fails, with its own table in
+    parsed.bin: every command exits 3 with the message of a run that
+    parses, parses nothing, and leaves parsed.bin as it was."""
+    monkeypatch.chdir(tmp_path)
+    ds = synth.generate(synth.SynthSpec(n_groups=3, per_group=4, length=120, seed=7))
+    ds.values[1:, 0], ds.mask[1:, 0] = np.nan, False  # every series but one misses its first step
+    save_csv(ds, Path("series.csv"))
+    cfg = write_config(Path("run.yaml"), pipeline_config())
+    Path("out").mkdir()
+    Path("out/assignment.csv").write_text("")  # the files train and eval require; neither is read
+    Path("out/checkpoint.json").write_text("")
+    parsed_run = {}
+    for command in PIPELINE:
+        assert run(command, cfg) == 3
+        parsed_run[command] = capsys.readouterr().err
+        assert "gap repair left 1 usable series" in parsed_run[command]
+    assert not Path("out", cli.PARSED_NAME).exists()
+    D.save_parsed(D.load_csv("series.csv"), Path("out", cli.PARSED_NAME))
+    left = Path("out", cli.PARSED_NAME).read_bytes()
+    starts = overlapped(monkeypatch) if overlap else []
+    parses = counting_parses(monkeypatch)
+    for command in PIPELINE:
+        assert run(command, cfg) == 3
+        assert capsys.readouterr().err == parsed_run[command], command
+    assert parses == [] and len(starts) == (len(PIPELINE) if overlap else 0)
+    assert Path("out", cli.PARSED_NAME).read_bytes() == left
+    assert temporary_files(Path("out")) == []
+
+
+def stale_large_cache(monkeypatch, data: str) -> cli.RunConfig:
+    """A config whose out/parsed.bin holds another file's table, and whose
+    data file, the CSV text ``data``, counts as large on two CPUs."""
+    gappy_series(Path("series.csv"), seed=8)
+    cfg = write_config(Path("run.yaml"), pipeline_config())
+    assert run("ingest", cfg) == 0
+    Path("series.csv").write_text(data)
+    overlapped(monkeypatch)
+    return cli.RunConfig.load("cluster", str(cfg))
+
+
+@pytest.mark.parametrize("data, error, whole", [
+    (None, None, [True, False]),
+    ("time,a,b,c\n0,1,,\n1,2,3,4\n2,3,5,6\n", "gap repair left 1 usable series", [True, False]),
+    ("time,a,b,c\n0,1,2\n", "line 2: expected 4 cells, got 3", [True, False, True, True]),
+], ids=["returns", "repair-raises", "parse-raises"])
+def test_a_stale_large_cache_hashes_the_file_once_and_leaves_no_thread(tmp_path, monkeypatch, data, error, whole):
+    """On a stale parsed.bin the file is hashed once, by the thread, and
+    the parse reuses that scan: the reads of the file are the scan, the
+    first block, and for a fault the one-block parse and the UTF-8 check.
+    The thread is joined before the block parse forks, and no thread
+    outlives _prepare, whether it returns or raises."""
+    monkeypatch.chdir(tmp_path)
+    cfg = stale_large_cache(monkeypatch, data or gappy_series(Path("other.csv")).read_text())
+    scans, scan = [], D._scan
+    monkeypatch.setattr(D, "_scan", lambda path: scans.append(path) or scan(path))
+    passes, chunks = [], D._chunks
+    monkeypatch.setattr(D, "_chunks", lambda path, start=0, stop=None: passes.append((start, stop))
+                        or chunks(path, start, stop))
+    threads_at_fork, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: threads_at_fork.append(threading.active_count()) or fork())
+    if error is None:
+        assert cli._prepare(cfg).dataset.n_series == 13
+    else:
+        with pytest.raises(DataError, match=error):
+            cli._prepare(cfg)
+    assert threading.active_count() == 1
+    assert len(scans) == 1 and [stop is None for _, stop in passes] == whole
+    assert threads_at_fork == [1]
+    for partial in cfg.staged:
+        partial.unlink()
 
 
 def test_each_command_that_misses_leaves_the_bytes_ingest_writes(pipeline_reference, tmp_path, monkeypatch):

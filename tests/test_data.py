@@ -793,6 +793,49 @@ class TestStandardize:
             standardize(dataset(values, mask=mask), train_steps=4)
 
 
+class TestGapFreeTables:
+    """repair_gaps and standardize build tables of finite values with
+    every cell present, without the dataset's scan.  A value that overflows
+    still raises the scan's DataError, and values whose sum alone
+    overflows still make a table."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls, post_init = [], TimeSeriesDataset.__post_init__
+        monkeypatch.setattr(TimeSeriesDataset, "__post_init__", lambda self: calls.append(1) or post_init(self))
+        return calls
+
+    def test_finite_tables_are_built_without_the_scan(self, scans):
+        values = np.array([[1.0, np.nan, 3.0, 4.0], [0.5, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
+        data = dataset(values, mask=~np.isnan(values))
+        scans.clear()
+        repaired, _ = repair_gaps(data, max_gap=1)
+        scaled, _, dropped = standardize(repaired, train_steps=3)
+        assert scans == [] and dropped == ["s2"]
+        for table in (repaired, scaled):
+            assert bits(table) == bits(TimeSeriesDataset(table.names, table.times, table.values))
+            assert table.mask.all() and table.source_sha256 is None
+
+    def test_a_fill_that_overflows_is_refused(self):
+        values = np.array([[-1e308, np.nan, 1e308], [0.0, 1.0, 2.0]])
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="^series 's0' holds an infinity at step 1$"):
+            repair_gaps(dataset(values, mask=~np.isnan(values)), max_gap=1)
+
+    def test_a_scaled_value_that_overflows_is_refused(self):
+        # the training range varies by 1e-100 and the tail reaches 1e300
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="^series 's0' holds an infinity at step 2$"):
+            standardize(dataset([[0.0, 1e-100, 1e300], [0.0, 1.0, 2.0]]), train_steps=2)
+
+    def test_values_whose_sum_overflows_make_a_table(self, scans):
+        values = np.full((2, 3), 1e308)
+        values[0, 1] = np.nan
+        data = dataset(values, mask=~np.isnan(values))
+        scans.clear()
+        repaired, report = repair_gaps(data, max_gap=1)
+        assert scans == [1] and report.filled == [("s0", 1, 1)]
+        assert repaired.mask.all() and (repaired.values == 1e308).all()
+
+
 class TestMakeWindows:
     def test_boundary_count(self):
         data = dataset(np.random.default_rng(3).standard_normal((3, 64)))
