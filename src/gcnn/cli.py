@@ -25,8 +25,8 @@ file bytes and passes its checks (see ``data.load_parsed``), and parse
 the file on a miss.  Right after a parse the command stages the table
 under a temporary name, which ``main`` renames to ``parsed.bin`` when
 the command exits 0 and removes on any other exit.  With a data file
-of at least ``data.BLOCK_BYTES`` and two usable CPUs, the file is hashed
-on a second thread while ``parsed.bin`` is loaded and refined (see
+of at least ``OVERLAP_BYTES`` and two usable CPUs, the file is hashed on
+a second thread while ``parsed.bin`` is loaded and refined (see
 ``_prepare``).
 
 The data file's text is streamed: it is parsed as it is read and
@@ -108,6 +108,15 @@ _BASELINES = ("linear", "ridge")
 
 # the parsed data file, which a command loads instead of parsing it again
 PARSED_NAME = "parsed.bin"
+
+# the least data file hashed on a thread while parsed.bin loads: the
+# thread's start, join and hand-offs of the interpreter lock cost about
+# 0.4 ms on a 2-vCPU x86-64 VM.  There, _prepare from a good parsed.bin,
+# overlapped against in turn, read +3.0% at 0.55 MB, -0.5% at 0.83 MB
+# and -3.5% at 1.1 MB (147 series; 13 series: +0.9% at 0.74 MB, -4.2% at
+# 0.99 MB), and the benchmark's desk (70 kB) and paper (160 kB) files
+# read cluster_s +15% and +9%
+OVERLAP_BYTES = 1 << 20
 
 _T = TypeVar("_T")
 
@@ -414,39 +423,41 @@ def _prepare(cfg: RunConfig, parse: bool = False) -> Prepared:
     file's bytes and ``parse`` is false, or else a parse, staged for
     parsed.bin.  Each table is let go as soon as the next one exists.
 
-    A data file of at least ``data.BLOCK_BYTES``, with two usable CPUs,
-    is hashed on a thread of its own while this one loads parsed.bin,
-    whatever source its header names, and repairs and standardizes its
-    table.  That work, or the error repair or standardization raised, is
-    kept only when the header names the file's digest.  Otherwise it is
-    let go, and the parse reuses the thread's scan, so the file is hashed
-    once either way.  The thread is joined before any parse, and before
-    this returns or raises.  Smaller files and one usable CPU take the
-    steps in turn."""
+    A file of at least ``OVERLAP_BYTES``, with two usable CPUs, is hashed
+    on a thread of its own while this one loads parsed.bin, whatever
+    source its header names, so long as its table could come from a file
+    of this size (see ``data.load_parsed``), and repairs and standardizes
+    that table.  The result, or the error repair or standardization
+    raised, is kept only when the header names the file's digest.
+    Otherwise it is let go, and the parse reuses the thread's scan, so the
+    file is hashed once either way.  The thread is joined before any
+    parse, and before this returns or raises.  Smaller files and one
+    usable CPU take the steps in turn."""
     path, cache = cfg.data_path, cfg.out_dir / PARSED_NAME
     if parse:
         return _refined(cfg, lambda: _staged(cfg, D.load_csv(path)))
-    if os.path.getsize(path) < D.BLOCK_BYTES or D._usable_cpus() < 2:
+    size = os.path.getsize(path)
+    if size < OVERLAP_BYTES or D._usable_cpus() < 2:
         return _refined(cfg, lambda: D.load_csv(path, cache=cache, staged=cfg.staged))
     claims = []  # the source digest parsed.bin's header names, once its table passed its checks
 
     def parsed_bin() -> D.TimeSeriesDataset | None:
-        raw = D.load_parsed(cache, None)
+        raw = D.load_parsed(cache, None, size)
         claims.append(None if raw is None else raw.source_sha256)
         return raw
 
     scanned = _on_a_thread(lambda: D._scan(path))
     try:
-        prep = _refined(cfg, parsed_bin)
-    except GcnnError:
-        prep = None
-        if claims == [scanned()[0]]:
-            raise  # the table is the parse's, and so is the error
+        prep, error = _refined(cfg, parsed_bin), None
+    except GcnnError as e:
+        prep, error = None, e
     finally:
         scan = scanned()
-    if prep is not None and claims == [scan[0]]:
+    if claims == [scan[0]]:  # the table is the file's, and so is the error
+        if error is not None:
+            raise error
         return prep
-    del prep
+    del prep, error  # the error's traceback holds the table it was raised for
     return _refined(cfg, lambda: _staged(cfg, D.load_csv(path, scan=scan)))
 
 
@@ -476,7 +487,7 @@ def _refined(cfg: RunConfig, load: Callable[[], D.TimeSeriesDataset | None]) -> 
 def _on_a_thread(work: Callable[[], _T]) -> Callable[[], _T]:
     """Start ``work()`` on a thread of its own.  The function returned
     waits for the thread, then returns what ``work`` returned or raises
-    what it raised, as often as it is called."""
+    what it raised."""
     outcome = []
 
     def run() -> None:

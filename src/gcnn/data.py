@@ -83,9 +83,15 @@ class TimeSeriesDataset:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
+        # a sum is finite only when every cell is: then no cell is NaN or
+        # infinite, every cell is present, and nothing is left to check
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.add.reduce(self.values, axis=None))
         given = self.mask is not None
         if given:
             self.mask = np.asarray(self.mask, dtype=bool)
+        elif finite:
+            self.mask = np.ones(self.values.shape, dtype=bool)
         else:  # worked out in place: no second array the size of the mask
             self.mask = np.isnan(self.values)
             np.logical_not(self.mask, out=self.mask)
@@ -107,10 +113,10 @@ class TimeSeriesDataset:
         # reductions, so no array the size of the table is made: fmax and
         # fmin skip NaN and find an infinity anywhere; maximum over the
         # present cells keeps NaN and finds one a given mask marks present
-        if self.values.size and (np.isinf(np.fmax.reduce(self.values, axis=None))
-                                 or np.isinf(np.fmin.reduce(self.values, axis=None))
-                                 or given and np.isnan(np.maximum.reduce(self.values, axis=None, where=self.mask,
-                                                                         initial=-np.inf))):
+        if not finite and (np.isinf(np.fmax.reduce(self.values, axis=None))
+                           or np.isinf(np.fmin.reduce(self.values, axis=None))
+                           or given and np.isnan(np.maximum.reduce(self.values, axis=None, where=self.mask,
+                                                                   initial=-np.inf))):
             i, t = np.argwhere(np.isinf(self.values) | self.mask & np.isnan(self.values))[0]
             kind = "an infinity" if np.isinf(self.values[i, t]) else "NaN marked present"
             raise DataError(f"series {self.names[i]!r} holds {kind} at step {t}")
@@ -632,11 +638,12 @@ def load_csv(path: str | Path, cache: str | Path | None = None, staged: list[Pat
     tokenizer, and once more, decoding as it goes, to parse it.  So the
     whole text is never held, only the table and one piece.  A ``scan``,
     what :func:`_scan` returned for these bytes, stands in for the first
-    read, so a caller that has hashed the file does not hash it again.  A quote-free
-    file of at least two :data:`BLOCK_BYTES` is parsed in blocks, one per
-    usable CPU (:func:`_parse_blocks`), the later ones in forked children;
-    should any block fault, the file is parsed again as one block, for the
-    fault's message.  Either way, :func:`_parse_records` builds the table.
+    read, so a caller that has hashed the file does not hash it again.  A
+    quote-free file of at least two :data:`BLOCK_BYTES` is parsed in
+    blocks, one per usable CPU (:func:`_parse_blocks`), the later ones in
+    forked children; should any block fault, the file is parsed again as
+    one block, for the fault's message.  Either way,
+    :func:`_parse_records` builds the table.
     A parse that faults reads the file once more, a piece at a time too,
     for the line of a byte that is not UTF-8 (:func:`_check_utf8`).
 
@@ -712,7 +719,8 @@ def save_parsed(data: TimeSeriesDataset, path: str | Path) -> None:
         raise
 
 
-def load_parsed(path: str | Path, source_sha256: str | None) -> TimeSeriesDataset | None:
+def load_parsed(path: str | Path, source_sha256: str | None,
+                source_size: int | None = None) -> TimeSeriesDataset | None:
     """The table a :func:`save_parsed` file holds, or None when the file is
     missing, unreadable, written for other source bytes or in another
     format, or fails a check: the body's exact length; the table digest
@@ -723,7 +731,11 @@ def load_parsed(path: str | Path, source_sha256: str | None) -> TimeSeriesDatase
 
     ``source_sha256`` None takes a file written for any source bytes; the
     table's ``source_sha256`` is then the one its header names, and the
-    caller must check it against the source before using the table."""
+    caller must check it against the source before using the table.  A
+    ``source_size``, the source's length in bytes, refuses on the header
+    alone a table with more cells below the header row than that: each
+    such cell takes a byte of the CSV at least, its comma or line end, or
+    its time stamp.  So what a stale file costs is bounded by the source."""
     try:
         with open(path, "rb") as f:
             header = json.loads(f.readline())
@@ -734,6 +746,8 @@ def load_parsed(path: str | Path, source_sha256: str | None) -> TimeSeriesDatase
             names, steps = header.get("names"), header.get("steps")
             if not (isinstance(names, list) and all(isinstance(n, str) and n == n.strip() for n in names)
                     and type(steps) is int and steps >= 1):
+                return None
+            if source_size is not None and steps * (len(names) + 1) > source_size:
                 return None
             _check_names(names, 1)
             size = 8 * steps * (len(names) + 1)
@@ -858,24 +872,6 @@ def _missing_runs(present: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), (ends - starts).tolist()))
 
 
-def _gap_free(names: list[str], times: np.ndarray, values: np.ndarray) -> TimeSeriesDataset:
-    """A table with every cell present, as :func:`repair_gaps` and
-    :func:`standardize` build one from the values of a checked table, with
-    names and times taken from it.  Their values can fail to be finite
-    only by overflow, and a sum is finite only when every term is, so one
-    reduction stands in for the dataset's scan, at a third of its cost.  A
-    sum that is not finite builds the table with that scan, which names
-    the cell, or passes when only the sum overflowed."""
-    with np.errstate(over="ignore"):
-        total = np.add.reduce(values, axis=None)
-    if not np.isfinite(total):
-        return TimeSeriesDataset(names, times, values)
-    data = object.__new__(TimeSeriesDataset)
-    data.names, data.times, data.values = names, times, values
-    data.mask, data.source_sha256 = np.ones(values.shape, dtype=bool), None
-    return data
-
-
 def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tuple[TimeSeriesDataset, RepairReport]:
     """Fill short interior gaps by linear interpolation; drop bad series.
 
@@ -915,7 +911,8 @@ def repair_gaps(data: TimeSeriesDataset, max_gap: int = DEFAULT_MAX_GAP) -> tupl
         for start, length in runs:
             left, right = row[start - 1], row[start + length]
             row[start : start + length] = left + (right - left) * (np.arange(1, length + 1) / (length + 1))
-    repaired = _gap_free([data.names[i] for i in keep], data.times.copy(), values)
+    # every cell is present now, none NaN
+    repaired = TimeSeriesDataset(names=[data.names[i] for i in keep], times=data.times.copy(), values=values)
     return repaired, report
 
 
@@ -943,7 +940,7 @@ def standardize(
     scaled -= mean_arr[:, None]
     scaled /= std_arr[:, None]
     names = [data.names[i] for i in keep]
-    out = _gap_free(names, data.times.copy(), scaled)
+    out = TimeSeriesDataset(names=names, times=data.times.copy(), values=scaled)
     return out, StandardizeStats(names, mean_arr, std_arr), dropped
 
 

@@ -176,14 +176,16 @@ def test_ingest_never_reads_parsed_bin(tmp_path, monkeypatch):
         assert Path("out", name).read_bytes() == Path("fresh", name).read_bytes()
 
 
-@pytest.mark.parametrize("cache", ["parse", "parsed-bin", "stale"], ids=["parse", "parsed-bin", "stale-parsed-bin"])
+@pytest.mark.parametrize("cache", ["parse", "parsed-bin", "stale", "stale-larger"],
+                         ids=["parse", "parsed-bin", "stale-parsed-bin", "larger-stale-parsed-bin"])
 def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, monkeypatch, cache):
     """_prepare lets each table go as soon as the next one exists: the
     parse, then the table with its repaired copy, then that copy with the
     standardized one.  (Holding the parsed, repaired and standardized
     tables at once, with the file's text read whole, peaked at 5.3.)  A
     stale parsed.bin, refined on two CPUs while the file is hashed, is let
-    go before the parse."""
+    go before the parse; one of more cells than the file has bytes, here
+    five times the file's table, is never loaded."""
     rng = np.random.default_rng(0)
     ds = D.TimeSeriesDataset([f"s{i}" for i in range(20)], np.arange(16000.0), rng.standard_normal((20, 16000)),
                              np.ones((20, 16000), dtype=bool))
@@ -192,9 +194,15 @@ def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, monkeypatch, cach
     save_csv(ds, tmp_path / "t.csv")
     cfg = write_config(tmp_path / "run.yaml", {"data": {"path": str(tmp_path / "t.csv")}, "out": str(tmp_path)})
     assert run("ingest", cfg) == 0
-    if cache == "stale":
+    if cache.startswith("stale"):
         monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "OVERLAP_BYTES", 1)
         ds.values[0, 0] += 1.0
+        if cache == "stale-larger":  # values such as -1.0 in 1.6 MB of text, and 2M cells in parsed.bin
+            np.round(ds.values, out=ds.values)
+            other = D.TimeSeriesDataset(ds.names, np.arange(96000.0), np.zeros((20, 96000)), source_sha256="0" * 64)
+            D.save_parsed(other, tmp_path / "parsed.bin")
+            del other
         save_csv(ds, tmp_path / "t.csv")
     cfg = cli.RunConfig.load("ingest", str(cfg))
     tracemalloc.start()
@@ -367,6 +375,7 @@ def overlapped(monkeypatch) -> list:
     refines the table there (and a parse takes blocks); returns the list
     of those threads' starts."""
     monkeypatch.setattr(D, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(cli, "OVERLAP_BYTES", 1)
     monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
     starts, start = [], cli._on_a_thread
     monkeypatch.setattr(cli, "_on_a_thread", lambda work: starts.append(1) or start(work))

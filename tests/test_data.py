@@ -594,6 +594,20 @@ class TestParsedTable:
         edit(parsed)
         assert load_parsed(parsed, table.source_sha256) is None
 
+    def test_with_no_source_digest_any_source_is_taken_and_reported(self, tmp_path):
+        _, table, parsed = parsed_file(tmp_path)
+        rewrite(parsed, {"source_sha256": "0" * 64})
+        assert bits(load_parsed(parsed, None)) == bits(table)[:-1] + ("0" * 64,)
+
+    def test_a_source_of_fewer_bytes_than_cells_is_a_miss_on_the_header(self, tmp_path, monkeypatch):
+        """Each cell below the header row takes a byte of its CSV at least:
+        12 here, 4 columns of 3 steps."""
+        _, table, parsed = parsed_file(tmp_path)
+        assert bits(load_parsed(parsed, None, 12)) == bits(table)
+        monkeypatch.setattr(D, "_table_sha256", lambda *args: pytest.fail("the body was read"))
+        assert load_parsed(parsed, None, 11) is None
+        assert load_parsed(parsed, table.source_sha256, 11) is None
+
     @pytest.mark.parametrize("edit", [
         lambda t: t.values.__setitem__((0, 1), np.inf),
         lambda t: t.values.__setitem__((2, 2), -np.inf),
@@ -793,28 +807,54 @@ class TestStandardize:
             standardize(dataset(values, mask=mask), train_steps=4)
 
 
-class TestGapFreeTables:
-    """repair_gaps and standardize build tables of finite values with
-    every cell present, without the dataset's scan.  A value that overflows
-    still raises the scan's DataError, and values whose sum alone
-    overflows still make a table."""
+class CountingUfunc:
+    """A numpy ufunc that notes each call and each reduce."""
+
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(self.ufunc.__name__)
+        return self.ufunc(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.calls.append(self.ufunc.__name__ + ".reduce")
+        return self.ufunc.reduce(*args, **kwargs)
+
+
+class TestFiniteTables:
+    """Values whose sum is finite hold no NaN and no infinity, so the
+    dataset marks every cell present, or keeps the mask it is given,
+    without its scan for NaN and infinities.  repair_gaps and standardize
+    make such tables, unless a value overflows, which the scan still
+    names; values whose sum alone overflows still make a table."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        calls, post_init = [], TimeSeriesDataset.__post_init__
-        monkeypatch.setattr(TimeSeriesDataset, "__post_init__", lambda self: calls.append(1) or post_init(self))
+        calls = []
+        for name in ("isnan", "fmax", "fmin"):
+            monkeypatch.setattr(np, name, CountingUfunc(getattr(np, name), calls))
         return calls
 
-    def test_finite_tables_are_built_without_the_scan(self, scans):
+    @pytest.mark.parametrize("mask", [None, [[True, False, True], [True] * 3]], ids=["no-mask", "mask"])
+    def test_a_finite_table_is_not_scanned(self, scans, mask):
+        data = TimeSeriesDataset(["a", "b"], [0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], mask)
+        assert scans == []
+        np.testing.assert_array_equal(data.mask, np.ones((2, 3), bool) if mask is None else mask)
+
+    def test_a_table_with_nan_is_scanned(self, scans):
+        data = TimeSeriesDataset(["a", "b"], [0.0, 1.0, 2.0], [[1.0, np.nan, 3.0], [4.0, 5.0, 6.0]])
+        assert "isnan" in scans and "fmax.reduce" in scans
+        np.testing.assert_array_equal(data.mask, [[True, False, True], [True] * 3])
+
+    def test_repaired_and_standardized_tables_are_not_scanned(self, scans):
         values = np.array([[1.0, np.nan, 3.0, 4.0], [0.5, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
         data = dataset(values, mask=~np.isnan(values))
         scans.clear()
         repaired, _ = repair_gaps(data, max_gap=1)
         scaled, _, dropped = standardize(repaired, train_steps=3)
         assert scans == [] and dropped == ["s2"]
-        for table in (repaired, scaled):
-            assert bits(table) == bits(TimeSeriesDataset(table.names, table.times, table.values))
-            assert table.mask.all() and table.source_sha256 is None
+        assert repaired.mask.all() and scaled.mask.all()
 
     def test_a_fill_that_overflows_is_refused(self):
         values = np.array([[-1e308, np.nan, 1e308], [0.0, 1.0, 2.0]])
@@ -826,13 +866,11 @@ class TestGapFreeTables:
         with np.errstate(over="ignore"), pytest.raises(DataError, match="^series 's0' holds an infinity at step 2$"):
             standardize(dataset([[0.0, 1e-100, 1e300], [0.0, 1.0, 2.0]]), train_steps=2)
 
-    def test_values_whose_sum_overflows_make_a_table(self, scans):
+    def test_values_whose_sum_overflows_make_a_table(self):
         values = np.full((2, 3), 1e308)
         values[0, 1] = np.nan
-        data = dataset(values, mask=~np.isnan(values))
-        scans.clear()
-        repaired, report = repair_gaps(data, max_gap=1)
-        assert scans == [1] and report.filled == [("s0", 1, 1)]
+        repaired, report = repair_gaps(dataset(values, mask=~np.isnan(values)), max_gap=1)
+        assert report.filled == [("s0", 1, 1)]
         assert repaired.mask.all() and (repaired.values == 1e308).all()
 
 
