@@ -22,12 +22,13 @@ output directory: the table it parsed, keyed by the data file's sha256.
 ``ingest`` always parses.  ``cluster``, ``train``, ``eval`` and
 ``compare`` read the table from there when it was written for the same
 file bytes and passes its checks (see ``data.load_parsed``), and parse
-the file on a miss.  Right after a parse the command stages the table
-under a temporary name, which ``main`` renames to ``parsed.bin`` when
-the command exits 0 and removes on any other exit.  With a data file
-of at least ``OVERLAP_BYTES`` and two usable CPUs, the file is hashed on
-a second thread while ``parsed.bin`` is loaded and refined (see
-``_prepare``).
+the file on a miss; ``_prepare`` alone makes that choice.  Right after
+a parse the command stages the table under a temporary name, which
+``main`` renames to ``parsed.bin`` when the command exits 0 and removes
+on any other exit.  With a data file of at least ``OVERLAP_BYTES`` and
+two usable CPUs, the file is hashed on a second thread while
+``parsed.bin`` is loaded and refined; where no thread can start, the
+steps run in turn, as for a smaller file (see ``_prepare``).
 
 The data file's text is streamed: it is parsed as it is read and
 rendered as it is written (``dataset.csv``), a batch of lines at a
@@ -421,38 +422,39 @@ def _prepare(cfg: RunConfig, parse: bool = False) -> Prepared:
     """Repair and standardize the data file's table: the output
     directory's parsed.bin when it holds a good one written for the data
     file's bytes and ``parse`` is false, or else a parse, staged for
-    parsed.bin.  Each table is let go as soon as the next one exists.
+    parsed.bin.  This is the one place that makes that choice.  Each
+    table is let go as soon as the next one exists.
 
-    A file of at least ``OVERLAP_BYTES``, with two usable CPUs, is hashed
-    on a thread of its own while this one loads parsed.bin, whatever
-    source its header names, so long as its table could come from a file
-    of this size (see ``data.load_parsed``), and repairs and standardizes
-    that table.  The result, or the error repair or standardization
-    raised, is kept only when the header names the file's digest.
-    Otherwise it is let go, and the parse reuses the thread's scan, so the
-    file is hashed once either way.  The thread is joined before any
-    parse, and before this returns or raises.  Smaller files and one
-    usable CPU take the steps in turn."""
+    The file is hashed (``data._scan``), then parsed.bin is loaded only if
+    written for that digest.  A file of at least ``OVERLAP_BYTES``, with
+    two usable CPUs, is hashed on a thread of its own instead, while this
+    one loads parsed.bin whatever source its header names, so long as its
+    table could come from a file of this size (see ``data.load_parsed``),
+    and repairs and standardizes that table.  Either way the result, or
+    the error repair or standardization raised, is kept only when the
+    header names the file's digest; otherwise the parse reuses the scan,
+    so the file is hashed once.  The thread is joined before any parse,
+    and before this returns or raises.  Where no thread can start, the
+    steps run in turn."""
     path, cache = cfg.data_path, cfg.out_dir / PARSED_NAME
     if parse:
         return _refined(cfg, lambda: _staged(cfg, D.load_csv(path)))
     size = os.path.getsize(path)
-    if size < OVERLAP_BYTES or D._usable_cpus() < 2:
-        return _refined(cfg, lambda: D.load_csv(path, cache=cache, staged=cfg.staged))
+    scanned = _on_a_thread(lambda: D._scan(path)) if size >= OVERLAP_BYTES and D._usable_cpus() >= 2 else None
+    scan = None if scanned else D._scan(path)
     claims = []  # the source digest parsed.bin's header names, once its table passed its checks
 
     def parsed_bin() -> D.TimeSeriesDataset | None:
-        raw = D.load_parsed(cache, None, size)
+        raw = D.load_parsed(cache, scan and scan[0], size)
         claims.append(None if raw is None else raw.source_sha256)
         return raw
 
-    scanned = _on_a_thread(lambda: D._scan(path))
     try:
         prep, error = _refined(cfg, parsed_bin), None
     except GcnnError as e:
         prep, error = None, e
     finally:
-        scan = scanned()
+        scan = scan or scanned()
     if claims == [scan[0]]:  # the table is the file's, and so is the error
         if error is not None:
             raise error
@@ -484,8 +486,9 @@ def _refined(cfg: RunConfig, load: Callable[[], D.TimeSeriesDataset | None]) -> 
     return Prepared(scaled, stats, train_steps, list(report.filled), dropped)
 
 
-def _on_a_thread(work: Callable[[], _T]) -> Callable[[], _T]:
-    """Start ``work()`` on a thread of its own.  The function returned
+def _on_a_thread(work: Callable[[], _T]) -> Callable[[], _T] | None:
+    """Start ``work()`` on a thread of its own; None when no thread can
+    start, as under a limit on a user's processes.  The function returned
     waits for the thread, then returns what ``work`` returned or raises
     what it raised."""
     outcome = []
@@ -497,7 +500,10 @@ def _on_a_thread(work: Callable[[], _T]) -> Callable[[], _T]:
             outcome.append((False, e))
 
     thread = threading.Thread(target=run)
-    thread.start()
+    try:
+        thread.start()
+    except RuntimeError:  # "can't start new thread"
+        return None
 
     def join() -> _T:
         thread.join()

@@ -10,7 +10,8 @@ with :func:`_check_utf8` naming the line of a byte that is not UTF-8.
 A parsed table can be saved in binary (:func:`save_parsed`, or
 :func:`stage_parsed` for the caller to rename into place) and loaded
 back by the sha256 of the file it was parsed from, in place of a
-second parse.
+second parse.  :func:`load_csv` only parses; ``cli._prepare`` decides
+when a saved table stands in for the parse.
 """
 
 from __future__ import annotations
@@ -530,12 +531,14 @@ def _forked(blocks: int, work: Callable[[int, BinaryIO], None],
 
 def _scan(path: str | Path) -> tuple[str, bool, int]:
     """The sha256 of a file's bytes, whether any of them is ``"``, and
-    their count, read through :func:`_chunks`."""
+    their count, read :data:`READ_BYTES` at a time into one buffer."""
     digest, quoted, size = hashlib.sha256(), False, 0
-    for chunk in _chunks(path):
-        digest.update(chunk)
-        quoted = quoted or b'"' in chunk
-        size += len(chunk)
+    piece = bytearray(READ_BYTES)
+    with open(path, "rb") as f, memoryview(piece) as view:
+        while n := f.readinto(piece):
+            digest.update(view[:n])
+            quoted = quoted or piece.find(b'"', 0, n) >= 0
+            size += n
     return digest.hexdigest(), quoted, size
 
 
@@ -625,37 +628,27 @@ def _parse_blocks(path: str | Path, size: int) -> TimeSeriesDataset | None:
             return None
 
 
-def load_csv(path: str | Path, cache: str | Path | None = None, staged: list[Path] | None = None,
-             scan: tuple[str, bool, int] | None = None) -> TimeSeriesDataset:
+def load_csv(path: str | Path, scan: tuple[str, bool, int] | None = None) -> TimeSeriesDataset:
     """Parse a wide-format CSV file (see :func:`loads_csv`), read as UTF-8
     with universal newlines, so the line numbers in messages are the
     file's whatever its line ends; a byte that is not UTF-8 anywhere in
     the file raises DataError, over any fault of the parse.  The table
     records the sha256 of the file's bytes.
 
-    The file is read in pieces of :data:`READ_BYTES` (:func:`_chunks`):
-    once to hash it and note whether it holds a quote, which picks the
-    tokenizer, and once more, decoding as it goes, to parse it.  So the
-    whole text is never held, only the table and one piece.  A ``scan``,
-    what :func:`_scan` returned for these bytes, stands in for the first
-    read, so a caller that has hashed the file does not hash it again.  A
-    quote-free file of at least two :data:`BLOCK_BYTES` is parsed in
-    blocks, one per usable CPU (:func:`_parse_blocks`), the later ones in
-    forked children; should any block fault, the file is parsed again as
-    one block, for the fault's message.  Either way,
-    :func:`_parse_records` builds the table.
+    The file is read in pieces of :data:`READ_BYTES`: once to hash it and
+    note whether it holds a quote (:func:`_scan`), which picks the
+    tokenizer, and once more, decoding as it goes, to parse it
+    (:func:`_chunks`).  So the whole text is never held, only the table
+    and one piece.  A ``scan``, what :func:`_scan` returned for these
+    bytes, stands in for the first read, so a caller that has hashed the
+    file does not hash it again.  A quote-free file of at least two
+    :data:`BLOCK_BYTES` is parsed in blocks, one per usable CPU
+    (:func:`_parse_blocks`), the later ones in forked children; should
+    any block fault, the file is parsed again as one block, for the
+    fault's message.  Either way, :func:`_parse_records` builds the table.
     A parse that faults reads the file once more, a piece at a time too,
-    for the line of a byte that is not UTF-8 (:func:`_check_utf8`).
-
-    With ``cache``, a file :func:`save_parsed` wrote, the table comes from
-    there instead when :func:`load_parsed` finds it written for these
-    bytes; any miss parses the file.  With ``staged`` too, a miss also
-    writes the parse beside ``cache`` under a temporary name
-    (:func:`stage_parsed`) and appends that name, for the caller to rename
-    over ``cache`` or remove."""
+    for the line of a byte that is not UTF-8 (:func:`_check_utf8`)."""
     digest, quoted, size = scan or _scan(path)
-    if cache is not None and (data := load_parsed(cache, digest)) is not None:
-        return data
     data = None if quoted else _parse_blocks(path, size)
     if data is None:
         try:
@@ -664,8 +657,6 @@ def load_csv(path: str | Path, cache: str | Path | None = None, staged: list[Pat
             _check_utf8(path, _chunks(path))  # a byte that is not UTF-8 wins, named with its line
             raise
     data.source_sha256 = digest
-    if cache is not None and staged is not None:
-        staged.append(stage_parsed(data, cache))
     return data
 
 

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line front end.
 
 Commands run in-process through cli.main so exit codes and artifacts
-can be asserted directly.  Training configs are kept tiny; the whole
-file should stay well under a minute.
+can be asserted directly; a test starts a fresh interpreter only where
+the check is about the process itself (its exit status, the allocator
+variables glibc reads at start, its CPU affinity).  Training configs are
+kept tiny; the whole file should stay well under a minute.
 """
 
 import ctypes
@@ -131,9 +133,39 @@ def gappy_synth() -> D.TimeSeriesDataset:
     return ds
 
 
+@pytest.mark.skipif(D._usable_cpus() < 2, reason="one usable CPU: the pinned and the unpinned ingest would both "
+                                                  "take one block, so this cannot show one block and several agree")
+def test_ingest_bytes_do_not_depend_on_the_cpus_it_may_use(tmp_path):
+    """A gappy table of over two BLOCK_BYTES of text, ingested by a process
+    pinned to one CPU (one block) and by one free to use every usable CPU
+    (a block each, parsed and rendered in forked children): the same
+    bytes, and no temporary file left."""
+    ds = synth.generate(synth.SynthSpec(n_groups=20, per_group=5, length=1500, seed=4))
+    for row, start, length in ((2, 40, 3), (30, 700, 2), (55, 1200, 5), (80, 0, 1)):  # the last one is dropped
+        ds.values[row, start : start + length] = np.nan
+        ds.mask[row, start : start + length] = False
+    save_csv(ds, tmp_path / "big.csv")
+    assert (tmp_path / "big.csv").stat().st_size >= 2 * D.BLOCK_BYTES and ds.values.size - 1500 >= 2 * D.BLOCK_CELLS
+    write_config(tmp_path / "big.yaml", {"data": {"path": "big.csv"}})
+    script = textwrap.dedent("""
+        import os, sys
+        from gcnn import cli
+        if sys.argv[1] == "one":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        print(len(os.sched_getaffinity(0)))
+        sys.exit(cli.main(["ingest", "big.yaml", "--out", sys.argv[1]]))
+    """)
+    cpus = {out: int(run_in_child(tmp_path, "-c", script, out).split()[0]) for out in ("one", "all")}
+    assert cpus["one"] == 1 and cpus["all"] >= 2
+    for name in ("dataset.csv", "ingest.json", cli.PARSED_NAME):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+    assert list(tmp_path.glob("**/*.tmp")) == []
+
+
 def test_ingest_output_bytes_are_pinned(tmp_path, monkeypatch):
-    """The rendered CSV and ingest's repaired dataset.csv, byte for byte;
-    a relative data.path keeps the stamped config hash fixed."""
+    """The rendered CSV and what ingest writes for it (a missing endpoint
+    and a gap over the cap dropped, short gaps filled), byte for byte; a
+    relative data.path keeps the stamped config hash fixed."""
     monkeypatch.chdir(tmp_path)
     text = D.dumps_csv(gappy_synth())
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -145,6 +177,8 @@ def test_ingest_output_bytes_are_pinned(tmp_path, monkeypatch):
         "fc1923e3cc3b1b1d2f5847cfcabea9a098b22a5ec1c1bd3fe98896689449bc76")
     assert hashlib.sha256(Path("out/parsed.bin").read_bytes()).hexdigest() == (
         "6e34cf25286bc151fb5d09609170d973a47df91eb151d56edfe84c0972232d12")
+    assert hashlib.sha256(Path("out/ingest.json").read_bytes()).hexdigest() == (
+        "dedae3502cb969bdaf25d25f559082c6e701f6911f8733188f96be10002383e8")
 
 
 def test_ingest_that_fails_after_the_parse_exits_3_and_writes_nothing(tmp_path, capsys):
@@ -404,6 +438,20 @@ def test_commands_write_the_same_bytes_whatever_parsed_bin_holds_when_hashing_ov
     assert len(starts) == len(PIPELINE)
 
 
+@pytest.mark.parametrize("case", ["present", "stale"])
+def test_commands_write_the_same_bytes_when_no_thread_can_start(pipeline_reference, tmp_path, monkeypatch, case):
+    """Where a large file on two CPUs finds no thread to hash it on, as
+    under a limit on processes, the steps run in turn."""
+    starts = overlapped(monkeypatch)
+
+    def refused(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    commands_write_the_reference_bytes(pipeline_reference, tmp_path, monkeypatch, case)
+    assert len(starts) == len(PIPELINE)
+
+
 def commands_write_the_reference_bytes(pipeline_reference, tmp_path, monkeypatch, case) -> None:
     monkeypatch.chdir(tmp_path)
     gappy_series(Path("series.csv"), seed=8 if case == "stale" else 7)
@@ -465,14 +513,14 @@ def stale_large_cache(monkeypatch, data: str) -> cli.RunConfig:
 
 
 @pytest.mark.parametrize("data, error, whole", [
-    (None, None, [True, False]),
-    ("time,a,b,c\n0,1,,\n1,2,3,4\n2,3,5,6\n", "gap repair left 1 usable series", [True, False]),
-    ("time,a,b,c\n0,1,2\n", "line 2: expected 4 cells, got 3", [True, False, True, True]),
+    (None, None, [False]),
+    ("time,a,b,c\n0,1,,\n1,2,3,4\n2,3,5,6\n", "gap repair left 1 usable series", [False]),
+    ("time,a,b,c\n0,1,2\n", "line 2: expected 4 cells, got 3", [False, True, True]),
 ], ids=["returns", "repair-raises", "parse-raises"])
 def test_a_stale_large_cache_hashes_the_file_once_and_leaves_no_thread(tmp_path, monkeypatch, data, error, whole):
     """On a stale parsed.bin the file is hashed once, by the thread, and
-    the parse reuses that scan: the reads of the file are the scan, the
-    first block, and for a fault the one-block parse and the UTF-8 check.
+    the parse reuses that scan: the other reads of the file are the first
+    block, and for a fault the one-block parse and the UTF-8 check.
     The thread is joined before the block parse forks, and no thread
     outlives _prepare, whether it returns or raises."""
     monkeypatch.chdir(tmp_path)
@@ -627,12 +675,43 @@ def test_train_writes_checkpoint_history_and_report(series_csv, tmp_path):
     assert np.isfinite(report["best_val_srmse"])
 
 
-def test_train_rerun_is_byte_identical(series_csv, tmp_path):
-    cfg = write_config(tmp_path / "run.yaml", base_config(series_csv, tmp_path / "out1"))
-    assert run("train", cfg) == 0
-    assert run("train", cfg, "--out", str(tmp_path / "out2")) == 0
-    for name in ("checkpoint.json", "history.csv"):
-        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+# the pool (window 3, stride 2: width 8 pools to 3) overlaps, so
+# gradients add up across windows
+RERUN_MODEL = {"stage_channels": [6, 6], "pool_before": [2], "pool_window": 3, "pool_stride": 2, "dense_units": [4, 1]}
+
+# shuffled groups; group 1 is one stage share (6 / 3 = 2 channels) wide,
+# so the rcnn's grouped lift passes it through and lifts the other two
+SHUFFLED_GROUPS = {"g1s1": 3, "g1s2": 1, "g1s3": 2, "g1s4": 3, "g2s1": 2, "g2s2": 3, "g2s3": 2, "g2s4": 3,
+                   "g3s1": 1, "g3s2": 3, "g3s3": 2, "g3s4": 3}
+
+# name: (model settings, train settings) over RERUN_MODEL and 2 epochs
+RERUN_CONFIGS = {
+    "ungrouped": ({}, {}),  # grouped_conv1d with one group
+    "coeff": ({"grouping": "coeff", "groups": 2}, {}),  # channelwise_conv1d, then grouped_conv1d over two blocks
+    "momentum": ({}, {"momentum": 0.9, "clip_norm": 0.5}),  # clips 6 of its 12 steps
+    "rcnn": ({"grouping": "explicit", "groups": 3, "family": "rcnn"}, {"assignment": "assignment.csv"}),
+    # no best-epoch snapshot: the parameters as they end, kernel gradients
+    # computed straight into the gradient vector (matmul into a view)
+    "one-epoch": ({}, {"epochs": 1}),
+    "tanh": ({"grouping": "coeff", "groups": 2, "hidden_activation": "tanh"}, {}),  # applied in place
+}
+
+
+def test_train_rerun_is_byte_identical(tmp_path, monkeypatch):
+    """Each config, trained twice into fresh directories, writes the same
+    checkpoint, history and parsed.bin, and eval loads the checkpoint."""
+    monkeypatch.chdir(tmp_path)
+    make_series(Path("series.csv"), seed=5)
+    Path("assignment.csv").write_text(D.dumps_table(["series_name", "group_id"], SHUFFLED_GROUPS.items()))
+    for name, (model, train) in RERUN_CONFIGS.items():
+        cfg = write_config(Path(f"{name}.yaml"), {
+            "data": {"path": "series.csv", "target": "target", "window": 8},
+            "model": {**RERUN_MODEL, **model}, "train": {"epochs": 2, "batch_size": 16, **train}})
+        for out in (f"{name}1", f"{name}2"):
+            assert run("train", cfg, "--out", out) == 0, name
+        for artifact in ("checkpoint.json", "history.csv", cli.PARSED_NAME):
+            assert Path(f"{name}1", artifact).read_bytes() == Path(f"{name}2", artifact).read_bytes(), (name, artifact)
+        assert run("eval", cfg, "--out", f"{name}1") == 0, name
 
 
 @pytest.mark.parametrize("momentum, clip_norm, digests", [
@@ -1298,6 +1377,9 @@ def test_negative_seed_exits_2_at_load(series_csv, tmp_path, capsys, command, fr
     assert run(command, write_config(tmp_path / "run.yaml", doc), *extra) == 2
     assert "seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    if from_flag and command == "param-count":  # the status a shell sees, through the module's entry point
+        run_in_child(tmp_path, "-m", "gcnn.cli", command, "run.yaml", "--seed", "-1", code=2)
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -1416,21 +1498,26 @@ def test_assignment_label_fault_exits_3_and_names_the_file(series_csv, tmp_path,
     assert f"{table}{where}" in capsys.readouterr().err
 
 
-def test_names_that_need_quotes_pass_every_command(tmp_path):
+def test_names_that_need_quotes_pass_every_command(tmp_path, monkeypatch):
     """Series names holding a comma, a quote and a form feed are written
-    quoted where they must be and read back by every command."""
+    quoted where they must be and read back by every command, and a run
+    in another directory writes the same bytes."""
     ds = synth.generate(synth.SynthSpec(n_groups=3, per_group=4, length=120, seed=7))
     renamed = {"g1s1": "g1\x0cs1", "g2s1": "a,b", "g3s1": 'q"x'}
     ds.names = [renamed.get(name, name) for name in ds.names]
-    save_csv(ds, tmp_path / "series.csv")
-    doc = cluster_config(tmp_path / "series.csv", tmp_path)
-    doc["train"]["assignment"] = str(tmp_path / "out" / "assignment.csv")
-    cfg = write_config(tmp_path / "run.yaml", doc)
-    for command in ("ingest", "cluster", "train", "eval"):
-        assert run(command, cfg) == 0, command
-    assert load_csv(tmp_path / "out" / "dataset.csv").names == ds.names
-    table = (tmp_path / "out" / "assignment.csv").read_text()
+    for work in ("a", "b"):
+        (tmp_path / work).mkdir()
+        monkeypatch.chdir(tmp_path / work)
+        save_csv(ds, Path("series.csv"))
+        doc = cluster_config(Path("series.csv"), Path("."))
+        doc["train"]["assignment"] = "out/assignment.csv"
+        cfg = write_config(Path("run.yaml"), doc)
+        for command in ("ingest", "cluster", "train", "eval"):
+            assert run(command, cfg) == 0, command
+    assert load_csv(Path("out/dataset.csv")).names == ds.names
+    table = Path("out/assignment.csv").read_text()
     assert '\n"a,b",' in table and '\n"q""x",' in table and "\ng1\x0cs1," in table
+    assert_same_files(tmp_path / "a" / "out", tmp_path / "b" / "out")
 
 
 def test_assignment_with_byte_order_mark_reads(series_csv, tmp_path):
@@ -1481,7 +1568,7 @@ def test_data_csv_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
     bad.write_bytes(series_csv.read_bytes())
     with_bad_byte(bad, 4)
     assert run("ingest", write_config(tmp_path / "run.yaml", base_config(bad, tmp_path / "out"))) == 3
-    assert f"{bad}:4: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}:4: not valid UTF-8 (byte 0xff)\n"
 
 
 def test_assignment_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
@@ -1588,15 +1675,15 @@ def libc_has_mallopt() -> bool:
         return False
 
 
-def run_in_child(cwd: Path, script: str, *args: str) -> str:
-    """Run ``script`` in a fresh interpreter, with no allocator variable
-    of the user's; its standard output."""
-    env = {name: value for name, value in os.environ.items()
-           if name not in (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES")}
-    env["PYTHONPATH"] = str(Path(gcnn.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", script, *args],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+def run_in_child(cwd: Path, *argv: str, code: int = 0, env: dict[str, str] | None = None) -> str:
+    """Run a fresh interpreter on ``argv``, with no allocator variable of
+    the user's but those in ``env``, and check that it exits ``code``; its
+    standard output."""
+    variables = {name: value for name, value in os.environ.items()
+                 if name not in (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES")}
+    variables.update(env or {}, PYTHONPATH=str(Path(gcnn.__file__).parents[1]))
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=variables, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
     return done.stdout
 
 
@@ -1617,7 +1704,7 @@ def test_a_second_train_faults_no_pages_in(tmp_path, monkeypatch):
         assert cli.main(["train", "run.yaml", "--out", "second"]) == 0
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """)
-    faults = int(run_in_child(tmp_path, script).split()[-1])
+    faults = int(run_in_child(tmp_path, "-c", script).split()[-1])
     assert faults <= 64, faults
 
 
@@ -1661,13 +1748,17 @@ def test_train_without_mallopt_exits_0_silently_with_the_same_bytes(fresh_setter
 
 def test_train_bytes_do_not_depend_on_the_allocator(tmp_path, monkeypatch):
     """Every artifact of a train whose process kept glibc's own
-    thresholds equals, byte for byte, that of one with them fixed."""
+    thresholds, or took the mmap threshold the user set through glibc's
+    variable, equals, byte for byte, that of one with them fixed."""
     monkeypatch.chdir(tmp_path)
     cfg = desk_like()
-    run_in_child(tmp_path, "import sys; from gcnn import cli; cli._keep_freed_memory = lambda: False; "
-                           "sys.exit(cli.main(sys.argv[1:]))", "train", cfg.name, "--out", "glibc")
+    run_in_child(tmp_path, "-c", "import sys; from gcnn import cli; cli._keep_freed_memory = lambda: False; "
+                                 "sys.exit(cli.main(sys.argv[1:]))", "train", cfg.name, "--out", "glibc")
+    run_in_child(tmp_path, "-m", "gcnn.cli", "train", cfg.name, "--out", "user",
+                 env={"MALLOC_MMAP_THRESHOLD_": "131072"})
     assert run("train", cfg, "--out", "fixed") == 0
     assert_same_files(tmp_path / "glibc", tmp_path / "fixed")
+    assert_same_files(tmp_path / "user", tmp_path / "fixed")
 
 
 @pytest.mark.parametrize("name, value", [

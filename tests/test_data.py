@@ -241,6 +241,13 @@ class TestTextMemory:
         assert traced_peak(lambda: save_csv(data, tmp_path / "t.csv")) < 2**20 + steps
         assert (tmp_path / "t.csv").read_text() == dumps_csv(data)
 
+    def test_a_scan_holds_one_piece_of_the_file(self, tmp_path):
+        # reading a piece while the last one was still held peaked at 2.02
+        raw = bytes(8 * D.READ_BYTES - 1) + b'"'
+        (tmp_path / "t.csv").write_bytes(raw)
+        assert traced_peak(lambda: D._scan(tmp_path / "t.csv")) < 1.5 * D.READ_BYTES
+        assert D._scan(tmp_path / "t.csv") == (hashlib.sha256(raw).hexdigest(), True, len(raw))
+
     def test_load_peak_is_under_two_and_a_half_tables(self, tmp_path):
         # the present values as parsed, the table they are scattered into,
         # and one batch of the file; the text is 2.1 times the table
@@ -550,19 +557,6 @@ class TestParsedTable:
         values = flat[3:].reshape(3, 3)  # series after series, NaN where a cell was empty
         assert np.array_equal(values, [[1.5, 2.5, np.nan], [np.nan, 3, 4], [-0.0, 1e-300, 5]], equal_nan=True)
         assert np.signbit(values[2, 0])
-
-    def test_load_csv_takes_a_good_file_instead_of_parsing(self, tmp_path, monkeypatch):
-        source, table, parsed = parsed_file(tmp_path)
-        monkeypatch.setattr(D, "_parse_records", lambda records: pytest.fail("parsed again"))
-        assert bits(load_csv(source, cache=parsed)) == bits(table)
-
-    def test_load_csv_parses_on_a_miss(self, tmp_path):
-        source, table, parsed = parsed_file(tmp_path)
-        source.write_text(GAPPY_CSV.replace("1.5", "7.5"))
-        fresh = load_csv(source, cache=parsed)
-        assert fresh.values[0, 0] == 7.5
-        assert fresh.source_sha256 != table.source_sha256
-        assert bits(load_csv(source, cache=tmp_path / "missing.bin")) == bits(fresh)
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.unlink(),

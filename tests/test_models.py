@@ -461,13 +461,24 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
-        model = build_model(ModelSpec(**{**SMALL.to_dict(), "grouping": "coeff", "groups": 2}), seed=17)
-        for _, t in model.named_params():
-            t.data += 0.1
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(model, first, meta={"config": "abc"})
-        save_checkpoint(load_checkpoint(first), second, meta={"config": "abc"})
-        assert first.read_bytes() == second.read_bytes()
+        """A small coeff model, a water-cnn checkpoint (19.5 MB of raw <f8
+        bytes) and a water-rcnn-grouped one on balanced blocks (each group
+        draws its recurrence, then its lift), so the in-place draw and the
+        per-parameter read path hold on every supported numpy."""
+        def coeff():
+            model = build_model(ModelSpec(**{**SMALL.to_dict(), "grouping": "coeff", "groups": 2}), seed=17)
+            for _, t in model.named_params():
+                t.data += 0.1
+            return model
+
+        rcnn = preset("water-rcnn-grouped")
+        builds = {"coeff": coeff, "water-cnn": lambda: build_model(preset("water-cnn"), seed=0),
+                  "water-rcnn-grouped": lambda: build_model(rcnn, pinned_assignment(rcnn, "blocks"), seed=0)}
+        for name, build in builds.items():
+            first, second = tmp_path / f"{name}.a.json", tmp_path / f"{name}.b.json"
+            save_checkpoint(build(), first, meta={"config": "abc"})
+            save_checkpoint(load_checkpoint(first), second, meta={"config": "abc"})
+            assert first.read_bytes() == second.read_bytes(), name
 
     def test_loaded_params_are_owned_writable_float64(self, tmp_path):
         path = tmp_path / "model.json"
