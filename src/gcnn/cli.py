@@ -67,7 +67,7 @@ import sys
 import threading
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 import yaml
@@ -247,7 +247,7 @@ class RunConfig:
         if not path.is_file():
             raise ConfigError(f"config: no such file: {config_path}")
         try:
-            raw = _load_yaml(D.read_utf8(path, ConfigError))
+            raw = _load_yaml("".join(m[0] for m in D._lines(path, ConfigError)))
         except yaml.YAMLError as e:
             raise ConfigError(f"config: not valid YAML: {e}") from e
         if raw is None:
@@ -532,30 +532,42 @@ def _cluster_inputs(prep: Prepared, target: str, k: int, seed: int) -> tuple[lis
 
 
 def _read_assignment(path: Path, k: int) -> dict[str, int]:
-    """Series name -> group label; every label is in 1..k and every group has a series."""
+    """Series name -> group label; every label is in 1..k and every group has a series.
+    Read a record at a time; after a row's fault the rest is still read, so
+    a later fault of the tokenizer or byte that is not UTF-8 wins."""
     mapping: dict[str, int] = {}
     first_line: dict[str, int] = {}
-    text = D.read_utf8(path)
-    try:
-        records = D._records(text)
-    except DataError as e:  # a fault csv.reader found, as "line N: ..."
-        raise DataError(f"{path}:{str(e).removeprefix('line ')}") from None
-    for line_no, row in records:
-        cells = [cell.strip() for cell in row]
-        if cells in ([], [""], ["series_name", "group_id"]):
-            continue
-        if len(cells) != 2 or not cells[0]:
-            raise DataError(f"{path}:{line_no}: expected series_name,group_id")
-        name, label = cells
-        if name in first_line:
-            raise DataError(f"{path}:{line_no}: series {name!r} already assigned on line {first_line[name]}")
-        first_line[name] = line_no
+
+    def read() -> Iterator[tuple[int, list[str]]]:
         try:
-            mapping[name] = int(label)
-        except ValueError:
-            raise DataError(f"{path}:{line_no}: group id {label!r} is not an integer") from None
-        if not 1 <= mapping[name] <= k:
-            raise DataError(f"{path}:{line_no}: group id {mapping[name]} outside 1..{k} (model.groups)")
+            yield from D._tokenize(D._lines(path), D._scan(path)[1])
+        except DataError as e:
+            if str(e).startswith(f"{path}:"):  # a read or a byte that is not UTF-8, named already
+                raise
+            raise DataError(f"{path}:{str(e).removeprefix('line ')}") from None  # csv.reader's "line N: ..."
+
+    records = read()
+    try:
+        for line_no, row in records:
+            cells = [cell.strip() for cell in row]
+            if cells in ([], [""], ["series_name", "group_id"]):
+                continue
+            if len(cells) != 2 or not cells[0]:
+                raise DataError(f"{path}:{line_no}: expected series_name,group_id")
+            name, label = cells
+            if name in first_line:
+                raise DataError(f"{path}:{line_no}: series {name!r} already assigned on line {first_line[name]}")
+            first_line[name] = line_no
+            try:
+                mapping[name] = int(label)
+            except ValueError:
+                raise DataError(f"{path}:{line_no}: group id {label!r} is not an integer") from None
+            if not 1 <= mapping[name] <= k:
+                raise DataError(f"{path}:{line_no}: group id {mapping[name]} outside 1..{k} (model.groups)")
+    except DataError:
+        for _ in records:
+            pass
+        raise
     if not mapping:
         raise DataError(f"{path}: no assignments found")
     empty = sorted(set(range(1, k + 1)) - set(mapping.values()))
@@ -757,7 +769,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         fit_set, val_set = R.validation_carve(train_set, cfg.train.val_fraction)
         chosen = val_set if which == "val" else fit_set
 
-    model = M.load_checkpoint(cfg.eval_checkpoint_path())
+    with D._reading(cfg.eval_checkpoint_path(), ConfigError):
+        model = M.load_checkpoint(cfg.eval_checkpoint_path())
     spec = model.spec
     if (spec.input_channels, spec.input_width) != (wset.n_channels, wset.window):
         raise ShapeError(f"checkpoint expects {spec.input_channels} input channels over {spec.input_width}-step "

@@ -4,14 +4,14 @@ windowing into regression samples, and train/test splitting.
 Datasets are series-major: ``values[i, t]`` is series i at time step t,
 with ``mask[i, t]`` false where the cell was empty.  Missing values are
 stored as NaN so accidental use fails loudly downstream, and the mask a
-table is built without is its non-NaN cells.  A data file's bytes become
-text one way, streamed: :func:`_chunks`, then :func:`_decode_lines`,
-with :func:`_check_utf8` naming the line of a byte that is not UTF-8.
-A parsed table can be saved in binary (:func:`save_parsed`, or
-:func:`stage_parsed` for the caller to rename into place) and loaded
-back by the sha256 of the file it was parsed from, in place of a
-second parse.  :func:`load_csv` only parses; ``cli._prepare`` decides
-when a saved table stands in for the parse.
+table is built without is its non-NaN cells.  Every text file, the data
+file, an assignment and a config, becomes text one way, streamed:
+:func:`_lines`, which names the line of a byte that is not UTF-8.  A
+parsed table can be saved in binary (:func:`stage_parsed`, for the
+caller to rename into place) and loaded back by the sha256 of the file
+it was parsed from, in place of a second parse.  :func:`load_csv` only
+parses; ``cli._prepare`` decides when a saved table stands in for the
+parse.
 """
 
 from __future__ import annotations
@@ -48,12 +48,10 @@ __all__ = [
     "RepairReport",
     "StandardizeStats",
     "load_csv",
-    "loads_csv",
     "save_csv",
     "table_lines",
     "write_lines",
     "stage_parsed",
-    "save_parsed",
     "load_parsed",
     "dumps_table",
     "repair_gaps",
@@ -238,25 +236,12 @@ def _parse_time(token: str, line_no: int) -> float:
         raise DataError(f"line {line_no}: cannot parse time stamp {token!r}") from None
 
 
-def loads_csv(text: str) -> TimeSeriesDataset:
-    """Parse wide-format CSV text: time column first, one column per series.
-
-    Lines whose first cell starts with ``#`` are comments (provenance
-    stamps and such) and are skipped wherever they appear.  Faults are
-    reported in row order, the first one winning (within a row: cell
-    count, then time stamp, then values); a non-finite value is reported
-    only once every cell has parsed, and a fault the ``csv`` module finds
-    in quoted text wins over any row's.  See :func:`_parse_records`.
-    """
-    return _parse_records(_record_stream(text))
-
-
 def _parse_records(records: Iterator[tuple[int, list[str]]],
                    parts: Callable[[], list[BinaryIO | None]] = list) -> TimeSeriesDataset:
     """The table of a stream of ``(line, cells)`` records, the one table
-    builder of :func:`loads_csv` and :func:`load_csv`.  Rows are parsed as
-    they are read, so the cells of one row at a time are held as strings,
-    and the present values go straight into the series-major table.  When
+    builder of :func:`load_csv`.  Rows are parsed as they are read, so the
+    cells of one row at a time are held as strings, and the present
+    values go straight into the series-major table.  When
     a row is at fault the rest of the stream is still read, so a fault the
     tokenizer finds further on is the one raised.
 
@@ -363,37 +348,27 @@ def _check_names(names: Sequence[str], line_no: int) -> None:
             raise DataError(f"line {line_no}: column {column}: series name {name!r} {why}")
 
 
-def _records(text: str) -> list[tuple[int, list[str]]]:
-    """The non-comment CSV records, each with the line it starts on.
-
-    Only quotes make CSV tokenizing depend on context.  Text with no
-    ``"`` and no carriage return is split with no state machine: each line
-    is a record of the pieces between its commas, an empty line is the
-    empty record, and a final newline ends the last record rather than
-    starting one.  These are the records ``csv.reader`` gives for such
-    text, without its limit of 131072 characters a cell.
-
-    Other text goes through ``csv.reader`` with the default dialect, the
-    only parser here of quoted cells and of carriage returns.  A record
-    starts one past the line the previous one ended on, so a quoted cell
-    that spans lines moves the count on by every line it covers.  A fault
-    the reader finds is raised as a DataError naming the line it is on."""
-    return list(_record_stream(text))
-
-
 # a line and its newline, or a last line without one
 _LINE = re.compile(r".*\n|.+")
 
 
-def _record_stream(text: str) -> Iterator[tuple[int, list[str]]]:
-    """:func:`_records` one at a time."""
-    return _tokenize(_LINE.finditer(text), '"' in text or "\r" in text)
-
-
 def _tokenize(lines: Iterable[re.Match], quoted: bool) -> Iterator[tuple[int, list[str]]]:
-    """The records of ``lines``, matches of :data:`_LINE` in order, each
-    read as it is reached: split at commas, or by ``csv.reader`` when the
-    text is ``quoted``.  The tokenizer of :func:`_records`."""
+    """The non-comment CSV records of ``lines``, matches of :data:`_LINE`
+    in order, each with the line it starts on, read as it is reached.
+
+    Only quotes make CSV tokenizing depend on context.  Text that is not
+    ``quoted`` is split with no state machine: each line is a record of
+    the pieces between its commas, an empty line is the empty record, and
+    a final newline ends the last record rather than starting one.  These
+    are the records ``csv.reader`` gives for such text, without its limit
+    of 131072 characters a cell.
+
+    Quoted text goes through ``csv.reader`` with the default dialect, the
+    only parser here of quoted cells.  A record starts one past the line
+    the previous one ended on, so a quoted cell that spans lines moves
+    the count on by every line it covers.  A fault the reader finds is
+    raised as a DataError naming the line it is on, once the rest of
+    ``lines`` is read, so a byte further on that is not UTF-8 wins."""
     if not quoted:
         for n, m in enumerate(lines, start=1):
             line = m[0].removesuffix("\n")
@@ -408,18 +383,9 @@ def _tokenize(lines: Iterable[re.Match], quoted: bool) -> Iterator[tuple[int, li
                 yield line_no, row
             line_no = reader.line_num + 1
     except csv.Error as e:
+        for _ in lines:
+            pass
         raise DataError(f"line {reader.line_num}: {e}") from None
-
-
-def read_utf8(path: str | Path, error: type[GcnnError] = DataError) -> str:
-    """A UTF-8 text file read with universal newlines, as ``open`` reads
-    text: ``\\r\\n`` and a lone ``\\r`` come back as ``\\n``.  A leading
-    UTF-8 byte-order mark is dropped.  Bytes that are not UTF-8 raise
-    ``error`` naming the file and the line of the first bad byte
-    (:func:`_check_utf8`); the text is :func:`_decode_lines`' lines, joined."""
-    raw = Path(path).read_bytes()
-    _check_utf8(path, [raw], error)
-    return "".join(m[0] for m in _decode_lines([raw]))
 
 
 def _check_utf8(path: str | Path, chunks: Iterable[bytes], error: type[GcnnError] = DataError) -> None:
@@ -534,7 +500,7 @@ def _scan(path: str | Path) -> tuple[str, bool, int]:
     their count, read :data:`READ_BYTES` at a time into one buffer."""
     digest, quoted, size = hashlib.sha256(), False, 0
     piece = bytearray(READ_BYTES)
-    with open(path, "rb") as f, memoryview(piece) as view:
+    with _reading(path), open(path, "rb") as f, memoryview(piece) as view:
         while n := f.readinto(piece):
             digest.update(view[:n])
             quoted = quoted or piece.find(b'"', 0, n) >= 0
@@ -568,6 +534,30 @@ def _decode_lines(chunks: Iterable[bytes], start: bool = True) -> Iterator[re.Ma
         yield from _LINE.finditer(text, 0, end)
         rest = text[end:]
     yield from _LINE.finditer(rest + decoder.decode(b"", final=True))
+
+
+@contextlib.contextmanager
+def _reading(path: str | Path, error: type[GcnnError] = DataError) -> Iterator[None]:
+    """Raise ``error`` naming ``path`` for an OSError the body raises."""
+    try:
+        yield
+    except OSError as e:
+        raise error(f"{path}: cannot read ({e.strerror or e})") from None
+
+
+def _lines(path: str | Path, error: type[GcnnError] = DataError) -> Iterator[re.Match]:
+    """The lines of a UTF-8 text file, the one reader of a whole file's
+    text: :func:`_decode_lines` of its :func:`_chunks`, so one piece of
+    the file is held at a time.  A byte that is not UTF-8 raises ``error``
+    naming the file and the line of the first bad byte, which
+    :func:`_check_utf8` finds by reading the file once more; a read that
+    fails raises ``error`` naming the file."""
+    with _reading(path, error):
+        try:
+            yield from _decode_lines(_chunks(path))
+        except UnicodeDecodeError:
+            _check_utf8(path, _chunks(path), error)
+            raise
 
 
 def _block_edges(path: str | Path, size: int, blocks: int) -> list[int]:
@@ -629,33 +619,36 @@ def _parse_blocks(path: str | Path, size: int) -> TimeSeriesDataset | None:
 
 
 def load_csv(path: str | Path, scan: tuple[str, bool, int] | None = None) -> TimeSeriesDataset:
-    """Parse a wide-format CSV file (see :func:`loads_csv`), read as UTF-8
-    with universal newlines, so the line numbers in messages are the
-    file's whatever its line ends; a byte that is not UTF-8 anywhere in
-    the file raises DataError, over any fault of the parse.  The table
-    records the sha256 of the file's bytes.
+    """Parse a wide-format CSV file: time column first, one column per
+    series.  The table records the sha256 of the file's bytes.
+
+    Lines whose first cell starts with ``#`` are comments (provenance
+    stamps and such) and are skipped wherever they appear.  Faults are
+    reported in row order, the first one winning (within a row: cell
+    count, then time stamp, then values); a non-finite value is reported
+    only once every cell has parsed, and a fault the ``csv`` module finds
+    in quoted text wins over any row's.  The file is read as UTF-8 with
+    universal newlines (:func:`_lines`), so the line numbers in messages
+    are the file's whatever its line ends; a byte that is not UTF-8
+    anywhere in the file raises DataError, over any fault of the parse.
 
     The file is read in pieces of :data:`READ_BYTES`: once to hash it and
     note whether it holds a quote (:func:`_scan`), which picks the
     tokenizer, and once more, decoding as it goes, to parse it
-    (:func:`_chunks`).  So the whole text is never held, only the table
+    (:func:`_lines`).  So the whole text is never held, only the table
     and one piece.  A ``scan``, what :func:`_scan` returned for these
     bytes, stands in for the first read, so a caller that has hashed the
     file does not hash it again.  A quote-free file of at least two
     :data:`BLOCK_BYTES` is parsed in blocks, one per usable CPU
     (:func:`_parse_blocks`), the later ones in forked children; should
     any block fault, the file is parsed again as one block, for the
-    fault's message.  Either way, :func:`_parse_records` builds the table.
-    A parse that faults reads the file once more, a piece at a time too,
-    for the line of a byte that is not UTF-8 (:func:`_check_utf8`)."""
+    fault's message.  Either way, :func:`_parse_records` builds the table,
+    and reads the file to its end after a fault, so a byte further on
+    that is not UTF-8 is the fault raised."""
     digest, quoted, size = scan or _scan(path)
     data = None if quoted else _parse_blocks(path, size)
     if data is None:
-        try:
-            data = _parse_records(_tokenize(_decode_lines(_chunks(path)), quoted))
-        except (DataError, UnicodeDecodeError):
-            _check_utf8(path, _chunks(path))  # a byte that is not UTF-8 wins, named with its line
-            raise
+        data = _parse_records(_tokenize(_lines(path), quoted))
     data.source_sha256 = digest
     return data
 
@@ -699,24 +692,13 @@ def stage_parsed(data: TimeSeriesDataset, path: str | Path) -> Path:
     return partial
 
 
-def save_parsed(data: TimeSeriesDataset, path: str | Path) -> None:
-    """:func:`stage_parsed`, then the rename into place, so ``path`` never
-    holds part of a table."""
-    partial = stage_parsed(data, path)
-    try:
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
 def load_parsed(path: str | Path, source_sha256: str | None,
                 source_size: int | None = None) -> TimeSeriesDataset | None:
-    """The table a :func:`save_parsed` file holds, or None when the file is
+    """The table a :func:`stage_parsed` file holds, or None when the file is
     missing, unreadable, written for other source bytes or in another
     format, or fails a check: the body's exact length; the table digest
     over the names, the step count and the body; the series names, by the
-    header checks :func:`loads_csv` runs; finite, strictly increasing
+    header checks :func:`load_csv` runs; finite, strictly increasing
     times; values that are finite or NaN.  A table that passes is the one
     the parse would give, down to the bits, unless the file was forged.
 
@@ -769,8 +751,9 @@ def table_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str
     Text holding a comma, a quote, a ``\\n`` or a ``\\r`` is quoted, its
     quotes doubled (RFC 4180); other text is written as it is.  Integers
     are written in decimal, other numbers by ``repr`` of their float,
-    which round-trips fp64.  :func:`loads_csv`'s tokenizer reads every
-    cell back as written."""
+    which round-trips fp64.  :func:`load_csv`'s tokenizer reads every
+    cell back as written, but for a ``\\r``: a file is read with
+    universal newlines, so it comes back as ``\\n``."""
     return (",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
 
 

@@ -9,7 +9,7 @@ col2im the engine's flat one must match bit for bit, ``composed_ops``
 the fused layer ops written as the chains of smaller ops they replace,
 ``reference_sgd_step`` the per-tensor update the flat SGD step is
 checked against, and ``reference_read_utf8`` the whole-text rule that
-``read_utf8`` and the streamed UTF-8 check are held to.  Nothing in
+the text reader and the streamed UTF-8 check are held to.  Nothing in
 ``gcnn`` uses them.  ``Drawing`` is the parameter record that fills a
 layer a test builds alone.
 """
@@ -281,7 +281,7 @@ def reference_sgd_step(params, velocity, grads, learning_rate, momentum, clip_no
 
 
 def reference_read_utf8(path, raw: bytes) -> str:
-    """``read_utf8`` of a file holding ``raw``, by the whole-text rule: the
+    """The text of a file holding ``raw``, by the whole-text rule: the
     bytes after a leading byte-order mark decoded at once, then ``\\r\\n``
     and a lone ``\\r`` read as ``\\n``.  For a byte that is not UTF-8,
     DataError names ``path`` and its line, counted in the text before it."""

@@ -9,9 +9,12 @@ kept tiny; the whole file should stay well under a minute.
 
 import ctypes
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import resource
 import subprocess
 import sys
@@ -70,6 +73,15 @@ def series_csv(tmp_path_factory) -> Path:
 
 def run(command: str, config: Path, *extra: str) -> int:
     return cli.main([command, str(config), *extra])
+
+
+def test_every_name_a_module_exports_resolves():
+    """Each name in the ``__all__`` of gcnn and of each of its modules is
+    defined there, so a deleted function cannot stay listed."""
+    modules = [gcnn] + [importlib.import_module(m.name) for m in pkgutil.iter_modules(gcnn.__path__, "gcnn.")]
+    assert len(modules) > 8
+    for module in modules:
+        assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == [], module.__name__
 
 
 # -- ingest ----------------------------------------------------------------
@@ -203,7 +215,7 @@ def test_ingest_never_reads_parsed_bin(tmp_path, monkeypatch):
     Path("out").mkdir()
     table = D.load_csv("series.csv")
     table.values *= 2.0
-    D.save_parsed(table, Path("out/parsed.bin"))
+    os.replace(D.stage_parsed(table, Path("out/parsed.bin")), Path("out/parsed.bin"))
     assert D.load_parsed(Path("out/parsed.bin"), table.source_sha256) is not None
     assert run("ingest", cfg) == 0
     for name in ("dataset.csv", "ingest.json", "parsed.bin"):
@@ -235,7 +247,7 @@ def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, monkeypatch, cach
         if cache == "stale-larger":  # values such as -1.0 in 1.6 MB of text, and 2M cells in parsed.bin
             np.round(ds.values, out=ds.values)
             other = D.TimeSeriesDataset(ds.names, np.arange(96000.0), np.zeros((20, 96000)), source_sha256="0" * 64)
-            D.save_parsed(other, tmp_path / "parsed.bin")
+            os.replace(D.stage_parsed(other, tmp_path / "parsed.bin"), tmp_path / "parsed.bin")
             del other
         save_csv(ds, tmp_path / "t.csv")
     cfg = cli.RunConfig.load("ingest", str(cfg))
@@ -356,7 +368,7 @@ def forged(edit):
     def forge(parsed: Path) -> None:
         table = D.load_csv("series.csv")
         edit(table)
-        D.save_parsed(table, parsed)
+        os.replace(D.stage_parsed(table, parsed), parsed)
     return forge
 
 
@@ -489,7 +501,7 @@ def test_a_matching_parsed_bin_whose_repair_fails_exits_3_as_a_parse_does(tmp_pa
         parsed_run[command] = capsys.readouterr().err
         assert "gap repair left 1 usable series" in parsed_run[command]
     assert not Path("out", cli.PARSED_NAME).exists()
-    D.save_parsed(D.load_csv("series.csv"), Path("out", cli.PARSED_NAME))
+    os.replace(D.stage_parsed(D.load_csv("series.csv"), Path("out", cli.PARSED_NAME)), Path("out", cli.PARSED_NAME))
     left = Path("out", cli.PARSED_NAME).read_bytes()
     starts = overlapped(monkeypatch) if overlap else []
     parses = counting_parses(monkeypatch)
@@ -515,12 +527,12 @@ def stale_large_cache(monkeypatch, data: str) -> cli.RunConfig:
 @pytest.mark.parametrize("data, error, whole", [
     (None, None, [False]),
     ("time,a,b,c\n0,1,,\n1,2,3,4\n2,3,5,6\n", "gap repair left 1 usable series", [False]),
-    ("time,a,b,c\n0,1,2\n", "line 2: expected 4 cells, got 3", [False, True, True]),
+    ("time,a,b,c\n0,1,2\n", "line 2: expected 4 cells, got 3", [False, True]),
 ], ids=["returns", "repair-raises", "parse-raises"])
 def test_a_stale_large_cache_hashes_the_file_once_and_leaves_no_thread(tmp_path, monkeypatch, data, error, whole):
     """On a stale parsed.bin the file is hashed once, by the thread, and
     the parse reuses that scan: the other reads of the file are the first
-    block, and for a fault the one-block parse and the UTF-8 check.
+    block, and for a fault the one-block parse.
     The thread is joined before the block parse forks, and no thread
     outlives _prepare, whether it returns or raises."""
     monkeypatch.chdir(tmp_path)
@@ -1588,6 +1600,24 @@ def test_config_that_is_not_utf8_exits_2(series_csv, tmp_path, capsys):
     line = cfg.read_bytes().count(b"\n")
     assert run("ingest", cfg) == 2
     assert f"{cfg}:{line}: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/mem"), reason="needs /proc/self/mem, a file whose reads fail")
+@pytest.mark.parametrize("command, where, code", [
+    ("ingest", "data", 3), ("train", "assignment", 3), ("ingest", "config", 2), ("eval", "checkpoint", 2),
+])
+def test_an_input_that_cannot_be_read_exits_with_its_code(series_csv, tmp_path, capsys, command, where, code):
+    """/proc/self/mem is a regular file, but reading its first byte fails
+    (EIO), even for root: the data file and the assignment are data
+    faults, the config and the checkpoint config faults."""
+    unreadable = "/proc/self/mem"
+    doc = cluster_config(series_csv, tmp_path)
+    doc["data"]["path"] = unreadable if where == "data" else str(series_csv)
+    doc["train"]["assignment"] = unreadable
+    doc["eval"] = {"checkpoint": unreadable}
+    cfg = Path(unreadable) if where == "config" else write_config(tmp_path / "run.yaml", doc)
+    assert run(command, cfg) == code
+    assert re.fullmatch(rf"error: {unreadable}: cannot read \(.+\)\n", capsys.readouterr().err)
 
 
 def test_nul_byte_in_quoted_text_exits_3(series_csv, tmp_path, capsys):

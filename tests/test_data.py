@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gcnn import cli
 from gcnn import data as D
 from gcnn.data import (
     SplitSpec,
@@ -22,12 +23,9 @@ from gcnn.data import (
     dumps_table,
     load_csv,
     load_parsed,
-    loads_csv,
     make_windows,
-    read_utf8,
     repair_gaps,
     save_csv,
-    save_parsed,
     stage_parsed,
     split,
     standardize,
@@ -46,52 +44,70 @@ def dataset(values, names=None, mask=None, times=None):
     )
 
 
+def parse_text(text: str) -> TimeSeriesDataset:
+    """:func:`load_csv` of a file holding ``text`` as UTF-8."""
+    with tempfile.TemporaryDirectory() as where:
+        path = Path(where, "t.csv")
+        path.write_bytes(text.encode())
+        return load_csv(path)
+
+
+def write_parsed(table: TimeSeriesDataset, path: Path) -> None:
+    """The parsed-table file of ``table`` at ``path``, as a command commits it."""
+    os.replace(stage_parsed(table, path), path)
+
+
+def lines(path, *error) -> str:
+    """The text of a file as the one text reader gives it."""
+    return "".join(m[0] for m in D._lines(path, *error))
+
+
 class TestLoadCsv:
     def test_simple_file(self):
-        data = loads_csv("time,a,b\n0,1.5,2.5\n1,3.0,4.0\n")
+        data = parse_text("time,a,b\n0,1.5,2.5\n1,3.0,4.0\n")
         assert data.names == ["a", "b"]
         np.testing.assert_array_equal(data.values, [[1.5, 3.0], [2.5, 4.0]])
         assert data.mask.all()
 
     def test_blank_cell_masked(self):
-        data = loads_csv("time,a,b\n0,1,2\n1,,4\n2,5,6\n")
+        data = parse_text("time,a,b\n0,1,2\n1,,4\n2,5,6\n")
         assert not data.mask[0, 1]
         assert np.isnan(data.values[0, 1])
         assert data.mask[1, 1]
 
     def test_iso_dates_parsed_as_ordinals(self):
-        data = loads_csv("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n")
+        data = parse_text("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n")
         assert data.times[1] - data.times[0] == 1.0
 
     def test_duplicate_stamp_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
-            loads_csv("time,a,b\n0,1,2\n0,3,4\n")
+            parse_text("time,a,b\n0,1,2\n0,3,4\n")
 
     def test_non_monotone_rejected(self):
         with pytest.raises(DataError, match="non-monotone"):
-            loads_csv("time,a,b\n5,1,2\n3,3,4\n")
+            parse_text("time,a,b\n5,1,2\n3,3,4\n")
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(DataError, match="line 3"):
-            loads_csv("time,a,b\n0,1,2\n1,2\n")
+            parse_text("time,a,b\n0,1,2\n1,2\n")
 
     def test_bad_value_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
-            loads_csv("time,a,b\n0,oops,2\n")
+            parse_text("time,a,b\n0,oops,2\n")
 
     @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity", "1e999"])
     def test_non_finite_value_reports_line_and_series(self, token):
         with pytest.raises(DataError, match="line 4: series 'b' holds non-finite"):
-            loads_csv(f"time,a,b\n0,1,2\n# comment\n1,3,{token}\n2,,{token}\n")
+            parse_text(f"time,a,b\n0,1,2\n# comment\n1,3,{token}\n2,,{token}\n")
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_time_stamp_rejected(self, token):
         with pytest.raises(DataError, match="line 3: time stamp .* is not finite"):
-            loads_csv(f"time,a,b\n0,1,2\n{token},3,4\n")
+            parse_text(f"time,a,b\n0,1,2\n{token},3,4\n")
 
     def test_needs_two_series(self):
         with pytest.raises(DataError):
-            loads_csv("time,a\n0,1\n")
+            parse_text("time,a\n0,1\n")
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -108,7 +124,7 @@ class TestLoadCsv:
         )
 
 
-# one row per DataError message loads_csv can raise, then inputs with two
+# one row per DataError message the parse of a text can raise, then inputs with two
 # faults: row-level faults and unparsable values are reported in row
 # order (within a row, cell count, then time stamp, then values), and a
 # non-finite value only once every cell has parsed
@@ -149,54 +165,55 @@ class TestParseContract:
     @pytest.mark.parametrize("text, message", PARSE_FAULTS.values(), ids=PARSE_FAULTS.keys())
     def test_fault_message(self, text, message):
         with pytest.raises(DataError) as info:
-            loads_csv(text)
+            parse_text(text)
         assert str(info.value) == message
 
     def test_blank_and_comment_lines_count_toward_line_numbers(self):
         text = "# config abc\ntime,a,b\n0,1,2\n\n# note\n , \t,\n1,3,4\n2,5,x\n"
         with pytest.raises(DataError, match="^line 8: cannot parse value 'x'$"):
-            loads_csv(text)
-        data = loads_csv(text.replace("x", "6"))
+            parse_text(text)
+        data = parse_text(text.replace("x", "6"))
         np.testing.assert_array_equal(data.times, [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(data.values, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
 
     def test_whitespace_only_cells_are_missing(self):
-        data = loads_csv("time,a,b\n0, ,2\n1,3,\t\n2, 5 ,6\n")
+        data = parse_text("time,a,b\n0, ,2\n1,3,\t\n2, 5 ,6\n")
         np.testing.assert_array_equal(data.mask, [[False, True, True], [True, False, True]])
         np.testing.assert_array_equal(data.values[data.mask], [3.0, 5.0, 2.0, 6.0])
         assert np.isnan(data.values[~data.mask]).all()
 
     def test_quoted_cells(self):
-        data = loads_csv('"time","a,1",b\n"0","1.5",""\n1,"-2e3",4\n')
+        data = parse_text('"time","a,1",b\n"0","1.5",""\n1,"-2e3",4\n')
         assert data.names == ["a,1", "b"]
         np.testing.assert_array_equal(data.mask, [[True, True], [False, True]])
         np.testing.assert_array_equal(data.values[0], [1.5, -2000.0])
 
     def test_crlf_file(self):
-        lf = loads_csv("time,a,b\n0,1,\n1,3,4\n")
-        crlf = loads_csv("time,a,b\r\n0,1,\r\n1,3,4\r\n")
+        lf = parse_text("time,a,b\n0,1,\n1,3,4\n")
+        crlf = parse_text("time,a,b\r\n0,1,\r\n1,3,4\r\n")
         assert crlf.names == lf.names
         np.testing.assert_array_equal(crlf.mask, lf.mask)
         np.testing.assert_array_equal(crlf.values[crlf.mask], lf.values[lf.mask])
         with pytest.raises(DataError, match="^line 3: cannot parse value 'x'$"):
-            loads_csv("time,a,b\r\n0,1,2\r\n1,x,4\r\n")
+            parse_text("time,a,b\r\n0,1,2\r\n1,x,4\r\n")
 
     def test_values_are_series_major_and_contiguous(self):
-        data = loads_csv("time,a,b,c\n0,1,2,3\n1,4,,6\n")
+        data = parse_text("time,a,b,c\n0,1,2,3\n1,4,,6\n")
         np.testing.assert_array_equal(data.mask, [[True, True], [True, False], [True, True]])
         assert data.values.flags.c_contiguous and data.mask.flags.c_contiguous
         assert data.mask.flags.writeable
-        assert loads_csv("time,a,b\n0,1,2\n").mask.flags.writeable
+        assert parse_text("time,a,b\n0,1,2\n").mask.flags.writeable
 
     def test_reader_fault_names_its_line(self):
-        # a lone carriage return inside an unquoted cell; files never hold
-        # one here, since they are read with universal newlines
-        with pytest.raises(DataError, match="^line 2: new-line character seen in unquoted field"):
-            loads_csv("time,a,b,c\n0,1\r2,3\n")
+        # a cell over csv.reader's limit of 131072 characters, in a file
+        # with a quote; a file read with universal newlines holds no \r
+        # for the reader to refuse
+        with pytest.raises(DataError, match=r"^line 3: field larger than field limit \(131072\)$"):
+            parse_text('"time",a,b\n0,1,2\n1,' + "3" * 131073 + ",4\n2,3,4\n")
 
     def test_reader_fault_wins_over_an_earlier_row_fault(self):
-        with pytest.raises(DataError, match="^line 3: new-line character seen in unquoted field"):
-            loads_csv('time,a,b\n0,x,2\n"1",3\r4,5\n')
+        with pytest.raises(DataError, match=r"^line 3: field larger than field limit \(131072\)$"):
+            parse_text('time,a,b\n0,x,2\n"1",' + "3" * 131073 + ",5\n")
 
 
 def traced_peak(fn) -> int:
@@ -224,10 +241,6 @@ class TestTextMemory:
         mask = np.ones(values.shape, dtype=bool)
         mask[3, 10:13] = False
         return dataset(np.where(mask, values, np.nan), mask=mask)
-
-    def test_parse_peak_is_under_the_text(self):
-        text = dumps_csv(self.table())
-        assert traced_peak(lambda: loads_csv(text)) < len(text)
 
     def test_render_peak_is_under_two_and_a_quarter_times_the_text(self):
         data = self.table()
@@ -322,10 +335,9 @@ class TestBlocks:
         return os.getpid() != self.parent
 
     def one_block(self, path):
-        try:
-            return bits(loads_csv(read_utf8(path)))[:4]
-        except DataError as e:
-            return str(e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_usable_cpus", lambda: 1)
+            return self.outcome(path)
 
     def outcome(self, path):
         try:
@@ -476,19 +488,19 @@ class TestReadUtf8:
     def test_line_ends_are_universal_newlines(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes("a,d\u00e9bit\r\nb\rc\n".encode())
-        assert read_utf8(path) == "a,d\u00e9bit\nb\nc\n"
+        assert lines(path) == "a,d\u00e9bit\nb\nc\n"
 
     def test_byte_order_mark_reads_as_nothing(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"\xef\xbb\xbf# exported\ntime,a,b\n0,1,2\n")
-        assert read_utf8(path) == "# exported\ntime,a,b\n0,1,2\n"
+        assert lines(path) == "# exported\ntime,a,b\n0,1,2\n"
         assert load_csv(path).names == ["a", "b"]
 
     def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"\xef\xbb\xbftime,a,b\n0,1,\xff\n")
         with pytest.raises(DataError) as info:
-            read_utf8(path)
+            lines(path)
         assert str(info.value) == f"{path}:2: not valid UTF-8 (byte 0xff)"
 
     def test_bad_byte_wins_over_an_earlier_parse_fault(self, tmp_path):
@@ -508,10 +520,10 @@ class TestReadUtf8:
         path = tmp_path / "t.csv"
         path.write_bytes(raw)
         with pytest.raises(DataError) as info:
-            read_utf8(path)
+            lines(path)
         assert str(info.value) == f"{path}{where}"
         with pytest.raises(ConfigError):
-            read_utf8(path, ConfigError)
+            lines(path, ConfigError)
 
 
 GAPPY_CSV = "# stamp\ntime,a,b,c\n0,1.5,,-0.0\n1,2.5,3,1e-300\n2,,4,5\n"
@@ -522,7 +534,7 @@ def parsed_file(tmp_path):
     source = tmp_path / "data.csv"
     source.write_text(GAPPY_CSV)
     table = load_csv(source)
-    save_parsed(table, tmp_path / "parsed.bin")
+    write_parsed(table, tmp_path / "parsed.bin")
     return source, table, tmp_path / "parsed.bin"
 
 
@@ -614,24 +626,27 @@ class TestParsedTable:
     def test_a_forged_table_with_its_digest_recomputed_is_a_miss(self, tmp_path, edit):
         _, table, parsed = parsed_file(tmp_path)
         edit(table)
-        save_parsed(table, parsed)
+        write_parsed(table, parsed)
         assert load_parsed(parsed, table.source_sha256) is None
 
     def test_only_a_parsed_table_is_saved(self, tmp_path):
         with pytest.raises(ValueError, match="load_csv"):
-            save_parsed(loads_csv(GAPPY_CSV), tmp_path / "parsed.bin")
+            stage_parsed(dataset([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "parsed.bin")
 
     def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        _, table, parsed = parsed_file(tmp_path)
-        parsed.unlink()
+        """A command renames the table it staged into place once it
+        succeeds; a rename that fails leaves no file."""
+        save_csv(dataset(np.arange(12.0).reshape(3, 4) ** 2), tmp_path / "data.csv")
+        config = {"data": {"path": str(tmp_path / "data.csv")}, "out": str(tmp_path / "out")}
+        (tmp_path / "run.yaml").write_text(json.dumps(config))
 
         def broken(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(D.os, "replace", broken)
         with pytest.raises(OSError, match="disk full"):
-            save_parsed(table, parsed)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+            cli.main(["ingest", str(tmp_path / "run.yaml")])
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["dataset.csv", "ingest.json"]
 
     def test_a_staged_write_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
         _, table, parsed = parsed_file(tmp_path)

@@ -2,7 +2,7 @@
 splits against index-based subsets, standardization and max pooling
 against their original loops, CSV parsing against a per-cell
 reference, CSV files read in batches against their text read whole,
-``read_utf8`` and the streamed UTF-8 check against the whole-text rule
+the text reader and the streamed UTF-8 check against the whole-text rule
 in ``oracles.py``, bit-exact CSV round trips, gap runs against a scan,
 gap repair against its per-cell loop, the
 symmetric eigensolver's contract on random matrices with and without
@@ -35,9 +35,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcnn import data as D
-from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, _records,
-                       dumps_csv, dumps_table, load_csv, load_parsed, loads_csv, make_windows, read_utf8, save_csv,
-                       repair_gaps, save_parsed, split, standardize)
+from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, dumps_csv,
+                       dumps_table, load_csv, load_parsed, make_windows, save_csv, repair_gaps, split, stage_parsed,
+                       standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
 from gcnn.layers import Conv1DLayer, GroupedConv1DLayer, RecurrentConvLayer, draw
@@ -236,8 +236,8 @@ def gappy_datasets(draw):
 @example(TimeSeriesDataset(names=["a", "b"], times=np.array([-1e308, 5e-324, 1e308]),
                            values=np.array([[-0.0, 5e-324, np.nan], EDGE_FLOATS[4:7]]),
                            mask=np.array([[True, True, False], [True, True, True]])))
-def test_csv_round_trip_is_bit_exact(data):
-    back = loads_csv(dumps_csv(data))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, data):
+    back = load_text(tmp_path_factory, dumps_csv(data))
     assert back.names == data.names
     np.testing.assert_array_equal(back.times.view(np.uint64), data.times.view(np.uint64))
     np.testing.assert_array_equal(back.mask, data.mask)
@@ -251,13 +251,31 @@ def test_a_parsed_table_loads_back_bit_for_bit(tmp_path_factory, data):
     work = tmp_path_factory.getbasetemp()
     (work / "table.csv").write_text(dumps_csv(data))
     table = load_csv(work / "table.csv")
-    save_parsed(table, work / "parsed.bin")
+    os.replace(stage_parsed(table, work / "parsed.bin"), work / "parsed.bin")
     # each cell below the header row takes a byte of the CSV at least
     for loaded in (load_parsed(work / "parsed.bin", table.source_sha256),
                    load_parsed(work / "parsed.bin", None, (work / "table.csv").stat().st_size)):
         assert loaded.names == table.names and loaded.source_sha256 == table.source_sha256
         for got, want in ((loaded.times, table.times), (loaded.values, table.values), (loaded.mask, table.mask)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def written(tmp_path_factory, text: str):
+    """A file holding ``text`` as UTF-8."""
+    path = tmp_path_factory.getbasetemp() / "text.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+def load_text(tmp_path_factory, text: str) -> TimeSeriesDataset:
+    """:func:`load_csv` of a file holding ``text``."""
+    return load_csv(written(tmp_path_factory, text))
+
+
+def records(tmp_path_factory, text: str) -> list:
+    """The records the tokenizer reads from a file holding ``text``."""
+    path = written(tmp_path_factory, text)
+    return list(D._tokenize(D._lines(path), D._scan(path)[1]))
 
 
 def reference_records(text):
@@ -383,8 +401,10 @@ def parse_outcome(parse, text):
 @example("time,a,b\n0,nan,2\n1,x,3\n")
 @example("time,a,b\n0,1,x\n0,2,3\n")
 @example("time,a,b\n\n0,1,x\n")
-def test_loads_csv_matches_the_per_cell_reference(text):
-    assert parse_outcome(loads_csv, text) == parse_outcome(reference_loads_csv, text)
+def test_load_csv_matches_the_per_cell_reference(tmp_path_factory, text):
+    # csv_texts end lines in LF or CRLF and hold no other CR, so the file
+    # reads back as the text with LF ends, which the reference reads alike
+    assert parse_outcome(lambda t: load_text(tmp_path_factory, t), text) == parse_outcome(reference_loads_csv, text)
 
 
 @st.composite
@@ -411,6 +431,7 @@ def csv_files(draw):
 @example((b"time,a,b\r0,1,2\r\n1,\"3\r\n\",4\r", 4))
 @example((b"time,a,b\n0,x,2\n1,2,3\n\xff\n", 4))
 @example((b"time,a,b\n0,1,2\n1,2\n# caf\xc3\xa9\n2,3,4", 3))
+@example((b'"time",a,b\n0,' + b"1" * 131073 + b",2\n1," + b"2" * 80 + b",3\n2,3,4\n3,4,\xff5\n", 64))
 def test_load_csv_gives_the_parse_of_the_text_read_whole(tmp_path_factory, file):
     raw, batch = file
     path = tmp_path_factory.getbasetemp() / "streamed.csv"
@@ -418,7 +439,12 @@ def test_load_csv_gives_the_parse_of_the_text_read_whole(tmp_path_factory, file)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(D, "READ_BYTES", batch)
         streamed = parse_outcome(load_csv, path)
-    assert streamed == parse_outcome(lambda p: loads_csv(read_utf8(p)), path)
+    assert streamed == parse_outcome(reference_load_csv, path)
+
+
+def reference_load_csv(path):
+    """The per-cell parse of a file's text read whole, by the oracles."""
+    return reference_loads_csv(reference_read_utf8(path, path.read_bytes()))
 
 
 @st.composite
@@ -458,13 +484,13 @@ def test_check_utf8_in_chunks_matches_the_whole_text_rule(chunks):
 
 @SETTINGS
 @given(split_files().map(b"".join))
-def test_read_utf8_matches_the_whole_text_rule(tmp_path_factory, raw):
+def test_lines_match_the_whole_text_rule(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "read.txt"
     path.write_bytes(raw)
     fault = utf8_fault(reference_read_utf8, path, raw)
-    assert utf8_fault(read_utf8, path) == fault
+    assert utf8_fault(lambda p: list(D._lines(p)), path) == fault
     if fault is None:
-        assert read_utf8(path) == reference_read_utf8(path, raw)
+        assert "".join(m[0] for m in D._lines(path)) == reference_read_utf8(path, raw)
 
 
 @contextlib.contextmanager
@@ -527,14 +553,14 @@ def test_load_csv_in_blocks_gives_the_one_block_parse(tmp_path_factory, raw, cpu
     with in_blocks(cpus), pytest.MonkeyPatch.context() as mp:
         mp.setattr(D, "READ_BYTES", batch)
         blocks = parse_outcome(load_csv, path)
-    assert blocks == parse_outcome(lambda p: loads_csv(read_utf8(p)), path)
+    assert blocks == parse_outcome(reference_load_csv, path)
 
 
 def test_every_truncated_parsed_table_is_a_miss(tmp_path):
     (tmp_path / "table.csv").write_text("time,a,b\n0,1,\n1,2,3\n")
     table = load_csv(tmp_path / "table.csv")
     path = tmp_path / "parsed.bin"
-    save_parsed(table, path)
+    os.replace(stage_parsed(table, path), path)
     raw = path.read_bytes()
     for n in range(len(raw)):
         path.write_bytes(raw[:n])
@@ -559,22 +585,23 @@ def quote_free_texts(draw):
 @example("\n")
 @example("a,b\n\n,\n")
 @example("a\x0bb,c\u2028\n# x\n\x85\n")
-def test_quote_free_records_match_csv_reader(text):
-    assert _records(text) == reference_records(text)
+def test_quote_free_records_match_csv_reader(tmp_path_factory, text):
+    assert records(tmp_path_factory, text) == reference_records(text)
 
 
 TABLE_TEXT = st.text(st.sampled_from([",", "#", '"', "\n", "\r", "\x0c", "\u2028", " ", "a", "B"]), max_size=6)
 TABLE_CELLS = st.one_of(TABLE_TEXT, st.integers(-10**20, 10**20), st.floats(allow_nan=False, width=64))
 
 
-def reads_back(cell, written):
-    """Whether a cell read as ``cell`` is the one ``written``: text as it
-    is, an integer in decimal, a float with the same bits."""
-    if isinstance(written, str):
-        return cell == written
-    if isinstance(written, int):
-        return int(cell) == written
-    return np.float64(float(cell)).view(np.uint64) == np.float64(written).view(np.uint64)
+def reads_back(cell, value):
+    """Whether a cell read as ``cell`` is the one written as ``value``:
+    text as it is but for universal newlines, an integer in decimal, a
+    float with the same bits."""
+    if isinstance(value, str):
+        return cell == value.replace("\r\n", "\n").replace("\r", "\n")
+    if isinstance(value, int):
+        return int(cell) == value
+    return np.float64(float(cell)).view(np.uint64) == np.float64(value).view(np.uint64)
 
 
 def heads_a_record(row):
@@ -586,12 +613,12 @@ def heads_a_record(row):
 @SETTINGS
 @given(st.lists(st.lists(TABLE_CELLS, min_size=1, max_size=4).filter(heads_a_record), min_size=1, max_size=6))
 @example([["time", "a,b", 'q"x', "g1\x0cs1"], [0.0, -0.0, 5e-324, 1e308], [" ", "", 7, "\r\n"]])
-def test_tables_read_back_cell_for_cell(table):
+def test_tables_read_back_cell_for_cell(tmp_path_factory, table):
     header, *rows = table
-    records = _records(dumps_table(header, rows))
-    assert [len(row) for _, row in records] == [len(row) for row in table]
-    for (_, cells), written in zip(records, table):
-        assert all(reads_back(cell, value) for cell, value in zip(cells, written))
+    read = records(tmp_path_factory, dumps_table(header, rows))
+    assert [len(row) for _, row in read] == [len(row) for row in table]
+    for (_, cells), row in zip(read, table):
+        assert all(reads_back(cell, value) for cell, value in zip(cells, row))
 
 
 def brute_force_runs(present):
