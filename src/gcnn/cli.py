@@ -17,34 +17,10 @@ files, a ``config_hash`` key in JSON files, a ``meta`` block in
 checkpoints.  Nothing records wall-clock data, so rerunning a command
 over identical inputs reproduces byte-identical files.
 
-Every command that parses the data file leaves ``parsed.bin`` in the
-output directory: the table it parsed, keyed by the data file's sha256.
-``ingest`` always parses.  ``cluster``, ``train``, ``eval`` and
-``compare`` read the table from there when it was written for the same
-file bytes and passes its checks (see ``data.load_parsed``), and parse
-the file on a miss; ``_prepare`` alone makes that choice.  Right after
-a parse the command stages the table under a temporary name, which
-``main`` renames to ``parsed.bin`` when the command exits 0 and removes
-on any other exit.  With a data file of at least ``OVERLAP_BYTES`` and
-two usable CPUs, the file is hashed on a second thread while
-``parsed.bin`` is loaded and refined; where no thread can start, the
-steps run in turn, as for a smaller file (see ``_prepare``).
-
-The data file's text is streamed: it is parsed as it is read and
-rendered as it is written (``dataset.csv``), a batch of lines at a
-time, and a command holds one table at a time from the parse through
-gap repair to standardization.
-
-Large text is cut into blocks, one per usable CPU (the process's CPU
-affinity), each block but the first handled in a forked child.  A
-quote-free data file of at least two ``data.BLOCK_BYTES`` parses in
-blocks of whole lines, and a table of at least two ``data.BLOCK_CELLS``
-cells renders in blocks of time steps; smaller text, one usable CPU, a
-platform without ``fork`` and a file with a quote take one block, in
-this process.  The bytes and tables are those of one block.  Should a
-block fault, or its child fail, the parse runs again as one block and
-raises the fault with its line, and a failed render block is rendered
-here instead.  Every child is reaped before the call returns.
+Every command that reads the data file gets its table from
+``data.prepare``, with ``parsed.bin`` in the output directory as its
+cache; ``main`` renames a parse it staged to ``parsed.bin`` when the
+command exits 0 and removes it on any other exit.
 
 ``main`` first fixes glibc's malloc thresholds, once per process, so a
 training step reuses the memory the last step freed instead of faulting
@@ -64,10 +40,9 @@ import itertools
 import json
 import os
 import sys
-import threading
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable
 
 import numpy as np
 import yaml
@@ -109,17 +84,6 @@ _BASELINES = ("linear", "ridge")
 
 # the parsed data file, which a command loads instead of parsing it again
 PARSED_NAME = "parsed.bin"
-
-# the least data file hashed on a thread while parsed.bin loads: the
-# thread's start, join and hand-offs of the interpreter lock cost about
-# 0.4 ms on a 2-vCPU x86-64 VM.  There, _prepare from a good parsed.bin,
-# overlapped against in turn, read +3.0% at 0.55 MB, -0.5% at 0.83 MB
-# and -3.5% at 1.1 MB (147 series; 13 series: +0.9% at 0.74 MB, -4.2% at
-# 0.99 MB), and the benchmark's desk (70 kB) and paper (160 kB) files
-# read cluster_s +15% and +9%
-OVERLAP_BYTES = 1 << 20
-
-_T = TypeVar("_T")
 
 # libyaml's parser where PyYAML was built with it: several times faster
 # than the pure-Python SafeLoader, and a property test holds the two to
@@ -221,8 +185,7 @@ class RunConfig:
     range-checked objects the split and train sections build.  ``width``
     is the input window length: ``data.window``, or else the model
     section's ``input_width`` (None when neither is set).  ``staged``
-    holds the temporary copies of a parse the command made for
-    ``parsed.bin``, which only an exit 0 puts in place.
+    holds the parse ``data.prepare`` staged, which only an exit 0 puts in place.
     """
 
     command: str
@@ -407,115 +370,16 @@ def _hash_doc(doc: dict) -> str:
 # -- shared pipeline ------------------------------------------------------
 
 
-@dataclass
-class Prepared:
-    """A dataset after repair and standardization, plus how it got there."""
-
-    dataset: D.TimeSeriesDataset
-    stats: D.StandardizeStats
-    train_steps: int
-    filled: list[tuple[str, int, int]]
-    dropped: list[tuple[str, str]]  # (series, reason), repair and scaling drops merged
+def _prepare(cfg: RunConfig, parse: bool = False) -> D.Prepared:
+    """``data.prepare`` of the data file; a parse it staged joins ``cfg.staged``."""
+    prep, staged = D.prepare(cfg.data_path, cfg.out_dir / PARSED_NAME, cfg.doc["data"]["max_gap"],
+                             cfg.split.train_fraction, parse)
+    if staged is not None:
+        cfg.staged.append(staged)
+    return prep
 
 
-def _prepare(cfg: RunConfig, parse: bool = False) -> Prepared:
-    """Repair and standardize the data file's table: the output
-    directory's parsed.bin when it holds a good one written for the data
-    file's bytes and ``parse`` is false, or else a parse, staged for
-    parsed.bin.  This is the one place that makes that choice.  Each
-    table is let go as soon as the next one exists.
-
-    The file is hashed (``data._scan``), then parsed.bin is loaded only if
-    written for that digest.  A file of at least ``OVERLAP_BYTES``, with
-    two usable CPUs, is hashed on a thread of its own instead, while this
-    one loads parsed.bin whatever source its header names, so long as its
-    table could come from a file of this size (see ``data.load_parsed``),
-    and repairs and standardizes that table.  Either way the result, or
-    the error repair or standardization raised, is kept only when the
-    header names the file's digest; otherwise the parse reuses the scan,
-    so the file is hashed once.  The thread is joined before any parse,
-    and before this returns or raises.  Where no thread can start, the
-    steps run in turn."""
-    path, cache = cfg.data_path, cfg.out_dir / PARSED_NAME
-    if parse:
-        return _refined(cfg, lambda: _staged(cfg, D.load_csv(path)))
-    size = os.path.getsize(path)
-    scanned = _on_a_thread(lambda: D._scan(path)) if size >= OVERLAP_BYTES and D._usable_cpus() >= 2 else None
-    scan = None if scanned else D._scan(path)
-    claims = []  # the source digest parsed.bin's header names, once its table passed its checks
-
-    def parsed_bin() -> D.TimeSeriesDataset | None:
-        raw = D.load_parsed(cache, scan and scan[0], size)
-        claims.append(None if raw is None else raw.source_sha256)
-        return raw
-
-    try:
-        prep, error = _refined(cfg, parsed_bin), None
-    except GcnnError as e:
-        prep, error = None, e
-    finally:
-        scan = scan or scanned()
-    if claims == [scan[0]]:  # the table is the file's, and so is the error
-        if error is not None:
-            raise error
-        return prep
-    del prep, error  # the error's traceback holds the table it was raised for
-    return _refined(cfg, lambda: _staged(cfg, D.load_csv(path, scan=scan)))
-
-
-def _staged(cfg: RunConfig, raw: D.TimeSeriesDataset) -> D.TimeSeriesDataset:
-    """``raw``, a parse of the data file, once staged for parsed.bin."""
-    cfg.staged.append(D.stage_parsed(raw, cfg.out_dir / PARSED_NAME))
-    return raw
-
-
-def _refined(cfg: RunConfig, load: Callable[[], D.TimeSeriesDataset | None]) -> Prepared | None:
-    """The table ``load()`` returns, repaired and standardized, or None
-    for None.  Only this call holds the table, so it goes once repaired."""
-    raw = load()
-    if raw is None:
-        return None
-    repaired, report = D.repair_gaps(raw, max_gap=cfg.doc["data"]["max_gap"])
-    del raw
-    # training range = leading fraction of the time axis; scaling and the
-    # similarity graph must not see the evaluation tail
-    train_steps = min(repaired.n_steps, max(2, int(repaired.n_steps * cfg.split.train_fraction)))
-    scaled, stats, flat = D.standardize(repaired, train_steps)
-    del repaired
-    dropped = list(report.dropped) + [(name, "constant over the training range") for name in flat]
-    return Prepared(scaled, stats, train_steps, list(report.filled), dropped)
-
-
-def _on_a_thread(work: Callable[[], _T]) -> Callable[[], _T] | None:
-    """Start ``work()`` on a thread of its own; None when no thread can
-    start, as under a limit on a user's processes.  The function returned
-    waits for the thread, then returns what ``work`` returned or raises
-    what it raised."""
-    outcome = []
-
-    def run() -> None:
-        try:
-            outcome.append((True, work()))
-        except BaseException as e:  # raised where the caller joins
-            outcome.append((False, e))
-
-    thread = threading.Thread(target=run)
-    try:
-        thread.start()
-    except RuntimeError:  # "can't start new thread"
-        return None
-
-    def join() -> _T:
-        thread.join()
-        ok, value = outcome[0]
-        if not ok:
-            raise value
-        return value
-
-    return join
-
-
-def _input_series(prep: Prepared, target: str) -> tuple[list[str], np.ndarray]:
+def _input_series(prep: D.Prepared, target: str) -> tuple[list[str], np.ndarray]:
     """Names and training-range values of every series except the target."""
     ds = prep.dataset
     ds.index_of(target)  # unknown target fails here with the name list
@@ -524,56 +388,11 @@ def _input_series(prep: Prepared, target: str) -> tuple[list[str], np.ndarray]:
     return names, ds.values[np.array(rows), : prep.train_steps]
 
 
-def _cluster_inputs(prep: Prepared, target: str, k: int, seed: int) -> tuple[list[str], S.GroupAssignment, float]:
+def _cluster_inputs(prep: D.Prepared, target: str, k: int, seed: int) -> tuple[list[str], S.GroupAssignment, float]:
     names, values = _input_series(prep, target)
     graph = S.similarity_from_series(values, names)
     assignment = S.spectral_cluster(graph, k, seed=seed)
     return names, assignment, S.ncut_value(graph, assignment)
-
-
-def _read_assignment(path: Path, k: int) -> dict[str, int]:
-    """Series name -> group label; every label is in 1..k and every group has a series.
-    Read a record at a time; after a row's fault the rest is still read, so
-    a later fault of the tokenizer or byte that is not UTF-8 wins."""
-    mapping: dict[str, int] = {}
-    first_line: dict[str, int] = {}
-
-    def read() -> Iterator[tuple[int, list[str]]]:
-        try:
-            yield from D._tokenize(D._lines(path), D._scan(path)[1])
-        except DataError as e:
-            if str(e).startswith(f"{path}:"):  # a read or a byte that is not UTF-8, named already
-                raise
-            raise DataError(f"{path}:{str(e).removeprefix('line ')}") from None  # csv.reader's "line N: ..."
-
-    records = read()
-    try:
-        for line_no, row in records:
-            cells = [cell.strip() for cell in row]
-            if cells in ([], [""], ["series_name", "group_id"]):
-                continue
-            if len(cells) != 2 or not cells[0]:
-                raise DataError(f"{path}:{line_no}: expected series_name,group_id")
-            name, label = cells
-            if name in first_line:
-                raise DataError(f"{path}:{line_no}: series {name!r} already assigned on line {first_line[name]}")
-            first_line[name] = line_no
-            try:
-                mapping[name] = int(label)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: group id {label!r} is not an integer") from None
-            if not 1 <= mapping[name] <= k:
-                raise DataError(f"{path}:{line_no}: group id {mapping[name]} outside 1..{k} (model.groups)")
-    except DataError:
-        for _ in records:
-            pass
-        raise
-    if not mapping:
-        raise DataError(f"{path}: no assignments found")
-    empty = sorted(set(range(1, k + 1)) - set(mapping.values()))
-    if empty:
-        raise DataError(f"{path}: group {empty[0]} has no series (model.groups is {k})")
-    return mapping
 
 
 def _aligned_labels(mapping: dict[str, int], channel_names: list[str]) -> list[int]:
@@ -719,7 +538,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     labels = None
     if cfg.grouping == "explicit":
-        mapping = _read_assignment(Path(cfg.doc["train"]["assignment"]), cfg.model["groups"])
+        mapping = D.load_assignment(Path(cfg.doc["train"]["assignment"]), cfg.model["groups"])
         labels = _aligned_labels(mapping, wset.channel_names)
     spec = _model_spec(cfg.model, "model", wset.n_channels, wset.window)
     model, n_params, vanilla = _counted_model(spec, labels, cfg.seed)

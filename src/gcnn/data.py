@@ -6,12 +6,22 @@ with ``mask[i, t]`` false where the cell was empty.  Missing values are
 stored as NaN so accidental use fails loudly downstream, and the mask a
 table is built without is its non-NaN cells.  Every text file, the data
 file, an assignment and a config, becomes text one way, streamed:
-:func:`_lines`, which names the line of a byte that is not UTF-8.  A
-parsed table can be saved in binary (:func:`stage_parsed`, for the
-caller to rename into place) and loaded back by the sha256 of the file
-it was parsed from, in place of a second parse.  :func:`load_csv` only
-parses; ``cli._prepare`` decides when a saved table stands in for the
-parse.
+:func:`_lines`, which names the line of a byte that is not UTF-8.  The
+data file is parsed as it is read and rendered as it is written
+(:func:`save_csv`), a batch of lines at a time.
+
+:func:`prepare` gives the table both algorithms read, the data file
+repaired and standardized, and alone decides when the ``parsed.bin``
+cache, an earlier parse saved in binary, stands in for a parse;
+:func:`load_csv` only parses.
+
+Large text is cut into blocks, one per usable CPU, each but the first
+handled in a forked child: a quote-free data file of at least two
+:data:`BLOCK_BYTES` parses in blocks of whole lines, and a table of at
+least two :data:`BLOCK_CELLS` cells renders in blocks of time steps.
+The bytes and tables are those of one block.  A block that faults, or
+whose child fails, is done again in this process, and every child is
+reaped before the call returns.
 """
 
 from __future__ import annotations
@@ -32,9 +42,10 @@ import re
 import shutil
 import signal
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,12 +58,13 @@ __all__ = [
     "SplitSpec",
     "RepairReport",
     "StandardizeStats",
+    "Prepared",
+    "prepare",
     "load_csv",
+    "load_assignment",
     "save_csv",
     "table_lines",
     "write_lines",
-    "stage_parsed",
-    "load_parsed",
     "dumps_table",
     "repair_gaps",
     "standardize",
@@ -62,6 +74,8 @@ __all__ = [
 
 DEFAULT_MAX_GAP = 61  # daily steps; the two-month interpolation cap
 PARSED_FORMAT = "gcnn.parsed/2"
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -77,7 +91,6 @@ class TimeSeriesDataset:
     times: np.ndarray  # (L,)
     values: np.ndarray  # (N, L), NaN where missing
     mask: np.ndarray | None = None  # (N, L) bool, True = present
-    source_sha256: str | None = None  # of the file bytes load_csv parsed it from; None for any other table
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -620,7 +633,7 @@ def _parse_blocks(path: str | Path, size: int) -> TimeSeriesDataset | None:
 
 def load_csv(path: str | Path, scan: tuple[str, bool, int] | None = None) -> TimeSeriesDataset:
     """Parse a wide-format CSV file: time column first, one column per
-    series.  The table records the sha256 of the file's bytes.
+    series.
 
     Lines whose first cell starts with ``#`` are comments (provenance
     stamps and such) and are skipped wherever they appear.  Faults are
@@ -645,12 +658,54 @@ def load_csv(path: str | Path, scan: tuple[str, bool, int] | None = None) -> Tim
     fault's message.  Either way, :func:`_parse_records` builds the table,
     and reads the file to its end after a fault, so a byte further on
     that is not UTF-8 is the fault raised."""
-    digest, quoted, size = scan or _scan(path)
-    data = None if quoted else _parse_blocks(path, size)
-    if data is None:
-        data = _parse_records(_tokenize(_lines(path), quoted))
-    data.source_sha256 = digest
-    return data
+    _, quoted, size = scan or _scan(path)
+    blocks = None if quoted else _parse_blocks(path, size)
+    return blocks or _parse_records(_tokenize(_lines(path), quoted))
+
+
+def load_assignment(path: str | Path, k: int) -> dict[str, int]:
+    """Series name -> group label; every label is in 1..k and every group has a series.
+    Read a record at a time; after a row's fault the rest is still read, so
+    a later fault of the tokenizer or byte that is not UTF-8 wins."""
+    mapping: dict[str, int] = {}
+    first_line: dict[str, int] = {}
+
+    def read() -> Iterator[tuple[int, list[str]]]:
+        try:
+            yield from _tokenize(_lines(path), _scan(path)[1])
+        except DataError as e:
+            if str(e).startswith(f"{path}:"):  # a read or a byte that is not UTF-8, named already
+                raise
+            raise DataError(f"{path}:{str(e).removeprefix('line ')}") from None  # csv.reader's "line N: ..."
+
+    records = read()
+    try:
+        for line_no, row in records:
+            cells = [cell.strip() for cell in row]
+            if cells in ([], [""], ["series_name", "group_id"]):
+                continue
+            if len(cells) != 2 or not cells[0]:
+                raise DataError(f"{path}:{line_no}: expected series_name,group_id")
+            name, label = cells
+            if name in first_line:
+                raise DataError(f"{path}:{line_no}: series {name!r} already assigned on line {first_line[name]}")
+            first_line[name] = line_no
+            try:
+                mapping[name] = int(label)
+            except ValueError:
+                raise DataError(f"{path}:{line_no}: group id {label!r} is not an integer") from None
+            if not 1 <= mapping[name] <= k:
+                raise DataError(f"{path}:{line_no}: group id {mapping[name]} outside 1..{k} (model.groups)")
+    except DataError:
+        for _ in records:
+            pass
+        raise
+    if not mapping:
+        raise DataError(f"{path}: no assignments found")
+    empty = sorted(set(range(1, k + 1)) - set(mapping.values()))
+    if empty:
+        raise DataError(f"{path}: group {empty[0]} has no series (model.groups is {k})")
+    return mapping
 
 
 def _table_sha256(names: list[str], steps: int, body: Iterable) -> str:
@@ -663,21 +718,19 @@ def _table_sha256(names: list[str], steps: int, body: Iterable) -> str:
     return digest.hexdigest()
 
 
-def stage_parsed(data: TimeSeriesDataset, path: str | Path) -> Path:
-    """Write a table :func:`load_csv` parsed where :func:`load_parsed` can
-    read it back without parsing the file again, under a temporary name
-    of its own beside ``path``; returns that name, for the caller to
-    rename over ``path``.  A write that fails leaves no file.
+def stage_parsed(data: TimeSeriesDataset, path: str | Path, source_sha256: str) -> Path:
+    """Write a table :func:`load_csv` parsed from a file of sha256
+    ``source_sha256`` for :func:`open_parsed`, under a temporary name of
+    its own beside ``path``; returns that name, for the caller to rename
+    over ``path``.  A write that fails leaves no file.
 
     One JSON header line (``format``, ``source_sha256``, ``table_sha256``,
     ``names``, ``steps``), then the body: the times, then the values series
     after series, as little-endian float64 with NaN for a missing cell.
     The temporary name is ``path``'s with a random tag and ``.tmp`` added,
     created exclusively, so writers into one directory never share a file."""
-    if data.source_sha256 is None:
-        raise ValueError("a parsed-table file needs a table load_csv parsed from a file")
     body = [np.ascontiguousarray(a, dtype="<f8") for a in (data.times, data.values)]
-    header = {"format": PARSED_FORMAT, "source_sha256": data.source_sha256, "names": data.names,
+    header = {"format": PARSED_FORMAT, "source_sha256": source_sha256, "names": data.names,
               "steps": data.n_steps, "table_sha256": _table_sha256(data.names, data.n_steps, body)}
     path = Path(path)
     partial = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -692,50 +745,176 @@ def stage_parsed(data: TimeSeriesDataset, path: str | Path) -> Path:
     return partial
 
 
-def load_parsed(path: str | Path, source_sha256: str | None,
-                source_size: int | None = None) -> TimeSeriesDataset | None:
-    """The table a :func:`stage_parsed` file holds, or None when the file is
-    missing, unreadable, written for other source bytes or in another
-    format, or fails a check: the body's exact length; the table digest
-    over the names, the step count and the body; the series names, by the
-    header checks :func:`load_csv` runs; finite, strictly increasing
-    times; values that are finite or NaN.  A table that passes is the one
-    the parse would give, down to the bits, unless the file was forged.
+@contextlib.contextmanager
+def open_parsed(path: str | Path, source_size: float = math.inf) -> Iterator[
+        tuple[str | None, Callable[[], TimeSeriesDataset | None]]]:
+    """Open a :func:`stage_parsed` file and check its header; yields the
+    source sha256 it names and a function that reads the body and returns
+    the table, while the ``with`` lasts.  The digest is None, and the
+    function returns None, for a file that is missing, unreadable, in
+    another format or fails a header check: the names, by :func:`load_csv`'s
+    header checks; the body's length; no more cells below the header row
+    than ``source_size``, the source's length in bytes, as each takes a
+    byte of the CSV at least, so what a stale file costs is bounded by the
+    source.  The function also returns None for a body that fails a check:
+    the table digest over the names, the step count and the body; finite,
+    increasing times; finite or NaN values.  A table that passes is the
+    parse's, down to the bits, unless the file was forged; whether it was
+    written for the source's bytes is the caller's to check."""
+    def header() -> dict | None:
+        head = json.loads(f.readline())
+        head = head if isinstance(head, dict) else {}  # which fails every check
+        names, steps = head.get("names"), head.get("steps")
+        if not (isinstance(head.get("source_sha256"), str) and head.get("format") == PARSED_FORMAT
+                and isinstance(names, list) and all(isinstance(n, str) and n == n.strip() for n in names)
+                and type(steps) is int and 1 <= steps and steps * (len(names) + 1) <= source_size):
+            return None
+        _check_names(names, 1)
+        return head if os.fstat(f.fileno()).st_size - f.tell() == 8 * steps * (len(names) + 1) else None
 
-    ``source_sha256`` None takes a file written for any source bytes; the
-    table's ``source_sha256`` is then the one its header names, and the
-    caller must check it against the source before using the table.  A
-    ``source_size``, the source's length in bytes, refuses on the header
-    alone a table with more cells below the header row than that: each
-    such cell takes a byte of the CSV at least, its comma or line end, or
-    its time stamp.  So what a stale file costs is bounded by the source."""
-    try:
-        with open(path, "rb") as f:
-            header = json.loads(f.readline())
-            source = header.get("source_sha256") if isinstance(header, dict) else None
-            if not (isinstance(source, str) and source_sha256 in (None, source)
-                    and header.get("format") == PARSED_FORMAT):
-                return None
-            names, steps = header.get("names"), header.get("steps")
-            if not (isinstance(names, list) and all(isinstance(n, str) and n == n.strip() for n in names)
-                    and type(steps) is int and steps >= 1):
-                return None
-            if source_size is not None and steps * (len(names) + 1) > source_size:
-                return None
-            _check_names(names, 1)
-            size = 8 * steps * (len(names) + 1)
-            if os.fstat(f.fileno()).st_size - f.tell() != size:
-                return None
-            body = bytearray(size)
-            if f.readinto(body) != size or _table_sha256(names, steps, [body]) != header.get("table_sha256"):
-                return None
+    def table() -> TimeSeriesDataset | None:
+        names, steps = head["names"], head["steps"]
+        body = bytearray(8 * steps * (len(names) + 1))
+        if f.readinto(body) != len(body) or _table_sha256(names, steps, [body]) != head.get("table_sha256"):
+            return None
         flat = np.frombuffer(body, dtype="<f8")
-        times, values = flat[:steps], flat[steps:].reshape(len(names), steps)
         # the dataset refuses repeated names, times that are not finite or do
         # not increase, and infinite values; the NaNs are the missing cells
-        return TimeSeriesDataset(names, times, values, source_sha256=source)
-    except (OSError, ValueError, RecursionError, DataError):  # ValueError covers bad JSON and bad UTF-8
+        return TimeSeriesDataset(names, flat[:steps], flat[steps:].reshape(len(names), steps))
+
+    def checked(read: Callable[[], _T]) -> _T | None:
+        try:
+            return read()
+        except (OSError, ValueError, RecursionError, DataError):  # ValueError covers bad JSON and bad UTF-8
+            return None
+
+    f = checked(lambda: open(path, "rb"))
+    with f or contextlib.nullcontext():
+        head = f and checked(header)
+        yield (None, lambda: None) if head is None else (head["source_sha256"], lambda: checked(table))
+
+
+@dataclass
+class Prepared:
+    """A dataset after repair and standardization, plus how it got there."""
+
+    dataset: TimeSeriesDataset
+    stats: StandardizeStats
+    train_steps: int
+    filled: list[tuple[str, int, int]]
+    dropped: list[tuple[str, str]]  # (series, reason), repair and scaling drops merged
+
+
+# the least data file hashed on a thread while parsed.bin loads: the
+# thread's start, join and hand-offs of the interpreter lock cost about
+# 0.4 ms on a 2-vCPU x86-64 VM.  There, prepare from a good parsed.bin,
+# overlapped against in turn, read +3.0% at 0.55 MB, -0.5% at 0.83 MB
+# and -3.5% at 1.1 MB (147 series; 13 series: +0.9% at 0.74 MB, -4.2% at
+# 0.99 MB), and the benchmark's desk (70 kB) and paper (160 kB) files
+# read cluster_s +15% and +9%
+OVERLAP_BYTES = 1 << 20
+
+
+def prepare(path: str | Path, cache: str | Path, max_gap: int, train_fraction: float,
+            parse: bool = False) -> tuple[Prepared, Path | None]:
+    """The data file at ``path`` repaired and standardized, its training
+    range the leading ``train_fraction`` of its steps, and the parse
+    staged for ``cache`` (:func:`stage_parsed`) for the caller to rename
+    over ``cache`` or remove, or None when ``cache`` held the table.  Each
+    table is let go as soon as the next one exists; a raise leaves no
+    staged file.
+
+    Unless ``parse`` is set, ``cache`` (:func:`open_parsed`) stands in for
+    a parse when its header names the sha256 of the file (:func:`_scan`).
+    The file is hashed first, so a stale table is not read past its
+    header; but a file of at least :data:`OVERLAP_BYTES`, with two usable
+    CPUs, is hashed on a thread while this one loads, repairs and
+    standardizes the cached table, which is kept, or the error that
+    raised, only when the digests then match.  The thread is joined
+    before any parse, and before this returns or raises; where none can
+    start, the steps run in turn.  A parse reuses the hash."""
+    def attempt(load: Callable[[], TimeSeriesDataset | None]) -> Prepared | GcnnError | None:
+        try:
+            return _refined(load, max_gap, train_fraction)
+        except GcnnError as e:
+            return e
+
+    if parse:
+        scan = _scan(path)
+    else:
+        size = os.path.getsize(path)
+        scanned = _on_a_thread(lambda: _scan(path)) if size >= OVERLAP_BYTES and _usable_cpus() >= 2 else None
+        scan = None if scanned else _scan(path)
+        with open_parsed(cache, size) as (source, table):
+            try:
+                ahead = attempt(table) if scanned else None
+            finally:
+                scan = scan or scanned()
+            outcome = (ahead if scanned else attempt(table)) if source == scan[0] else None
+            del ahead  # a stale table, or the traceback of the error it raised
+        if isinstance(outcome, GcnnError):
+            raise outcome
+        if outcome is not None:
+            return outcome, None
+    staged = []
+
+    def parsed() -> TimeSeriesDataset:
+        raw = load_csv(path, scan=scan)
+        staged.append(stage_parsed(raw, cache, scan[0]))
+        return raw
+
+    try:
+        return _refined(parsed, max_gap, train_fraction), staged[0]
+    except BaseException:
+        for partial in staged:
+            partial.unlink(missing_ok=True)
+        raise
+
+
+def _refined(load: Callable[[], TimeSeriesDataset | None], max_gap: int, train_fraction: float) -> Prepared | None:
+    """The table ``load()`` returns, repaired and standardized, or None
+    for None.  Only this call holds the table, so it goes once repaired."""
+    raw = load()
+    if raw is None:
         return None
+    repaired, report = repair_gaps(raw, max_gap=max_gap)
+    del raw
+    # training range = leading fraction of the time axis; scaling and the
+    # similarity graph must not see the evaluation tail
+    train_steps = min(repaired.n_steps, max(2, int(repaired.n_steps * train_fraction)))
+    scaled, stats, flat = standardize(repaired, train_steps)
+    del repaired
+    dropped = list(report.dropped) + [(name, "constant over the training range") for name in flat]
+    return Prepared(scaled, stats, train_steps, list(report.filled), dropped)
+
+
+def _on_a_thread(work: Callable[[], _T]) -> Callable[[], _T] | None:
+    """Start ``work()`` on a thread of its own; None when no thread can
+    start, as under a limit on a user's processes.  The function returned
+    waits for the thread, then returns what ``work`` returned or raises
+    what it raised."""
+    outcome = []
+
+    def run() -> None:
+        try:
+            outcome.append((True, work()))
+        except BaseException as e:  # raised where the caller joins
+            outcome.append((False, e))
+
+    thread = threading.Thread(target=run)
+    try:
+        thread.start()
+    except RuntimeError:  # "can't start new thread"
+        return None
+
+    def join() -> _T:
+        thread.join()
+        ok, value = outcome[0]
+        if not ok:
+            raise value
+        return value
+
+    return join
 
 
 def _cell(value) -> str:

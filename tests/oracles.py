@@ -8,10 +8,11 @@ engine's batch-wide ones are checked against, ``row_sliced_fold`` the
 col2im the engine's flat one must match bit for bit, ``composed_ops``
 the fused layer ops written as the chains of smaller ops they replace,
 ``reference_sgd_step`` the per-tensor update the flat SGD step is
-checked against, and ``reference_read_utf8`` the whole-text rule that
-the text reader and the streamed UTF-8 check are held to.  Nothing in
-``gcnn`` uses them.  ``Drawing`` is the parameter record that fills a
-layer a test builds alone.
+checked against, ``reference_read_utf8`` the whole-text rule that
+the text reader and the streamed UTF-8 check are held to, and
+``load_parsed`` a parsed-table file read as ``data.prepare`` reads it.
+Nothing in ``gcnn`` uses them.  ``Drawing`` is the parameter record
+that fills a layer a test builds alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from gcnn import data as D
 from gcnn import tensor as T
 from gcnn.errors import DataError, ShapeError
 from gcnn.layers import draw
@@ -292,3 +294,11 @@ def reference_read_utf8(path, raw: bytes) -> str:
         line = raw[: e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         raise DataError(f"{path}:{line}: not valid UTF-8 (byte 0x{raw[e.start]:02x})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_parsed(path, source_sha256: str | None, source_size: float = math.inf):
+    """The table of the parsed-table file at ``path``, read through
+    ``gcnn.data.open_parsed``, when its header names ``source_sha256``
+    (None: any source); None for a miss."""
+    with D.open_parsed(path, source_size) as (source, table):
+        return table() if source is not None and source_sha256 in (None, source) else None

@@ -36,6 +36,7 @@ from gcnn import synth
 from gcnn.data import load_csv, make_windows, repair_gaps, save_csv, split, standardize
 from gcnn.data import SplitSpec
 from gcnn.errors import DataError
+from oracles import load_parsed
 
 
 def make_series(path: Path, **kw) -> Path:
@@ -215,8 +216,8 @@ def test_ingest_never_reads_parsed_bin(tmp_path, monkeypatch):
     Path("out").mkdir()
     table = D.load_csv("series.csv")
     table.values *= 2.0
-    os.replace(D.stage_parsed(table, Path("out/parsed.bin")), Path("out/parsed.bin"))
-    assert D.load_parsed(Path("out/parsed.bin"), table.source_sha256) is not None
+    os.replace(D.stage_parsed(table, Path("out/parsed.bin"), D._scan("series.csv")[0]), Path("out/parsed.bin"))
+    assert load_parsed(Path("out/parsed.bin"), D._scan("series.csv")[0]) is not None
     assert run("ingest", cfg) == 0
     for name in ("dataset.csv", "ingest.json", "parsed.bin"):
         assert Path("out", name).read_bytes() == Path("fresh", name).read_bytes()
@@ -242,12 +243,12 @@ def test_prepare_holds_at_most_two_and_a_half_tables(tmp_path, monkeypatch, cach
     assert run("ingest", cfg) == 0
     if cache.startswith("stale"):
         monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "OVERLAP_BYTES", 1)
+        monkeypatch.setattr(D, "OVERLAP_BYTES", 1)
         ds.values[0, 0] += 1.0
         if cache == "stale-larger":  # values such as -1.0 in 1.6 MB of text, and 2M cells in parsed.bin
             np.round(ds.values, out=ds.values)
-            other = D.TimeSeriesDataset(ds.names, np.arange(96000.0), np.zeros((20, 96000)), source_sha256="0" * 64)
-            os.replace(D.stage_parsed(other, tmp_path / "parsed.bin"), tmp_path / "parsed.bin")
+            other = D.TimeSeriesDataset(ds.names, np.arange(96000.0), np.zeros((20, 96000)))
+            os.replace(D.stage_parsed(other, tmp_path / "parsed.bin", "0" * 64), tmp_path / "parsed.bin")
             del other
         save_csv(ds, tmp_path / "t.csv")
     cfg = cli.RunConfig.load("ingest", str(cfg))
@@ -362,13 +363,14 @@ def pipeline_reference(tmp_path_factory) -> dict[str, bytes]:
                 for name in names}
 
 
-def forged(edit):
-    """Rewrite parsed.bin from an edited copy of the table it holds; the
-    body digest is recomputed, so only the table checks can refuse it."""
+def forged(edit, source_sha256=None):
+    """Rewrite parsed.bin from an edited copy of the table it holds, for
+    ``source_sha256`` (None: the data file's digest); the body digest is
+    recomputed, so only the table checks can refuse it."""
     def forge(parsed: Path) -> None:
         table = D.load_csv("series.csv")
         edit(table)
-        os.replace(D.stage_parsed(table, parsed), parsed)
+        os.replace(D.stage_parsed(table, parsed, source_sha256 or D._scan("series.csv")[0]), parsed)
     return forge
 
 
@@ -393,11 +395,9 @@ def format_1(parsed: Path) -> None:
     parsed.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
 
 
-def unrepairable_elsewhere(table: D.TimeSeriesDataset) -> None:
-    """Every series misses its first step, so gap repair keeps none, in a
-    table written for other source bytes."""
+def unrepairable(table: D.TimeSeriesDataset) -> None:
+    """Every series misses its first step, so gap repair keeps none."""
     table.values[:, 0] = np.nan
-    table.source_sha256 = "0" * 64
 
 
 PARSED_CASES = {
@@ -411,7 +411,7 @@ PARSED_CASES = {
     "format-1": format_1,
     "forged-inf": forged(lambda table: table.values.__setitem__((2, 5), np.inf)),
     "forged-comment-name": forged(lambda table: table.names.__setitem__(0, "#g1s1")),
-    "stale-unrepairable": forged(unrepairable_elsewhere),
+    "stale-unrepairable": forged(unrepairable, "0" * 64),  # written for other source bytes
 }
 
 
@@ -421,10 +421,10 @@ def overlapped(monkeypatch) -> list:
     refines the table there (and a parse takes blocks); returns the list
     of those threads' starts."""
     monkeypatch.setattr(D, "BLOCK_BYTES", 1)
-    monkeypatch.setattr(cli, "OVERLAP_BYTES", 1)
+    monkeypatch.setattr(D, "OVERLAP_BYTES", 1)
     monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
-    starts, start = [], cli._on_a_thread
-    monkeypatch.setattr(cli, "_on_a_thread", lambda work: starts.append(1) or start(work))
+    starts, start = [], D._on_a_thread
+    monkeypatch.setattr(D, "_on_a_thread", lambda work: starts.append(1) or start(work))
     return starts
 
 
@@ -501,7 +501,8 @@ def test_a_matching_parsed_bin_whose_repair_fails_exits_3_as_a_parse_does(tmp_pa
         parsed_run[command] = capsys.readouterr().err
         assert "gap repair left 1 usable series" in parsed_run[command]
     assert not Path("out", cli.PARSED_NAME).exists()
-    os.replace(D.stage_parsed(D.load_csv("series.csv"), Path("out", cli.PARSED_NAME)), Path("out", cli.PARSED_NAME))
+    os.replace(D.stage_parsed(D.load_csv("series.csv"), Path("out", cli.PARSED_NAME), D._scan("series.csv")[0]),
+               Path("out", cli.PARSED_NAME))
     left = Path("out", cli.PARSED_NAME).read_bytes()
     starts = overlapped(monkeypatch) if overlap else []
     parses = counting_parses(monkeypatch)

@@ -22,7 +22,6 @@ from gcnn.data import (
     dumps_csv,
     dumps_table,
     load_csv,
-    load_parsed,
     make_windows,
     repair_gaps,
     save_csv,
@@ -31,6 +30,7 @@ from gcnn.data import (
     standardize,
 )
 from gcnn.errors import ConfigError, DataError
+from oracles import load_parsed
 
 
 def dataset(values, names=None, mask=None, times=None):
@@ -52,9 +52,9 @@ def parse_text(text: str) -> TimeSeriesDataset:
         return load_csv(path)
 
 
-def write_parsed(table: TimeSeriesDataset, path: Path) -> None:
+def write_parsed(table: TimeSeriesDataset, path: Path, source_sha256: str) -> None:
     """The parsed-table file of ``table`` at ``path``, as a command commits it."""
-    os.replace(stage_parsed(table, path), path)
+    os.replace(stage_parsed(table, path, source_sha256), path)
 
 
 def lines(path, *error) -> str:
@@ -534,7 +534,7 @@ def parsed_file(tmp_path):
     source = tmp_path / "data.csv"
     source.write_text(GAPPY_CSV)
     table = load_csv(source)
-    write_parsed(table, tmp_path / "parsed.bin")
+    write_parsed(table, tmp_path / "parsed.bin", D._scan(source)[0])
     return source, table, tmp_path / "parsed.bin"
 
 
@@ -547,21 +547,21 @@ def rewrite(path, header=None, body=None):
 
 
 def bits(table):
-    return (table.names, table.times.tobytes(), table.values.tobytes(), table.mask.tobytes(), table.source_sha256)
+    return (table.names, table.times.tobytes(), table.values.tobytes(), table.mask.tobytes())
 
 
 class TestParsedTable:
     def test_load_gives_the_parse_bit_for_bit(self, tmp_path):
         source, table, parsed = parsed_file(tmp_path)
-        assert table.source_sha256 == hashlib.sha256(source.read_bytes()).hexdigest()
-        loaded = load_parsed(parsed, table.source_sha256)
+        assert D._scan(source)[0] == hashlib.sha256(source.read_bytes()).hexdigest()
+        loaded = load_parsed(parsed, D._scan(source)[0])
         assert bits(loaded) == bits(table)
         assert loaded.values.flags.writeable and loaded.times.flags.writeable
 
     def test_layout_is_a_json_line_then_little_endian_times_and_values(self, tmp_path):
-        _, table, parsed = parsed_file(tmp_path)
+        source, table, parsed = parsed_file(tmp_path)
         head, _, body = parsed.read_bytes().partition(b"\n")
-        assert json.loads(head) == {"format": "gcnn.parsed/2", "source_sha256": table.source_sha256,
+        assert json.loads(head) == {"format": "gcnn.parsed/2", "source_sha256": D._scan(source)[0],
                                     "table_sha256": hashlib.sha256(b'[["a","b","c"],3]\n' + body).hexdigest(),
                                     "names": ["a", "b", "c"], "steps": 3}
         flat = np.frombuffer(body, dtype="<f8")
@@ -596,23 +596,24 @@ class TestParsedTable:
             "other-source", "steps-off", "steps-bool", "no-steps", "steps-huge", "names-off", "name-edited", "comment-name",
             "empty-name", "unstripped-name", "repeated-name", "name-not-text", "names-not-a-list"])
     def test_any_failed_check_is_a_miss(self, tmp_path, edit):
-        _, table, parsed = parsed_file(tmp_path)
+        source, table, parsed = parsed_file(tmp_path)
         edit(parsed)
-        assert load_parsed(parsed, table.source_sha256) is None
+        assert load_parsed(parsed, D._scan(source)[0]) is None
 
     def test_with_no_source_digest_any_source_is_taken_and_reported(self, tmp_path):
         _, table, parsed = parsed_file(tmp_path)
         rewrite(parsed, {"source_sha256": "0" * 64})
-        assert bits(load_parsed(parsed, None)) == bits(table)[:-1] + ("0" * 64,)
+        with D.open_parsed(parsed) as (source, load):
+            assert source == "0" * 64 and bits(load()) == bits(table)
 
     def test_a_source_of_fewer_bytes_than_cells_is_a_miss_on_the_header(self, tmp_path, monkeypatch):
         """Each cell below the header row takes a byte of its CSV at least:
         12 here, 4 columns of 3 steps."""
-        _, table, parsed = parsed_file(tmp_path)
+        source, table, parsed = parsed_file(tmp_path)
         assert bits(load_parsed(parsed, None, 12)) == bits(table)
         monkeypatch.setattr(D, "_table_sha256", lambda *args: pytest.fail("the body was read"))
         assert load_parsed(parsed, None, 11) is None
-        assert load_parsed(parsed, table.source_sha256, 11) is None
+        assert load_parsed(parsed, D._scan(source)[0], 11) is None
 
     @pytest.mark.parametrize("edit", [
         lambda t: t.values.__setitem__((0, 1), np.inf),
@@ -624,14 +625,10 @@ class TestParsedTable:
         lambda t: t.names.__setitem__(1, "a"),
     ], ids=["inf-value", "minus-inf-value", "inf-time", "nan-time", "repeated-time", "comment-name", "repeated-name"])
     def test_a_forged_table_with_its_digest_recomputed_is_a_miss(self, tmp_path, edit):
-        _, table, parsed = parsed_file(tmp_path)
+        source, table, parsed = parsed_file(tmp_path)
         edit(table)
-        write_parsed(table, parsed)
-        assert load_parsed(parsed, table.source_sha256) is None
-
-    def test_only_a_parsed_table_is_saved(self, tmp_path):
-        with pytest.raises(ValueError, match="load_csv"):
-            stage_parsed(dataset([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "parsed.bin")
+        write_parsed(table, parsed, D._scan(source)[0])
+        assert load_parsed(parsed, D._scan(source)[0]) is None
 
     def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         """A command renames the table it staged into place once it
@@ -649,7 +646,7 @@ class TestParsedTable:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["dataset.csv", "ingest.json"]
 
     def test_a_staged_write_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
-        _, table, parsed = parsed_file(tmp_path)
+        source, table, parsed = parsed_file(tmp_path)
         parsed.unlink()
         dumps = json.dumps
 
@@ -660,16 +657,16 @@ class TestParsedTable:
 
         monkeypatch.setattr(D.json, "dumps", header_fails)
         with pytest.raises(OSError, match="disk full"):
-            stage_parsed(table, parsed)
+            stage_parsed(table, parsed, D._scan(source)[0])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_each_writer_stages_a_file_of_its_own(self, tmp_path):
         """Two writers into one directory never share a temporary file, and
         a file left under the old fixed name is neither used nor changed."""
-        _, table, parsed = parsed_file(tmp_path)
+        source, table, parsed = parsed_file(tmp_path)
         good = parsed.read_bytes()
         (tmp_path / "parsed.bin.tmp").write_bytes(b"a writer's partial file")
-        first, second = stage_parsed(table, parsed), stage_parsed(table, parsed)
+        first, second = stage_parsed(table, parsed, D._scan(source)[0]), stage_parsed(table, parsed, D._scan(source)[0])
         assert first != second and first.parent == second.parent == tmp_path
         assert all(p.name.startswith("parsed.bin.") and p.suffix == ".tmp" for p in (first, second))
         assert first.read_bytes() == second.read_bytes() == good

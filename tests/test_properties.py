@@ -15,16 +15,23 @@ quote-free CSV tokenizer against ``csv.reader``, tables written by
 ``dumps_table`` read back cell for cell, parsed tables loaded back bit
 for bit and every truncation of one refused, the flat SGD step against
 the per-tensor update in ``oracles.py``, parameter draws made in place
-against ``Generator.uniform``, and libyaml's loader against PyYAML's
-own on config-shaped YAML."""
+against ``Generator.uniform``, libyaml's loader against PyYAML's own on
+config-shaped YAML, and ``data.prepare`` over one directory through
+rewrites of the data file and damage to its cache against a fresh
+parse."""
 
 import codecs
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import os
+import shutil
 import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +39,13 @@ import yaml
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 from hypothesis.extra import numpy as hnp
 
 from gcnn import data as D
+from gcnn import synth
 from gcnn.data import (SplitSpec, TimeSeriesDataset, WindowedRegressionSet, _missing_runs, _parse_time, dumps_csv,
-                       dumps_table, load_csv, load_parsed, make_windows, save_csv, repair_gaps, split, stage_parsed,
+                       dumps_table, load_csv, make_windows, save_csv, repair_gaps, split, stage_parsed,
                        standardize)
 from gcnn import tensor as T
 from gcnn.errors import ConfigError, DataError, NumericalError, ShapeError
@@ -45,8 +54,8 @@ from gcnn.models import ModelSpec, _grouped_recurrent_stage, build_model, load_c
 from gcnn.spectral import sym_eig
 from gcnn.tensor import Tensor, backward, no_grad
 from gcnn.training import PREDICT_CHUNK, TrainConfig, evaluate, mse_loss, sgd_step
-from oracles import (Drawing, reference_channelwise_conv1d, reference_grouped_conv1d, reference_read_utf8,
-                     reference_sgd_step)
+from oracles import (Drawing, load_parsed, reference_channelwise_conv1d, reference_grouped_conv1d,
+                     reference_read_utf8, reference_sgd_step)
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -251,11 +260,11 @@ def test_a_parsed_table_loads_back_bit_for_bit(tmp_path_factory, data):
     work = tmp_path_factory.getbasetemp()
     (work / "table.csv").write_text(dumps_csv(data))
     table = load_csv(work / "table.csv")
-    os.replace(stage_parsed(table, work / "parsed.bin"), work / "parsed.bin")
+    os.replace(stage_parsed(table, work / "parsed.bin", D._scan(work / "table.csv")[0]), work / "parsed.bin")
     # each cell below the header row takes a byte of the CSV at least
-    for loaded in (load_parsed(work / "parsed.bin", table.source_sha256),
+    for loaded in (load_parsed(work / "parsed.bin", D._scan(work / "table.csv")[0]),
                    load_parsed(work / "parsed.bin", None, (work / "table.csv").stat().st_size)):
-        assert loaded.names == table.names and loaded.source_sha256 == table.source_sha256
+        assert loaded.names == table.names
         for got, want in ((loaded.times, table.times), (loaded.values, table.values), (loaded.mask, table.mask)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -560,11 +569,11 @@ def test_every_truncated_parsed_table_is_a_miss(tmp_path):
     (tmp_path / "table.csv").write_text("time,a,b\n0,1,\n1,2,3\n")
     table = load_csv(tmp_path / "table.csv")
     path = tmp_path / "parsed.bin"
-    os.replace(stage_parsed(table, path), path)
+    os.replace(stage_parsed(table, path, D._scan(tmp_path / "table.csv")[0]), path)
     raw = path.read_bytes()
     for n in range(len(raw)):
         path.write_bytes(raw[:n])
-        assert load_parsed(path, table.source_sha256) is None
+        assert load_parsed(path, D._scan(tmp_path / "table.csv")[0]) is None
 
 
 @st.composite
@@ -1253,3 +1262,139 @@ def test_both_yaml_loaders_read_a_config_alike(doc, flow, unicode, lines):
     for text in (dumped, "\n".join(lines) + "\n"):
         assert yaml_outcome(text, yaml.CSafeLoader) == yaml_outcome(text, yaml.SafeLoader), text
     assert yaml_outcome(dumped, yaml.CSafeLoader) != "refused"
+
+
+# -- data.prepare over one directory ------------------------------------------
+
+MAX_GAP, TRAIN_FRACTION = 3, 0.8
+
+
+def prepare_texts() -> dict[str, str]:
+    """The data files the cache machine writes: two repairable tables, with
+    a gap that repair fills, and one whose repair keeps a single series."""
+    texts = {}
+    for name, seed in (("one", 3), ("other", 4)):
+        table = synth.generate(synth.SynthSpec(n_groups=2, per_group=2, length=30, seed=seed))
+        table.values[1, 10:12] = np.nan
+        texts[name] = dumps_csv(TimeSeriesDataset(table.names, table.times, table.values))
+    texts["unrepairable"] = "time,a,b,c\n0,1,,\n1,2,3,4\n2,3,5,6\n"
+    return texts
+
+
+PREPARE_TEXTS = prepare_texts()
+PREPARE_FORMS = {"lf": lambda text: text.encode(), "crlf": lambda text: text.replace("\n", "\r\n").encode(),
+                 "bom": lambda text: "\ufeff".encode() + text.encode()}
+
+
+def prepare_outcome(call):
+    """What ``call()`` gives as comparable bits: the prepared table, its
+    statistics and report, or the message of the DataError it raised."""
+    try:
+        prep = call()
+    except DataError as e:
+        return str(e)
+    ds = prep.dataset
+    return (ds.names, ds.times.tobytes(), ds.values.tobytes(), ds.mask.tobytes(), prep.stats.names,
+            prep.stats.mean.tobytes(), prep.stats.std.tobytes(), prep.train_steps, prep.filled, prep.dropped)
+
+
+class PrepareMachine(RuleBasedStateMachine):
+    """``data.prepare`` over one directory, as the commands use it: the data
+    file rewritten, ``parsed.bin`` damaged or replaced by a stale copy,
+    stray temporary files left, and calls with the parse forced or not and
+    the overlapped hash forced on or off.  Every call gives a fresh parse's
+    result, stages a file exactly when it parsed, and that file holds a
+    fresh parse's bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.work = Path(tempfile.mkdtemp(prefix="prepare-"))
+        self.data, self.cache = self.work / "data.csv", self.work / "parsed.bin"
+        self.strays: set[str] = set()
+        self.caches: list[bytes] = []  # every parsed.bin put in place so far
+        self.threads = threading.active_count()
+        self.data.write_bytes(PREPARE_FORMS["lf"](PREPARE_TEXTS["one"]))
+
+    def teardown(self):
+        shutil.rmtree(self.work)
+
+    def fresh_cache(self) -> bytes:
+        """The parsed.bin a fresh parse of the data file stages."""
+        staged = stage_parsed(load_csv(self.data), self.work / "fresh.bin",
+                              hashlib.sha256(self.data.read_bytes()).hexdigest())
+        raw = staged.read_bytes()
+        staged.unlink()
+        return raw
+
+    @rule(text=st.sampled_from(sorted(PREPARE_TEXTS)), form=st.sampled_from(sorted(PREPARE_FORMS)))
+    def write_data(self, text, form):
+        self.data.write_bytes(PREPARE_FORMS[form](PREPARE_TEXTS[text]))
+
+    @precondition(lambda self: self.cache.exists() and self.cache.stat().st_size > 0)
+    @rule(at=st.integers(min_value=0), bit=st.integers(min_value=0, max_value=7))
+    def flip_a_byte(self, at, bit):
+        raw = bytearray(self.cache.read_bytes())
+        raw[at % len(raw)] ^= 1 << bit
+        self.cache.write_bytes(raw)
+
+    @precondition(lambda self: self.cache.exists() and self.cache.stat().st_size > 0)
+    @rule(at=st.integers(min_value=0))
+    def truncate(self, at):
+        raw = self.cache.read_bytes()
+        self.cache.write_bytes(raw[: at % len(raw)])
+
+    @precondition(lambda self: self.caches)
+    @rule(pick=st.integers(min_value=0))
+    def put_back_an_old_copy(self, pick):
+        self.cache.write_bytes(self.caches[pick % len(self.caches)])
+
+    @rule()
+    def put_a_fresh_copy_in_place(self):
+        self.cache.write_bytes(self.fresh_cache())
+
+    @rule(tag=st.sampled_from(["0123456789abcdef", "fedcba9876543210"]), raw=st.binary(max_size=64))
+    def leave_a_temporary_file(self, tag, raw):
+        (self.work / f"parsed.bin.{tag}.tmp").write_bytes(raw)
+        self.strays.add(f"parsed.bin.{tag}.tmp")
+
+    @rule(parse=st.booleans(), overlap=st.booleans(), commit=st.booleans())
+    def prepare(self, parse, overlap, commit):
+        before = self.cache.read_bytes() if self.cache.exists() else None
+        fresh = self.fresh_cache()
+        want = prepare_outcome(lambda: D._refined(lambda: load_csv(self.data), MAX_GAP, TRAIN_FRACTION))
+        parses, staged = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "load_csv", lambda *args, load=D.load_csv, **kw: parses.append(1) or load(*args, **kw))
+            mp.setattr(D, "OVERLAP_BYTES", 1 if overlap else 1 << 40)
+            mp.setattr(D, "_usable_cpus", lambda: 2)
+
+            def call():
+                prep, partial = D.prepare(self.data, self.cache, MAX_GAP, TRAIN_FRACTION, parse)
+                staged.append(partial)
+                return prep
+
+            got = prepare_outcome(call)
+        assert got == want
+        assert threading.active_count() == self.threads
+        if parse or before != fresh:
+            assert parses == [1]
+        if not parse and before == fresh:
+            assert parses == []
+        temporary = {p.name for p in self.work.glob("*.tmp")} - self.strays
+        if isinstance(got, str):  # a raise stages nothing it leaves behind
+            assert staged == [] and temporary == set()
+            return
+        (partial,) = staged
+        assert (partial is not None) == bool(parses)
+        assert temporary == ({partial.name} if partial else set())
+        if partial is not None:
+            assert partial.read_bytes() == fresh
+            if commit:
+                os.replace(partial, self.cache)
+                self.caches.append(fresh)
+            else:
+                partial.unlink()
+
+
+TestPrepareMachine = PrepareMachine.TestCase
+TestPrepareMachine.settings = settings(max_examples=100, stateful_step_count=12, deadline=None)
