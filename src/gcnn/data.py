@@ -6,7 +6,9 @@ with ``mask[i, t]`` false where the cell was empty.  Missing values are
 stored as NaN so accidental use fails loudly downstream, and the mask a
 table is built without is its non-NaN cells.  Every text file, the data
 file, an assignment and a config, becomes text one way, streamed:
-:func:`_lines`, which names the line of a byte that is not UTF-8.  The
+:func:`_lines`, whose decode names the line of a byte that is not UTF-8
+with no read of its own, so a load that faults in one block reads the
+data file twice, to hash it and to parse it, as a good load does.  The
 data file is parsed as it is read and rendered as it is written
 (:func:`save_csv`), a batch of lines at a time.
 
@@ -365,7 +367,7 @@ def _check_names(names: Sequence[str], line_no: int) -> None:
 _LINE = re.compile(r".*\n|.+")
 
 
-def _tokenize(lines: Iterable[re.Match], quoted: bool) -> Iterator[tuple[int, list[str]]]:
+def _tokenize(lines: Iterable[re.Match], quoted: bool, place: str = "line ") -> Iterator[tuple[int, list[str]]]:
     """The non-comment CSV records of ``lines``, matches of :data:`_LINE`
     in order, each with the line it starts on, read as it is reached.
 
@@ -380,8 +382,9 @@ def _tokenize(lines: Iterable[re.Match], quoted: bool) -> Iterator[tuple[int, li
     only parser here of quoted cells.  A record starts one past the line
     the previous one ended on, so a quoted cell that spans lines moves
     the count on by every line it covers.  A fault the reader finds is
-    raised as a DataError naming the line it is on, once the rest of
-    ``lines`` is read, so a byte further on that is not UTF-8 wins."""
+    raised as a DataError naming the line it is on after ``place`` (the
+    data file's ``line 3:``, an assignment's ``path:3:``), once the rest
+    of ``lines`` is read, so a byte further on that is not UTF-8 wins."""
     if not quoted:
         for n, m in enumerate(lines, start=1):
             line = m[0].removesuffix("\n")
@@ -398,29 +401,7 @@ def _tokenize(lines: Iterable[re.Match], quoted: bool) -> Iterator[tuple[int, li
     except csv.Error as e:
         for _ in lines:
             pass
-        raise DataError(f"line {reader.line_num}: {e}") from None
-
-
-def _check_utf8(path: str | Path, chunks: Iterable[bytes], error: type[GcnnError] = DataError) -> None:
-    """Raise ``error`` naming ``path`` and the line of the first byte of
-    ``chunks``, a file's bytes in order, that is not UTF-8, holding one
-    chunk at a time.  Line ends are counted on the raw bytes as universal
-    newlines: ``\\n``, ``\\r\\n`` and a lone ``\\r``, across chunk edges too.
-    No byte of a multibyte character is either of them."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    line, cr = 1, False  # the line of the next byte; whether the last byte was \r
-    for raw in itertools.chain(filter(None, chunks), [b""]):  # b"": the end, where a cut-off character is bad
-        bad = None
-        try:
-            decoder.decode(raw, final=not raw)
-        except UnicodeDecodeError as e:
-            # the bad byte and what precedes it: the bytes held back from
-            # earlier chunks, none a line end, then this chunk's
-            raw, bad = e.object[: e.start], e.object[e.start]
-        line += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") - (cr and raw.startswith(b"\n"))
-        cr = raw.endswith(b"\r")
-        if bad is not None:
-            raise error(f"{path}:{line}: not valid UTF-8 (byte 0x{bad:02x})")
+        raise DataError(f"{place}{reader.line_num}: {e}") from None
 
 
 # bytes a read of a data file takes: hashing, and decoding for the parse
@@ -537,16 +518,24 @@ def _decode_lines(chunks: Iterable[bytes], start: bool = True) -> Iterator[re.Ma
     chunk at a time with universal newlines: ``\\r\\n`` and a lone ``\\r``
     come back as ``\\n``.  A byte-order mark is dropped only at the
     ``start`` of a file.  A byte that is not UTF-8 raises
-    UnicodeDecodeError, which names no line; :func:`_check_utf8` does."""
+    UnicodeDecodeError, its ``line_ends`` the line ends before the bad byte
+    that no line yielded holds: those of the good bytes not yet decoded,
+    read by the same newline rule after any ``\\r`` held back."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8-sig" if start else "utf-8")(), translate=True)
     rest = ""
-    for raw in chunks:
-        text = rest + decoder.decode(raw)
-        end = text.rfind("\n") + 1
-        yield from _LINE.finditer(text, 0, end)
-        rest = text[end:]
-    yield from _LINE.finditer(rest + decoder.decode(b"", final=True))
+    try:
+        for raw in chunks:
+            text = rest + decoder.decode(raw)
+            end = text.rfind("\n") + 1
+            yield from _LINE.finditer(text, 0, end)
+            rest = text[end:]
+        yield from _LINE.finditer(rest + decoder.decode(b"", final=True))
+    except UnicodeDecodeError as e:
+        head = io.IncrementalNewlineDecoder(None, translate=True)
+        head.setstate((b"", decoder.getstate()[1] & 1))  # the \r held back, if any
+        e.line_ends = head.decode(e.object[: e.start].decode(), final=True).count("\n")
+        raise
 
 
 @contextlib.contextmanager
@@ -562,15 +551,17 @@ def _lines(path: str | Path, error: type[GcnnError] = DataError) -> Iterator[re.
     """The lines of a UTF-8 text file, the one reader of a whole file's
     text: :func:`_decode_lines` of its :func:`_chunks`, so one piece of
     the file is held at a time.  A byte that is not UTF-8 raises ``error``
-    naming the file and the line of the first bad byte, which
-    :func:`_check_utf8` finds by reading the file once more; a read that
-    fails raises ``error`` naming the file."""
+    naming the file and the line of the first bad byte: the lines yielded
+    before it and the line ends :func:`_decode_lines` counts, so a faulty
+    file is not read again.  A read that fails raises ``error`` naming the
+    file."""
+    n = 0
     with _reading(path, error):
         try:
-            yield from _decode_lines(_chunks(path))
-        except UnicodeDecodeError:
-            _check_utf8(path, _chunks(path), error)
-            raise
+            for n, line in enumerate(_decode_lines(_chunks(path)), start=1):
+                yield line
+        except UnicodeDecodeError as e:
+            raise error(f"{path}:{n + e.line_ends + 1}: not valid UTF-8 (byte 0x{e.object[e.start]:02x})") from None
 
 
 def _block_edges(path: str | Path, size: int, blocks: int) -> list[int]:
@@ -657,7 +648,8 @@ def load_csv(path: str | Path, scan: tuple[str, bool, int] | None = None) -> Tim
     any block fault, the file is parsed again as one block, for the
     fault's message.  Either way, :func:`_parse_records` builds the table,
     and reads the file to its end after a fault, so a byte further on
-    that is not UTF-8 is the fault raised."""
+    that is not UTF-8 is the fault raised; the decode that meets it
+    names its line, so a faulty one-block load reads the file twice."""
     _, quoted, size = scan or _scan(path)
     blocks = None if quoted else _parse_blocks(path, size)
     return blocks or _parse_records(_tokenize(_lines(path), quoted))
@@ -669,16 +661,7 @@ def load_assignment(path: str | Path, k: int) -> dict[str, int]:
     a later fault of the tokenizer or byte that is not UTF-8 wins."""
     mapping: dict[str, int] = {}
     first_line: dict[str, int] = {}
-
-    def read() -> Iterator[tuple[int, list[str]]]:
-        try:
-            yield from _tokenize(_lines(path), _scan(path)[1])
-        except DataError as e:
-            if str(e).startswith(f"{path}:"):  # a read or a byte that is not UTF-8, named already
-                raise
-            raise DataError(f"{path}:{str(e).removeprefix('line ')}") from None  # csv.reader's "line N: ..."
-
-    records = read()
+    records = _tokenize(_lines(path), _scan(path)[1], f"{path}:")
     try:
         for line_no, row in records:
             cells = [cell.strip() for cell in row]

@@ -9,7 +9,7 @@ col2im the engine's flat one must match bit for bit, ``composed_ops``
 the fused layer ops written as the chains of smaller ops they replace,
 ``reference_sgd_step`` the per-tensor update the flat SGD step is
 checked against, ``reference_read_utf8`` the whole-text rule that
-the text reader and the streamed UTF-8 check are held to, and
+the streamed text reader is held to, however the bytes are cut, and
 ``load_parsed`` a parsed-table file read as ``data.prepare`` reads it.
 Nothing in ``gcnn`` uses them.  ``Drawing`` is the parameter record
 that fills a layer a test builds alone.

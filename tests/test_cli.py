@@ -1585,14 +1585,26 @@ def test_data_csv_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
 
 
 def test_assignment_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
+    """The bad byte's line is the one named, also after a row fault or a
+    fault of the csv module on an earlier line, more than one piece of
+    the file (``data.READ_BYTES``) before the bad byte."""
     names = [f"g{g}s{i}" for g in (1, 2, 3) for i in (1, 2, 3, 4)]
+    rows = "".join(f"{n},{g}\n" for n, g in zip(names, [1, 2, 3] * 4))
     table = tmp_path / "assignment.csv"
-    table.write_text("series_name,group_id\n" + "".join(f"{n},{g}\n" for n, g in zip(names, [1, 2, 3] * 4)))
+    table.write_text("series_name,group_id\n" + rows)
     with_bad_byte(table, 3)
     doc = cluster_config(series_csv, tmp_path)
     doc["train"]["assignment"] = str(table)
-    assert run("train", write_config(tmp_path / "run.yaml", doc)) == 3
+    cfg = write_config(tmp_path / "run.yaml", doc)
+    assert run("train", cfg) == 3
     assert f"{table}:3: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+    padding = ("# " + "-" * 78 + "\n") * (D.READ_BYTES // 80 + 1)
+    for earlier in ["g3s4,1,3\n", '"' + "x" * 140000 + '",1\n']:
+        text = "series_name,group_id\n" + earlier + rows + padding
+        table.write_bytes(text.encode() + b"\xff\n")
+        line = text.count("\n") + 1
+        assert run("train", cfg) == 3
+        assert f"{table}:{line}: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
 
 
 def test_config_that_is_not_utf8_exits_2(series_csv, tmp_path, capsys):

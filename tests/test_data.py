@@ -273,8 +273,9 @@ class TestTextMemory:
     @pytest.mark.parametrize("quoted", [False, True], ids=["blocks", "quoted"])
     def test_a_faulty_load_peaks_under_two_and_a_half_tables(self, tmp_path, monkeypatch, quoted, faults):
         # a row fault on line 4 and a bad byte on line 5990: the file, 2.1
-        # tables, is read a piece at a time for the bad byte's line too
-        # (reading it whole for that peaked at 4.3 to 9.9 tables)
+        # tables, is read a piece at a time, and the decode that meets the
+        # bad byte names its line (reading the file whole for that line
+        # peaked at 4.3 to 9.9 tables)
         monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
         data = self.table(6000)
         path = tmp_path / "t.csv"
@@ -510,6 +511,22 @@ class TestReadUtf8:
         with pytest.raises(DataError) as info:
             load_csv(path)
         assert str(info.value) == f"{path}:100004: not valid UTF-8 (byte 0xff)"
+
+    def test_a_faulty_load_reads_the_file_twice(self, tmp_path, monkeypatch):
+        """Once to hash it and once to parse it: the parse's decode names
+        the bad byte's line, with no read of its own."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"time,a,b\n" + b"".join(b"%d,1,2\n" % t for t in range(100000)) + b"\xff,3,4\n")
+        assert path.stat().st_size < 2 * D.BLOCK_BYTES  # parsed as one block
+        scans, scan = [], D._scan
+        monkeypatch.setattr(D, "_scan", lambda path: scans.append(path) or scan(path))
+        passes, chunks = [], D._chunks
+        monkeypatch.setattr(D, "_chunks", lambda path, start=0, stop=None: passes.append((start, stop))
+                            or chunks(path, start, stop))
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:100002: not valid UTF-8 (byte 0xff)"
+        assert len(scans) == 1 and passes == [(0, None)]
 
     @pytest.mark.parametrize("raw, where", [
         (b"\xff", ":1: not valid UTF-8 (byte 0xff)"),

@@ -486,9 +486,16 @@ def utf8_fault(read, *args) -> str | None:
 @example([b"a\r\n\r", b"\xff\n"])
 @example([b"a\r", b"\nb\xe2", b"\x80", b"x\r\n"])
 @example([b"\xef\xbb", b"\xbfa\r", b"", b"\n\xf0\x9d", b"\x84"])
-def test_check_utf8_in_chunks_matches_the_whole_text_rule(chunks):
-    expected = utf8_fault(reference_read_utf8, "t.csv", b"".join(chunks))
-    assert utf8_fault(D._check_utf8, "t.csv", iter(chunks)) == expected
+@example([b"a\r", b"\nb\xff"])
+@example([b"\xef\xbb\xbfa\n\xff"])
+def test_lines_in_chunks_match_the_whole_text_rule(chunks):
+    raw, text = b"".join(chunks), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_chunks", lambda path: iter([c for c in chunks if c]))  # _chunks yields no empty chunk
+        fault = utf8_fault(lambda path: text.extend(m[0] for m in D._lines(path)), "t.csv")
+    assert fault == utf8_fault(reference_read_utf8, "t.csv", raw)
+    if fault is None:
+        assert "".join(text) == reference_read_utf8("t.csv", raw)
 
 
 @SETTINGS
