@@ -516,17 +516,21 @@ def _chunks(path: str | Path, start: int = 0, stop: int | None = None) -> Iterat
 def _decode_lines(chunks: Iterable[bytes], start: bool = True) -> Iterator[re.Match]:
     """The lines of UTF-8 bytes, each a match of :data:`_LINE`, decoded a
     chunk at a time with universal newlines: ``\\r\\n`` and a lone ``\\r``
-    come back as ``\\n``.  A byte-order mark is dropped only at the
-    ``start`` of a file.  A byte that is not UTF-8 raises
-    UnicodeDecodeError, its ``line_ends`` the line ends before the bad byte
-    that no line yielded holds: those of the good bytes not yet decoded,
-    read by the same newline rule after any ``\\r`` held back."""
-    decoder = io.IncrementalNewlineDecoder(
-        codecs.getincrementaldecoder("utf-8-sig" if start else "utf-8")(), translate=True)
-    rest = ""
+    come back as ``\\n``.  At the ``start`` of a file one U+FEFF is
+    dropped from the first text that decodes, so a byte-order mark goes
+    wherever the chunks cut it, and a partial one is a bad byte.  A byte
+    that is not UTF-8 raises UnicodeDecodeError, its ``line_ends`` the
+    line ends before the bad byte that no line yielded holds: those of the
+    good bytes not yet decoded, read by the same newline rule after any
+    ``\\r`` held back."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    rest, mark = "", "\ufeff" if start else ""
     try:
         for raw in chunks:
-            text = rest + decoder.decode(raw)
+            text = decoder.decode(raw)
+            if mark and text:
+                text, mark = text.removeprefix(mark), ""
+            text = rest + text
             end = text.rfind("\n") + 1
             yield from _LINE.finditer(text, 0, end)
             rest = text[end:]

@@ -247,7 +247,7 @@ class RecurrentConvLayer(Layer):
     def forward(self, x: Tensor) -> Tensor:
         z = self.inner.forward(x)
         for _ in range(self.iterations - 1):
-            z = self.inner.forward(x + z)
+            z = self.inner.forward(T.elementwise("add", x, z))
         return z
 
     def named_params(self):

@@ -44,10 +44,6 @@ __all__ = [
     "GradTape",
     "no_grad",
     "elementwise",
-    "add",
-    "sub",
-    "mul",
-    "div",
     "neg",
     "matmul",
     "dense",
@@ -60,7 +56,6 @@ __all__ = [
     "mean_all",
     "mean_squared_error",
     "reshape",
-    "transpose",
     "flatten",
     "concat",
     "gather_rows",
@@ -172,34 +167,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; all routing goes through the module primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _DATA = Tensor.data  # the slot that holds every tensor's values
@@ -458,22 +425,6 @@ def elementwise(op: str, a: Tensor, b) -> Tensor:
         return ga, gb
 
     return _record(fn(ad, bd), parents, rule)
-
-
-def add(a: Tensor, b) -> Tensor:
-    return elementwise("add", a, b)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    return elementwise("sub", a, b)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    return elementwise("mul", a, b)
-
-
-def div(a: Tensor, b) -> Tensor:
-    return elementwise("div", a, b)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -837,7 +788,7 @@ def mean_squared_error(predictions: Tensor, targets: Tensor) -> Tensor:
     """Mean of the squared differences of two equal-shaped tensors, as one
     0-d op.  With d the difference, each operand of its square receives
     (g/n)·d, so the predictions' gradient is the sum of the two, the bits
-    of the composed ``sub``, ``mul`` and ``mean_all``."""
+    of ``mean_all`` over ``elementwise`` ``"sub"`` and ``"mul"``."""
     if predictions.shape != targets.shape:
         raise ShapeError(f"mean_squared_error needs equal shapes, got {predictions.shape} and {targets.shape}")
     d = predictions.data - targets.data
@@ -859,13 +810,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} (size {x.size}) to {shape}")
     old = x.shape
     return _record(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the two axes of a 2-D tensor."""
-    if x.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
-    return _record(x.data.T, (x,), lambda g: (g.T,))
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -934,7 +878,7 @@ def rowscale(x: Tensor, s: Tensor) -> Tensor:
     """Scale row ``i`` (axis -2) of a (..., C, W) tensor by ``s[i]``."""
     if x.ndim < 2 or s.ndim != 1 or s.shape[0] != x.shape[-2]:
         raise ShapeError(f"rowscale needs (...,C,W) and (C,), got {x.shape} and {s.shape}")
-    return mul(x, reshape(s, (s.shape[0], 1)))
+    return elementwise("mul", x, reshape(s, (s.shape[0], 1)))
 
 
 def softmax_rows(z: Tensor) -> Tensor:

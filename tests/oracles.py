@@ -1,8 +1,10 @@
 """Reference implementations the tests check the package against.
 
 ``toy_grouped_dense_forward`` is the two-layer grouped dense network of
-acceptance criterion 1, ``brute_force_min_ncut`` the exhaustive
-minimum-Ncut search of criterion 4, ``reference_grouped_conv1d`` and
+acceptance criterion 1, ``transpose`` the taped swap of a 2-D tensor's
+axes that it and two of the composed ops are written with,
+``brute_force_min_ncut`` the exhaustive minimum-Ncut search of
+criterion 4, ``reference_grouped_conv1d`` and
 ``reference_channelwise_conv1d`` the per-sample im2col convolutions the
 engine's batch-wide ones are checked against, ``row_sliced_fold`` the
 col2im the engine's flat one must match bit for bit, ``composed_ops``
@@ -82,11 +84,19 @@ def toy_grouped_dense_forward(
     if b1.shape != (k,) or w2.shape != (k,):
         raise ShapeError("b1 and w2 must have one entry per group")
     # w1[j*N + i] * x_i * u[i, j], summed over i and the window by ones
-    weighted = T.reshape(w1, (k, n, d)) * x * T.reshape(T.transpose(u), (k, n, 1))
-    h_pre = T.reshape(weighted, (k, n * d)) @ Tensor(np.ones((n * d, 1))) + T.reshape(b1, (k, 1))
-    h = T.activation(h_pre, hidden_activation)  # (K, 1)
-    y_pre = T.reshape(T.transpose(h) @ T.reshape(w2, (k, 1)), (1,)) + b2
+    weighted = T.elementwise("mul", T.elementwise("mul", T.reshape(w1, (k, n, d)), x),
+                             T.reshape(transpose(u), (k, n, 1)))
+    summed = T.matmul(T.reshape(weighted, (k, n * d)), Tensor(np.ones((n * d, 1))))
+    h = T.activation(T.elementwise("add", summed, T.reshape(b1, (k, 1))), hidden_activation)  # (K, 1)
+    y_pre = T.elementwise("add", T.reshape(T.matmul(transpose(h), T.reshape(w2, (k, 1))), (1,)), b2)
     return T.activation(y_pre, output_activation)
+
+
+def transpose(x: Tensor) -> Tensor:
+    """Swap the two axes of a 2-D tensor, as one taped op."""
+    if x.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
+    return T._record(x.data.T, (x,), lambda g: (g.T,))
 
 
 @dataclass
@@ -227,10 +237,11 @@ def composed_ops() -> dict:
     """{name in ``gcnn.tensor``: function} for each op that fuses a layer's
     bias and activation, and the loss, written as the chain of smaller ops
     it replaces: a linear convolution, a broadcast bias add, a scale and
-    reshapes, then ``activation``; ``transpose`` of ``reshape``; ``sub``,
-    ``mul`` and ``mean_all``.  The fused ops must give these bits, forward
-    and backward.  The convolutions called are the fused ones, captured
-    now, with no scale, no bias or a linear activation."""
+    reshapes, then ``activation``; :func:`transpose` of ``reshape``;
+    ``elementwise`` ``"sub"`` and ``"mul"``, then ``mean_all``.  The fused
+    ops must give these bits, forward and backward.  The convolutions
+    called are the fused ones, captured now, with no scale, no bias or a
+    linear activation."""
     grouped_conv1d, channelwise_conv1d = T.grouped_conv1d, T.channelwise_conv1d
 
     def grouped(x, kernels, biases, activation="linear"):
@@ -241,21 +252,22 @@ def composed_ops() -> dict:
         k = kernels.shape[0]
         conv = T.reshape(channelwise_conv1d(x, kernels), (*lead, k, c, w))
         if scale is not None:
-            conv = conv * T.reshape(T.transpose(scale), (k, c, 1))
+            conv = T.elementwise("mul", conv, T.reshape(transpose(scale), (k, c, 1)))
         if bias is not None:
-            conv = conv + T.reshape(bias, (k, 1, 1))
+            conv = T.elementwise("add", conv, T.reshape(bias, (k, 1, 1)))
         return T.activation(T.reshape(conv, (*lead, k * c, w)), activation)
 
     def dense(x, weight, bias, activation="linear"):
-        return T.activation((weight @ x) + T.reshape(bias, (weight.shape[0], 1)), activation)
+        summed = T.elementwise("add", T.matmul(weight, x), T.reshape(bias, (weight.shape[0], 1)))
+        return T.activation(summed, activation)
 
     def flatten(x):
         features = x.shape[-2] * x.shape[-1]
-        return T.transpose(T.reshape(x, (x.size // features, features)))
+        return transpose(T.reshape(x, (x.size // features, features)))
 
     def mean_squared_error(predictions, targets):
-        d = predictions - targets
-        return T.mean_all(d * d)
+        d = T.elementwise("sub", predictions, targets)
+        return T.mean_all(T.elementwise("mul", d, d))
 
     return {
         "grouped_conv1d": grouped,

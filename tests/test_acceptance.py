@@ -49,7 +49,7 @@ from oracles import Drawing, brute_force_min_ncut, toy_grouped_dense_forward
 
 def projection_loss(out: Tensor, weights: Tensor) -> Tensor:
     """Random fixed projection to a scalar; sums alone can hide sign bugs."""
-    return T.sum_all(out * weights)
+    return T.sum_all(T.elementwise("mul", out, weights))
 
 
 def check_layer(rng, build, n_instances=20, tol=1e-5):

@@ -1584,6 +1584,14 @@ def test_data_csv_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:4: not valid UTF-8 (byte 0xff)\n"
 
 
+def test_data_csv_of_a_partial_byte_order_mark_exits_3(tmp_path, capsys):
+    # the first byte of a byte-order mark is a bad byte, not an empty file
+    bad = tmp_path / "series.csv"
+    bad.write_bytes(b"\xef")
+    assert run("ingest", write_config(tmp_path / "run.yaml", base_config(bad, tmp_path / "out"))) == 3
+    assert capsys.readouterr().err == f"error: {bad}:1: not valid UTF-8 (byte 0xef)\n"
+
+
 def test_assignment_that_is_not_utf8_exits_3(series_csv, tmp_path, capsys):
     """The bad byte's line is the one named, also after a row fault or a
     fault of the csv module on an earlier line, more than one piece of

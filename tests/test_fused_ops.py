@@ -70,7 +70,7 @@ def run(fn, made, activation, mapped):
     out = fn(*operands, activation) if activation else fn(*operands)
     weights = Tensor(np.random.default_rng(7).standard_normal(out.shape))
     into = {t: np.full(t.shape, np.nan) for t in leaves} if mapped else leaves
-    grads = backward(T.sum_all(out * weights), leaves=into)
+    grads = backward(T.sum_all(T.elementwise("mul", out, weights)), leaves=into)
     return out.data.tobytes(), [grads[t].tobytes() for t in leaves]
 
 

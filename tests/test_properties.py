@@ -488,6 +488,9 @@ def utf8_fault(read, *args) -> str | None:
 @example([b"\xef\xbb", b"\xbfa\r", b"", b"\n\xf0\x9d", b"\x84"])
 @example([b"a\r", b"\nb\xff"])
 @example([b"\xef\xbb\xbfa\n\xff"])
+@example([b"\xef"])
+@example([b"\xef\xbb"])
+@example([b"\xef", b"\xbb"])
 def test_lines_in_chunks_match_the_whole_text_rule(chunks):
     raw, text = b"".join(chunks), []
     with pytest.MonkeyPatch.context() as mp:
@@ -820,8 +823,8 @@ def test_grouped_conv1d_equals_per_group_reference(case):
     want = per_group_reference(x, kernels, biases)
     assert got.shape == want.shape == weights.shape
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
-    g_got = backward(T.sum_all(got * Tensor(weights)), leaves=leaves)
-    g_want = backward(T.sum_all(want * Tensor(weights)), leaves=leaves)
+    g_got = backward(T.sum_all(T.elementwise("mul", got, Tensor(weights))), leaves=leaves)
+    g_want = backward(T.sum_all(T.elementwise("mul", want, Tensor(weights))), leaves=leaves)
     for leaf in leaves:
         np.testing.assert_allclose(g_got[leaf], g_want[leaf], rtol=1e-10, atol=1e-12)
 
@@ -903,7 +906,8 @@ def test_convolutions_keep_the_width_of_inputs_narrower_than_the_kernel(kw, data
     w1, w2 = Tensor(rng.standard_normal((2 * len(sizes), width))), Tensor(rng.standard_normal(got.shape))
 
     def loss():
-        return T.sum_all(T.grouped_conv1d(xt, ks, bs) * w1) + T.sum_all(T.channelwise_conv1d(xt, st_) * w2)
+        return T.elementwise("add", T.sum_all(T.elementwise("mul", T.grouped_conv1d(xt, ks, bs), w1)),
+                             T.sum_all(T.elementwise("mul", T.channelwise_conv1d(xt, st_), w2)))
 
     assert T.grad_check(loss, leaves) < 1e-6
 
@@ -948,7 +952,7 @@ def test_convolutions_match_the_per_sample_im2col_reference(case):
     assert got.shape == want.shape and got.data.flags.c_contiguous
     assert_close(got.data, want)
     g = rng.standard_normal(want.shape)
-    grads = backward(T.sum_all(got * Tensor(g)), leaves=leaves)
+    grads = backward(T.sum_all(T.elementwise("mul", got, Tensor(g))), leaves=leaves)
     gx, gks, gbs = want_grad(g)
     for leaf, w in zip(leaves, (gx, *gks, *gbs)):
         assert_close(grads[leaf], w)
@@ -959,7 +963,7 @@ def test_convolutions_match_the_per_sample_im2col_reference(case):
     assert got.shape == want.shape and got.data.flags.c_contiguous
     assert_close(got.data, want)
     g = rng.standard_normal(want.shape)
-    grads = backward(T.sum_all(got * Tensor(g)), leaves=[xt, st_])
+    grads = backward(T.sum_all(T.elementwise("mul", got, Tensor(g))), leaves=[xt, st_])
     gx, gk = want_grad(g)
     assert_close(grads[xt], gx)
     assert_close(grads[st_], gk)
@@ -1032,7 +1036,7 @@ def test_maxpool1d_matches_the_sliding_window_reference_bit_for_bit(case):
     got = T.maxpool1d(xt, window, stride)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.data.view("<u8"), want.view("<u8"))
-    backward(T.sum_all(got * Tensor(g)))
+    backward(T.sum_all(T.elementwise("mul", got, Tensor(g))))
     np.testing.assert_array_equal(xt.grad.view("<u8"), want_grad(g).view("<u8"))
 
     with no_grad():
@@ -1098,8 +1102,8 @@ def test_recurrent_grouped_stage_equals_per_group_reference(case):
     want = per_group_recurrent_reference(x, stage, labels, per_group, spec)
     assert got.shape == want.shape == weights.shape
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
-    g_got = backward(T.sum_all(got * weights), leaves=leaves)
-    g_want = backward(T.sum_all(want * weights), leaves=leaves)
+    g_got = backward(T.sum_all(T.elementwise("mul", got, weights)), leaves=leaves)
+    g_want = backward(T.sum_all(T.elementwise("mul", want, weights)), leaves=leaves)
     for leaf in leaves:
         np.testing.assert_allclose(g_got[leaf], g_want[leaf], rtol=1e-10, atol=1e-12)
 

@@ -67,34 +67,34 @@ class TestElementwise:
     def test_add(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 4.0])
-        np.testing.assert_array_equal((a + b).data, [4.0, 6.0])
+        np.testing.assert_array_equal(T.elementwise("add", a, b).data, [4.0, 6.0])
 
     def test_mul(self):
         a = Tensor([2.0, 3.0])
         b = Tensor([4.0, 5.0])
-        np.testing.assert_array_equal((a * b).data, [8.0, 15.0])
+        np.testing.assert_array_equal(T.elementwise("mul", a, b).data, [8.0, 15.0])
 
     def test_scalar_broadcast(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = a * 2.0
+        out = T.elementwise("mul", a, 2.0)
         np.testing.assert_array_equal(out.data, [[2.0, 4.0], [6.0, 8.0]])
         assert out.shape == a.shape
 
     def test_single_element_tensor_broadcasts(self):
         a = Tensor([1.0, 2.0, 3.0])
         s = Tensor([10.0])
-        out = a + s
+        out = T.elementwise("add", a, s)
         np.testing.assert_array_equal(out.data, [11.0, 12.0, 13.0])
         assert out.shape == (3,)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+            T.elementwise("add", Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
     def test_div_backward(self):
         a = Tensor([4.0, 9.0], requires_grad=True)
         b = Tensor([2.0, 3.0], requires_grad=True)
-        out = T.sum_all(a / b)
+        out = T.sum_all(T.elementwise("div", a, b))
         grads = backward(out, leaves=[a, b])
         np.testing.assert_allclose(grads[a], [0.5, 1 / 3])
         np.testing.assert_allclose(grads[b], [-1.0, -1.0])
@@ -102,7 +102,7 @@ class TestElementwise:
     def test_scalar_tensor_receives_gradient(self):
         a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         s = Tensor([2.0], requires_grad=True)
-        out = T.sum_all(a * s)
+        out = T.sum_all(T.elementwise("mul", a, s))
         grads = backward(out, leaves=[a, s])
         np.testing.assert_allclose(grads[a], [2.0, 2.0, 2.0])
         np.testing.assert_allclose(grads[s], [6.0])
@@ -112,12 +112,12 @@ class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         eye = Tensor(np.eye(2))
-        np.testing.assert_array_equal((a @ eye).data, a.data)
+        np.testing.assert_array_equal(T.matmul(a, eye).data, a.data)
 
     def test_row_times_column(self):
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[3.0], [4.0]])
-        np.testing.assert_array_equal((a @ b).data, [[11.0]])
+        np.testing.assert_array_equal(T.matmul(a, b).data, [[11.0]])
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -131,7 +131,7 @@ class TestMatmul:
         rng = np.random.default_rng(42)
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        err = grad_check(lambda: T.sum_all(T.activation(a @ b, "tanh")), [a, b])
+        err = grad_check(lambda: T.sum_all(T.activation(T.matmul(a, b), "tanh")), [a, b])
         assert err < 1e-6
 
 
@@ -289,7 +289,7 @@ class TestShapeOps:
         b = Tensor(np.ones(3), requires_grad=True)
         out = T.concat([a, b])
         weights = Tensor([1.0, 2.0, 3.0, 4.0, 5.0])
-        grads = backward(T.sum_all(out * weights), leaves=[a, b])
+        grads = backward(T.sum_all(T.elementwise("mul", out, weights)), leaves=[a, b])
         np.testing.assert_array_equal(grads[a], [1.0, 2.0])
         np.testing.assert_array_equal(grads[b], [3.0, 4.0, 5.0])
 
@@ -349,7 +349,7 @@ class TestSoftmaxRows:
     def test_gradient(self):
         z = Tensor(np.random.default_rng(4).standard_normal((3, 5)), requires_grad=True)
         w = Tensor(np.random.default_rng(5).standard_normal((3, 5)))
-        err = grad_check(lambda: T.sum_all(T.softmax_rows(z) * w), [z])
+        err = grad_check(lambda: T.sum_all(T.elementwise("mul", T.softmax_rows(z), w)), [z])
         assert err < 1e-6
 
 
@@ -363,25 +363,25 @@ class TestBackward:
         # loss = (y - t)^2, dloss/dy = 2(y - t)
         y = Tensor([3.0], requires_grad=True)
         t = Tensor([1.0])
-        d = y - t
-        grads = backward(T.sum_all(d * d), leaves=[y])
+        d = T.elementwise("sub", y, t)
+        grads = backward(T.sum_all(T.elementwise("mul", d, d)), leaves=[y])
         np.testing.assert_array_equal(grads[y], [4.0])
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
-        grads = backward(T.sum_all(x * x), leaves=[x])
+        grads = backward(T.sum_all(T.elementwise("mul", x, x)), leaves=[x])
         np.testing.assert_array_equal(grads[x], [4.0])
 
     def test_untouched_leaf_gets_zeros(self):
         x = Tensor([1.0], requires_grad=True)
         z = Tensor(np.ones((2, 2)), requires_grad=True)
-        grads = backward(T.sum_all(x * 3.0), leaves=[x, z])
+        grads = backward(T.sum_all(T.elementwise("mul", x, 3.0)), leaves=[x, z])
         np.testing.assert_array_equal(grads[z], np.zeros((2, 2)))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(x * 2.0)
+            backward(T.elementwise("mul", x, 2.0))
 
     def test_linearity_of_gradients(self):
         # each leaf feeds f and g through disjoint single uses, so the
@@ -392,12 +392,13 @@ class TestBackward:
         wg = rng.standard_normal(4)
 
         x1 = Tensor(xv.copy(), requires_grad=True)
-        gf = backward(T.sum_all(x1 * Tensor(wf)), leaves=[x1])[x1]
+        gf = backward(T.sum_all(T.elementwise("mul", x1, Tensor(wf))), leaves=[x1])[x1]
         x2 = Tensor(xv.copy(), requires_grad=True)
-        gg = backward(T.sum_all(x2 * Tensor(wg)), leaves=[x2])[x2]
+        gg = backward(T.sum_all(T.elementwise("mul", x2, Tensor(wg))), leaves=[x2])[x2]
 
         x3 = Tensor(xv.copy(), requires_grad=True)
-        both = T.sum_all(x3 * Tensor(wf)) + T.sum_all(x3 * Tensor(wg))
+        both = T.elementwise("add", T.sum_all(T.elementwise("mul", x3, Tensor(wf))),
+                             T.sum_all(T.elementwise("mul", x3, Tensor(wg))))
         gsum = backward(both, leaves=[x3])[x3]
         np.testing.assert_array_equal(gsum, gf + gg)
 
@@ -412,37 +413,37 @@ class TestBackward:
             h = T.activation(T.conv1d(x, k, b), "tanh")
             p = T.maxpool1d(h, window=2, stride=2)
             flat = T.reshape(p, (12, 1))
-            return T.sum_all(w @ flat)
+            return T.sum_all(T.matmul(w, flat))
 
         assert grad_check(f, [k, b, w]) < 1e-5
 
     def test_grad_fields_are_set(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
-        backward(T.sum_all(x * x), leaves=[x])
+        backward(T.sum_all(T.elementwise("mul", x, x)), leaves=[x])
         np.testing.assert_array_equal(x.grad, [2.0, -4.0])
 
     def test_backward_twice_overwrites(self):
         x = Tensor([3.0], requires_grad=True)
-        backward(T.sum_all(x * 2.0), leaves=[x])
-        backward(T.sum_all(x * 2.0), leaves=[x])
+        backward(T.sum_all(T.elementwise("mul", x, 2.0)), leaves=[x])
+        backward(T.sum_all(T.elementwise("mul", x, 2.0)), leaves=[x])
         np.testing.assert_array_equal(x.grad, [2.0])
 
     def test_second_backward_through_a_consumed_graph_raises(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
-        h = T.activation(x * 3.0, "tanh")
+        h = T.activation(T.elementwise("mul", x, 3.0), "tanh")
         loss = T.sum_all(h)
         backward(loss, leaves=[x])
         with pytest.raises(GraphConsumedError, match="already consumed"):
             backward(loss, leaves=[x])
         with pytest.raises(GraphConsumedError, match="already consumed"):
-            backward(T.sum_all(h * h), leaves=[x])  # a new graph on a consumed node
+            backward(T.sum_all(T.elementwise("mul", h, h)), leaves=[x])  # a new graph on a consumed node
 
     def test_backward_frees_the_saved_activations(self):
         rng = np.random.default_rng(13)
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        h = T.activation(w @ Tensor(rng.standard_normal((3, 5))), "tanh")  # its rule keeps its output
+        h = T.activation(T.matmul(w, Tensor(rng.standard_normal((3, 5)))), "tanh")  # its rule keeps its output
         saved = weakref.ref(h.data)
-        loss = T.sum_all(h * h)
+        loss = T.sum_all(T.elementwise("mul", h, h))
         del h
         assert saved() is not None
         backward(loss, leaves=[w])
@@ -453,7 +454,7 @@ class TestBackward:
         # the add rule hands one array to both operands
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
-        grads = backward(T.sum_all(a + b), leaves=[a, b])
+        grads = backward(T.sum_all(T.elementwise("add", a, b)), leaves=[a, b])
         assert grads[a] is a.grad and grads[b] is b.grad
         assert not np.shares_memory(a.grad, b.grad)
         a.grad[0] = 7.0
@@ -465,7 +466,7 @@ class TestBackward:
         unused = Tensor([5.0], requires_grad=True)
         flat = np.full(5, np.nan)
         into = {a: flat[:2], b: flat[2:4], unused: flat[4:]}
-        grads = backward(T.sum_all(a * b + a), leaves=into)
+        grads = backward(T.sum_all(T.elementwise("add", T.elementwise("mul", a, b), a)), leaves=into)
         np.testing.assert_array_equal(flat, [4.0, 5.0, 1.0, 2.0, 0.0])
         assert all(grads[t] is into[t] and t.grad is into[t] for t in into)
 
@@ -499,7 +500,7 @@ class TestBackward:
 
         def loss():
             out = model.forward(x)
-            return T.sum_all(out * out)
+            return T.sum_all(T.elementwise("mul", out, out))
 
         plain = {t: g.copy() for t, g in backward(loss(), leaves=params).items()}
         asked = self.handed_out(monkeypatch)
@@ -524,7 +525,7 @@ class TestBackward:
 
         def loss():
             out = T.grouped_conv1d(x, [k, k], [b, b]) if twice else T.conv1d(x, k, b)
-            return T.sum_all(out * out)
+            return T.sum_all(T.elementwise("mul", out, out))
 
         plain = backward(loss(), leaves=[k])[k].copy()
         mapped = np.full((4, 3, 3), np.nan)
@@ -544,8 +545,8 @@ class TestBackward:
         outcomes = set()
         for penalty_first in (True, False):
             def loss():
-                conv, penalty = T.sum_all(T.conv1d(x, k, b)), T.sum_all(k * k)
-                return penalty + conv if penalty_first else conv + penalty
+                conv, penalty = T.sum_all(T.conv1d(x, k, b)), T.sum_all(T.elementwise("mul", k, k))
+                return T.elementwise("add", penalty, conv) if penalty_first else T.elementwise("add", conv, penalty)
 
             plain = backward(loss(), leaves=[k, b])[k].copy()
             asked.clear()
@@ -605,14 +606,14 @@ class TestNoGrad:
     def test_blocks_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = x * 2.0
+            y = T.elementwise("mul", x, 2.0)
         assert y._rule is None and not y.requires_grad
 
     def test_restores_on_exit(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
             pass
-        y = x * 2.0
+        y = T.elementwise("mul", x, 2.0)
         assert y.requires_grad
 
 

@@ -6,10 +6,13 @@ time, so renaming or deleting one would only surface when the benchmark
 runs.  ``perfbench/tracing.py`` wraps names in ``data``, ``spectral``,
 ``models``, ``training`` and ``cli``, so a run of the commands under it
 shows that the data steps it times are still called through those
-names.  Both files are loaded by file path, as the benchmark holds no
+names.  The other way round, every function ``gcnn.tensor`` exports must
+have a caller in the package, be exported by it or be timed by the
+tracer.  Both files are loaded by file path, as the benchmark holds no
 package.
 """
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import gcnn
 from gcnn import cli
 from gcnn import data as D
 from gcnn import layers as L
@@ -95,3 +99,32 @@ def test_the_tracer_times_the_data_steps_and_restores_every_name(tmp_path, monke
     assert {"gcnn.data.load_csv", "gcnn.data.repair_gaps", "gcnn.data.standardize"} <= wrapped
     spans = {tracer.name_of(sid) for sid in range(len(tracer))}
     assert {"data.load_csv", "data.repair_gaps", "data.standardize", "spectral.sym_eig", "cli.config"} <= spans
+
+
+def tensor_names_used(path: Path) -> set[str]:
+    """The names the gcnn module at ``path`` takes from ``gcnn.tensor``:
+    those it imports from it, and the attributes it reads of the name it
+    imports it as."""
+    tree = ast.parse(path.read_text())
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+    used.update(node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    return used
+
+
+def test_every_engine_function_is_called_exported_or_traced(monkeypatch):
+    """A function of ``gcnn.tensor.__all__`` that no other gcnn module
+    uses, the package does not export and the tracer does not time is
+    code no command runs."""
+    monkeypatch.syspath_prepend(str(BENCH))  # tracing imports its catalogue as ``metrics``
+    monkeypatch.setitem(sys.modules, "metrics", MX)
+    tracing = load_by_path("perfbench_tracing", BENCH / "tracing.py")
+    modules = [p for p in Path(gcnn.__file__).parent.glob("*.py") if p.name not in ("__init__.py", "tensor.py")]
+    reached = set().union(*map(tensor_names_used, modules), gcnn.__all__, tracing.TAPED_PRIMITIVES)
+    functions = [name for name in T.__all__ if inspect.isfunction(getattr(T, name))]
+    assert [name for name in functions if name not in reached] == []
